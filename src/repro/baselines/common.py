@@ -3,14 +3,15 @@
 ``FeatureIndex`` documents the informal protocol every index in this
 repository implements (the hybrid tree included), so the evaluation harness
 and the exactness tests can drive them interchangeably.  Three mixins supply
-the batch-query surface of :mod:`repro.engine` (``range_search_many`` /
-``distance_range_many`` / ``knn_many``):
+the batch-query surface of :mod:`repro.engine` — one ``execute(batch, ...)``
+per structure, with ``range_search_many`` / ``distance_range_many`` /
+``knn_many`` as the :class:`~repro.engine.query.BatchQueries` helpers:
 
-- ``LoopQueryMixin`` provides the measured per-query loop as the explicitly
-  named ``*_loop`` methods — the instrumented single-query side of every
-  batch-vs-loop comparison;
-- ``BatchQueryMixin`` aliases the loop as the batch API, for structures with
-  no traversable directory (sequential scan, VA-file);
+- ``LoopQueryMixin`` provides the measured per-query loop
+  (:func:`run_loop`) as the explicitly named ``*_loop`` methods — the
+  instrumented single-query side of every batch-vs-loop comparison;
+- ``BatchQueryMixin`` runs batches as that loop, for structures with no
+  traversable directory (sequential scan, VA-file);
 - ``KernelQueryMixin`` serves both the batch API *and* the single-query
   methods from the structure-agnostic traversal kernel
   (:mod:`repro.engine.kernel`), for every paged structure implementing the
@@ -26,7 +27,10 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from repro.distances import L2, Metric
+from repro.engine.batch import dispatch
+from repro.engine.query import DISTANCE, RANGE, BatchQueries, QueryBatch, check_on_timeout
 from repro.geometry.rect import Rect
+from repro.resilience import Deadline, PartialResult, QueryTimeoutError
 from repro.storage.iostats import IOStats
 
 
@@ -54,59 +58,42 @@ class FeatureIndex(Protocol):
 def measured_loop(index, label: str, calls, deadline=None, on_timeout="raise"):
     """Run ``calls`` one by one against ``index`` with exact instrumentation.
 
-    Module-level (not a mixin method) so the ``*_loop`` methods can be
-    invoked *unbound* on any object with an ``io`` accountant — including
-    the hybrid tree, which does not inherit the mixin.
-
-    ``deadline`` bounds the loop at per-query granularity — the natural
-    grain for a loop whose unit of work is a whole query.  With
-    ``on_timeout="partial"`` the completed prefix comes back in a
-    :class:`~repro.resilience.PartialResult` (queries that ran are marked
-    complete); otherwise a :class:`QueryTimeoutError` propagates.  Metrics
-    cover exactly the queries that ran.
+    Module-level (not a mixin method) so it serves any object with an
+    ``io`` accountant — including the hybrid tree, which does not inherit
+    the mixin.  See :func:`_loop` for the deadline semantics; metrics cover
+    exactly the queries that ran.
     """
     from repro.engine.metrics import LoopRecorder
-    from repro.resilience import PartialResult, QueryTimeoutError
 
     recorder = LoopRecorder(label, index.io)
     # Charge both access kinds: a checkpoint of random_reads alone
     # silently drops the sequential reads that dominate seqscan/VA-file.
     reads0 = index.io.random_reads + index.io.sequential_reads
-    results = []
-    err = None
-    try:
-        for call in calls:
-            if deadline is not None:
-                deadline.check()
-            recorder.start_query()
-            results.append(call())
-            recorder.end_query()
-    except QueryTimeoutError as exc:
-        if on_timeout != "partial":
-            raise
-        err = exc
+    results = _loop(calls, deadline, on_timeout, recorder)
     charged = (index.io.random_reads + index.io.sequential_reads) - reads0
-    if err is not None:
-        n = len(calls)
-        completed = np.zeros(n, dtype=bool)
-        completed[: len(results)] = True
-        results.extend([] for _ in range(n - len(results)))
-        results = PartialResult(results, completed, err)
     return results, recorder.finish(charged_reads=charged)
 
 
-def _plain_loop(calls, deadline, on_timeout):
-    """The unmeasured per-query loop, with the same per-query deadline
-    grain and partial-envelope semantics as :func:`measured_loop`."""
-    from repro.resilience import PartialResult, QueryTimeoutError
+def _loop(calls, deadline, on_timeout, recorder=None):
+    """Run ``calls`` in order, each bracketed by ``recorder`` if given.
 
+    ``deadline`` bounds the loop at per-query granularity — the natural
+    grain for a loop whose unit of work is a whole query.  With
+    ``on_timeout="partial"`` the completed prefix comes back in a
+    :class:`~repro.resilience.PartialResult` (queries that ran are marked
+    complete); otherwise a :class:`QueryTimeoutError` propagates.
+    """
     results = []
     err = None
     try:
         for call in calls:
             if deadline is not None:
                 deadline.check()
+            if recorder is not None:
+                recorder.start_query()
             results.append(call())
+            if recorder is not None:
+                recorder.end_query()
     except QueryTimeoutError as exc:
         if on_timeout != "partial":
             raise
@@ -120,20 +107,40 @@ def _plain_loop(calls, deadline, on_timeout):
     return PartialResult(results, completed, err)
 
 
-def _loop_run(index, label, calls, return_metrics, timeout, on_timeout):
-    """Shared loop driver: coerce the deadline, pick measured vs plain.
+def run_loop(index, batch, return_metrics=False, timeout=None, on_timeout="raise"):
+    """Run a checked :class:`~repro.engine.query.QueryBatch` as a loop over
+    ``index``'s single-query methods (labels ``range-loop``,
+    ``distance-loop``, ``knn-loop``).
 
-    Module-level so the ``*_loop`` methods stay invokable unbound on any
-    object with an ``io`` accountant (the hybrid tree included).
+    Module-level so it serves any object with the single-query API and an
+    ``io`` accountant, the hybrid tree included.
     """
-    from repro.engine.kernel import check_on_timeout
-    from repro.resilience import Deadline
-
     check_on_timeout(on_timeout)
     deadline = Deadline.coerce(timeout)
+    if batch.kind == RANGE:
+        calls = [
+            lambda lo=lo, hi=hi: index.range_search(Rect(lo, hi))
+            for lo, hi in zip(batch.lows, batch.highs)
+        ]
+    elif batch.kind == DISTANCE:
+        calls = [
+            lambda c=c, r=r: index.distance_range(c, float(r), batch.metric)
+            for c, r in zip(batch.centers, batch.radii)
+        ]
+    else:
+        # Structures without an approximate mode take no such keyword.
+        kwargs = (
+            {"approximation_factor": batch.approximation_factor}
+            if batch.approximation_factor
+            else {}
+        )
+        calls = [
+            lambda c=c: index.knn(c, batch.k, batch.metric, **kwargs)
+            for c in batch.centers
+        ]
     if return_metrics:
-        return measured_loop(index, label, calls, deadline, on_timeout)
-    return _plain_loop(calls, deadline, on_timeout)
+        return measured_loop(index, f"{batch.kind}-loop", calls, deadline, on_timeout)
+    return _loop(calls, deadline, on_timeout)
 
 
 class LoopQueryMixin:
@@ -146,33 +153,24 @@ class LoopQueryMixin:
     comparison in the benchmarks and the conformance suite.
 
     ``timeout``/``on_timeout`` bound the loop at per-query granularity —
-    see :func:`measured_loop`.
+    see :func:`_loop`.  The methods only need ``dims``, ``io`` and the
+    single-query API, so they can be called unbound on the hybrid tree
+    (``LoopQueryMixin.knn_loop(tree, centers, k)``).
     """
 
     def range_search_loop(
         self, queries, return_metrics: bool = False,
         timeout=None, on_timeout: str = "raise",
     ):
-        return _loop_run(
-            self, "range-loop",
-            [lambda q=q: self.range_search(q) for q in queries],
-            return_metrics, timeout, on_timeout,
-        )
+        batch = QueryBatch.range(queries, self.dims)
+        return run_loop(self, batch, return_metrics, timeout, on_timeout)
 
     def distance_range_loop(
         self, centers, radii, metric: Metric = L2, return_metrics: bool = False,
         timeout=None, on_timeout: str = "raise",
     ):
-        centers = np.asarray(centers)
-        radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), (len(centers),))
-        return _loop_run(
-            self, "distance-loop",
-            [
-                lambda c=c, r=r: self.distance_range(c, float(r), metric)
-                for c, r in zip(centers, radii)
-            ],
-            return_metrics, timeout, on_timeout,
-        )
+        batch = QueryBatch.distance(centers, radii, metric, self.dims)
+        return run_loop(self, batch, return_metrics, timeout, on_timeout)
 
     def knn_loop(
         self,
@@ -184,20 +182,11 @@ class LoopQueryMixin:
         timeout=None,
         on_timeout: str = "raise",
     ):
-        centers = np.asarray(centers)
-        kwargs = (
-            {"approximation_factor": approximation_factor}
-            if approximation_factor
-            else {}
-        )
-        return _loop_run(
-            self, "knn-loop",
-            [lambda c=c: self.knn(c, k, metric, **kwargs) for c in centers],
-            return_metrics, timeout, on_timeout,
-        )
+        batch = QueryBatch.knn(centers, k, metric, approximation_factor, self.dims)
+        return run_loop(self, batch, return_metrics, timeout, on_timeout)
 
 
-class BatchQueryMixin(LoopQueryMixin):
+class BatchQueryMixin(BatchQueries, LoopQueryMixin):
     """Batch-query API served by the measured loop.
 
     For structures with no traversable directory (sequential scan, VA-file)
@@ -206,12 +195,10 @@ class BatchQueryMixin(LoopQueryMixin):
     still drive them through one interface.
     """
 
-    range_search_many = LoopQueryMixin.range_search_loop
-    distance_range_many = LoopQueryMixin.distance_range_loop
-    knn_many = LoopQueryMixin.knn_loop
+    execute = run_loop
 
 
-class KernelQueryMixin(LoopQueryMixin):
+class KernelQueryMixin(BatchQueries, LoopQueryMixin):
     """Batch *and* single-query API served by the traversal kernel.
 
     Structures implementing the ``trav_*`` protocol (see
@@ -222,49 +209,13 @@ class KernelQueryMixin(LoopQueryMixin):
     available as the measured per-query baseline.
 
     When a struct-of-arrays snapshot is attached (:meth:`compile_snapshot`)
-    the batch methods run on the vectorized SOA kernel instead — results
-    are bit-identical either way.  Mutations must call
+    batches run on the vectorized SOA kernel instead — results are
+    bit-identical either way.  Mutations must call
     :meth:`invalidate_snapshot`; queries then fall back to the object walk
     until the structure is re-compiled.
     """
 
-    def range_search_many(
-        self, queries, return_metrics: bool = False,
-        timeout=None, on_timeout: str = "raise",
-    ):
-        from repro.engine.soa import dispatch_range_search_many
-
-        return dispatch_range_search_many(
-            self, queries, return_metrics, "range-batch", timeout, on_timeout
-        )
-
-    def distance_range_many(
-        self, centers, radii, metric: Metric = L2, return_metrics: bool = False,
-        timeout=None, on_timeout: str = "raise",
-    ):
-        from repro.engine.soa import dispatch_distance_range_many
-
-        return dispatch_distance_range_many(
-            self, centers, radii, metric, return_metrics, "distance-batch",
-            timeout, on_timeout,
-        )
-
-    def knn_many(
-        self,
-        centers,
-        k: int,
-        metric: Metric = L2,
-        approximation_factor: float = 0.0,
-        return_metrics: bool = False,
-        timeout=None,
-        on_timeout: str = "raise",
-    ):
-        from repro.engine.soa import dispatch_knn_many
-
-        return dispatch_knn_many(
-            self, centers, k, metric, approximation_factor, return_metrics,
-            "knn-batch", timeout, on_timeout,
-        )
+    execute = dispatch
 
     # -- struct-of-arrays snapshot lifecycle ---------------------------
     @property

@@ -286,23 +286,6 @@ class MTree(KernelQueryMixin):
     # ------------------------------------------------------------------
     # Queries (fixed metric; no window queries): the traversal kernel
     # ------------------------------------------------------------------
-    def range_search(self, query) -> list[int]:
-        raise TypeError(
-            "the M-tree is distance-based: it has no coordinate geometry to "
-            "answer bounding-box (window) queries — use a feature-based "
-            "index such as the hybrid tree"
-        )
-
-    def range_search_many(
-        self, queries, return_metrics: bool = False,
-        timeout=None, on_timeout: str = "raise",
-    ):
-        raise TypeError(
-            "the M-tree is distance-based: it has no coordinate geometry to "
-            "answer bounding-box (window) queries — use a feature-based "
-            "index such as the hybrid tree"
-        )
-
     def distance_range(
         self, query: np.ndarray, radius: float, metric: Metric | None = None
     ) -> list[tuple[int, float]]:
@@ -317,14 +300,14 @@ class MTree(KernelQueryMixin):
     ) -> list[tuple[int, float]]:
         return self.knn_many([query], k, metric, approximation_factor)[0]
 
+    # Batch helpers default to the build-time metric; dispatch checks any
+    # other metric through ``trav_check_metric``.
     def distance_range_many(
         self, centers, radii, metric: Metric | None = None,
         return_metrics: bool = False, timeout=None, on_timeout: str = "raise",
     ):
-        if metric is not None:
-            self._check_metric(metric)
         return super().distance_range_many(
-            centers, radii, self.metric, return_metrics, timeout, on_timeout
+            centers, radii, metric or self.metric, return_metrics, timeout, on_timeout
         )
 
     def knn_many(
@@ -337,10 +320,8 @@ class MTree(KernelQueryMixin):
         timeout=None,
         on_timeout: str = "raise",
     ):
-        if metric is not None:
-            self._check_metric(metric)
         return super().knn_many(
-            centers, k, self.metric, approximation_factor, return_metrics,
+            centers, k, metric or self.metric, approximation_factor, return_metrics,
             timeout, on_timeout,
         )
 

@@ -252,6 +252,7 @@ def cmd_bench_batch(args: argparse.Namespace) -> int:
         uniform_dataset,
     )
     from repro.datasets.workload import distance_workload, range_workload
+    from repro.baselines.common import LoopQueryMixin
     from repro.engine import QuerySession
     from repro.eval.harness import build_index
     from repro.eval.report import render_table
@@ -335,7 +336,7 @@ def cmd_bench_batch(args: argparse.Namespace) -> int:
         boxes = workload.boxes()
         compare(
             "range",
-            lambda: _loop_range(index, boxes),
+            lambda: LoopQueryMixin.range_search_loop(index, boxes, return_metrics=True),
             lambda: index.range_search_many(boxes, return_metrics=True, **budget),
         )
     else:
@@ -347,21 +348,27 @@ def cmd_bench_batch(args: argparse.Namespace) -> int:
         dist = (dwork.centers, dwork.radii)
         compare(
             "distance",
-            lambda: _loop_distance(index, dist[0], dist[1], metric),
+            lambda: LoopQueryMixin.distance_range_loop(
+                index, dist[0], dist[1], metric, return_metrics=True
+            ),
             lambda: index.distance_range_many(
                 dist[0], dist[1], metric, return_metrics=True, **budget
             ),
         )
+
+    def knn_loop():
+        return LoopQueryMixin.knn_loop(index, centers, args.k, metric, return_metrics=True)
+
     compare(
         f"knn k={args.k}",
-        lambda: _loop_knn(index, centers, args.k, metric),
+        knn_loop,
         lambda: index.knn_many(centers, args.k, metric, return_metrics=True, **budget),
     )
     if isinstance(index, HybridTree):
         with QuerySession(index, pin_levels=args.pin_levels) as session:
             compare(
                 f"knn k={args.k} (session, {session.pinned_pages} pinned)",
-                lambda: _loop_knn(index, centers, args.k, metric),
+                knn_loop,
                 lambda: session.knn_many(
                     centers, args.k, metric, return_metrics=True, **budget
                 ),
@@ -470,52 +477,6 @@ def _bench_parallel(args, index, boxes, dist, centers, metric, budget) -> None:
         if serial is not index:
             serial.close()
         print(render_table(rows, title))
-
-
-def _charged_reads(io) -> int:
-    # Both access kinds: random-only accounting silently drops the
-    # sequential reads that dominate seqscan/VA-file loops.
-    return io.random_reads + io.sequential_reads
-
-
-def _loop_range(index, boxes):
-    """Single-query loop instrumented like the baselines' measured loop."""
-    from repro.engine.metrics import LoopRecorder
-
-    recorder = LoopRecorder("range-loop", index.io)
-    reads0 = _charged_reads(index.io)
-    results = []
-    for box in boxes:
-        recorder.start_query()
-        results.append(index.range_search(box))
-        recorder.end_query()
-    return results, recorder.finish(charged_reads=_charged_reads(index.io) - reads0)
-
-
-def _loop_distance(index, centers, radii, metric):
-    from repro.engine.metrics import LoopRecorder
-
-    recorder = LoopRecorder("distance-loop", index.io)
-    reads0 = _charged_reads(index.io)
-    results = []
-    for center, radius in zip(centers, radii):
-        recorder.start_query()
-        results.append(index.distance_range(center, float(radius), metric=metric))
-        recorder.end_query()
-    return results, recorder.finish(charged_reads=_charged_reads(index.io) - reads0)
-
-
-def _loop_knn(index, centers, k, metric):
-    from repro.engine.metrics import LoopRecorder
-
-    recorder = LoopRecorder("knn-loop", index.io)
-    reads0 = _charged_reads(index.io)
-    results = []
-    for center in centers:
-        recorder.start_query()
-        results.append(index.knn(center, k, metric=metric))
-        recorder.end_query()
-    return results, recorder.finish(charged_reads=_charged_reads(index.io) - reads0)
 
 
 # ----------------------------------------------------------------------

@@ -43,6 +43,7 @@ from repro.core.splits import (
     reset_round_robin,
 )
 from repro.distances import L2, Metric
+from repro.engine.query import BatchQueries, check_approximation, check_k, check_radii
 from repro.geometry.rect import Rect
 from repro.storage import superblock as superblock_io
 from repro.storage import wal as wal_io
@@ -846,8 +847,7 @@ class HybridTree:
         ``metric`` — the paper's distance-based range query, usable with a
         different metric on every call."""
         q = self._check_vector(query)
-        if radius < 0:
-            raise ValueError("radius must be non-negative")
+        radius = float(check_radii(radius, 1)[0])
         out: list[tuple[int, float]] = []
 
         def visit(node_id: int, region: Rect) -> None:
@@ -900,11 +900,8 @@ class HybridTree:
         future-work approximate-NN mode.
         """
         q = self._check_vector(query)
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if approximation_factor < 0:
-            raise ValueError("approximation_factor must be >= 0")
-        shrink = 1.0 / (1.0 + approximation_factor)
+        k = check_k(k)
+        shrink = 1.0 / (1.0 + check_approximation(approximation_factor))
         counter = itertools.count()
         frontier: list[tuple[float, int, int, Rect]] = [
             (0.0, next(counter), self._root_id, self.bounds)
@@ -994,38 +991,9 @@ class HybridTree:
                 )
 
     def count_range(self, query: Rect) -> int:
-        """Number of points in the closed box (same traversal/I/O as
-        :meth:`range_search`, no result materialisation)."""
-        if query.dims != self.dims:
-            raise ValueError("query dimensionality mismatch")
-        total = 0
-
-        def visit(node_id: int, region: Rect) -> None:
-            nonlocal total
-            node = self.nm.get(node_id)
-            if isinstance(node, DataNode):
-                if node.count:
-                    total += int(query.contains_points_mask(node.points()).sum())
-                return
-            walk(node.kd_root, region)
-
-        def walk(kd: KDNode, region: Rect) -> None:
-            if isinstance(kd, KDLeaf):
-                live = self.els.effective_rect(kd.child_id, region)
-                if query.intersects(live):
-                    visit(kd.child_id, region)
-                return
-            if query.low[kd.dim] <= kd.lsp:
-                walk(kd.left, region.clip_below(kd.dim, kd.lsp))
-            if query.high[kd.dim] >= kd.rsp:
-                walk(kd.right, region.clip_above(kd.dim, kd.rsp))
-
-        try:
-            visit(self._root_id, self.bounds)
-        except PageCorruptionError as exc:
-            vectors, _ = self._degrade(exc)
-            return int(query.contains_points_mask(vectors).sum())
-        return total
+        """Number of points in the closed box (the traversal and I/O of
+        :meth:`range_search`)."""
+        return len(self.range_search(query))
 
     # ------------------------------------------------------------------
     # Graceful degradation (``on_corruption="scan"``)
@@ -1082,49 +1050,27 @@ class HybridTree:
         return np.vstack(vec_parts), np.concatenate(oid_parts).astype(np.int64)
 
     # ------------------------------------------------------------------
-    # Batch queries (repro.engine: one shared traversal serves the batch)
+    # Batch queries (repro.engine: one validated QueryBatch, one execute();
+    # the per-kind helpers are this class's own attributes)
     # ------------------------------------------------------------------
-    def range_search_many(
-        self, queries, return_metrics: bool = False,
+    range_search_many = BatchQueries.range_search_many
+    distance_range_many = BatchQueries.distance_range_many
+    knn_many = BatchQueries.knn_many
+
+    def execute(
+        self, batch, return_metrics: bool = False,
         timeout=None, on_timeout: str = "raise",
     ):
-        """Batch form of :meth:`range_search`: one traversal, bit-identical
-        results, each node charged once for the whole batch.  ``timeout``
+        """Run a checked :class:`~repro.engine.query.QueryBatch` in one
+        shared traversal: bit-identical to looping the single-query
+        methods, each node charged once for the whole batch.  ``timeout``
         (seconds or a :class:`~repro.resilience.Deadline`) bounds the wall
         clock; ``on_timeout="partial"`` returns a
-        :class:`~repro.resilience.PartialResult` instead of raising."""
-        from repro.engine import range_search_many
+        :class:`~repro.resilience.PartialResult` instead of raising.  See
+        :func:`repro.engine.batch.dispatch`."""
+        from repro.engine.batch import dispatch
 
-        return range_search_many(self, queries, return_metrics, timeout, on_timeout)
-
-    def distance_range_many(
-        self, centers, radii, metric: Metric = L2, return_metrics: bool = False,
-        timeout=None, on_timeout: str = "raise",
-    ):
-        """Batch form of :meth:`distance_range` (scalar or per-query radii)."""
-        from repro.engine import distance_range_many
-
-        return distance_range_many(
-            self, centers, radii, metric, return_metrics, timeout, on_timeout
-        )
-
-    def knn_many(
-        self,
-        centers,
-        k: int,
-        metric: Metric = L2,
-        approximation_factor: float = 0.0,
-        return_metrics: bool = False,
-        timeout=None,
-        on_timeout: str = "raise",
-    ):
-        """Batch form of :meth:`knn` over a shared branch-and-bound pass."""
-        from repro.engine import knn_many
-
-        return knn_many(
-            self, centers, k, metric, approximation_factor, return_metrics,
-            timeout, on_timeout,
-        )
+        return dispatch(self, batch, return_metrics, timeout, on_timeout)
 
     # -- struct-of-arrays snapshot lifecycle ---------------------------
     @property

@@ -5,10 +5,8 @@ re-descend from the root for every query, re-charging the same directory
 pages each time.  For a serving workload of hundreds of queries that
 redundancy dominates: the upper levels are fetched once *per query* instead
 of once *per batch*.  This module executes a whole batch in one traversal
-(since the kernel refactor, through the structure-agnostic
-:mod:`repro.engine.kernel`, which the hybrid tree joins via its ``trav_*``
-protocol methods — these wrappers keep the historical hybrid-tree entry
-points and labels):
+through the structure-agnostic :mod:`repro.engine.kernel`, which the hybrid
+tree and the paged baselines join via their ``trav_*`` protocol methods:
 
 - queries descend together as an *alive set* (a numpy index array);
 - each tree node is fetched from the :class:`NodeManager` once per batch —
@@ -26,13 +24,19 @@ deterministic ``(distance, oid)`` total order.  (The one exception is
 approximate k-NN with ``approximation_factor > 0``, where pruning is
 heuristic and any traversal order is admissible.)
 
-Every batch entry point accepts ``timeout=`` (seconds, or a
-:class:`~repro.resilience.Deadline` carrying a :class:`CancelToken`) and
-``on_timeout`` — ``"raise"`` surfaces a typed
-:class:`~repro.resilience.QueryTimeoutError`, ``"partial"`` returns a
-:class:`~repro.resilience.PartialResult` envelope with the hits gathered
-before the budget expired and a per-query completion mask.  Metrics stay
-honest either way: pages touched before the deadline fired are billed.
+:func:`dispatch` is the one place that picks the engine for a checked
+:class:`~repro.engine.query.QueryBatch`: the vectorized SOA kernel when a
+snapshot is attached (:mod:`repro.engine.soa`), the object-walk kernel
+otherwise — results are identical either way.  It also validates
+``on_timeout`` and the index's capabilities (box geometry, metric) once,
+answers an empty batch without touching the tree, and turns ``timeout=``
+(seconds, or a :class:`~repro.resilience.Deadline` carrying a
+:class:`CancelToken`) into the deadline the kernels check: ``"raise"``
+surfaces a typed :class:`~repro.resilience.QueryTimeoutError`,
+``"partial"`` returns a :class:`~repro.resilience.PartialResult` envelope
+with the hits gathered before the budget expired and a per-query
+completion mask.  Metrics stay honest either way: pages touched before the
+deadline fired are billed.
 
 :class:`QuerySession` adds buffer management on top: it pins the hot upper
 levels of the directory once (charging each page a single read), so every
@@ -43,106 +47,75 @@ cold per-query numbers.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import time
+
+import numpy as np
 
 from repro.core.nodes import IndexNode
 from repro.distances import L2, Metric
-from repro.engine.kernel import (
-    _as_query_matrix,  # noqa: F401  (re-export: parallel.py imports it here)
-)
-from repro.engine.soa.kernel import (
-    dispatch_distance_range_many,
-    dispatch_knn_many,
-    dispatch_range_search_many,
-)
+from repro.engine import kernel as object_kernel
+from repro.engine.kernel import _finish, _reads
+from repro.engine.query import DISTANCE, KNN, RANGE, QueryBatch, check_on_timeout
+from repro.engine.soa import kernel as soa_kernel
+from repro.engine.soa.snapshot import active_snapshot
 from repro.geometry.rect import Rect
-from repro.resilience import QueryAdmissionController
+from repro.resilience import Deadline, QueryAdmissionController
 
-__all__ = [
-    "range_search_many",
-    "distance_range_many",
-    "knn_many",
-    "QuerySession",
-]
+__all__ = ["QuerySession", "dispatch"]
 
 
-# ----------------------------------------------------------------------
-# Box range queries
-# ----------------------------------------------------------------------
-def range_search_many(
-    tree,
-    queries: Sequence[Rect],
+def dispatch(
+    index,
+    batch: QueryBatch,
     return_metrics: bool = False,
     timeout=None,
     on_timeout: str = "raise",
 ):
-    """Execute many box range queries in one traversal.
+    """Run a checked batch on the SOA kernel if ``index`` has a snapshot
+    attached, else on the object-walk kernel.
 
-    Returns one oid list per query (bit-identical to
-    ``[tree.range_search(q) for q in queries]``); with
-    ``return_metrics=True`` also a :class:`BatchMetrics`.  Runs on the
-    vectorized SOA kernel when the tree has a compiled snapshot attached
-    (:mod:`repro.engine.soa`), on the object-walk kernel otherwise —
-    results are identical either way.
+    Returns one result list per query; with ``return_metrics=True`` also a
+    :class:`~repro.engine.metrics.BatchMetrics` labelled ``batch.label``.
     """
-    return dispatch_range_search_many(
-        tree, queries, return_metrics, "range-batch", timeout, on_timeout
-    )
+    check_on_timeout(on_timeout)
+    if batch.kind == RANGE:
+        if not getattr(index, "trav_supports_box", True):
+            raise TypeError(
+                "this index is distance-based: it has no coordinate geometry "
+                "to answer bounding-box (window) queries — use a feature-based "
+                "index such as the hybrid tree"
+            )
+    elif hasattr(index, "trav_check_metric"):
+        index.trav_check_metric(batch.metric)
+    if not len(batch):
+        return _finish(
+            [], np.zeros(0), index, time.perf_counter(), _reads(index.io),
+            return_metrics, batch.label,
+        )
+    deadline = Deadline.coerce(timeout)
+    # The kernel tables are built per call, so a wrapper installed on a
+    # kernel module's function sees every batch.
+    snap = active_snapshot(index)
+    if snap is not None:
+        run = {
+            RANGE: soa_kernel.soa_range_search_many,
+            DISTANCE: soa_kernel.soa_distance_range_many,
+            KNN: soa_kernel.soa_knn_many,
+        }[batch.kind]
+        return run(index, snap, batch, return_metrics, deadline, on_timeout)
+    run = {
+        RANGE: object_kernel.kernel_range_search_many,
+        DISTANCE: object_kernel.kernel_distance_range_many,
+        KNN: object_kernel.kernel_knn_many,
+    }[batch.kind]
+    return run(index, batch, return_metrics, deadline, on_timeout)
 
 
-# ----------------------------------------------------------------------
-# Distance range queries
-# ----------------------------------------------------------------------
-def distance_range_many(
-    tree,
-    centers,
-    radii,
-    metric: Metric = L2,
-    return_metrics: bool = False,
-    timeout=None,
-    on_timeout: str = "raise",
-):
-    """Execute many distance-range queries (one shared metric) in one pass.
-
-    ``radii`` may be a scalar or one radius per query.  Bit-identical to
-    looping ``tree.distance_range``.
-    """
-    return dispatch_distance_range_many(
-        tree, centers, radii, metric, return_metrics, "distance-batch",
-        timeout, on_timeout,
-    )
+# The per-kind names of :func:`dispatch`, kept so tracers that wrap them
+# (``benchmarks/e2e/trace.py``) still find them.
+dispatch_range_search_many = dispatch_distance_range_many = dispatch_knn_many = dispatch
 
 
-# ----------------------------------------------------------------------
-# k-nearest-neighbour queries
-# ----------------------------------------------------------------------
-def knn_many(
-    tree,
-    centers,
-    k: int,
-    metric: Metric = L2,
-    approximation_factor: float = 0.0,
-    return_metrics: bool = False,
-    timeout=None,
-    on_timeout: str = "raise",
-):
-    """Execute many k-NN queries in one shared branch-and-bound traversal.
-
-    Children are visited in order of their best lower bound over the alive
-    set (a batch analogue of best-first), and each query prunes with its own
-    current kth distance under the deterministic ``(distance, oid)`` order —
-    so for ``approximation_factor == 0`` the result is exactly what
-    ``tree.knn`` returns for every query.
-    """
-    return dispatch_knn_many(
-        tree, centers, k, metric, approximation_factor, return_metrics,
-        "knn-batch", timeout, on_timeout,
-    )
-
-
-# ----------------------------------------------------------------------
-# Sessions: pinned hot directory + the batch API in one place
-# ----------------------------------------------------------------------
 class QuerySession:
     """A query context that keeps the tree's hot upper levels resident.
 
@@ -267,43 +240,49 @@ class QuerySession:
             on_timeout = self.on_timeout
         return timeout, on_timeout
 
-    def _admit(self, n_queries: int):
-        if self.admission is None or self._parallel is not None:
-            # Parallel engines run their own admission (same controller,
-            # handed over in the constructor) — don't double-count.
-            return _NULL_TICKET
-        return self.admission.admit(n_queries, self.tree.dims)
+    def execute(
+        self, batch: QueryBatch, return_metrics: bool = False,
+        timeout=None, on_timeout: str | None = None,
+    ):
+        """Run a checked :class:`QueryBatch` on the parallel engine, or on
+        the tree under the session's admission controller.  ``timeout`` /
+        ``on_timeout`` default to the session's."""
+        timeout, on_timeout = self._resolve(timeout, on_timeout)
+        if self._parallel is not None:
+            # The engine runs its own admission (same controller, handed
+            # over in the constructor) — don't double-count.
+            return self._parallel.execute(batch, return_metrics, timeout, on_timeout)
+        if self.admission is None:
+            return self.tree.execute(batch, return_metrics, timeout, on_timeout)
+        with self.admission.admit(len(batch), self.tree.dims):
+            return self.tree.execute(batch, return_metrics, timeout, on_timeout)
 
+    # The per-kind helpers.  With workers they call the engine's helpers
+    # rather than its execute(), so wrappers on the engine's public names
+    # (benchmarks/e2e/trace.py times parallel batches through them) see
+    # every session batch.
     def range_search_many(
         self, queries, return_metrics: bool = False,
         timeout=None, on_timeout: str | None = None,
     ):
-        timeout, on_timeout = self._resolve(timeout, on_timeout)
         if self._parallel is not None:
             return self._parallel.range_search_many(
-                queries, return_metrics, timeout=timeout, on_timeout=on_timeout
+                queries, return_metrics, *self._resolve(timeout, on_timeout)
             )
-        queries = list(queries)
-        with self._admit(len(queries)):
-            return range_search_many(
-                self.tree, queries, return_metrics, timeout, on_timeout
-            )
+        batch = QueryBatch.range(queries, self.tree.dims)
+        return self.execute(batch, return_metrics, timeout, on_timeout)
 
     def distance_range_many(
         self, centers, radii, metric: Metric = L2, return_metrics: bool = False,
         timeout=None, on_timeout: str | None = None,
     ):
-        timeout, on_timeout = self._resolve(timeout, on_timeout)
         if self._parallel is not None:
             return self._parallel.distance_range_many(
                 centers, radii, metric, return_metrics,
-                timeout=timeout, on_timeout=on_timeout,
+                *self._resolve(timeout, on_timeout),
             )
-        qs = _as_query_matrix(centers, self.tree.dims)
-        with self._admit(qs.shape[0]):
-            return distance_range_many(
-                self.tree, qs, radii, metric, return_metrics, timeout, on_timeout
-            )
+        batch = QueryBatch.distance(centers, radii, metric, self.tree.dims)
+        return self.execute(batch, return_metrics, timeout, on_timeout)
 
     def knn_many(
         self,
@@ -315,18 +294,13 @@ class QuerySession:
         timeout=None,
         on_timeout: str | None = None,
     ):
-        timeout, on_timeout = self._resolve(timeout, on_timeout)
         if self._parallel is not None:
             return self._parallel.knn_many(
                 centers, k, metric, approximation_factor, return_metrics,
-                timeout=timeout, on_timeout=on_timeout,
+                *self._resolve(timeout, on_timeout),
             )
-        qs = _as_query_matrix(centers, self.tree.dims)
-        with self._admit(qs.shape[0]):
-            return knn_many(
-                self.tree, qs, k, metric, approximation_factor, return_metrics,
-                timeout, on_timeout,
-            )
+        batch = QueryBatch.knn(centers, k, metric, approximation_factor, self.tree.dims)
+        return self.execute(batch, return_metrics, timeout, on_timeout)
 
     def range_search(self, query: Rect) -> list[int]:
         return self.tree.range_search(query)
@@ -336,19 +310,3 @@ class QuerySession:
 
     def knn(self, center, k: int, metric: Metric = L2, **kwargs):
         return self.tree.knn(center, k, metric, **kwargs)
-
-
-class _NullTicket:
-    """Stand-in admission ticket when no controller is attached."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return None
-
-    def release(self) -> None:
-        return None
-
-
-_NULL_TICKET = _NullTicket()

@@ -73,8 +73,9 @@ import time
 
 import numpy as np
 
-from repro.distances import L2, Metric, mindist_rect_many
+from repro.distances import Metric, mindist_rect_many
 from repro.engine.metrics import BatchMetrics
+from repro.engine.query import QueryBatch
 from repro.geometry.rect import Rect
 from repro.resilience import (
     Deadline,
@@ -91,21 +92,6 @@ __all__ = [
     "kernel_distance_range_many",
     "kernel_knn_many",
 ]
-
-
-def _as_query_matrix(centers, dims: int) -> np.ndarray:
-    """Canonicalise a batch of query points exactly like
-    ``check_vector`` does per point (float32 precision)."""
-    qs = np.asarray(centers, dtype=np.float32).astype(np.float64)
-    if qs.ndim == 1:
-        qs = qs[None, :]
-    if qs.ndim != 2 or qs.shape[1] != dims:
-        raise ValueError(
-            f"expected (n, {dims}) query points, got shape {qs.shape}"
-        )
-    if not np.all(np.isfinite(qs)):
-        raise ValueError("query vectors must be finite")
-    return qs
 
 
 # ----------------------------------------------------------------------
@@ -159,12 +145,6 @@ def _reads(io) -> int:
     return io.random_reads + io.sequential_reads
 
 
-def check_on_timeout(on_timeout: str) -> None:
-    """Validate the ``on_timeout`` policy argument at the API boundary."""
-    if on_timeout not in ("raise", "partial"):
-        raise ValueError('on_timeout must be "raise" or "partial"')
-
-
 def _wrap_partial(out, err: QueryTimeoutError | None, n: int):
     """Under ``on_timeout="partial"``, envelope a timed-out batch's output.
 
@@ -216,18 +196,45 @@ def _dedup_filter(index, scanned: dict, ref, alive: np.ndarray, n: int) -> np.nd
     return alive
 
 
+def _walk(index, visit, n: int, deadline, on_timeout: str, from_scan):
+    """Run ``visit`` from the root for all ``n`` queries under ``deadline``.
+
+    Returns ``(scan_out, err)``.  On page corruption a structure with
+    ``trav_degrade`` answers the whole batch from one sequential scan
+    (``scan_out = from_scan(vectors, oids)``, still under the deadline —
+    the hybrid tree's ``on_corruption="scan"``); otherwise ``scan_out`` is
+    None and the caller reads the traversal's own accumulators.  ``err`` is
+    the timeout swallowed under ``on_timeout="partial"``.
+    """
+    root_ref, root_ctx = index.trav_root()
+    degrade = getattr(index, "trav_degrade", None)
+    try:
+        with deadline_scope(deadline):
+            try:
+                visit(root_ref, root_ctx, np.arange(n))
+            except PageCorruptionError as exc:
+                if degrade is None:
+                    raise
+                return from_scan(*degrade(exc)), None
+    except QueryTimeoutError as exc:
+        if on_timeout != "partial":
+            raise
+        return None, exc
+    return None, None
+
+
 # ----------------------------------------------------------------------
 # Box range queries
 # ----------------------------------------------------------------------
 def kernel_range_search_many(
     index,
-    queries,
+    batch: QueryBatch,
     return_metrics: bool = False,
-    label: str = "range-batch",
     deadline: Deadline | None = None,
     on_timeout: str = "raise",
 ):
-    """Execute many box range queries in one structure-agnostic traversal.
+    """Execute a non-empty range :class:`QueryBatch` in one
+    structure-agnostic traversal.
 
     Returns one oid list per query (bit-identical to looping the index's
     single-query ``range_search``); with ``return_metrics=True`` also a
@@ -236,23 +243,9 @@ def kernel_range_search_many(
     ``on_timeout="partial"`` — returns a :class:`PartialResult`.
     """
     start = time.perf_counter()
-    check_on_timeout(on_timeout)
     reads0 = _reads(index.io)
-    if not getattr(index, "trav_supports_box", True):
-        raise TypeError(
-            "this index is distance-based: it has no coordinate geometry "
-            "to answer bounding-box (window) queries — use a feature-based "
-            "index such as the hybrid tree"
-        )
-    queries = list(queries)
-    n = len(queries)
-    if n == 0:
-        return _finish([], np.empty(0), index, start, reads0, return_metrics, label)
-    for q in queries:
-        if q.dims != index.dims:
-            raise ValueError("query dimensionality mismatch")
-    lows = np.stack([q.low for q in queries])
-    highs = np.stack([q.high for q in queries])
+    lows, highs = batch.lows, batch.highs
+    n = len(batch)
     results: list[list[np.ndarray]] = [[] for _ in range(n)]
     visits = np.zeros(n, dtype=np.int64)
     charged: set = set()
@@ -282,33 +275,17 @@ def kernel_range_search_many(
             if sub.size:
                 visit(child_ref, child_ctx, sub)
 
-    root_ref, root_ctx = index.trav_root()
-    degrade = getattr(index, "trav_degrade", None)
-    err = None
-    scan_out = None
-    try:
-        with deadline_scope(deadline):
-            try:
-                visit(root_ref, root_ctx, np.arange(n))
-            except PageCorruptionError as exc:
-                # Same policy as the single-query path: ``on_corruption=
-                # "scan"`` answers the whole batch from one sequential scan
-                # (still under the deadline — see ``_scan_entries``).
-                if degrade is None:
-                    raise
-                vectors, oids = degrade(exc)
-                inside = Rect.boxes_contain_points_mask(lows, highs, vectors)
-                scan_out = [[int(o) for o in oids[row]] for row in inside]
-    except QueryTimeoutError as exc:
-        if on_timeout != "partial":
-            raise
-        err = exc
+    def from_scan(vectors, oids):
+        inside = Rect.boxes_contain_points_mask(lows, highs, vectors)
+        return [[int(o) for o in oids[row]] for row in inside]
+
+    scan_out, err = _walk(index, visit, n, deadline, on_timeout, from_scan)
     if scan_out is not None:
         out = scan_out
     else:
         out = [[int(o) for arr in per_query for o in arr] for per_query in results]
     return _finish(
-        _wrap_partial(out, err, n), visits, index, start, reads0, return_metrics, label
+        _wrap_partial(out, err, n), visits, index, start, reads0, return_metrics, batch.label
     )
 
 
@@ -317,31 +294,22 @@ def kernel_range_search_many(
 # ----------------------------------------------------------------------
 def kernel_distance_range_many(
     index,
-    centers,
-    radii,
-    metric: Metric = L2,
+    batch: QueryBatch,
     return_metrics: bool = False,
-    label: str = "distance-batch",
     deadline: Deadline | None = None,
     on_timeout: str = "raise",
 ):
-    """Execute many distance-range queries (one shared metric) in one pass.
+    """Execute a non-empty distance :class:`QueryBatch` (one shared metric)
+    in one pass.
 
-    ``radii`` may be a scalar or one radius per query.  Bit-identical to
-    looping the index's single-query ``distance_range``.  ``deadline`` /
-    ``on_timeout`` behave as in :func:`kernel_range_search_many`.
+    Bit-identical to looping the index's single-query ``distance_range``.
+    ``deadline`` / ``on_timeout`` behave as in
+    :func:`kernel_range_search_many`.
     """
     start = time.perf_counter()
-    check_on_timeout(on_timeout)
     reads0 = _reads(index.io)
-    check = getattr(index, "trav_check_metric", None)
-    if check is not None:
-        check(metric)
-    qs = _as_query_matrix(centers, index.dims)
-    n = qs.shape[0]
-    radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), (n,))
-    if np.any(radii < 0):
-        raise ValueError("radius must be non-negative")
+    qs, radii, metric = batch.centers, batch.radii, batch.metric
+    n = len(batch)
     out: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     visits = np.zeros(n, dtype=np.int64)
     charged: set = set()
@@ -370,35 +338,20 @@ def kernel_distance_range_many(
             if sub.size:
                 visit(child_ref, child_ctx, sub)
 
-    root_ref, root_ctx = index.trav_root()
-    degrade = getattr(index, "trav_degrade", None)
-    err = None
-    try:
-        with deadline_scope(deadline):
-            try:
-                visit(root_ref, root_ctx, np.arange(n))
-            except PageCorruptionError as exc:
-                if degrade is None:
-                    raise
-                vectors, oids = degrade(exc)
-                points64 = vectors.astype(np.float64)
-                out = []
-                for qi in range(n):
-                    dists = metric.distance_batch(points64, qs[qi])
-                    out.append(
-                        [
-                            (int(oids[i]), float(dists[i]))
-                            for i in np.flatnonzero(dists <= radii[qi])
-                        ]
-                    )
-    except QueryTimeoutError as exc:
-        if on_timeout != "partial":
-            raise
-        err = exc
-        while len(out) < n:  # degraded scan interrupted mid-rebuild
-            out.append([])
+    def from_scan(vectors, oids):
+        points64 = vectors.astype(np.float64)
+        scan_out = []
+        for qi in range(n):
+            dists = metric.distance_batch(points64, qs[qi])
+            hits = np.flatnonzero(dists <= radii[qi])
+            scan_out.append([(int(oids[i]), float(dists[i])) for i in hits])
+        return scan_out
+
+    scan_out, err = _walk(index, visit, n, deadline, on_timeout, from_scan)
+    if scan_out is not None:
+        out = scan_out
     return _finish(
-        _wrap_partial(out, err, n), visits, index, start, reads0, return_metrics, label
+        _wrap_partial(out, err, n), visits, index, start, reads0, return_metrics, batch.label
     )
 
 
@@ -407,16 +360,13 @@ def kernel_distance_range_many(
 # ----------------------------------------------------------------------
 def kernel_knn_many(
     index,
-    centers,
-    k: int,
-    metric: Metric = L2,
-    approximation_factor: float = 0.0,
+    batch: QueryBatch,
     return_metrics: bool = False,
-    label: str = "knn-batch",
     deadline: Deadline | None = None,
     on_timeout: str = "raise",
 ):
-    """Execute many k-NN queries in one shared branch-and-bound traversal.
+    """Execute a non-empty k-NN :class:`QueryBatch` in one shared
+    branch-and-bound traversal.
 
     Children are visited in order of their best lower bound over the alive
     set (a batch analogue of best-first), and each query prunes with its own
@@ -427,18 +377,10 @@ def kernel_knn_many(
     holds each query's best candidates found so far.
     """
     start = time.perf_counter()
-    check_on_timeout(on_timeout)
     reads0 = _reads(index.io)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if approximation_factor < 0:
-        raise ValueError("approximation_factor must be >= 0")
-    check = getattr(index, "trav_check_metric", None)
-    if check is not None:
-        check(metric)
-    qs = _as_query_matrix(centers, index.dims)
-    n = qs.shape[0]
-    shrink = 1.0 / (1.0 + approximation_factor)
+    qs, k, metric = batch.centers, batch.k, batch.metric
+    n = len(batch)
+    shrink = 1.0 / (1.0 + batch.approximation_factor)
     # One max-heap of the best k per query, keyed (-distance, -oid) as in
     # the single-query paths; kth[i] caches query i's current kth distance.
     heaps: list[list[tuple[float, int]]] = [[] for _ in range(n)]
@@ -486,33 +428,16 @@ def kernel_knn_many(
             if sub.size:
                 visit(child_ref, child_ctx, sub)
 
-    root_ref, root_ctx = index.trav_root()
-    degrade = getattr(index, "trav_degrade", None)
-    err = None
-    scan_out = None
-    try:
-        with deadline_scope(deadline):
-            try:
-                visit(root_ref, root_ctx, np.arange(n))
-            except PageCorruptionError as exc:
-                if degrade is None:
-                    raise
-                vectors, oids = degrade(exc)
-                points64 = vectors.astype(np.float64)
-                scan_out = []
-                for qi in range(n):
-                    dists = metric.distance_batch(points64, qs[qi])
-                    order = np.lexsort((oids, dists))[:k]
-                    scan_out.append(
-                        [(int(oids[i]), float(dists[i])) for i in order]
-                    )
-    except QueryTimeoutError as exc:
-        if on_timeout != "partial":
-            raise
-        err = exc
-        if scan_out is not None:
-            while len(scan_out) < n:  # degraded scan interrupted mid-rebuild
-                scan_out.append([])
+    def from_scan(vectors, oids):
+        points64 = vectors.astype(np.float64)
+        scan_out = []
+        for qi in range(n):
+            dists = metric.distance_batch(points64, qs[qi])
+            order = np.lexsort((oids, dists))[:k]
+            scan_out.append([(int(oids[i]), float(dists[i])) for i in order])
+        return scan_out
+
+    scan_out, err = _walk(index, visit, n, deadline, on_timeout, from_scan)
     if scan_out is not None:
         out = scan_out
     else:
@@ -524,5 +449,5 @@ def kernel_knn_many(
             for best in heaps
         ]
     return _finish(
-        _wrap_partial(out, err, n), visits, index, start, reads0, return_metrics, label
+        _wrap_partial(out, err, n), visits, index, start, reads0, return_metrics, batch.label
     )

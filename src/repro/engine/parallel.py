@@ -2,12 +2,11 @@
 
 The shared-traversal kernel (:mod:`repro.engine.kernel`) already amortises
 page fetches across a batch; this module parallelises across *workers*.  A
-query batch is split into ``workers`` contiguous partitions
-(``np.array_split`` order), each worker runs the index's own batch methods
-(``range_search_many`` / ``distance_range_many`` / ``knn_many``) over its
-partition against its **own** read handle, and the partition outputs are
-concatenated back — so the merged result list is positionally identical to
-the serial call.
+checked :class:`~repro.engine.query.QueryBatch` is split into ``workers``
+contiguous partitions (``np.array_split`` order, ``batch.take(part)``),
+each worker runs its partition through ``execute`` on its **own** read
+handle, and the partition outputs are concatenated back — so the merged
+result list is positionally identical to the serial call.
 
 Worker isolation is what makes this safe without locks: nothing in the
 query path is shared between workers except immutable data.
@@ -25,9 +24,13 @@ The ``source`` can be either of:
   whole structure.
 
 - ``mode="thread"``: each worker thread holds a private handle/view
-  (private :class:`IOStats`).  Python threads interleave under the GIL, but
-  the numpy predicate kernels release it, so scans overlap on multicore
-  hosts.
+  (private :class:`IOStats`).  Python threads interleave under the GIL;
+  only the time a kernel spends inside large numpy calls, which release
+  it, overlaps.  That pays for the SOA range frontier but hardly for k-NN,
+  whose branch-and-bound loop is interpreter-bound: on a 2-core host
+  (FOURIER 16-d, N = 100,000, SOA, batches of 256) two threads ran range
+  batches at ~1.9x one worker and k-NN at ~1.0x, while two fork workers
+  ran k-NN at ~1.7x — which is why the process modes stay.
 - ``mode="fork"`` / ``"spawn"`` (saved-file sources only): worker
   *processes*, each reopening the tree in its main loop.  With
   ``mmap=True`` (the default) every worker maps the same file, so the OS
@@ -68,7 +71,7 @@ semantics"):
 
 Chaos hooks: :meth:`inject_faults` arms one-shot
 :class:`~repro.storage.faults.WorkerFault` plans (hang / die / raise) that
-ride inside partition payloads — the chaos test matrix drives every
+ride with the partition tasks — the chaos test matrix drives every
 supervision path through them.
 
 Determinism contract (tested in ``tests/test_mmap_parallel.py``):
@@ -107,10 +110,8 @@ from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
 import numpy as np
 
-from repro.distances import L2, Metric
-from repro.engine.batch import _as_query_matrix
-from repro.engine.kernel import check_on_timeout
 from repro.engine.metrics import BatchMetrics
+from repro.engine.query import BatchQueries, QueryBatch, check_on_timeout
 from repro.resilience import (
     CancelToken,
     Deadline,
@@ -172,21 +173,15 @@ def _index_view(index):
     return view
 
 
-def _payload_n(kind: str, payload: dict) -> int:
-    """How many queries a partition payload carries."""
-    return len(payload["queries" if kind == "range" else "centers"])
-
-
 def _run_partition(
     tree,
-    kind: str,
-    payload: dict,
+    batch: QueryBatch,
     deadline=None,
     on_timeout: str = "raise",
     fault: WorkerFault | None = None,
     in_process: bool = False,
 ):
-    """Run one partition through ``tree``'s own batch-query methods.
+    """Run one partition's sub-batch through ``tree.execute``.
 
     Returns ``(results, visits, charged_reads, io_delta, completed)`` —
     everything the parent needs to merge, all picklable for the process
@@ -202,27 +197,7 @@ def _run_partition(
         io.sequential_reads,
         io.sequential_writes,
     )
-    if kind == "range":
-        results, metrics = tree.range_search_many(
-            payload["queries"], True, deadline, on_timeout
-        )
-    elif kind == "distance":
-        results, metrics = tree.distance_range_many(
-            payload["centers"], payload["radii"], payload["metric"], True,
-            deadline, on_timeout,
-        )
-    elif kind == "knn":
-        results, metrics = tree.knn_many(
-            payload["centers"],
-            payload["k"],
-            payload["metric"],
-            payload["approximation_factor"],
-            True,
-            deadline,
-            on_timeout,
-        )
-    else:  # pragma: no cover - internal dispatch
-        raise ValueError(f"unknown query kind {kind!r}")
+    results, metrics = tree.execute(batch, True, deadline, on_timeout)
     delta = (
         io.random_reads - before[0],
         io.random_writes - before[1],
@@ -242,8 +217,8 @@ def _supervised_worker_main(path: str, mmap: bool, task_q, result_q) -> None:
     """Main loop of a supervised worker process.
 
     Opens its own tree handle once (caches stay warm across batches), then
-    answers ``(call_id, partition, kind, payload, remaining, on_timeout,
-    fault)`` tasks until it receives ``None``.  Every reply is tagged with
+    answers ``(call_id, partition, batch, remaining, on_timeout, fault)``
+    tasks until it receives ``None``.  Every reply is tagged with
     the call id so the parent can discard stragglers from abandoned calls.
     Failures are shipped back as exception objects; only a death (or an
     injected ``os._exit``) leaves the parent without an answer, which is
@@ -254,11 +229,11 @@ def _supervised_worker_main(path: str, mmap: bool, task_q, result_q) -> None:
         msg = task_q.get()
         if msg is None:
             break
-        call_id, part_idx, kind, payload, remaining, on_timeout, fault = msg
+        call_id, part_idx, batch, remaining, on_timeout, fault = msg
         try:
             deadline = Deadline(remaining) if remaining is not None else None
             out = _run_partition(
-                tree, kind, payload, deadline, on_timeout, fault, in_process=True
+                tree, batch, deadline, on_timeout, fault, in_process=True
             )
             result_q.put((call_id, part_idx, True, out))
         except BaseException as exc:  # noqa: BLE001 - transported to parent
@@ -440,7 +415,7 @@ class ParallelQueryEngine:
 
         ``faults`` maps partition index → fault (or is a sequence aligned
         with partition order; ``None`` entries mean no fault).  The plans
-        ride inside the partition payloads, so they exercise the real
+        ride with the partition tasks, so they exercise the real
         supervision paths — in-worker timeouts, parent-side hang
         reclamation, death/respawn/retry — rather than test-only seams.
         """
@@ -525,10 +500,9 @@ class ParallelQueryEngine:
         timeout_err: QueryTimeoutError | None = None
 
         def submit(i):
-            kind, payload, fault = tasks[i]
+            batch, fault = tasks[i]
             return self._pool.submit(
-                _run_partition, self._trees[i], kind, payload,
-                deadline, on_timeout, fault,
+                _run_partition, self._trees[i], batch, deadline, on_timeout, fault
             )
 
         futures = {submit(i): i for i in range(total)}
@@ -540,7 +514,8 @@ class ParallelQueryEngine:
             done, _ = wait(list(pending), timeout=_TICK, return_when=FIRST_COMPLETED)
             for fut in done:
                 i = pending.pop(fut)
-                kind, payload, fault = tasks[i]
+                batch, fault = tasks[i]
+                kind = batch.kind
                 try:
                     outs[i] = fut.result()
                 except SimulatedWorkerDeath:
@@ -558,7 +533,7 @@ class ParallelQueryEngine:
                     attempts[i] += 1
                     self._respawn_thread_view(i)
                     if fault is not None and not fault.sticky:
-                        tasks[i] = (kind, payload, None)
+                        tasks[i] = (batch, None)
                     fut2 = submit(i)
                     pending[fut2] = i
                 except QueryCancelledError:
@@ -637,7 +612,7 @@ class ParallelQueryEngine:
         timeout_err: QueryTimeoutError | None = None
 
         def send(i):
-            kind, payload, fault = tasks[i]
+            batch, fault = tasks[i]
             if not self._procs[i].alive():
                 # Died while idle (or failed to initialise): give the
                 # partition a live worker before dispatching to it.
@@ -646,7 +621,7 @@ class ParallelQueryEngine:
             if deadline is not None and deadline.timeout is not None:
                 remaining = deadline.remaining()
             self._procs[i].task_q.put(
-                (call_id, i, kind, payload, remaining, on_timeout, fault)
+                (call_id, i, batch, remaining, on_timeout, fault)
             )
 
         for i in range(total):
@@ -673,7 +648,7 @@ class ParallelQueryEngine:
                 msg_call, i, ok, val = msg
                 if msg_call != call_id or i not in pending:
                     continue  # straggler from an abandoned call
-                kind, payload, fault = tasks[i]
+                kind = tasks[i][0].kind
                 if ok:
                     pending.discard(i)
                     outs[i] = val
@@ -688,7 +663,8 @@ class ParallelQueryEngine:
             for i in sorted(pending):
                 if self._procs[i].alive():
                     continue
-                kind, payload, fault = tasks[i]
+                batch, fault = tasks[i]
+                kind = batch.kind
                 self._respawn_proc(i, terminate=False)
                 if attempts[i] > self.worker_restarts:
                     pending.discard(i)
@@ -705,7 +681,7 @@ class ParallelQueryEngine:
                     )
                 attempts[i] += 1
                 if fault is not None and not fault.sticky:
-                    tasks[i] = (kind, payload, None)
+                    tasks[i] = (batch, None)
                 send(i)
             # ... and for wedged ones past the wall-clock guard.
             if abandon_at is not None and pending and time.perf_counter() > abandon_at:
@@ -723,10 +699,16 @@ class ParallelQueryEngine:
             raise timeout_err
         return outs, timeout_err
 
-    def _run(
-        self, kind: str, n: int, payloads, label: str, return_metrics: bool,
-        timeout, on_timeout: str,
+    def execute(
+        self, batch: QueryBatch, return_metrics: bool = False,
+        timeout=None, on_timeout: str = "raise",
     ):
+        """Run a checked :class:`QueryBatch` across the workers.
+
+        The batch is cut into contiguous partitions (``batch.take``), each
+        worker runs its partition through its handle's own ``execute``, and
+        the outputs are concatenated back in input order.
+        """
         if self._closed:
             raise RuntimeError("engine is closed")
         check_on_timeout(on_timeout)
@@ -734,27 +716,22 @@ class ParallelQueryEngine:
         token = CancelToken()
         deadline = Deadline.coerce(timeout, token)
         faults = self._take_faults()
+        tasks = [
+            (batch.take(part), faults.get(i))
+            for i, part in enumerate(self._partitions(len(batch)))
+        ]
         ticket = (
-            self.admission.admit(n, self.dims)
+            self.admission.admit(len(batch), self.dims)
             if self.admission is not None
             else None
         )
         try:
-            if n == 0:
+            if not tasks:
                 outs, timeout_err = [], None
+            elif self.mode == "thread":
+                outs, timeout_err = self._dispatch_thread(tasks, deadline, on_timeout)
             else:
-                tasks = [
-                    (kind, payload, faults.get(i))
-                    for i, payload in enumerate(payloads)
-                ]
-                if self.mode == "thread":
-                    outs, timeout_err = self._dispatch_thread(
-                        tasks, deadline, on_timeout
-                    )
-                else:
-                    outs, timeout_err = self._dispatch_proc(
-                        tasks, deadline, on_timeout
-                    )
+                outs, timeout_err = self._dispatch_proc(tasks, deadline, on_timeout)
         finally:
             if ticket is not None:
                 ticket.release()
@@ -767,7 +744,7 @@ class ParallelQueryEngine:
                 # Abandoned/terminated partition: placeholders, honest
                 # all-incomplete mask, zero visits (the worker's numbers
                 # died with it).
-                pn = _payload_n(kind, payloads[i])
+                pn = len(tasks[i][0])
                 results.extend([] for _ in range(pn))
                 completed_parts.append(np.zeros(pn, dtype=bool))
                 visit_parts.append(np.zeros(pn, dtype=np.int64))
@@ -799,7 +776,7 @@ class ParallelQueryEngine:
         if not return_metrics:
             return results
         metrics = BatchMetrics.from_batch_run(
-            label=label,
+            label=f"{batch.label}[{self.workers}x{self.mode}]",
             node_visits=visits,
             charged_reads=charged,
             wall_seconds=time.perf_counter() - start,
@@ -811,87 +788,10 @@ class ParallelQueryEngine:
         parts = min(self.workers, n) if n else 0
         return [p for p in np.array_split(np.arange(n), parts)] if parts else []
 
-    # ------------------------------------------------------------------
-    # The batch query API (mirrors repro.engine.batch signatures)
-    # ------------------------------------------------------------------
-    def range_search_many(
-        self, queries, return_metrics: bool = False,
-        timeout=None, on_timeout: str = "raise",
-    ):
-        queries = list(queries)
-        for q in queries:
-            if q.dims != self.dims:
-                raise ValueError("query dimensionality mismatch")
-        payloads = [
-            {"queries": [queries[i] for i in part]}
-            for part in self._partitions(len(queries))
-        ]
-        return self._run(
-            "range",
-            len(queries),
-            payloads,
-            f"range-batch[{self.workers}x{self.mode}]",
-            return_metrics,
-            timeout,
-            on_timeout,
-        )
-
-    def distance_range_many(
-        self, centers, radii, metric: Metric = L2, return_metrics: bool = False,
-        timeout=None, on_timeout: str = "raise",
-    ):
-        qs = _as_query_matrix(centers, self.dims)
-        n = qs.shape[0]
-        radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), (n,))
-        if np.any(radii < 0):
-            raise ValueError("radius must be non-negative")
-        payloads = [
-            {"centers": qs[part], "radii": radii[part], "metric": metric}
-            for part in self._partitions(n)
-        ]
-        return self._run(
-            "distance",
-            n,
-            payloads,
-            f"distance-batch[{self.workers}x{self.mode}]",
-            return_metrics,
-            timeout,
-            on_timeout,
-        )
-
-    def knn_many(
-        self,
-        centers,
-        k: int,
-        metric: Metric = L2,
-        approximation_factor: float = 0.0,
-        return_metrics: bool = False,
-        timeout=None,
-        on_timeout: str = "raise",
-    ):
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if approximation_factor < 0:
-            raise ValueError("approximation_factor must be >= 0")
-        qs = _as_query_matrix(centers, self.dims)
-        payloads = [
-            {
-                "centers": qs[part],
-                "k": k,
-                "metric": metric,
-                "approximation_factor": approximation_factor,
-            }
-            for part in self._partitions(qs.shape[0])
-        ]
-        return self._run(
-            "knn",
-            qs.shape[0],
-            payloads,
-            f"knn-batch[{self.workers}x{self.mode}]",
-            return_metrics,
-            timeout,
-            on_timeout,
-        )
+    # The per-kind helpers, as this class's own attributes.
+    range_search_many = BatchQueries.range_search_many
+    distance_range_many = BatchQueries.distance_range_many
+    knn_many = BatchQueries.knn_many
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -23,9 +23,6 @@ the arrays back zero-copy (:mod:`repro.engine.soa.persist`).
 """
 
 from repro.engine.soa.kernel import (
-    dispatch_distance_range_many,
-    dispatch_knn_many,
-    dispatch_range_search_many,
     soa_distance_range_many,
     soa_knn_many,
     soa_range_search_many,
@@ -43,9 +40,6 @@ __all__ = [
     "active_snapshot",
     "compile_snapshot",
     "deserialize_snapshot",
-    "dispatch_distance_range_many",
-    "dispatch_knn_many",
-    "dispatch_range_search_many",
     "serialize_snapshot",
     "soa_distance_range_many",
     "soa_knn_many",

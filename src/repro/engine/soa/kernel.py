@@ -1,7 +1,8 @@
 """Vectorized traversal over a compiled :class:`SOASnapshot`.
 
 Three entry points mirror :mod:`repro.engine.kernel` — same signatures
-(plus the snapshot), same results, same accounting:
+(plus the snapshot), the same checked :class:`~repro.engine.query.QueryBatch`,
+same results, same accounting:
 
 - ``soa_range_search_many`` / ``soa_distance_range_many`` run a
   *level-synchronous frontier*: the set of live ``(node, query)`` pairs is
@@ -41,14 +42,9 @@ import time
 
 import numpy as np
 
-from repro.distances import L2, LpMetric, Metric, WeightedEuclidean, mindist_rect_many
-from repro.engine.kernel import (
-    _as_query_matrix,
-    _finish,
-    _reads,
-    _wrap_partial,
-    check_on_timeout,
-)
+from repro.distances import LpMetric, Metric, WeightedEuclidean, mindist_rect_many
+from repro.engine.kernel import _finish, _reads, _wrap_partial
+from repro.engine.query import QueryBatch
 from repro.resilience import Deadline, QueryTimeoutError
 from repro.storage.iostats import AccessKind
 
@@ -56,90 +52,7 @@ __all__ = [
     "soa_range_search_many",
     "soa_distance_range_many",
     "soa_knn_many",
-    "dispatch_range_search_many",
-    "dispatch_distance_range_many",
-    "dispatch_knn_many",
 ]
-
-
-# ----------------------------------------------------------------------
-# Dispatch: snapshot attached -> vectorized path, else object walk
-# ----------------------------------------------------------------------
-def dispatch_range_search_many(
-    index,
-    queries,
-    return_metrics: bool = False,
-    label: str = "range-batch",
-    timeout=None,
-    on_timeout: str = "raise",
-):
-    from repro.engine.soa.snapshot import active_snapshot
-
-    deadline = Deadline.coerce(timeout)
-    snap = active_snapshot(index)
-    if snap is not None:
-        return soa_range_search_many(
-            index, snap, queries, return_metrics, label, deadline, on_timeout
-        )
-    from repro.engine.kernel import kernel_range_search_many
-
-    return kernel_range_search_many(
-        index, queries, return_metrics, label, deadline, on_timeout
-    )
-
-
-def dispatch_distance_range_many(
-    index,
-    centers,
-    radii,
-    metric: Metric = L2,
-    return_metrics: bool = False,
-    label: str = "distance-batch",
-    timeout=None,
-    on_timeout: str = "raise",
-):
-    from repro.engine.soa.snapshot import active_snapshot
-
-    deadline = Deadline.coerce(timeout)
-    snap = active_snapshot(index)
-    if snap is not None:
-        return soa_distance_range_many(
-            index, snap, centers, radii, metric, return_metrics, label,
-            deadline, on_timeout,
-        )
-    from repro.engine.kernel import kernel_distance_range_many
-
-    return kernel_distance_range_many(
-        index, centers, radii, metric, return_metrics, label, deadline, on_timeout
-    )
-
-
-def dispatch_knn_many(
-    index,
-    centers,
-    k: int,
-    metric: Metric = L2,
-    approximation_factor: float = 0.0,
-    return_metrics: bool = False,
-    label: str = "knn-batch",
-    timeout=None,
-    on_timeout: str = "raise",
-):
-    from repro.engine.soa.snapshot import active_snapshot
-
-    deadline = Deadline.coerce(timeout)
-    snap = active_snapshot(index)
-    if snap is not None:
-        return soa_knn_many(
-            index, snap, centers, k, metric, approximation_factor, return_metrics,
-            label, deadline, on_timeout,
-        )
-    from repro.engine.kernel import kernel_knn_many
-
-    return kernel_knn_many(
-        index, centers, k, metric, approximation_factor, return_metrics, label,
-        deadline, on_timeout,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -481,31 +394,16 @@ def _group_hits_by_query(hq: np.ndarray, parts: list[np.ndarray]):
 def soa_range_search_many(
     index,
     snap,
-    queries,
+    batch: QueryBatch,
     return_metrics: bool = False,
-    label: str = "range-batch",
     deadline: Deadline | None = None,
     on_timeout: str = "raise",
 ):
     """Vectorized form of :func:`repro.engine.kernel.kernel_range_search_many`."""
     start = time.perf_counter()
-    check_on_timeout(on_timeout)
     reads0 = _reads(index.io)
-    if not snap.supports_box:
-        raise TypeError(
-            "this index is distance-based: it has no coordinate geometry "
-            "to answer bounding-box (window) queries — use a feature-based "
-            "index such as the hybrid tree"
-        )
-    queries = list(queries)
-    n = len(queries)
-    if n == 0:
-        return _finish([], np.empty(0), index, start, reads0, return_metrics, label)
-    for q in queries:
-        if q.dims != index.dims:
-            raise ValueError("query dimensionality mismatch")
-    lows = np.stack([q.low for q in queries])
-    highs = np.stack([q.high for q in queries])
+    lows, highs = batch.lows, batch.highs
+    n = len(batch)
     visits = np.zeros(n, dtype=np.int64)
     pred = _PairBounds(snap)
 
@@ -570,7 +468,7 @@ def soa_range_search_many(
         err = exc
     _charge_visited(index, snap, visited)
     return _finish(
-        _wrap_partial(out, err, n), visits, index, start, reads0, return_metrics, label
+        _wrap_partial(out, err, n), visits, index, start, reads0, return_metrics, batch.label
     )
 
 
@@ -580,26 +478,16 @@ def soa_range_search_many(
 def soa_distance_range_many(
     index,
     snap,
-    centers,
-    radii,
-    metric: Metric = L2,
+    batch: QueryBatch,
     return_metrics: bool = False,
-    label: str = "distance-batch",
     deadline: Deadline | None = None,
     on_timeout: str = "raise",
 ):
     """Vectorized form of :func:`repro.engine.kernel.kernel_distance_range_many`."""
     start = time.perf_counter()
-    check_on_timeout(on_timeout)
     reads0 = _reads(index.io)
-    check = getattr(index, "trav_check_metric", None)
-    if check is not None:
-        check(metric)
-    qs = _as_query_matrix(centers, index.dims)
-    n = qs.shape[0]
-    radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), (n,))
-    if np.any(radii < 0):
-        raise ValueError("radius must be non-negative")
+    qs, radii, metric = batch.centers, batch.radii, batch.metric
+    n = len(batch)
     visits = np.zeros(n, dtype=np.int64)
     pred = _PairBounds(snap, metric)
 
@@ -669,7 +557,7 @@ def soa_distance_range_many(
             out[qi] = list(zip(oid_seg.tolist(), d_seg.tolist()))
     _charge_visited(index, snap, visited)
     return _finish(
-        _wrap_partial(out, err, n), visits, index, start, reads0, return_metrics, label
+        _wrap_partial(out, err, n), visits, index, start, reads0, return_metrics, batch.label
     )
 
 
@@ -679,12 +567,8 @@ def soa_distance_range_many(
 def soa_knn_many(
     index,
     snap,
-    centers,
-    k: int,
-    metric: Metric = L2,
-    approximation_factor: float = 0.0,
+    batch: QueryBatch,
     return_metrics: bool = False,
-    label: str = "knn-batch",
     deadline: Deadline | None = None,
     on_timeout: str = "raise",
 ):
@@ -696,18 +580,10 @@ def soa_knn_many(
     ``(distance, oid)`` total order — is identical.
     """
     start = time.perf_counter()
-    check_on_timeout(on_timeout)
     reads0 = _reads(index.io)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if approximation_factor < 0:
-        raise ValueError("approximation_factor must be >= 0")
-    check = getattr(index, "trav_check_metric", None)
-    if check is not None:
-        check(metric)
-    qs = _as_query_matrix(centers, index.dims)
-    n = qs.shape[0]
-    shrink = 1.0 / (1.0 + approximation_factor)
+    qs, k, metric = batch.centers, batch.k, batch.metric
+    n = len(batch)
+    shrink = 1.0 / (1.0 + batch.approximation_factor)
     pred = _PairBounds(snap, metric)
 
     best_d: list[np.ndarray] = [np.empty(0)] * n
@@ -829,5 +705,5 @@ def soa_knn_many(
         for qi in range(n)
     ]
     return _finish(
-        _wrap_partial(out, err, n), visits, index, start, reads0, return_metrics, label
+        _wrap_partial(out, err, n), visits, index, start, reads0, return_metrics, batch.label
     )

@@ -16,10 +16,9 @@ from repro.distances import L1, L2, WeightedEuclidean
 from repro.engine import (
     BatchMetrics,
     LoopRecorder,
+    QueryBatch,
     QuerySession,
     ascii_histogram,
-    knn_many,
-    range_search_many,
 )
 from repro.eval import run_workload, run_workload_batched
 from repro.geometry.rect import Rect
@@ -292,5 +291,6 @@ class TestHarnessBatched:
 
 
 def test_module_level_functions_match_methods(tree, boxes, centers):
-    assert range_search_many(tree, boxes) == tree.range_search_many(boxes)
-    assert knn_many(tree, centers[:5], 3) == tree.knn_many(centers[:5], 3)
+    assert tree.execute(QueryBatch.range(boxes, 8)) == tree.range_search_many(boxes)
+    batch = QueryBatch.knn(centers[:5], 3, L2, 0.0, 8)
+    assert tree.execute(batch) == tree.knn_many(centers[:5], 3)

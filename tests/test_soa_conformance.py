@@ -31,6 +31,7 @@ from repro.engine.kernel import (
     kernel_knn_many,
     kernel_range_search_many,
 )
+from repro.engine.query import QueryBatch
 from repro.eval.harness import build_index
 from repro.geometry.rect import Rect
 from repro.storage.recovery import salvage, verify
@@ -100,14 +101,18 @@ def _check_all_kinds(index, centers, boxes, metrics, k=K):
     if getattr(index, "trav_supports_box", True):
         soa = index.range_search_many(boxes, return_metrics=True)
         index.invalidate_snapshot()
-        obj = kernel_range_search_many(index, boxes, return_metrics=True)
+        obj = kernel_range_search_many(
+            index, QueryBatch.range(boxes, index.dims), return_metrics=True
+        )
         index._soa_snapshot = snap
         _assert_same(soa, obj, "range")
     for metric in metrics:
         soa = index.distance_range_many(centers, 0.45, metric, return_metrics=True)
         index.invalidate_snapshot()
         obj = kernel_distance_range_many(
-            index, centers, 0.45, metric, return_metrics=True
+            index,
+            QueryBatch.distance(centers, 0.45, metric, index.dims),
+            return_metrics=True,
         )
         index._soa_snapshot = snap
         _assert_same(soa, obj, f"distance[{metric!r}]")
@@ -118,10 +123,7 @@ def _check_all_kinds(index, centers, boxes, metrics, k=K):
             index.invalidate_snapshot()
             obj = kernel_knn_many(
                 index,
-                centers,
-                k,
-                metric,
-                approximation_factor=approx,
+                QueryBatch.knn(centers, k, metric, approx, index.dims),
                 return_metrics=True,
             )
             index._soa_snapshot = snap
