@@ -294,8 +294,10 @@ def cmd_bench_batch(args: argparse.Namespace) -> int:
         # The loop side always walks the live objects; the batch side runs
         # the requested engine (a compiled snapshot routes the *_many calls
         # through the vectorized SOA kernel, and is invalidated here so the
-        # loop side can never accidentally benefit from it).
-        index.invalidate_snapshot()
+        # loop side can never accidentally benefit from it).  The scan and
+        # the VA-file have no snapshot to drop.
+        if hasattr(index, "invalidate_snapshot"):
+            index.invalidate_snapshot()
         index.io.reset()
         start = time.perf_counter()
         loop_results, loop_metrics = run_loop()

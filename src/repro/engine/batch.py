@@ -20,9 +20,11 @@ Results are **bit-identical** to looping the single-query methods: data
 nodes are scanned with the same per-query numpy kernels in the same
 traversal order, the batch bound predicates perform the same clip-and-reduce
 float operations as their scalar forms, and k-NN selection uses the same
-deterministic ``(distance, oid)`` total order.  (The one exception is
-approximate k-NN with ``approximation_factor > 0``, where pruning is
-heuristic and any traversal order is admissible.)
+deterministic ``(distance, oid)`` total order.  k-NN is the one kind that
+does not descend as an alive set: each query runs its own best-first search
+(:mod:`repro.engine.bestfirst`), the batch advancing all of them in
+lockstep rounds, so approximate k-NN (``approximation_factor > 0``), whose
+answer depends on the visit order, matches the single-query method too.
 
 :func:`dispatch` is the one place that picks the engine for a checked
 :class:`~repro.engine.query.QueryBatch`: the vectorized SOA kernel when a

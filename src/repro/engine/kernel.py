@@ -55,7 +55,8 @@ operations row-wise as their scalar forms, and k-NN selection uses the
 deterministic ``(distance, oid)`` total order everywhere.
 
 Every kernel accepts a :class:`repro.resilience.Deadline` and checks it at
-node-visit granularity: an expired budget raises
+node-visit granularity (k-NN: once per best-first round, see
+:mod:`repro.engine.bestfirst`): an expired budget raises
 :class:`~repro.resilience.QueryTimeoutError` (or, under
 ``on_timeout="partial"``, returns a
 :class:`~repro.resilience.PartialResult` carrying the hits accumulated
@@ -68,12 +69,19 @@ same budget.
 
 from __future__ import annotations
 
-import heapq
 import time
 
 import numpy as np
 
 from repro.distances import Metric, mindist_rect_many
+from repro.engine.bestfirst import (
+    Growing,
+    TopK,
+    best_first_knn,
+    per_edge_eval,
+    rect_mindist_rows,
+    rowwise_metric,
+)
 from repro.engine.metrics import BatchMetrics
 from repro.engine.query import QueryBatch
 from repro.geometry.rect import Rect
@@ -358,6 +366,108 @@ def kernel_distance_range_many(
 # ----------------------------------------------------------------------
 # k-nearest-neighbour queries
 # ----------------------------------------------------------------------
+class _ReachedTree:
+    """The part of an index a k-NN batch has reached, in the SOA snapshot's
+    layout (see :mod:`repro.engine.bestfirst`), filled in as queries first
+    pop each occurrence.
+
+    Loading an occurrence fetches its page once per batch through
+    ``fetch``; an inner node stacks its children's boxes into the edge
+    arrays, so each round's child bounds are one array op over
+    ``(edge, query)`` pairs, while a leaf appends its points (one float64
+    copy per page) to the shared row buffer.  Bounds that are not plain
+    :class:`RectBound` rectangles are evaluated per edge through their own
+    :class:`ChildBound`.  Occurrence ``i > 0`` is the child of edge
+    ``i - 1``.
+    """
+
+    def __init__(self, index, fetch, root_ref, root_ctx, qs: np.ndarray, metric: Metric):
+        self.index, self._fetch = index, fetch
+        self.dedup = bool(getattr(index, "trav_dedup", False))
+        self._qs, self._metric = qs, metric
+        self._rowwise = rowwise_metric(metric)
+        dims = qs.shape[1]
+        self._refs: list = [root_ref]
+        self._ctxs: list = [root_ctx]
+        self._bounds: list[ChildBound] = []
+        self._all_rect = True
+        self._slices: dict = {}  # leaf page -> its rows
+        self._loaded = Growing(bool)
+        self._leaf = Growing(bool)
+        self._first = Growing(np.int64)
+        self._count = Growing(np.int64)
+        self._start = Growing(np.int64)
+        self._end = Growing(np.int64)
+        self._ref = Growing(np.int64)
+        self._child = Growing(np.int64)
+        self._low = Growing(np.float64, dims)
+        self._high = Growing(np.float64, dims)
+        self._points = Growing(np.float64, dims)
+        self._oids = Growing(np.int64)
+        self._add_nodes([root_ref])
+        self._publish()
+
+    def _add_nodes(self, refs: list) -> None:
+        m = len(refs)
+        for buf in (self._loaded, self._leaf, self._first, self._count,
+                    self._start, self._end):
+            buf.extend(np.zeros(m, dtype=buf.data.dtype))
+        self._ref.extend(np.asarray(refs, dtype=np.int64))
+
+    def _publish(self) -> None:
+        """Expose the buffers under the names ``best_first_knn`` reads."""
+        self.is_leaf, self.node_ref = self._leaf.data, self._ref.data
+        self.first_edge, self.n_edges = self._first.data, self._count.data
+        self.edge_child = self._child.data
+        self.leaf_start, self.leaf_end = self._start.data, self._end.data
+        self.points64, self.oids = self._points.data, self._oids.data
+
+    def load(self, nodes: np.ndarray) -> None:
+        for occ in np.unique(nodes[~self._loaded.data[nodes]]).tolist():
+            ref = self._refs[occ]
+            node = self._fetch(ref)
+            self._loaded.data[occ] = True
+            if self.index.trav_is_leaf(node):
+                self._leaf.data[occ] = True
+                span = self._slices.get(ref)
+                if span is None:
+                    pts, oids = self.index.trav_leaf_points(node)
+                    span = (self._points.size, self._points.size + len(pts))
+                    self._points.extend(pts.astype(np.float64))
+                    self._oids.extend(oids)
+                    self._slices[ref] = span
+                self._start.data[occ], self._end.data[occ] = span
+                continue
+            children = self.index.trav_children(node, self._ctxs[occ])
+            first = len(self._bounds)
+            self._first.data[occ], self._count.data[occ] = first, len(children)
+            if not children:
+                continue
+            refs = [child_ref for child_ref, _, _ in children]
+            bounds = [bound for _, _, bound in children]
+            self._refs.extend(refs)
+            self._ctxs.extend(child_ctx for _, child_ctx, _ in children)
+            self._bounds.extend(bounds)
+            self._child.extend(np.arange(first + 1, first + 1 + len(children)))
+            self._add_nodes(refs)
+            self._all_rect = self._all_rect and all(type(b) is RectBound for b in bounds)
+            if self._all_rect:
+                self._low.extend(np.stack([b.rect.low for b in bounds]))
+                self._high.extend(np.stack([b.rect.high for b in bounds]))
+        self._publish()
+
+    def mindist(self, e: np.ndarray, q: np.ndarray) -> np.ndarray:
+        qs, metric = self._qs, self._metric
+        if self._all_rect and self._rowwise:
+            # Row-wise RectBound.mindist, bitwise (mindist_rect_batch is
+            # elementwise clip-and-reduce).
+            return rect_mindist_rows(metric, qs[q], self._low.data, self._high.data, e)
+        bounds = self._bounds
+        return per_edge_eval(
+            e, np.float64, lambda eid, seg: bounds[eid].mindist(qs[q[seg]], metric)
+        )
+
+
 def kernel_knn_many(
     index,
     batch: QueryBatch,
@@ -365,68 +475,32 @@ def kernel_knn_many(
     deadline: Deadline | None = None,
     on_timeout: str = "raise",
 ):
-    """Execute a non-empty k-NN :class:`QueryBatch` in one shared
-    branch-and-bound traversal.
+    """Execute a non-empty k-NN :class:`QueryBatch` as per-query best-first
+    searches run in lockstep rounds (:mod:`repro.engine.bestfirst`).
 
-    Children are visited in order of their best lower bound over the alive
-    set (a batch analogue of best-first), and each query prunes with its own
-    current kth distance under the deterministic ``(distance, oid)`` order —
-    so for ``approximation_factor == 0`` every query's result is the exact
-    k smallest entries under that total order.  ``deadline`` / ``on_timeout``
-    behave as in :func:`kernel_range_search_many`; a partial k-NN result
-    holds each query's best candidates found so far.
+    Each query pops its own smallest ``(bound, push order)`` entry and
+    stops once that bound exceeds ``kth / (1 + eps)`` — the rule and tie
+    order of ``HybridTree.knn`` — so a query's visits, and its result under
+    the deterministic ``(distance, oid)`` order (also for
+    ``approximation_factor > 0``), equal the single-query search's whatever
+    else shares the batch.  Every page is fetched once per batch.
+    ``deadline`` / ``on_timeout`` behave as in
+    :func:`kernel_range_search_many`; a partial k-NN result holds each
+    query's best candidates found so far.
     """
     start = time.perf_counter()
     reads0 = _reads(index.io)
     qs, k, metric = batch.centers, batch.k, batch.metric
     n = len(batch)
-    shrink = 1.0 / (1.0 + batch.approximation_factor)
-    # One max-heap of the best k per query, keyed (-distance, -oid) as in
-    # the single-query paths; kth[i] caches query i's current kth distance.
-    heaps: list[list[tuple[float, int]]] = [[] for _ in range(n)]
-    kth = np.full(n, np.inf)
+    topk = TopK(n, k)
     visits = np.zeros(n, dtype=np.int64)
-    charged: set = set()
-    scanned: dict = {}
-    fetch = _make_fetch(index, charged)
+    fetch = _make_fetch(index, set())
 
     def visit(ref, ctx, alive: np.ndarray) -> None:
-        if deadline is not None:
-            deadline.check()
-        node = fetch(ref)
-        visits[alive] += 1
-        if index.trav_is_leaf(node):
-            alive = _dedup_filter(index, scanned, ref, alive, n)
-            if not alive.size:
-                return
-            pts, oids = index.trav_leaf_points(node)
-            if not len(pts):
-                return
-            points64 = pts.astype(np.float64)
-            for qi in alive:
-                dists = metric.distance_batch(points64, qs[qi])
-                best = heaps[qi]
-                for i, dist in enumerate(dists):
-                    dist = float(dist)
-                    oid = int(oids[i])
-                    if len(best) < k:
-                        heapq.heappush(best, (-dist, -oid))
-                    elif (dist, oid) < (-best[0][0], -best[0][1]):
-                        heapq.heapreplace(best, (-dist, -oid))
-                if len(best) >= k:
-                    kth[qi] = -best[0][0]
-            return
-        scored = []
-        for child_ref, child_ctx, bound in index.trav_children(node, ctx):
-            bounds = bound.mindist(qs[alive], metric)
-            scored.append((float(bounds.min()), child_ref, child_ctx, bounds))
-        scored.sort(key=lambda entry: entry[0])
-        for _, child_ref, child_ctx, bounds in scored:
-            # Re-filter against the *current* kth: earlier siblings may have
-            # tightened it since the bounds were computed.
-            sub = alive[bounds <= kth[alive] * shrink]
-            if sub.size:
-                visit(child_ref, child_ctx, sub)
+        best_first_knn(
+            _ReachedTree(index, fetch, ref, ctx, qs, metric), qs, metric,
+            1.0 / (1.0 + batch.approximation_factor), topk, visits, deadline,
+        )
 
     def from_scan(vectors, oids):
         points64 = vectors.astype(np.float64)
@@ -438,16 +512,7 @@ def kernel_knn_many(
         return scan_out
 
     scan_out, err = _walk(index, visit, n, deadline, on_timeout, from_scan)
-    if scan_out is not None:
-        out = scan_out
-    else:
-        out = [
-            sorted(
-                ((-neg_oid, -neg_dist) for neg_dist, neg_oid in best),
-                key=lambda t: (t[1], t[0]),
-            )
-            for best in heaps
-        ]
+    out = scan_out if scan_out is not None else topk.results()
     return _finish(
         _wrap_partial(out, err, n), visits, index, start, reads0, return_metrics, batch.label
     )

@@ -10,13 +10,11 @@ same results, same accounting:
   one vectorized predicate per level, instead of one Python call per node
   per child.  Leaf hits are then replayed in DFS pre-order (occurrence id
   order), which reproduces the object walk's output order exactly.
-- ``soa_knn_many`` keeps the object kernel's *sequential* branch-and-bound
-  schedule (an explicit stack popping children best-bound-first, each pop
-  re-filtered against the current kth distances) because k-NN pruning
-  depends on the order leaves are scanned in — but computes every node's
-  child-bound matrix in one array op and replaces the per-point Python
-  heap with a ``(distance, oid)`` lexsort merge that selects the identical
-  k smallest.
+- ``soa_knn_many`` runs the object kernel's per-query best-first rounds
+  (:mod:`repro.engine.bestfirst`) — k-NN pruning depends on the order
+  leaves are scanned in, so every query keeps ``HybridTree.knn``'s own
+  visit order — over the snapshot's CSR edges: each round's child bounds
+  are one :meth:`_PairBounds.mindist` call over ``(edge, query)`` pairs.
 
 Bit-identity rules (asserted by ``tests/test_soa_conformance.py``):
 
@@ -33,7 +31,8 @@ Bit-identity rules (asserted by ``tests/test_soa_conformance.py``):
   ``pts.astype(np.float64)``;
 - each page is charged once per batch (supernodes charge their page
   count), and dedup structures scan each ``(page, query)`` pair once, at
-  the query's first occurrence in DFS order.
+  the query's first occurrence in its visit order (DFS for range and
+  distance, best-first for k-NN).
 """
 
 from __future__ import annotations
@@ -43,6 +42,14 @@ import time
 import numpy as np
 
 from repro.distances import LpMetric, Metric, WeightedEuclidean, mindist_rect_many
+from repro.engine.bestfirst import (
+    TopK,
+    best_first_knn,
+    rect_mindist_rows,
+    rowwise_metric,
+)
+from repro.engine.bestfirst import concat_ranges as _concat_ranges
+from repro.engine.bestfirst import per_edge_eval as _per_edge_eval
 from repro.engine.kernel import _finish, _reads, _wrap_partial
 from repro.engine.query import QueryBatch
 from repro.resilience import Deadline, QueryTimeoutError
@@ -58,15 +65,6 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Shared plumbing
 # ----------------------------------------------------------------------
-def _concat_ranges(counts: np.ndarray) -> np.ndarray:
-    """``[0..counts[0]-1, 0..counts[1]-1, ...]`` without a Python loop."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    ends = np.cumsum(counts)
-    return np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
-
-
 def _charge_visited(index, snap, visited: np.ndarray) -> None:
     """One random read per distinct page visited this batch (supernodes
     charge their page count) — the object kernel's once-per-batch fetch."""
@@ -134,22 +132,6 @@ def _conservative_query_f32(
     return lo, hi
 
 
-def _per_edge_eval(edges: np.ndarray, fill, fn) -> np.ndarray:
-    """Evaluate ``fn(edge_id, row_positions)`` once per distinct edge.
-
-    Rows are regrouped with a stable sort, so each edge sees its queries in
-    the original (ascending) order — the exact rows the object kernel
-    passes that edge's ``ChildBound``.
-    """
-    out = np.empty(len(edges), dtype=fill)
-    order = np.argsort(edges, kind="stable")
-    sorted_edges = edges[order]
-    starts = np.flatnonzero(np.diff(sorted_edges)) + 1
-    for seg in np.split(order, starts):
-        out[seg] = fn(int(edges[seg[0]]), seg)
-    return out
-
-
 class _PairBounds:
     """Pruning predicates over ``(edge, query)`` pair arrays.
 
@@ -164,7 +146,7 @@ class _PairBounds:
         self._rectlike = snap.kind in ("rect", "rect2")
         # Lp / weighted-Euclidean mindist_rect_batch is pure elementwise
         # clip-and-reduce, safe to evaluate with per-row boxes.
-        self._vec_metric = isinstance(metric, (LpMetric, WeightedEuclidean))
+        self._vec_metric = rowwise_metric(metric)
 
     # -- box intersection ----------------------------------------------
     def box_mask(
@@ -210,20 +192,8 @@ class _PairBounds:
     def _rect_mindist(
         self, low: np.ndarray, high: np.ndarray, e: np.ndarray, qrows: np.ndarray
     ) -> np.ndarray:
-        metric = self.metric
         # Mirrors LpMetric/WeightedEuclidean.mindist_rect_batch elementwise.
-        clipped = np.clip(qrows, low[e], high[e])
-        if isinstance(metric, WeightedEuclidean):
-            diff = qrows - clipped
-            return np.sqrt((metric.weights * diff * diff).sum(axis=1))
-        diff = np.abs(qrows - clipped)
-        if np.isinf(metric.p):
-            return diff.max(axis=1)
-        if metric.p == 1.0:
-            return diff.sum(axis=1)
-        if metric.p == 2.0:
-            return np.sqrt((diff * diff).sum(axis=1))
-        return (diff ** metric.p).sum(axis=1) ** (1.0 / metric.p)
+        return rect_mindist_rows(self.metric, qrows, low, high, e)
 
     def mindist(self, e: np.ndarray, q: np.ndarray, qs: np.ndarray) -> np.ndarray:
         snap, metric = self.snap, self.metric
@@ -564,6 +534,30 @@ def soa_distance_range_many(
 # ----------------------------------------------------------------------
 # k-nearest-neighbour queries
 # ----------------------------------------------------------------------
+class _SnapshotTree:
+    """A snapshot seen through the tree interface of
+    :func:`~repro.engine.bestfirst.best_first_knn`; loading a node marks it
+    visited, for :func:`_charge_visited`."""
+
+    def __init__(self, snap, visited: np.ndarray, pred: _PairBounds, qs: np.ndarray):
+        self.visited = visited
+        self.dedup = snap.dedup
+        self.is_leaf = snap.node_is_leaf
+        self.first_edge = snap.child_start[:-1]
+        self.n_edges = np.diff(snap.child_start)
+        self.edge_child = snap.edge_child
+        self.node_ref = snap.node_ref
+        self.leaf_start, self.leaf_end = snap.leaf_start, snap.leaf_end
+        self.points64, self.oids = snap.points64, snap.oids
+        self._pred, self._qs = pred, qs
+
+    def load(self, nodes: np.ndarray) -> None:
+        self.visited[nodes] = True
+
+    def mindist(self, e: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return self._pred.mindist(e, q, self._qs)
+
+
 def soa_knn_many(
     index,
     snap,
@@ -574,136 +568,32 @@ def soa_knn_many(
 ):
     """Vectorized form of :func:`repro.engine.kernel.kernel_knn_many`.
 
-    The explicit stack pops children in exactly the object kernel's
-    recursion order, so every kth-distance re-filter sees the same state
-    and the visit sequence — hence the exact result under the
-    ``(distance, oid)`` total order — is identical.
+    The same per-query best-first rounds
+    (:func:`~repro.engine.bestfirst.best_first_knn`) over the snapshot's
+    CSR edges, with each round's child bounds from one
+    :meth:`_PairBounds.mindist` call — so visits, results and pages equal
+    the object kernel's.
     """
     start = time.perf_counter()
     reads0 = _reads(index.io)
-    qs, k, metric = batch.centers, batch.k, batch.metric
+    qs, metric = batch.centers, batch.metric
     n = len(batch)
-    shrink = 1.0 / (1.0 + batch.approximation_factor)
-    pred = _PairBounds(snap, metric)
-
-    best_d: list[np.ndarray] = [np.empty(0)] * n
-    best_o: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * n
-    kth = np.full(n, np.inf)
+    topk = TopK(n, batch.k)
     visits = np.zeros(n, dtype=np.int64)
     visited = np.zeros(snap.n_nodes, dtype=bool)
-    scanned: dict[int, np.ndarray] = {}
-    cs = snap.child_start
-
-    # Stack entries: (node, alive, bounds-at-push); bounds None for the root.
-    stack: list[tuple] = [(0, np.arange(n, dtype=np.int64), None)]
-
+    tree = _SnapshotTree(snap, visited, _PairBounds(snap, metric), qs)
     err = None
     try:
-        while stack:
-            if deadline is not None:
-                deadline.check()
-            node, alive, bnds = stack.pop()
-            if bnds is not None:
-                # Re-filter against the *current* kth: earlier siblings may
-                # have tightened it since the bounds were computed.
-                alive = alive[bnds <= kth[alive] * shrink]
-                if not alive.size:
-                    continue
-            visits[alive] += 1
-            visited[node] = True
-            s, e = snap.leaf_start[node], snap.leaf_end[node]
-            if snap.node_is_leaf[node]:
-                if snap.dedup:
-                    ref = int(snap.node_ref[node])
-                    done = scanned.get(ref)
-                    if done is None:
-                        done = scanned[ref] = np.zeros(n, dtype=bool)
-                    alive = alive[~done[alive]]
-                    if not alive.size:
-                        continue
-                    done[alive] = True
-                if e <= s:
-                    continue
-                points64 = snap.points64[s:e]
-                oids = snap.oids[s:e]
-                if pred._vec_metric:
-                    # One 3-d broadcast computes the leaf's distances for
-                    # every alive query: the axis-2 reductions run per row
-                    # exactly as ``distance_batch``'s axis-1 reductions do,
-                    # so each row is bit-identical to the per-query call.
-                    # ``kth`` is inf until a query's result set fills, so the
-                    # candidate mask reproduces the object kernel's
-                    # take-all-then-prefilter.
-                    diff = points64[None, :, :] - qs[alive][:, None, :]
-                    if isinstance(metric, WeightedEuclidean):
-                        dmat = np.sqrt(
-                            (metric.weights * diff * diff).sum(axis=2)
-                        )
-                    else:
-                        diff = np.abs(diff)
-                        if np.isinf(metric.p):
-                            dmat = diff.max(axis=2)
-                        elif metric.p == 1.0:
-                            dmat = diff.sum(axis=2)
-                        elif metric.p == 2.0:
-                            dmat = np.sqrt((diff * diff).sum(axis=2))
-                        else:
-                            dmat = (diff ** metric.p).sum(axis=2) ** (
-                                1.0 / metric.p
-                            )
-                    cand_mask = dmat <= kth[alive][:, None]
-                    for row in np.flatnonzero(cand_mask.any(axis=1)):
-                        qi = alive[row]
-                        keep = cand_mask[row]
-                        d_all = np.concatenate((best_d[qi], dmat[row][keep]))
-                        o_all = np.concatenate((best_o[qi], oids[keep]))
-                        top = np.lexsort((o_all, d_all))[:k]
-                        best_d[qi], best_o[qi] = d_all[top], o_all[top]
-                        if len(top) >= k:
-                            kth[qi] = best_d[qi][-1]
-                    continue
-                for qi in alive:
-                    dists = metric.distance_batch(points64, qs[qi])
-                    if len(best_d[qi]) >= k:
-                        # Candidates beyond the kth can never enter the top
-                        # k (ties at kth still can, under the (dist, oid)
-                        # order).
-                        keep = dists <= kth[qi]
-                        cand_d, cand_o = dists[keep], oids[keep]
-                    else:
-                        cand_d, cand_o = dists, oids
-                    if not len(cand_d):
-                        continue
-                    d_all = np.concatenate((best_d[qi], cand_d))
-                    o_all = np.concatenate((best_o[qi], cand_o))
-                    top = np.lexsort((o_all, d_all))[:k]
-                    best_d[qi], best_o[qi] = d_all[top], o_all[top]
-                    if len(top) >= k:
-                        kth[qi] = best_d[qi][-1]
-                continue
-            e0, e1 = int(cs[node]), int(cs[node + 1])
-            if e0 == e1:
-                continue
-            edges = np.arange(e0, e1, dtype=np.int64)
-            m = len(alive)
-            pair_e = np.repeat(edges, m)
-            pair_q = np.tile(alive, len(edges))
-            bounds = pred.mindist(pair_e, pair_q, qs).reshape(len(edges), m)
-            order = np.argsort(bounds.min(axis=1), kind="stable")
-            for idx in order[::-1]:
-                stack.append(
-                    (int(snap.edge_child[edges[idx]]), alive, bounds[idx])
-                )
+        best_first_knn(
+            tree, qs, metric, 1.0 / (1.0 + batch.approximation_factor),
+            topk, visits, deadline,
+        )
     except QueryTimeoutError as exc:
         if on_timeout != "partial":
             raise
         err = exc
-
     _charge_visited(index, snap, visited)
-    out = [
-        [(int(o), float(d)) for o, d in zip(best_o[qi], best_d[qi])]
-        for qi in range(n)
-    ]
     return _finish(
-        _wrap_partial(out, err, n), visits, index, start, reads0, return_metrics, batch.label
+        _wrap_partial(topk.results(), err, n), visits, index, start, reads0,
+        return_metrics, batch.label,
     )

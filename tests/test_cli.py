@@ -95,3 +95,10 @@ def test_bench_smoke(capsys):
     assert main(["bench", "--figure", "fig5", "--scale", "0.05"]) == 0
     out = capsys.readouterr().out
     assert "hybrid" in out and "hybrid-vam" in out
+
+
+@pytest.mark.parametrize("index", ["scan", "vafile"])
+def test_bench_batch_on_structures_without_snapshots(index, capsys):
+    assert main(["bench-batch", "--index", index, "--dataset", "uniform",
+                 "--count", "2000", "--dims", "8", "--queries", "50"]) == 0
+    assert "range" in capsys.readouterr().out

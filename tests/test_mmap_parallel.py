@@ -69,7 +69,20 @@ def serial(saved_tree_path, workload):
     dists, dist_m = tree.distance_range_many(
         workload["centers"], workload["radii"], return_metrics=True
     )
-    knns, knn_m = tree.knn_many(workload["centers"], 5, return_metrics=True)
+    knns = tree.knn_many(workload["centers"], 5)
+    # k-NN visits are the single-query search's: count its node fetches.
+    knn_visits = []
+    get = tree.nm.get
+
+    def counting_get(*args, **kwargs):
+        knn_visits[-1] += 1
+        return get(*args, **kwargs)
+
+    tree.nm.get = counting_get
+    for center in workload["centers"]:
+        knn_visits.append(0)
+        tree.knn(center, 5)
+    del tree.nm.get
     tree.close()
     return {
         "range": ranges,
@@ -77,6 +90,7 @@ def serial(saved_tree_path, workload):
         "distance": dists,
         "distance_visits": dist_m.pages,
         "knn": knns,
+        "knn_visits": np.asarray(knn_visits, dtype=np.float64),
     }
 
 
@@ -319,10 +333,14 @@ class TestParallelDeterminism:
         assert np.array_equal(metrics.pages, serial["distance_visits"])
 
     def test_knn_bit_identical(self, saved_tree_path, workload, serial, workers, mode):
-        # k-NN *visit attribution* is partition-dependent (children are
-        # ordered by the alive set's best bound), but exact results are not.
         with ParallelQueryEngine(saved_tree_path, workers, mode) as engine:
-            assert engine.knn_many(workload["centers"], 5) == serial["knn"]
+            results, metrics = engine.knn_many(
+                workload["centers"], 5, return_metrics=True
+            )
+        assert results == serial["knn"]
+        # Each query runs its own best-first search, so its visits are the
+        # single-query search's whatever partition it lands in.
+        assert np.array_equal(metrics.pages, serial["knn_visits"])
 
 
 class TestParallelEngine:
