@@ -88,7 +88,10 @@ def cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
+def _dataset(args: argparse.Namespace) -> np.ndarray:
+    """``--count`` x ``--dims`` vectors from the ``--dataset`` maker; a
+    maker's ``ValueError`` (such as dims COLHIST has no grid for) becomes a
+    one-line exit message."""
     from repro.datasets import (
         clustered_dataset,
         colhist_dataset,
@@ -97,12 +100,19 @@ def cmd_generate(args: argparse.Namespace) -> int:
     )
 
     makers = {
-        "colhist": lambda: colhist_dataset(args.count, args.dims, seed=args.seed),
-        "fourier": lambda: fourier_dataset(args.count, args.dims, seed=args.seed),
-        "uniform": lambda: uniform_dataset(args.count, args.dims, seed=args.seed),
-        "clustered": lambda: clustered_dataset(args.count, args.dims, seed=args.seed),
+        "colhist": colhist_dataset,
+        "fourier": fourier_dataset,
+        "uniform": uniform_dataset,
+        "clustered": clustered_dataset,
     }
-    data = makers[args.dataset]()
+    try:
+        return makers[args.dataset](args.count, args.dims, seed=args.seed)
+    except ValueError as exc:
+        raise SystemExit(f"--dataset {args.dataset}: {exc}") from None
+
+
+def cmd_generate(args: argparse.Namespace) -> int:
+    data = _dataset(args)
     np.save(args.out, data)
     print(f"wrote {data.shape[0]} x {data.shape[1]} {args.dataset} vectors to {args.out}")
     return 0
@@ -245,12 +255,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_bench_batch(args: argparse.Namespace) -> int:
     import time
 
-    from repro.datasets import (
-        clustered_dataset,
-        colhist_dataset,
-        fourier_dataset,
-        uniform_dataset,
-    )
     from repro.datasets.workload import distance_workload, range_workload
     from repro.baselines.common import LoopQueryMixin
     from repro.engine import QuerySession
@@ -264,13 +268,7 @@ def cmd_bench_batch(args: argparse.Namespace) -> int:
         raise SystemExit("--k must be >= 1")
     if args.pin_levels < 0:
         raise SystemExit("--pin-levels must be >= 0")
-    makers = {
-        "colhist": colhist_dataset,
-        "fourier": fourier_dataset,
-        "uniform": uniform_dataset,
-        "clustered": clustered_dataset,
-    }
-    data = makers[args.dataset](args.count, args.dims, seed=args.seed)
+    data = _dataset(args)
     index = build_index(args.index, data, build="bulk")
     metric = _metric(args.metric)
     budget = {"timeout": args.timeout, "on_timeout": args.on_timeout}

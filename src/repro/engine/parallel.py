@@ -26,11 +26,12 @@ The ``source`` can be either of:
 - ``mode="thread"``: each worker thread holds a private handle/view
   (private :class:`IOStats`).  Python threads interleave under the GIL;
   only the time a kernel spends inside large numpy calls, which release
-  it, overlaps.  That pays for the SOA range frontier but hardly for k-NN,
-  whose branch-and-bound loop is interpreter-bound: on a 2-core host
-  (FOURIER 16-d, N = 100,000, SOA, batches of 256) two threads ran range
-  batches at ~1.9x one worker and k-NN at ~1.0x, while two fork workers
-  ran k-NN at ~1.7x — which is why the process modes stay.
+  it, overlaps.  That pays most for the SOA range frontier and less for
+  k-NN, whose per-query best-first rounds spend more of their time in the
+  interpreter: on a 2-core host (FOURIER 16-d, N = 100,000, SOA, batches
+  of 256) two threads ran range batches at ~1.9x one worker and k-NN at
+  ~1.4x, while two fork workers ran k-NN at ~1.7x — which is why the
+  process modes stay.
 - ``mode="fork"`` / ``"spawn"`` (saved-file sources only): worker
   *processes*, each reopening the tree in its main loop.  With
   ``mmap=True`` (the default) every worker maps the same file, so the OS

@@ -29,6 +29,10 @@ Bit-identity rules (asserted by ``tests/test_soa_conformance.py``):
 - leaf scans call ``metric.distance_batch`` on float64 slices with the
   same values and layout as the object kernel's per-leaf
   ``pts.astype(np.float64)``;
+- large row-wise passes (vectorized frontier masks, leaf scans) run in
+  blocks of ``_BLOCK_ELEMS // dims`` rows; a row's result never depends on
+  its neighbours, so blocks change peak memory and cache behaviour, never
+  a result bit.  Per-edge grouped calls are never split across blocks;
 - each page is charged once per batch (supernodes charge their page
   count), and dedup structures scan each ``(page, query)`` pair once, at
   the query's first occurrence in its visit order (DFS for range and
@@ -41,11 +45,12 @@ import time
 
 import numpy as np
 
-from repro.distances import LpMetric, Metric, WeightedEuclidean, mindist_rect_many
+from repro.distances import Metric, mindist_rect_many
 from repro.engine.bestfirst import (
     TopK,
     best_first_knn,
     rect_mindist_rows,
+    rowwise_distances,
     rowwise_metric,
 )
 from repro.engine.bestfirst import concat_ranges as _concat_ranges
@@ -65,6 +70,27 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Shared plumbing
 # ----------------------------------------------------------------------
+# Elements (rows x dims) per block of a large row-wise array pass.  2**20
+# float64s make an 8 MB temporary, about one last-level cache: a COLHIST
+# 64-d distance batch no longer allocates (and page-faults in) temporaries
+# of 100+ MB, while FOURIER 16-d's widest frontier level (~51,000 pairs)
+# still runs as a single block.
+_BLOCK_ELEMS = 1 << 20
+
+
+def _row_blocks(n_rows: int, dims: int) -> list[slice]:
+    """Consecutive slices covering ``range(n_rows)``, ``_BLOCK_ELEMS // dims``
+    rows each (at least one row; one empty slice when ``n_rows`` is 0).
+
+    Every pass run in these blocks is row-wise — elementwise comparisons or
+    arithmetic plus ``axis=1`` reductions — so a row's result does not
+    depend on which rows share its block: blocks change the schedule and
+    the peak memory, never a bit of the output.
+    """
+    step = max(1, _BLOCK_ELEMS // max(1, dims))
+    return [slice(lo, min(lo + step, n_rows)) for lo in range(0, max(n_rows, 1), step)]
+
+
 def _charge_visited(index, snap, visited: np.ndarray) -> None:
     """One random read per distinct page visited this batch (supernodes
     charge their page count) — the object kernel's once-per-batch fetch."""
@@ -137,7 +163,9 @@ class _PairBounds:
 
     Chooses, per snapshot kind and metric, between fully vectorized pair
     math and per-edge grouped calls of the original bound objects — the
-    two regimes described in the module docstring.
+    two regimes described in the module docstring.  The vectorized masks
+    run in :func:`_row_blocks`; per-edge calls keep each edge's full row
+    group, exactly the rows the object kernel passes its bound.
     """
 
     def __init__(self, snap, metric: Metric | None = None):
@@ -147,6 +175,13 @@ class _PairBounds:
         # Lp / weighted-Euclidean mindist_rect_batch is pure elementwise
         # clip-and-reduce, safe to evaluate with per-row boxes.
         self._vec_metric = rowwise_metric(metric)
+
+    def _in_blocks(self, fn, e: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """The row-wise mask ``fn(e, q)``, evaluated block by block."""
+        blocks = _row_blocks(len(e), self.snap.dims)
+        if len(blocks) == 1:
+            return fn(e, q)
+        return np.concatenate([fn(e[b], q[b]) for b in blocks])
 
     # -- box intersection ----------------------------------------------
     def box_mask(
@@ -159,33 +194,39 @@ class _PairBounds:
     ) -> np.ndarray:
         snap = self.snap
         if self._rectlike:
-            if q32 is not None:
-                # Conservative float32 prefilter (query lows rounded down,
-                # highs up; box bounds the other way), then the exact
-                # float64 test — row-wise Rect.intersects_boxes_mask — on
-                # the few pairs the prefilter keeps.  Containment has no
-                # arithmetic, so the final mask is bit-identical.
-                lo32, hi32 = q32
-                bl32, bh32 = snap.boxes32()
-                cand = np.flatnonzero(
-                    np.all((lo32[q] <= bh32[e]) & (bl32[e] <= hi32[q]), axis=1)
-                )
-                ec, qc = e[cand], q[cand]
-                exact = np.all(
-                    (lows[qc] <= snap.box_high[ec]) & (snap.box_low[ec] <= highs[qc]),
-                    axis=1,
-                )
-                out = np.zeros(len(e), dtype=bool)
-                out[cand[exact]] = True
-                return out
-            # Row-wise Rect.intersects_boxes_mask.
-            return np.all(
-                (lows[q] <= snap.box_high[e]) & (snap.box_low[e] <= highs[q]),
-                axis=1,
+            return self._in_blocks(
+                lambda e, q: self._box_rows(e, q, lows, highs, q32), e, q
             )
         bounds = snap.edge_bounds
         return _per_edge_eval(
             e, bool, lambda eid, seg: bounds[eid].box_mask(lows[q[seg]], highs[q[seg]])
+        )
+
+    def _box_rows(self, e, q, lows, highs, q32) -> np.ndarray:
+        snap = self.snap
+        if q32 is not None:
+            # Conservative float32 prefilter (query lows rounded down,
+            # highs up; box bounds the other way), then the exact float64
+            # test — row-wise Rect.intersects_boxes_mask — on the few pairs
+            # the prefilter keeps.  Containment has no arithmetic, so the
+            # final mask is bit-identical.
+            lo32, hi32 = q32
+            bl32, bh32 = snap.boxes32()
+            cand = np.flatnonzero(
+                np.all((lo32[q] <= bh32[e]) & (bl32[e] <= hi32[q]), axis=1)
+            )
+            ec, qc = e[cand], q[cand]
+            exact = np.all(
+                (lows[qc] <= snap.box_high[ec]) & (snap.box_low[ec] <= highs[qc]),
+                axis=1,
+            )
+            out = np.zeros(len(e), dtype=bool)
+            out[cand[exact]] = True
+            return out
+        # Row-wise Rect.intersects_boxes_mask.
+        return np.all(
+            (lows[q] <= snap.box_high[e]) & (snap.box_low[e] <= highs[q]),
+            axis=1,
         )
 
     # -- metric lower bounds -------------------------------------------
@@ -216,7 +257,10 @@ class _PairBounds:
         self, e: np.ndarray, q: np.ndarray, qs: np.ndarray, radii: np.ndarray
     ) -> np.ndarray:
         if self._rectlike:
-            return self.mindist(e, q, qs) <= radii[q]
+            def within(e, q):
+                return self.mindist(e, q, qs) <= radii[q]
+
+            return self._in_blocks(within, e, q) if self._vec_metric else within(e, q)
         bounds = self.snap.edge_bounds
         metric = self.metric
         return _per_edge_eval(
@@ -238,11 +282,15 @@ def _run_frontier(snap, n: int, visits: np.ndarray, pair_pred, deadline=None,
     ``pair_pred(e, q) -> bool mask`` decides which ``(edge, query)`` pairs
     survive.  Leaf pairs come back deduplicated (for dedup structures, the
     query's first occurrence in DFS order — the occurrence the object
-    kernel scans) and sorted by ``(occurrence, query)``.  ``deadline`` is
-    checked once per frontier round — each round is one batched level of
-    array work, the natural cooperative-cancellation grain here.  The
-    caller may supply the ``visited`` page-mask so a mid-frontier timeout
-    still bills the pages actually touched.
+    kernel scans) and sorted by ``(occurrence, query)``.  A level's pairs
+    are gathered whole as index arrays; the :class:`_PairBounds` masks then
+    do their ``pairs x dims`` math in :func:`_row_blocks` blocks, so a
+    COLHIST 64-d distance level of ~227,000 pairs holds 8 MB float64
+    temporaries instead of 116 MB ones.  ``deadline`` is checked once per
+    frontier round — each round is one batched level of array work, the
+    natural cooperative-cancellation grain here.  The caller may supply
+    the ``visited`` page-mask so a mid-frontier timeout still bills the
+    pages actually touched.
     """
     nodes = np.zeros(n, dtype=np.int64)
     qs_idx = np.arange(n, dtype=np.int64)
@@ -316,15 +364,16 @@ def _leaf_groups(occ: np.ndarray, lq: np.ndarray):
         yield int(occ[seg[0]]), lq[seg]
 
 
-def _pair_point_rows(snap, occ: np.ndarray, lq: np.ndarray, budget: int = 1 << 22):
+def _pair_point_rows(snap, occ: np.ndarray, lq: np.ndarray):
     """Expand sorted ``(occurrence, query)`` leaf pairs into flat
-    ``(point row, query)`` index arrays, in blocks of roughly ``budget``
-    rows to bound peak memory.
+    ``(point row, query)`` index arrays, one :func:`_row_blocks` block at a
+    time, so the caller's ``rows x dims`` temporaries stay cache-sized.
 
     The flat order is ``(occurrence, query, point)`` — so for any single
     query, hits emerge in DFS-then-point order, exactly the object
-    kernel's append order — and blocks follow that order too, so
-    concatenating per-block hits preserves it.
+    kernel's append order.  Blocks cut that order into consecutive pieces
+    (one leaf pair may span several), so concatenating per-block hits
+    preserves it.
     """
     sizes = snap.leaf_end[occ] - snap.leaf_start[occ]
     nz = sizes > 0
@@ -332,15 +381,16 @@ def _pair_point_rows(snap, occ: np.ndarray, lq: np.ndarray, budget: int = 1 << 2
     if not occ.size:
         return
     starts = snap.leaf_start[occ]
-    csum = np.cumsum(sizes)
-    lo = 0
-    while lo < len(occ):
-        base = int(csum[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(csum, base + budget, side="right")))
-        blk = slice(lo, hi)
-        pidx = np.repeat(starts[blk], sizes[blk]) + _concat_ranges(sizes[blk])
-        yield pidx, np.repeat(lq[blk], sizes[blk])
-        lo = hi
+    ends = np.cumsum(sizes)  # each pair's end in the flat row order
+    for blk in _row_blocks(int(ends[-1]), snap.dims):
+        # The pairs overlapping flat rows [blk.start, blk.stop).
+        p0 = int(np.searchsorted(ends, blk.start, side="right"))
+        p1 = int(np.searchsorted(ends, blk.stop - 1, side="right")) + 1
+        skip = blk.start - (int(ends[p0 - 1]) if p0 else 0)
+        cut = slice(skip, skip + blk.stop - blk.start)
+        sz = sizes[p0:p1]
+        pidx = np.repeat(starts[p0:p1], sz) + _concat_ranges(sz)
+        yield pidx[cut], np.repeat(lq[p0:p1], sz)[cut]
 
 
 def _group_hits_by_query(hq: np.ndarray, parts: list[np.ndarray]):
@@ -396,7 +446,8 @@ def soa_range_search_many(
         #     points are never touched;
         #  2. a conservative float32 prefilter over the remaining dims;
         #  3. the exact float64 comparisons on the prefilter's survivors.
-        # Hits are restored to the object walk's output order — per query, by
+        # Stages 2 and 3 run per _row_blocks block of candidate rows.  Hits
+        # are restored to the object walk's output order — per query, by
         # leaf occurrence in DFS order, then point order — with one lexsort.
         perm, scol = snap.leaf_sort0()
         lo32, hi32 = q32 if q32 is not None else _conservative_query_f32(lows, highs)
@@ -413,18 +464,23 @@ def soa_range_search_many(
             pidx = perm[pos]
             qrow = np.repeat(palive[live], m[live])
             hocc = np.repeat(pocc[live], m[live])
-            rest32 = snap.points[pidx, 1:]
-            keep = np.flatnonzero(
-                np.all(
-                    (rest32 >= lo32[qrow, 1:]) & (rest32 <= hi32[qrow, 1:]), axis=1
+
+            def contained(b: slice) -> np.ndarray:
+                """Positions in ``pidx`` of the block's rows inside their box."""
+                p, r = pidx[b], qrow[b]
+                rest32 = snap.points[p, 1:]
+                cand = np.flatnonzero(
+                    np.all((rest32 >= lo32[r, 1:]) & (rest32 <= hi32[r, 1:]), axis=1)
                 )
+                p, r = p[cand], r[cand]
+                rest64 = snap.points64[p, 1:]
+                exact = np.all((rest64 >= lows[r, 1:]) & (rest64 <= highs[r, 1:]), axis=1)
+                return b.start + cand[exact]
+
+            inside = np.concatenate(
+                [contained(b) for b in _row_blocks(len(pidx), snap.dims)]
             )
-            pidx, qrow, hocc = pidx[keep], qrow[keep], hocc[keep]
-            rest64 = snap.points64[pidx, 1:]
-            exact = np.all(
-                (rest64 >= lows[qrow, 1:]) & (rest64 <= highs[qrow, 1:]), axis=1
-            )
-            pidx, qrow, hocc = pidx[exact], qrow[exact], hocc[exact]
+            pidx, qrow, hocc = pidx[inside], qrow[inside], hocc[inside]
             order = np.lexsort((pidx, hocc, qrow))
             hq, ho = qrow[order], snap.oids[pidx[order]]
             bounds = np.flatnonzero(np.diff(hq)) + 1
@@ -474,28 +530,16 @@ def soa_distance_range_many(
             snap, n, visits,
             lambda e, q: pred.distance_mask(e, q, qs, radii), deadline, visited,
         )
-        if isinstance(metric, (LpMetric, WeightedEuclidean)):
-            # These metrics' ``distance_batch`` is a row-wise abs/clip-free
-            # difference plus an ``axis=1`` reduction — per-row results don't
-            # depend on which other rows ride along, so one flat evaluation
-            # over every (leaf, query, point) row is bit-identical to the
-            # object kernel's per-leaf calls.
+        if rowwise_metric(metric):
+            # These metrics' ``distance_batch`` is a row-wise difference plus
+            # an ``axis=1`` reduction — per-row results don't depend on which
+            # other rows ride along, so evaluating every (leaf, query, point)
+            # row in flat blocks is bit-identical to the object kernel's
+            # per-leaf calls.
             for pidx, qrow in _pair_point_rows(snap, occ, lq):
                 if deadline is not None:
                     deadline.check()
-                diff = snap.points64[pidx] - qs[qrow]
-                if isinstance(metric, WeightedEuclidean):
-                    dists = np.sqrt((metric.weights * diff * diff).sum(axis=1))
-                else:
-                    diff = np.abs(diff)
-                    if np.isinf(metric.p):
-                        dists = diff.max(axis=1)
-                    elif metric.p == 1.0:
-                        dists = diff.sum(axis=1)
-                    elif metric.p == 2.0:
-                        dists = np.sqrt((diff * diff).sum(axis=1))
-                    else:
-                        dists = (diff ** metric.p).sum(axis=1) ** (1.0 / metric.p)
+                dists = rowwise_distances(metric, snap.points64[pidx], qs[qrow])
                 hits = np.flatnonzero(dists <= radii[qrow])
                 if hits.size:
                     hit_q.append(qrow[hits])

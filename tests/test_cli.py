@@ -1,8 +1,14 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -102,3 +108,25 @@ def test_bench_batch_on_structures_without_snapshots(index, capsys):
     assert main(["bench-batch", "--index", index, "--dataset", "uniform",
                  "--count", "2000", "--dims", "8", "--queries", "50"]) == 0
     assert "range" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cmd", [
+    ["generate", "--dataset", "colhist", "--count", "100", "--dims", "8",
+     "--out", "unused.npy"],
+    ["bench-batch", "--dataset", "colhist", "--count", "100", "--dims", "8",
+     "--queries", "5"],
+])
+def test_unsupported_dims_exit_with_one_line(cmd, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(cmd)
+    assert "--dataset colhist: dims must be one of" in str(exc.value.code)
+
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *cmd],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines() == [str(exc.value.code)]
+    assert not (tmp_path / "unused.npy").exists()
