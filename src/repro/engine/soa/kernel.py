@@ -29,10 +29,11 @@ Bit-identity rules (asserted by ``tests/test_soa_conformance.py``):
 - leaf scans call ``metric.distance_batch`` on float64 slices with the
   same values and layout as the object kernel's per-leaf
   ``pts.astype(np.float64)``;
-- large row-wise passes (vectorized frontier masks, leaf scans) run in
-  blocks of ``_BLOCK_ELEMS // dims`` rows; a row's result never depends on
-  its neighbours, so blocks change peak memory and cache behaviour, never
-  a result bit.  Per-edge grouped calls are never split across blocks;
+- large row-wise passes (vectorized frontier masks, the distance leaf
+  scan) run in blocks of ``_BLOCK_ELEMS // dims`` rows; a row's result
+  never depends on its neighbours, so blocks change peak memory and cache
+  behaviour, never a result bit.  Per-edge grouped calls are never split
+  across blocks;
 - each page is charged once per batch (supernodes charge their page
   count), and dedup structures scan each ``(page, query)`` pair once, at
   the query's first occurrence in its visit order (DFS for range and
@@ -446,8 +447,7 @@ def soa_range_search_many(
         #     points are never touched;
         #  2. a conservative float32 prefilter over the remaining dims;
         #  3. the exact float64 comparisons on the prefilter's survivors.
-        # Stages 2 and 3 run per _row_blocks block of candidate rows.  Hits
-        # are restored to the object walk's output order — per query, by
+        # Hits are restored to the object walk's output order — per query, by
         # leaf occurrence in DFS order, then point order — with one lexsort.
         perm, scol = snap.leaf_sort0()
         lo32, hi32 = q32 if q32 is not None else _conservative_query_f32(lows, highs)
@@ -464,23 +464,18 @@ def soa_range_search_many(
             pidx = perm[pos]
             qrow = np.repeat(palive[live], m[live])
             hocc = np.repeat(pocc[live], m[live])
-
-            def contained(b: slice) -> np.ndarray:
-                """Positions in ``pidx`` of the block's rows inside their box."""
-                p, r = pidx[b], qrow[b]
-                rest32 = snap.points[p, 1:]
-                cand = np.flatnonzero(
-                    np.all((rest32 >= lo32[r, 1:]) & (rest32 <= hi32[r, 1:]), axis=1)
+            rest32 = snap.points[pidx, 1:]
+            keep = np.flatnonzero(
+                np.all(
+                    (rest32 >= lo32[qrow, 1:]) & (rest32 <= hi32[qrow, 1:]), axis=1
                 )
-                p, r = p[cand], r[cand]
-                rest64 = snap.points64[p, 1:]
-                exact = np.all((rest64 >= lows[r, 1:]) & (rest64 <= highs[r, 1:]), axis=1)
-                return b.start + cand[exact]
-
-            inside = np.concatenate(
-                [contained(b) for b in _row_blocks(len(pidx), snap.dims)]
             )
-            pidx, qrow, hocc = pidx[inside], qrow[inside], hocc[inside]
+            pidx, qrow, hocc = pidx[keep], qrow[keep], hocc[keep]
+            rest64 = snap.points64[pidx, 1:]
+            exact = np.all(
+                (rest64 >= lows[qrow, 1:]) & (rest64 <= highs[qrow, 1:]), axis=1
+            )
+            pidx, qrow, hocc = pidx[exact], qrow[exact], hocc[exact]
             order = np.lexsort((pidx, hocc, qrow))
             hq, ho = qrow[order], snap.oids[pidx[order]]
             bounds = np.flatnonzero(np.diff(hq)) + 1

@@ -1,12 +1,12 @@
 """Cache-sized row blocks in the SOA kernel.
 
-The vectorized frontier masks and leaf scans of
+The vectorized frontier masks and the distance leaf scan of
 :mod:`repro.engine.soa.kernel` run in blocks of ``_BLOCK_ELEMS // dims``
 rows.  These tests pin the two halves of that contract:
 
 - blocks change only the schedule: with the block size shrunk until every
-  frontier level and leaf scan spans many blocks (down to one row per
-  block), range and distance batches still match the object kernel's
+  frontier level and distance leaf scan spans many blocks (down to one row
+  per block), range and distance batches still match the object kernel's
   results, per-query pages and charged reads exactly, and a timeout that
   fires mid-scan salvages only real hits;
 - blocks bound the memory: a COLHIST-like 64-d L1 distance batch, whose
@@ -32,7 +32,7 @@ from repro.geometry.rect import Rect
 from repro.resilience import Deadline, PartialResult, QueryTimeoutError
 
 # Every structure whose snapshot is array-only (rect / rect2 bounds), so
-# its masks and leaf scans take the blocked vectorized path.
+# its masks and distance leaf scans take the blocked vectorized path.
 RECT_STRUCTURES = ("hybrid", "rtree", "xtree", "kdbtree", "hbtree")
 DIMS = 4
 METRICS = (L1, L2, LINF, WeightedEuclidean(np.linspace(0.5, 2.0, DIMS)))
