@@ -77,6 +77,9 @@ class ELSTable:
         self.bits = bits
         self._live: dict[int, Rect] = {}
         self._track: set[int] | None = None
+        # Node ids changed since the owner last took the set; None while
+        # nobody listens (the tree's SOA snapshot refresh does).
+        self.journal: set[int] | None = None
 
     @property
     def enabled(self) -> bool:
@@ -95,16 +98,20 @@ class ELSTable:
         return {node_id: self._live.get(node_id) for node_id in touched}
 
     def set(self, node_id: int, live: Rect) -> None:
+        self._note(node_id)
+        self._live[node_id] = live
+
+    def _note(self, node_id: int) -> None:
         if self._track is not None:
             self._track.add(node_id)
-        self._live[node_id] = live
+        if self.journal is not None:
+            self.journal.add(node_id)
 
     def get(self, node_id: int) -> Rect | None:
         return self._live.get(node_id)
 
     def drop(self, node_id: int) -> None:
-        if self._track is not None:
-            self._track.add(node_id)
+        self._note(node_id)
         self._live.pop(node_id, None)
 
     def copy(self) -> "ELSTable":
@@ -123,8 +130,7 @@ class ELSTable:
 
     def merge_point(self, node_id: int, point: np.ndarray) -> None:
         """Grow a node's live box to absorb a newly inserted point."""
-        if self._track is not None:
-            self._track.add(node_id)
+        self._note(node_id)
         live = self._live.get(node_id)
         self._live[node_id] = (
             live.merge_point(point)

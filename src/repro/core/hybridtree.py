@@ -77,6 +77,16 @@ def _f32(x: float) -> float:
     return float(np.float32(x))
 
 
+def _f32_outward(x: float, toward: float) -> float:
+    """``x`` rounded to float32 toward ``toward``: the nearest float32 at
+    or above ``x`` for ``+inf``, at or below it for ``-inf`` — a widened
+    split position that still contains ``x``."""
+    v = np.float32(x)
+    if (toward > 0 and v < x) or (toward < 0 and v > x):
+        v = np.nextafter(v, np.float32(toward))
+    return float(v)
+
+
 class HybridTree:
     """Hybrid tree over a ``dims``-dimensional normalized feature space.
 
@@ -158,6 +168,8 @@ class HybridTree:
         self.nm.put(self._root_id, DataNode(dims, self.data_capacity), charge=False)
         self._height = 1
         self._count = 0
+        self._soa_snapshot = None
+        self._soa_refresher = None
         self._init_wal_state()
 
     def _init_wal_state(self) -> None:
@@ -222,6 +234,7 @@ class HybridTree:
         try:
             self._insert_inner(v, oid)
         except BaseException:
+            self._snapshot_stale(reuse=False)
             self._wal_abort(owns)
             raise
         self._wal_end(owns, "insert")
@@ -249,7 +262,7 @@ class HybridTree:
             self._split_data_node(path, node_id, node, v, oid)
         self._count += 1
         self.modified_since_save = True
-        self.invalidate_snapshot()
+        self._snapshot_stale()
 
     def _containment_descent(
         self, node_id: int, region: Rect, v: np.ndarray
@@ -286,7 +299,7 @@ class HybridTree:
         node = self.nm.get(node_id)
         while isinstance(node, IndexNode):
             descent.append((node_id, node, region))
-            node_id, region = self._choose_child(node, region, v)
+            node_id, region = self._choose_child(node_id, node, region, v)
             node = self.nm.get(node_id)
         descent.append((node_id, node, region))
         return descent
@@ -468,6 +481,7 @@ class HybridTree:
             view._height = self._height
             view._count = self._count
             view._soa_snapshot = None
+            view._soa_refresher = None
             view._soa_load_error = None
             view._init_wal_state()
             view.generation = self.generation
@@ -502,7 +516,7 @@ class HybridTree:
             }
 
     def _choose_child(
-        self, node: IndexNode, region: Rect, point: np.ndarray
+        self, node_id: int, node: IndexNode, region: Rect, point: np.ndarray
     ) -> tuple[int, Rect]:
         """Pick the child to descend into (min enlargement, ties by volume).
 
@@ -512,7 +526,8 @@ class HybridTree:
         point (possible after overlapping splits leave a one-sided hole), the
         least-enlargement leaf is chosen and the split positions on its kd
         path are widened to absorb the point — the hybrid-tree analogue of
-        R-tree region enlargement.
+        R-tree region enlargement; the widened node is written back
+        (``nm.put``), so the log and the snapshot refresh see it.
         """
         containing: list[tuple[float, KDLeaf, Rect]] = []
 
@@ -540,23 +555,38 @@ class HybridTree:
                 best_cost = cost
                 best_leaf_id = leaf.child_id
         assert best_leaf_id is not None
-        self._widen_path_to(node.kd_root, best_leaf_id, point)
-        leaf_region = kdnodes.region_of_child(node.kd_root, region, best_leaf_id)
-        return best_leaf_id, leaf_region
+        return best_leaf_id, self._widen_child(node_id, node, region, best_leaf_id, point, point)
 
-    def _widen_path_to(self, kd: KDNode, child_id: int, point: np.ndarray) -> bool:
+    def _widen_child(
+        self, node_id: int, node: IndexNode, region: Rect, child_id: int,
+        low: np.ndarray, high: np.ndarray,
+    ) -> Rect:
+        """Widen the kd path to ``child_id`` until the child's region
+        contains the box ``[low, high]``; writes the node back if a split
+        position moved.  Returns the child's region."""
+        child_region = kdnodes.region_of_child(node.kd_root, region, child_id)
+        if np.all(child_region.low <= low) and np.all(child_region.high >= high):
+            return child_region
+        self._widen_path_to(node.kd_root, child_id, low, high)
+        self.nm.put(node_id, node)
+        return kdnodes.region_of_child(node.kd_root, region, child_id)
+
+    def _widen_path_to(
+        self, kd: KDNode, child_id: int, low: np.ndarray, high: np.ndarray
+    ) -> bool:
         """Adjust lsp/rsp along the path to ``child_id`` so its region
-        contains ``point``.  Widening only increases overlap, never creates
-        gaps (``lsp`` grows / ``rsp`` shrinks)."""
+        contains the box ``[low, high]`` (a point when ``low is high``).
+        Widening only increases overlap, never creates gaps (``lsp`` grows
+        / ``rsp`` shrinks); positions round outward to float32."""
         if isinstance(kd, KDLeaf):
             return kd.child_id == child_id
-        if self._widen_path_to(kd.left, child_id, point):
-            if point[kd.dim] > kd.lsp:
-                kd.lsp = _f32(point[kd.dim])
+        if self._widen_path_to(kd.left, child_id, low, high):
+            if high[kd.dim] > kd.lsp:
+                kd.lsp = _f32_outward(high[kd.dim], np.inf)
             return True
-        if self._widen_path_to(kd.right, child_id, point):
-            if point[kd.dim] < kd.rsp:
-                kd.rsp = _f32(point[kd.dim])
+        if self._widen_path_to(kd.right, child_id, low, high):
+            if low[kd.dim] < kd.rsp:
+                kd.rsp = _f32_outward(low[kd.dim], -np.inf)
             return True
         return False
 
@@ -663,6 +693,7 @@ class HybridTree:
         try:
             removed = self._delete_inner(v, oid)
         except BaseException:
+            self._snapshot_stale(reuse=False)
             self._wal_abort(owns)
             raise
         self._wal_end(owns, "delete")
@@ -677,7 +708,7 @@ class HybridTree:
         self.nm.put(node_id, node)
         self._count -= 1
         self.modified_since_save = True
-        self.invalidate_snapshot()
+        self._snapshot_stale()
         min_entries = max(1, int(np.floor(self.min_fill * self.data_capacity)))
         if node.count >= min_entries or not path:
             if node.count > 0:
@@ -762,7 +793,11 @@ class HybridTree:
         while isinstance(node, IndexNode) and node.level > subtree_level + 1:
             path.append((node_id, node, region))
             self.els.set(node_id, (self.els.get(node_id) or live).merge(live))
-            node_id, region = self._choose_child(node, region, center)
+            child_id, _ = self._choose_child(node_id, node, region, center)
+            # The subtree keeps its points: every region on its new path
+            # must contain its whole live box, not just the center.
+            region = self._widen_child(node_id, node, region, child_id, live.low, live.high)
+            node_id = child_id
             node = self.nm.get(node_id)
         if not isinstance(node, IndexNode):
             raise RuntimeError("reinsert descended past the target level")
@@ -774,6 +809,9 @@ class HybridTree:
                 best = (cost, leaf.child_id, leaf_region)
         assert best is not None
         _, buddy_id, buddy_region = best
+        # The pair replaces the buddy's kd leaf, so the subtree inherits the
+        # buddy's kd path: widen it to hold the subtree's live box too.
+        self._widen_child(node_id, node, region, buddy_id, live.low, live.high)
         pair_kd = self._pair_children(buddy_id, buddy_region, subtree_id, live)
         node.kd_root = kdnodes.replace_leaf(node.kd_root, buddy_id, pair_kd)
         self.nm.put(node_id, node)
@@ -1075,27 +1113,62 @@ class HybridTree:
     # -- struct-of-arrays snapshot lifecycle ---------------------------
     @property
     def soa_snapshot(self):
-        """The attached SOA snapshot, or None (see :mod:`repro.engine.soa`)."""
-        return getattr(self, "_soa_snapshot", None)
+        """The attached, current SOA snapshot, or None (none attached, or
+        stale until the next batch refreshes it; see
+        :mod:`repro.engine.soa`)."""
+        return self._soa_snapshot
 
     def compile_snapshot(self, force: bool = False):
         """Compile (and attach) a struct-of-arrays snapshot of this tree.
 
         While attached, the batch query methods run on the vectorized SOA
         kernel (bit-identical results); ``save()`` persists it as a
-        checksummed section and ``open()`` re-attaches it.  Cached until
-        :meth:`invalidate_snapshot`; ``force=True`` recompiles."""
-        from repro.engine.soa import compile_snapshot
+        checksummed section and ``open()`` re-attaches it.  The snapshot
+        survives writes: an insert or delete marks it stale, and the next
+        batch (or this method, or ``save()``) refreshes it, re-deriving only
+        what the writes changed (:mod:`repro.engine.soa.refresh`).  Cached
+        until :meth:`invalidate_snapshot`; ``force=True`` recompiles from
+        scratch."""
+        from repro.engine.soa.refresh import SnapshotRefresher
 
-        snap = getattr(self, "_soa_snapshot", None)
-        if snap is None or force:
-            snap = compile_snapshot(self)
-            self._soa_snapshot = snap
-        return snap
+        if force or (self._soa_snapshot is None and self._soa_refresher is None):
+            self.invalidate_snapshot()
+            self._soa_refresher = SnapshotRefresher(self)
+        return self.refresh_snapshot()
+
+    def refresh_snapshot(self):
+        """The snapshot the batch kernels should run on: the attached one,
+        first brought up to date if writes left it stale; None when no
+        snapshot is kept (never compiled, or :meth:`invalidate_snapshot`)."""
+        if self._soa_snapshot is None and self._soa_refresher is not None:
+            with self._commit_lock:
+                self._soa_snapshot = self._soa_refresher.refresh()
+        return self._soa_snapshot
 
     def invalidate_snapshot(self) -> None:
-        """Drop the attached snapshot (every mutation calls this)."""
+        """Drop the attached snapshot and stop keeping one: batches run on
+        the object-walk kernel until the next :meth:`compile_snapshot`."""
         self._soa_snapshot = None
+        if self._soa_refresher is not None:
+            self._soa_refresher.detach()
+            self._soa_refresher = None
+
+    def _snapshot_stale(self, reuse: bool = True) -> None:
+        """Every mutation: a kept snapshot goes stale, to be refreshed by
+        the next batch.  ``reuse=False`` (a mutation that raised, possibly
+        after editing a node in place without ``nm.put``) makes that
+        refresh a full compile.  O(1): the page and ELS journals already
+        hold what changed."""
+        if self._soa_snapshot is not None and self._soa_refresher is None:
+            from repro.engine.soa.refresh import SnapshotRefresher
+
+            # Attached without reuse state (loaded from the file, or set
+            # directly): keep it alive through a full compile.
+            self._soa_refresher = SnapshotRefresher(self)
+            reuse = False
+        self._soa_snapshot = None
+        if not reuse and self._soa_refresher is not None:
+            self._soa_refresher.discard()
 
     def session(
         self,
@@ -1220,7 +1293,7 @@ class HybridTree:
             # the manifest.  fsck knows the section via manifest["soa"];
             # everything else skips pages past the node region.
             soa_loc = None
-            snap = getattr(self, "_soa_snapshot", None)
+            snap = self.refresh_snapshot()
             if snap is not None and snap.array_only:
                 from repro.engine.soa import (
                     SNAPSHOT_SECTION_VERSION,
@@ -1440,6 +1513,7 @@ class HybridTree:
             tree.wal_replayed_transactions = scan.transactions
             # The persisted SOA snapshot predates the replayed mutations.
             tree._soa_snapshot = None
+            tree._soa_refresher = None
             tree._soa_load_error = (
                 f"stale after WAL replay of {scan.transactions} transaction(s)"
                 if manifest.get("soa") is not None
@@ -1497,6 +1571,8 @@ class HybridTree:
         ``_soa_load_error`` and ``repro fsck`` reports it.
         """
         self._soa_load_error: str | None = None
+        self._soa_snapshot = None
+        self._soa_refresher = None
         loc = manifest.get("soa")
         if loc is None:
             return

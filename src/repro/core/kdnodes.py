@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
+import numpy as np
+
 from repro.geometry.rect import Rect
 
 
@@ -136,6 +138,42 @@ def leaves_with_regions(node: KDNode, region: Rect) -> Iterator[tuple[KDLeaf, Re
         return
     yield from leaves_with_regions(node.left, region.clip_below(node.dim, node.lsp))
     yield from leaves_with_regions(node.right, region.clip_above(node.dim, node.rsp))
+
+
+def leaf_region_arrays(
+    node: KDNode, low: np.ndarray, high: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`leaves_with_regions` as arrays: ``(child_ids, lows, highs)``.
+
+    Leaves are numbered left to right, so each internal node's two
+    subtrees own two contiguous row ranges; applying every internal node's
+    clamped clip (as :meth:`Rect.clip_below` / :meth:`Rect.clip_above` do)
+    to its ranges in pre-order gives each row exactly the clips of its kd
+    path, in path order — the same floats, without a ``Rect`` per step.
+    """
+    ids: list[int] = []
+    clips: list[tuple] = []
+
+    def walk(kd: KDNode) -> None:
+        if isinstance(kd, KDLeaf):
+            ids.append(kd.child_id)
+            return
+        at = len(clips)
+        clips.append(None)
+        first = len(ids)
+        walk(kd.left)
+        mid = len(ids)
+        walk(kd.right)
+        clips[at] = (first, mid, len(ids), kd.dim, kd.lsp, kd.rsp)
+
+    walk(node)
+    lows = np.tile(np.asarray(low, dtype=np.float64), (len(ids), 1))
+    highs = np.tile(np.asarray(high, dtype=np.float64), (len(ids), 1))
+    for first, mid, end, dim, lsp, rsp in clips:
+        left, right = slice(first, mid), slice(mid, end)
+        highs[left, dim] = np.minimum(highs[left, dim], np.maximum(lsp, lows[left, dim]))
+        lows[right, dim] = np.maximum(lows[right, dim], np.minimum(rsp, highs[right, dim]))
+    return np.asarray(ids, dtype=np.int64), lows, highs
 
 
 def region_of_child(node: KDNode, region: Rect, child_id: int) -> Rect:

@@ -28,10 +28,12 @@ answer depends on the visit order, matches the single-query method too.
 
 :func:`dispatch` is the one place that picks the engine for a checked
 :class:`~repro.engine.query.QueryBatch`: the vectorized SOA kernel when a
-snapshot is attached (:mod:`repro.engine.soa`), the object-walk kernel
-otherwise — results are identical either way.  It also validates
-``on_timeout`` and the index's capabilities (box geometry, metric) once,
-answers an empty batch without touching the tree, and turns ``timeout=``
+snapshot is attached (:mod:`repro.engine.soa`; a hybrid tree's snapshot
+survives writes and is refreshed here, by the first batch after them),
+the object-walk kernel otherwise — results are identical either way.  It
+also validates ``on_timeout`` and the index's capabilities (box
+geometry, metric) once, answers an empty batch without touching the
+tree, and turns ``timeout=``
 (seconds, or a :class:`~repro.resilience.Deadline` carrying a
 :class:`CancelToken`) into the deadline the kernels check: ``"raise"``
 surfaces a typed :class:`~repro.resilience.QueryTimeoutError`,
@@ -73,8 +75,9 @@ def dispatch(
     timeout=None,
     on_timeout: str = "raise",
 ):
-    """Run a checked batch on the SOA kernel if ``index`` has a snapshot
-    attached, else on the object-walk kernel.
+    """Run a checked batch on the SOA kernel if ``index`` keeps a snapshot
+    (refreshing it first if writes left it stale), else on the object-walk
+    kernel.
 
     Returns one result list per query; with ``return_metrics=True`` also a
     :class:`~repro.engine.metrics.BatchMetrics` labelled ``batch.label``.
@@ -96,8 +99,10 @@ def dispatch(
         )
     deadline = Deadline.coerce(timeout)
     # The kernel tables are built per call, so a wrapper installed on a
-    # kernel module's function sees every batch.
-    snap = active_snapshot(index)
+    # kernel module's function sees every batch.  A snapshot that writes
+    # left stale is refreshed here, by the batch that first needs it.
+    refresh = getattr(index, "refresh_snapshot", None)
+    snap = refresh() if refresh is not None else active_snapshot(index)
     if snap is not None:
         run = {
             RANGE: soa_kernel.soa_range_search_many,

@@ -32,8 +32,9 @@ The tree is any object with the fields below, laid out like a
     SOA kernel marks them visited).
 ``is_leaf``, ``first_edge``, ``n_edges``, ``edge_child``, ``node_ref``
     Per-occurrence and per-edge arrays.
-``leaf_start``, ``leaf_end``, ``points64``, ``oids``
-    Each leaf occurrence's rows of the float64 points and their oids.
+``leaf_start``, ``leaf_end``, ``points``, ``oids``
+    Each leaf occurrence's rows of the points and their oids.  The points
+    may be float32: the scans upcast them exactly to float64.
 ``dedup``
     Scan each ``(page, query)`` pair once (the hB-tree's shared pages).
 ``mindist(e, q)``
@@ -85,11 +86,16 @@ def rowwise_distances(metric: Metric, a: np.ndarray, b: np.ndarray) -> np.ndarra
     exactly the elementwise steps and ``axis=1`` reduction of
     ``distance_batch`` / ``mindist_rect_batch`` (for a
     :func:`rowwise_metric`), so every row is bitwise equal to theirs.
-    Holds no more temporaries at once than those methods do."""
+
+    ``b`` is scratch: the float64 difference is formed in it, so callers
+    pass a fresh array (a gather or a clip).  ``b - a`` is bitwise
+    ``-(a - b)`` — IEEE subtraction is antisymmetric — and every metric
+    here takes its absolute value or squares it, so the sign never shows.
+    ``a`` may be float32 rows; the subtraction promotes them exactly."""
+    diff = np.subtract(b, a, out=b)
     if isinstance(metric, WeightedEuclidean):
-        diff = a - b
         return np.sqrt((metric.weights * diff * diff).sum(axis=1))
-    return _lp_reduce(metric, np.abs(a - b))
+    return _lp_reduce(metric, np.abs(diff, out=diff))
 
 
 def _lp_reduce(metric: LpMetric, diff: np.ndarray) -> np.ndarray:
@@ -210,10 +216,12 @@ def _scan_leaves(tree, nodes, q, qs, metric, topk: TopK, scanned) -> None:
     starts, sizes, q = starts[nz], sizes[nz], q[nz]
     if not q.size:
         return
-    points, oids = tree.points64, tree.oids
+    points, oids = tree.points, tree.oids
     if not rowwise_metric(metric):
         for s, size, qi in zip(starts.tolist(), sizes.tolist(), q.tolist()):
-            d = metric.distance_batch(points[s : s + size], qs[qi])
+            d = metric.distance_batch(
+                np.asarray(points[s : s + size], dtype=np.float64), qs[qi]
+            )
             topk.merge(np.full(size, qi), d, oids[s : s + size])
         return
     rows = np.repeat(starts, sizes) + concat_ranges(sizes)

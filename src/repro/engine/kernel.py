@@ -420,7 +420,7 @@ class _ReachedTree:
         self.first_edge, self.n_edges = self._first.data, self._count.data
         self.edge_child = self._child.data
         self.leaf_start, self.leaf_end = self._start.data, self._end.data
-        self.points64, self.oids = self._points.data, self._oids.data
+        self.points, self.oids = self._points.data, self._oids.data
 
     def load(self, nodes: np.ndarray) -> None:
         for occ in np.unique(nodes[~self._loaded.data[nodes]]).tolist():

@@ -14,9 +14,12 @@ operations row-wise, same DFS output order, same ``(distance, oid)`` k-NN
 total order, same hB-tree de-duplication semantics — which the conformance
 suite (``tests/test_soa_conformance.py``) asserts with ``==``.
 
-Snapshots are derived data: any mutation invalidates them
-(``invalidate_snapshot``), after which queries fall back to the object
-walk until the index is re-compiled.  For the hybrid tree,
+Snapshots are derived data.  A hybrid tree keeps its snapshot through
+writes: an insert or delete marks it stale, and the next batch refreshes
+it, re-deriving only the rows the writes changed
+(:mod:`repro.engine.soa.refresh`).  The baselines drop theirs on every
+mutation and fall back to the object walk until re-compiled, and
+``invalidate_snapshot`` is that opt-out for any index.  For the hybrid tree,
 ``HybridTree.save`` persists the compiled snapshot as a checksummed raw
 section of the single-file format and ``HybridTree.open(mmap=True)`` maps
 the arrays back zero-copy (:mod:`repro.engine.soa.persist`).

@@ -26,9 +26,10 @@ Bit-identity rules (asserted by ``tests/test_soa_conformance.py``):
   and all sphere geometry fall back to *per-edge grouped* calls of the
   exact same ``ChildBound`` / ``mindist_rect_many`` code the object
   kernel runs;
-- leaf scans call ``metric.distance_batch`` on float64 slices with the
-  same values and layout as the object kernel's per-leaf
-  ``pts.astype(np.float64)``;
+- leaf scans see the float32 leaf rows upcast exactly to float64, as the
+  object kernel's per-leaf ``pts.astype(np.float64)`` does: row-wise
+  metrics get the float32 rows and let the subtraction promote them, the
+  range stage and per-leaf metric calls upcast the rows they use;
 - large row-wise passes (vectorized frontier masks, the distance leaf
   scan) run in blocks of ``_BLOCK_ELEMS // dims`` rows; a row's result
   never depends on its neighbours, so blocks change peak memory and cache
@@ -58,6 +59,7 @@ from repro.engine.bestfirst import concat_ranges as _concat_ranges
 from repro.engine.bestfirst import per_edge_eval as _per_edge_eval
 from repro.engine.kernel import _finish, _reads, _wrap_partial
 from repro.engine.query import QueryBatch
+from repro.engine.soa.snapshot import round_out_f32
 from repro.resilience import Deadline, QueryTimeoutError
 from repro.storage.iostats import AccessKind
 
@@ -148,15 +150,7 @@ def _conservative_query_f32(
     float32 data never rejects a row the exact float64 comparison keeps —
     the prefilter side of the prefilter-then-exact-check pattern.
     """
-    lo = lows.astype(np.float32)
-    lo = np.where(
-        lo.astype(np.float64) > lows, np.nextafter(lo, np.float32(-np.inf)), lo
-    )
-    hi = highs.astype(np.float32)
-    hi = np.where(
-        hi.astype(np.float64) < highs, np.nextafter(hi, np.float32(np.inf)), hi
-    )
-    return lo, hi
+    return round_out_f32(lows, highs)
 
 
 class _PairBounds:
@@ -471,7 +465,7 @@ def soa_range_search_many(
                 )
             )
             pidx, qrow, hocc = pidx[keep], qrow[keep], hocc[keep]
-            rest64 = snap.points64[pidx, 1:]
+            rest64 = snap.points[pidx, 1:].astype(np.float64)
             exact = np.all(
                 (rest64 >= lows[qrow, 1:]) & (rest64 <= highs[qrow, 1:]), axis=1
             )
@@ -530,11 +524,12 @@ def soa_distance_range_many(
             # an ``axis=1`` reduction — per-row results don't depend on which
             # other rows ride along, so evaluating every (leaf, query, point)
             # row in flat blocks is bit-identical to the object kernel's
-            # per-leaf calls.
+            # per-leaf calls.  The float32 rows go in as they are; the
+            # subtraction promotes them exactly.
             for pidx, qrow in _pair_point_rows(snap, occ, lq):
                 if deadline is not None:
                     deadline.check()
-                dists = rowwise_distances(metric, snap.points64[pidx], qs[qrow])
+                dists = rowwise_distances(metric, snap.points[pidx], qs[qrow])
                 hits = np.flatnonzero(dists <= radii[qrow])
                 if hits.size:
                     hit_q.append(qrow[hits])
@@ -548,7 +543,7 @@ def soa_distance_range_many(
                     deadline.check()
                 s, e = snap.leaf_start[node], snap.leaf_end[node]
                 if e > s:
-                    points64 = snap.points64[s:e]
+                    points64 = snap.points[s:e].astype(np.float64)
                     oids = snap.oids[s:e]
                     for qi in alive:
                         dists = metric.distance_batch(points64, qs[qi])
@@ -587,7 +582,7 @@ class _SnapshotTree:
         self.edge_child = snap.edge_child
         self.node_ref = snap.node_ref
         self.leaf_start, self.leaf_end = snap.leaf_start, snap.leaf_end
-        self.points64, self.oids = snap.points64, snap.oids
+        self.points, self.oids = snap.points, snap.oids
         self._pred, self._qs = pred, qs
 
     def load(self, nodes: np.ndarray) -> None:

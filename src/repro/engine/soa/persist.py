@@ -70,15 +70,18 @@ def _align(n: int) -> int:
     return (n + _ALIGN - 1) // _ALIGN * _ALIGN
 
 
-def serialize_snapshot(snap: SOASnapshot) -> bytes:
-    """Pack ``snap`` into one contiguous byte section."""
+def serialize_snapshot(snap: SOASnapshot) -> bytearray:
+    """Pack ``snap`` into one contiguous byte section.
+
+    The section is allocated once at its final size and each array copied
+    into place, so serializing holds one copy of the arrays, not three."""
     if not snap.array_only:
         raise ValueError(
             f"snapshot kind {snap.kind!r} needs live bound objects and "
             "cannot be persisted; only rect-bounded kinds serialize"
         )
     descriptors = []
-    blobs = []
+    arrays = []
     for name in _ARRAY_FIELDS:
         arr = getattr(snap, name)
         if arr is None:
@@ -93,7 +96,7 @@ def serialize_snapshot(snap: SOASnapshot) -> bytes:
                 "offset": 0,
             }
         )
-        blobs.append(arr.tobytes())
+        arrays.append(arr)
 
     # Two passes: descriptor offsets change the header length, which
     # changes the offsets.  Padding the header to alignment first makes the
@@ -111,24 +114,26 @@ def serialize_snapshot(snap: SOASnapshot) -> bytes:
         encoded = json.dumps(header, separators=(",", ":")).encode()
         pos = _align(len(_MAGIC) + 4 + len(encoded))
         changed = False
-        for desc, blob in zip(descriptors, blobs):
+        for desc, arr in zip(descriptors, arrays):
             if desc["offset"] != pos:
                 desc["offset"] = pos
                 changed = True
-            pos = _align(pos + len(blob))
+            pos = _align(pos + arr.nbytes)
         if not changed:
             break
     else:  # pragma: no cover - offsets always converge in two passes
         raise AssertionError("snapshot header layout did not converge")
 
-    out = bytearray()
-    out += _MAGIC
-    out += struct.pack("<I", len(encoded))
-    out += encoded
-    for desc, blob in zip(descriptors, blobs):
-        out += b"\x00" * (desc["offset"] - len(out))
-        out += blob
-    return bytes(out)
+    head = len(_MAGIC) + 4 + len(encoded)
+    total = descriptors[-1]["offset"] + arrays[-1].nbytes if arrays else head
+    out = bytearray(total)
+    out[: len(_MAGIC)] = _MAGIC
+    struct.pack_into("<I", out, len(_MAGIC), len(encoded))
+    out[len(_MAGIC) + 4 : head] = encoded
+    flat = np.frombuffer(out, dtype=np.uint8)
+    for desc, arr in zip(descriptors, arrays):
+        flat[desc["offset"] : desc["offset"] + arr.nbytes] = arr.reshape(-1).view(np.uint8)
+    return out
 
 
 def deserialize_snapshot(buf) -> SOASnapshot:

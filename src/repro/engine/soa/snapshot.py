@@ -78,14 +78,10 @@ class SOASnapshot:
     # Original ChildBound objects, required by the sphere kinds (see module
     # docstring); never persisted.
     edge_bounds: list | None = None
-    # Derived, built once per snapshot: the float64 copy every distance
-    # scan uses (the object kernel's per-leaf ``pts.astype(np.float64)``).
-    points64: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in BOUND_KINDS:
             raise ValueError(f"unknown bound kind {self.kind!r}")
-        self.points64 = self.points.astype(np.float64)
 
     @property
     def n_nodes(self) -> int:
@@ -120,7 +116,7 @@ class SOASnapshot:
             return cached
         perm = np.arange(self.n_points, dtype=np.int64)
         scol = (
-            np.ascontiguousarray(self.points64[:, 0])
+            self.points[:, 0].astype(np.float64)
             if self.points.shape[1]
             else np.empty(0)
         )
@@ -145,16 +141,20 @@ class SOASnapshot:
         prefilter in front of the exact check.
         """
         cached = getattr(self, "_boxes32", None)
-        if cached is not None:
-            return cached
-        lo = self.box_low.astype(np.float32)
-        rounded_up = lo.astype(np.float64) > self.box_low
-        lo = np.where(rounded_up, np.nextafter(lo, np.float32(-np.inf)), lo)
-        hi = self.box_high.astype(np.float32)
-        rounded_down = hi.astype(np.float64) < self.box_high
-        hi = np.where(rounded_down, np.nextafter(hi, np.float32(np.inf)), hi)
-        self._boxes32 = (lo, hi)
-        return self._boxes32
+        if cached is None:
+            cached = self._boxes32 = round_out_f32(self.box_low, self.box_high)
+        return cached
+
+
+def round_out_f32(low: np.ndarray, high: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float32 box rows enclosing float64 ``low``/``high`` rows: lows
+    rounded down, highs up.  Elementwise, so any subset of rows comes out
+    the same as it does within the whole array."""
+    lo = low.astype(np.float32)
+    lo = np.where(lo.astype(np.float64) > low, np.nextafter(lo, np.float32(-np.inf)), lo)
+    hi = high.astype(np.float32)
+    hi = np.where(hi.astype(np.float64) < high, np.nextafter(hi, np.float32(np.inf)), hi)
+    return lo, hi
 
 
 def active_snapshot(index) -> SOASnapshot | None:

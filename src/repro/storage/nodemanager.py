@@ -100,6 +100,10 @@ class NodeManager:
         self._pinned: set[int] = set()
         self._track_written: set[int] | None = None
         self._track_freed: set[int] | None = None
+        # Page ids put since the owner last took the set (a freed page is
+        # unreachable, and a reused id is put again); None while nobody
+        # listens (the tree's SOA snapshot refresh does).
+        self.journal: set[int] | None = None
 
     # ------------------------------------------------------------------
     # Core protocol used by the index structures
@@ -161,6 +165,8 @@ class NodeManager:
         if self._track_written is not None:
             self._track_written.add(page_id)
             self._track_freed.discard(page_id)
+        if self.journal is not None:
+            self.journal.add(page_id)
         self._cache[page_id] = node
         if self.max_cached is not None:
             self._cache.move_to_end(page_id)

@@ -264,6 +264,21 @@ class TestDeletion:
         expected = {i for i in brute_force_range(data, q) if i in set(alive)}
         assert set(tree.range_search(q)) == expected
 
+    def test_index_underflow_reinsertion_keeps_points_in_regions(self):
+        """Small pages make index nodes underflow, so deletes reinsert whole
+        subtrees; every region on a subtree's new path must hold its live
+        box, or its points escape and later deletes and queries miss them."""
+        rng = np.random.default_rng(7)
+        data = rng.random((845, 4)).astype(np.float32)
+        tree = build_dynamic(data, page_size=256)
+        alive = list(range(len(data)))
+        for _ in range(720):
+            oid = alive.pop(int(rng.integers(len(alive))))
+            assert tree.delete(data[oid], oid), oid
+        tree.validate()
+        q = Rect([0.2] * 4, [0.7] * 4)
+        assert set(tree.range_search(q)) == brute_force_range(data, q) & set(alive)
+
     def test_interleaved_insert_delete_query(self, rng):
         dims = 4
         tree = HybridTree(dims)

@@ -81,7 +81,15 @@ class TestCountRange:
 
 
 class HybridTreeMachine(RuleBasedStateMachine):
-    """Stateful fuzz: the tree must always agree with a dict reference."""
+    """Stateful fuzz: the tree must always agree with a dict reference.
+
+    Once a rule has compiled the SOA snapshot, it is kept through every
+    later insert and delete, and the SOA batch answers must equal a numpy
+    brute force over the reference after any interleaving of writes.
+    """
+
+    BOXES = [Rect(np.full(3, lo), np.full(3, lo + 0.3)) for lo in (0.0, 0.2, 0.45, 0.7)]
+    CENTERS = np.array([[0.1, 0.5, 0.9], [0.5, 0.5, 0.5], [0.8, 0.2, 0.3]], dtype=np.float32)
 
     def __init__(self):
         super().__init__()
@@ -141,6 +149,26 @@ class HybridTreeMachine(RuleBasedStateMachine):
         rows = np.array([v for v in self.reference.values()], dtype=np.float64)
         expected = np.sort(np.abs(rows - q).sum(axis=1))[:3]
         assert np.allclose([d for _, d in got], expected, atol=1e-6)
+
+    @rule()
+    def compile_snapshot(self):
+        self.tree.compile_snapshot()
+
+    @invariant()
+    def soa_batches_match_brute_force(self):
+        if not hasattr(self, "tree") or self.tree.refresh_snapshot() is None:
+            return
+        oids = np.array(sorted(self.reference), dtype=np.int64)
+        rows = np.array([self.reference[o] for o in oids], dtype=np.float64).reshape(-1, 3)
+        for box, got in zip(self.BOXES, self.tree.range_search_many(self.BOXES)):
+            inside = np.all((rows >= box.low) & (rows <= box.high), axis=1)
+            assert sorted(got) == oids[inside].tolist()
+        k = 4
+        for center, got in zip(self.CENTERS, self.tree.knn_many(self.CENTERS, k, L2)):
+            dists = L2.distance_batch(rows, center.astype(np.float64))
+            order = np.lexsort((oids, dists))[:k]
+            assert got == [(int(oids[i]), float(dists[i])) for i in order]
+        assert self.tree.soa_snapshot is not None
 
     @invariant()
     def size_agrees(self):
