@@ -50,12 +50,16 @@ semantics"):
   the parent's wall-clock guard after a short grace period and — in
   process modes — terminated and respawned.
 - process workers are supervised directly (no ``Pool.map``): each worker
-  is a long-lived process with a private task queue and a shared result
-  queue.  A worker found dead is respawned and its partition retried up
-  to ``worker_restarts`` times; exhaustion surfaces as a typed
-  :class:`~repro.resilience.WorkerCrashError` naming the partition.
-  Results are tagged with a per-call id, so stragglers from an abandoned
-  call can never be mistaken for current answers.
+  is a long-lived process with a private task queue and a private result
+  pipe.  Nothing a worker writes to is shared with a sibling, so a worker
+  killed mid-write (terminated, or an injected ``os._exit``) can only
+  break its own channel, which is replaced with it — a shared
+  ``multiprocessing.Queue`` would keep the dead writer's lock held and
+  silence every other worker for good.  A worker found dead is respawned
+  and its partition retried up to ``worker_restarts`` times; exhaustion
+  surfaces as a typed :class:`~repro.resilience.WorkerCrashError` naming
+  the partition.  Results are tagged with a per-call id, so stragglers
+  from an abandoned call can never be mistaken for current answers.
 - the first failing partition cancels its siblings (token in thread mode,
   terminate + respawn in process modes) and propagates with the partition
   label attached (``exc.partition``) — no leaked workers, no swallowed
@@ -105,8 +109,8 @@ from __future__ import annotations
 import copy
 import multiprocessing
 import os
-import queue as queue_mod
 import time
+from multiprocessing.connection import wait as wait_ready
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
 import numpy as np
@@ -214,7 +218,7 @@ def _run_partition(
     return results, visits, metrics.charged_reads, delta, completed
 
 
-def _supervised_worker_main(path: str, mmap: bool, task_q, result_q) -> None:
+def _supervised_worker_main(path: str, mmap: bool, task_q, result_conn) -> None:
     """Main loop of a supervised worker process.
 
     Opens its own tree handle once (caches stay warm across batches), then
@@ -223,7 +227,9 @@ def _supervised_worker_main(path: str, mmap: bool, task_q, result_q) -> None:
     the call id so the parent can discard stragglers from abandoned calls.
     Failures are shipped back as exception objects; only a death (or an
     injected ``os._exit``) leaves the parent without an answer, which is
-    exactly the condition its liveness check exists for.
+    exactly the condition its liveness check exists for.  Replies go out
+    synchronously on the worker's own pipe (``send`` pickles before it
+    writes), so no reply is left half-sent by a background thread.
     """
     tree = _open_worker_tree(path, mmap)
     while True:
@@ -236,32 +242,45 @@ def _supervised_worker_main(path: str, mmap: bool, task_q, result_q) -> None:
             out = _run_partition(
                 tree, batch, deadline, on_timeout, fault, in_process=True
             )
-            result_q.put((call_id, part_idx, True, out))
+            result_conn.send((call_id, part_idx, True, out))
         except BaseException as exc:  # noqa: BLE001 - transported to parent
             try:
-                result_q.put((call_id, part_idx, False, exc))
+                result_conn.send((call_id, part_idx, False, exc))
             except Exception:
-                result_q.put(
+                result_conn.send(
                     (call_id, part_idx, False, RuntimeError(repr(exc)))
                 )
 
 
 class _ProcWorker:
-    """One supervised worker process plus its private task queue."""
+    """One supervised worker process, its task queue and its result pipe."""
 
-    __slots__ = ("proc", "task_q")
+    __slots__ = ("proc", "task_q", "results")
 
-    def __init__(self, ctx, path: str, mmap: bool, result_q):
+    def __init__(self, ctx, path: str, mmap: bool):
         self.task_q = ctx.Queue()
+        self.results, writer = ctx.Pipe(duplex=False)
         self.proc = ctx.Process(
             target=_supervised_worker_main,
-            args=(path, mmap, self.task_q, result_q),
+            args=(path, mmap, self.task_q, writer),
             daemon=True,
         )
         self.proc.start()
+        # The worker holds the only write end: its exit reads as EOF here.
+        writer.close()
 
     def alive(self) -> bool:
         return self.proc.is_alive()
+
+    def _release(self) -> None:
+        """Drop the channels.  A task the worker never read is discarded
+        rather than left for the queue's feeder thread to flush at exit."""
+        self.task_q.cancel_join_thread()
+        self.task_q.close()
+        self.results.close()
+        # Release the process object's pipes/sentinel eagerly.
+        if not self.proc.is_alive():
+            self.proc.close()
 
     def stop(self, join_timeout: float = 1.0) -> None:
         """Bounded shutdown: ask politely, then terminate, then kill."""
@@ -276,10 +295,7 @@ class _ProcWorker:
                 self.proc.kill()
                 self.proc.join(timeout=join_timeout)
         finally:
-            self.task_q.close()
-            # Release the process object's pipes/sentinel eagerly.
-            if not self.proc.is_alive():
-                self.proc.close()
+            self._release()
 
     def terminate(self) -> None:
         """Immediate reclaim of a wedged or cancelled worker."""
@@ -289,9 +305,12 @@ class _ProcWorker:
         if self.proc.is_alive():  # pragma: no cover - last resort
             self.proc.kill()
             self.proc.join(timeout=1.0)
-        self.task_q.close()
-        if not self.proc.is_alive():
-            self.proc.close()
+        self._release()
+
+    def reap(self) -> None:
+        """Release a worker that already died."""
+        self.proc.join(timeout=0.1)
+        self._release()
 
 
 def _annotate(exc: BaseException, label: str) -> BaseException:
@@ -373,7 +392,6 @@ class ParallelQueryEngine:
         self._source = None
         self._pool = None
         self._ctx = None
-        self._result_q = None
         if isinstance(source, (str, os.PathLike)):
             from repro.storage import superblock as superblock_io
 
@@ -387,10 +405,8 @@ class ParallelQueryEngine:
                 ]
             else:
                 self._ctx = multiprocessing.get_context(mode)
-                self._result_q = self._ctx.Queue()
                 self._procs = [
-                    _ProcWorker(self._ctx, self.path, mmap, self._result_q)
-                    for _ in range(workers)
+                    _ProcWorker(self._ctx, self.path, mmap) for _ in range(workers)
                 ]
         else:
             if mode != "thread":
@@ -463,19 +479,16 @@ class ParallelQueryEngine:
     def _respawn_proc(self, i: int, terminate: bool) -> None:
         """Reclaim process worker ``i`` and start a fresh one.
 
-        A fresh task queue comes with the fresh process, so a task the
-        dead worker never consumed cannot be replayed by its successor.
+        Fresh channels come with the fresh process, so a task the dead
+        worker never consumed cannot be replayed by its successor, and a
+        reply it left half-written is never read.
         """
         worker = self._procs[i]
         if terminate:
             worker.terminate()
         else:
-            # Already dead; just reap the process object.
-            worker.proc.join(timeout=0.1)
-            worker.task_q.close()
-            if not worker.proc.is_alive():
-                worker.proc.close()
-        self._procs[i] = _ProcWorker(self._ctx, self.path, self.mmap, self._result_q)
+            worker.reap()
+        self._procs[i] = _ProcWorker(self._ctx, self.path, self.mmap)
         self.restarts_performed += 1
 
     # ------------------------------------------------------------------
@@ -600,7 +613,7 @@ class ParallelQueryEngine:
         """Supervised process-mode dispatch (fork/spawn).
 
         Same contract as :meth:`_dispatch_thread`.  Liveness is polled on
-        every result-queue tick: a dead worker is respawned and its
+        every result-pipe tick: a dead worker is respawned and its
         partition retried within the restart budget; a worker still
         running past deadline + grace is terminated and — under
         ``"partial"`` — its partition reported incomplete.
@@ -641,13 +654,17 @@ class ParallelQueryEngine:
             raise exc
 
         while pending:
-            try:
-                msg = self._result_q.get(timeout=_TICK)
-            except queue_mod.Empty:
-                msg = None
-            if msg is not None:
-                msg_call, i, ok, val = msg
-                if msg_call != call_id or i not in pending:
+            conns = {self._procs[i].results: i for i in pending}
+            for conn in wait_ready(list(conns), timeout=_TICK):
+                i = conns[conn]
+                try:
+                    msg = conn.recv()
+                except (EOFError, OSError):
+                    # The worker exited: let the liveness check reap it.
+                    self._procs[i].proc.join(timeout=_TICK)
+                    continue
+                msg_call, part_idx, ok, val = msg
+                if msg_call != call_id or part_idx != i:
                     continue  # straggler from an abandoned call
                 kind = tasks[i][0].kind
                 if ok:
@@ -659,8 +676,7 @@ class ParallelQueryEngine:
                 else:
                     pending.discard(i)
                     fail_siblings(_annotate(val, self._label(kind, i, total)))
-                continue
-            # No result this tick: check for dead workers ...
+            # Check for dead workers ...
             for i in sorted(pending):
                 if self._procs[i].alive():
                     continue
@@ -822,9 +838,6 @@ class ParallelQueryEngine:
             procs, self._procs = self._procs, []
             for worker in procs:
                 worker.stop()
-            if self._result_q is not None:
-                self._result_q.close()
-                self._result_q = None
 
     def __enter__(self) -> "ParallelQueryEngine":
         return self

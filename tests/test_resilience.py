@@ -487,6 +487,23 @@ def test_no_leaked_workers_after_close(saved_path, workload, mode):
         assert_no_child_procs()
 
 
+@pytest.mark.parametrize("mode", PROCESS_MODES)
+def test_repeated_deaths_never_silence_the_sibling(saved_path, workload, serial, mode):
+    """A worker that dies just after a reply must not take its sibling's
+    reply channel down with it.  With one result queue shared by all
+    workers, a death inside the queue's write lock blocked every later
+    reply; the deadline turns such a stall into a failure, not a hang."""
+    with ParallelQueryEngine(saved_path, workers=2, mode=mode) as eng:
+        for _ in range(6):
+            assert eng.knn_many(np.zeros((2, DIMS)), 1, timeout=20.0)
+            eng.inject_faults({1: WorkerFault("die")})
+            out = eng.knn_many(workload["centers"], 5, timeout=20.0)
+            assert not isinstance(out, PartialResult)
+            assert out == serial["knn"]
+        assert eng.restarts_performed >= 6
+    assert_no_child_procs()
+
+
 def test_close_after_crash_terminates_wedged_pool(saved_path, workload):
     mode = PROCESS_MODES[0] if PROCESS_MODES else None
     if mode is None:
