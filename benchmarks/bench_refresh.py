@@ -9,7 +9,7 @@ equal a from-scratch compile, and times that compile.
 
 The gate is direct accounting, not wall time: at full scale
 (``REPRO_SCALE >= 1``) the median round may re-derive at most 5% of the
-edge boxes (``ELSTable.effective_rect`` calls) and re-read at most 5%
+edge boxes (rows through ``ELSTable.effective_boxes``) and re-read at most 5%
 of the leaves.  The times are reported beside it, with the host, in
 ``benchmarks/results/BENCH_refresh.json``.
 """
@@ -43,12 +43,12 @@ def _same_arrays(a, b) -> bool:
 
 def test_refresh_vs_compile(run_once, report, monkeypatch):
     calls = {"rect": 0, "leaf": 0}
-    effective_rect = ELSTable.effective_rect
+    effective_boxes = ELSTable.effective_boxes
     leaf_points = HybridTree.trav_leaf_points
 
-    def counted_rect(self, *args):
-        calls["rect"] += 1
-        return effective_rect(self, *args)
+    def counted_boxes(self, ids, *args):
+        calls["rect"] += len(ids)
+        return effective_boxes(self, ids, *args)
 
     def counted_points(self, node):
         calls["leaf"] += 1
@@ -72,7 +72,7 @@ def test_refresh_vs_compile(run_once, report, monkeypatch):
                 oid = live.pop(int(rng.integers(len(live))))
                 assert tree.delete(data[oid], oid)
             calls.update(rect=0, leaf=0)
-            monkeypatch.setattr(ELSTable, "effective_rect", counted_rect)
+            monkeypatch.setattr(ELSTable, "effective_boxes", counted_boxes)
             monkeypatch.setattr(HybridTree, "trav_leaf_points", counted_points)
             start = time.perf_counter()
             snap = tree.refresh_snapshot()

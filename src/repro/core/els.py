@@ -15,6 +15,8 @@ accounting (reported, never charged against page budgets).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from repro.geometry.rect import Rect
@@ -26,26 +28,47 @@ def quantize_live_rect(live: Rect, region: Rect, bits: int) -> Rect:
     Models exactly what decoding an ELS code yields: the returned rect
     contains ``live`` and is contained in ``region``.  ``bits == 0`` degrades
     to the region itself (ELS disabled); ``bits`` is capped at 16 as in the
-    serialized format.
+    serialized format.  The one-row case of :func:`quantize_boxes`.
     """
-    if not 0 <= bits <= 16:
-        raise ValueError("bits must be in [0, 16]")
+    low, high = quantize_boxes(
+        live.low[None], live.high[None], region.low[None], region.high[None], bits
+    )
+    return Rect(low[0], high[0])
+
+
+def quantize_boxes(
+    live_low: np.ndarray,
+    live_high: np.ndarray,
+    low: np.ndarray,
+    high: np.ndarray,
+    bits: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise :func:`quantize_live_rect`: row ``i`` snaps the live box
+    ``(live_low[i], live_high[i])`` onto the grid of the region ``(low[i],
+    high[i])``.  Every step is elementwise, so a row comes out the same
+    whatever other rows share the call."""
+    _check_bits(bits)
     if bits == 0:
-        return region
+        return low, high
     cells = float(1 << bits)
-    extent = region.high - region.low
+    extent = high - low
     # Degenerate region sides (extent 0) encode trivially to themselves.
     safe = np.where(extent > 0, extent, 1.0)
-    lo_cell = np.floor((live.low - region.low) / safe * cells)
-    hi_cell = np.ceil((live.high - region.low) / safe * cells)
+    lo_cell = np.floor((live_low - low) / safe * cells)
+    hi_cell = np.ceil((live_high - low) / safe * cells)
     lo_cell = np.clip(lo_cell, 0, cells)
     hi_cell = np.clip(hi_cell, lo_cell, cells)
-    low = region.low + lo_cell / cells * extent
-    high = region.low + hi_cell / cells * extent
+    q_low = low + lo_cell / cells * extent
+    q_high = low + hi_cell / cells * extent
     # Guard against float round-off pushing boundaries inside the live box.
-    low = np.minimum(low, live.low)
-    high = np.maximum(high, live.high)
-    return Rect(np.maximum(low, region.low), np.minimum(high, region.high))
+    q_low = np.minimum(q_low, live_low)
+    q_high = np.maximum(q_high, live_high)
+    return np.maximum(q_low, low), np.minimum(q_high, high)
+
+
+def _check_bits(bits: int) -> None:
+    if not 0 <= bits <= 16:
+        raise ValueError("bits must be in [0, 16]")
 
 
 def encode_cells(live: Rect, region: Rect, bits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -71,8 +94,7 @@ class ELSTable:
     """
 
     def __init__(self, dims: int, bits: int):
-        if not 0 <= bits <= 16:
-            raise ValueError("bits must be in [0, 16]")
+        _check_bits(bits)
         self.dims = dims
         self.bits = bits
         self._live: dict[int, Rect] = {}
@@ -80,6 +102,10 @@ class ELSTable:
         # Node ids changed since the owner last took the set; None while
         # nobody listens (the tree's SOA snapshot refresh does).
         self.journal: set[int] | None = None
+        # Taken afresh on every entry change: caches derived from the
+        # table (an index node's child boxes) key on it.
+        self._versions = itertools.count()
+        self.version = next(self._versions)
 
     @property
     def enabled(self) -> bool:
@@ -102,6 +128,7 @@ class ELSTable:
         self._live[node_id] = live
 
     def _note(self, node_id: int) -> None:
+        self.version = next(self._versions)
         if self._track is not None:
             self._track.add(node_id)
         if self.journal is not None:
@@ -140,17 +167,36 @@ class ELSTable:
 
     def effective_rect(self, node_id: int, region: Rect) -> Rect:
         """What the search actually prunes with: the quantized live box, or
-        the full region when ELS is disabled or the node is unknown."""
-        if not self.enabled:
-            return region
-        live = self._live.get(node_id)
-        if live is None:
-            return region
-        clipped = live.intersection(region)
-        if clipped is None:
-            # A stale live box can drift outside a shrunk region; fall back.
-            return region
-        return quantize_live_rect(clipped, region, self.bits)
+        the full region when ELS is disabled or the node is unknown.  The
+        one-row case of :meth:`effective_boxes`."""
+        low, high = self.effective_boxes(
+            np.array([node_id]), region.low[None], region.high[None]
+        )
+        return Rect(low[0], high[0])
+
+    def effective_boxes(
+        self, node_ids: np.ndarray, low: np.ndarray, high: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Row-wise :meth:`effective_rect`: row ``i`` is the effective box of
+        node ``node_ids[i]`` in the region ``(low[i], high[i])``, as new
+        ``(n, dims)`` arrays."""
+        low = np.asarray(low, dtype=np.float64)
+        high = np.asarray(high, dtype=np.float64)
+        if not self.enabled or not len(node_ids):
+            return low.copy(), high.copy()
+        lives = [self._live.get(node_id) for node_id in node_ids.tolist()]
+        known = np.array([live is not None for live in lives], dtype=bool)
+        live_low, live_high = low.copy(), high.copy()
+        if known.any():
+            live_low[known] = [live.low for live in lives if live is not None]
+            live_high[known] = [live.high for live in lives if live is not None]
+        # Clip each live box to its region.  A stale live box can drift
+        # outside a shrunk region; such rows fall back to the region.
+        np.maximum(live_low, low, out=live_low)
+        np.minimum(live_high, high, out=live_high)
+        keep = (known & ~np.any(live_low > live_high, axis=1))[:, None]
+        q_low, q_high = quantize_boxes(live_low, live_high, low, high, self.bits)
+        return np.where(keep, q_low, low), np.where(keep, q_high, high)
 
     @property
     def memory_bytes(self) -> int:

@@ -33,7 +33,7 @@ import numpy as np
 from repro.core import kdnodes
 from repro.core.els import ELSTable
 from repro.core.kdnodes import KDInternal, KDLeaf, KDNode
-from repro.core.nodes import MAX_OID, DataNode, IndexNode, OidRangeError
+from repro.core.nodes import MAX_OID, ChildBoxes, DataNode, IndexNode, OidRangeError
 from repro.core.splits import (
     POLICY_EDA,
     POLICY_RR,
@@ -43,7 +43,14 @@ from repro.core.splits import (
     reset_round_robin,
 )
 from repro.distances import L2, Metric
-from repro.engine.query import BatchQueries, check_approximation, check_k, check_radii
+from repro.engine.bestfirst import rowwise_distances, rowwise_metric
+from repro.engine.query import (
+    BatchQueries,
+    check_approximation,
+    check_box,
+    check_k,
+    check_radii,
+)
 from repro.geometry.rect import Rect
 from repro.storage import superblock as superblock_io
 from repro.storage import wal as wal_io
@@ -85,6 +92,18 @@ def _f32_outward(x: float, toward: float) -> float:
     if (toward > 0 and v < x) or (toward < 0 and v > x):
         v = np.nextafter(v, np.float32(toward))
     return float(v)
+
+
+def _box_mindists(
+    metric: Metric, q: np.ndarray, low: np.ndarray, high: np.ndarray
+) -> np.ndarray:
+    """Row ``i``: ``metric.mindist_rect(q, low[i], high[i])``, bitwise — one
+    clip-and-reduce for a row-wise metric, a call per row otherwise."""
+    if rowwise_metric(metric):
+        return rowwise_distances(metric, q, np.clip(q, low, high))
+    return np.array(
+        [metric.mindist_rect(q, lo, hi) for lo, hi in zip(low, high)], dtype=np.float64
+    )
 
 
 class HybridTree:
@@ -843,9 +862,11 @@ class HybridTree:
         """Object ids of all points inside the closed box ``query``."""
         if query.dims != self.dims:
             raise ValueError("query dimensionality mismatch")
+        check_box(query.low, query.high)
+        qlow, qhigh = query.low, query.high
         results: list[np.ndarray] = []
 
-        def visit(node_id: int, region: Rect) -> None:
+        def visit(node_id: int, low: np.ndarray, high: np.ndarray) -> None:
             node = self.nm.get(node_id)
             if isinstance(node, DataNode):
                 if node.count:
@@ -853,21 +874,13 @@ class HybridTree:
                     if mask.any():
                         results.append(node.live_oids()[mask])
                 return
-            walk(node.kd_root, region)
-
-        def walk(kd: KDNode, region: Rect) -> None:
-            if isinstance(kd, KDLeaf):
-                live = self.els.effective_rect(kd.child_id, region)
-                if query.intersects(live):
-                    visit(kd.child_id, region)
-                return
-            if query.low[kd.dim] <= kd.lsp:
-                walk(kd.left, region.clip_below(kd.dim, kd.lsp))
-            if query.high[kd.dim] >= kd.rsp:
-                walk(kd.right, region.clip_above(kd.dim, kd.rsp))
+            kids = self._child_boxes(node, low, high)
+            hit = np.all((kids.box_low <= qhigh) & (qlow <= kids.box_high), axis=1)
+            for i in np.flatnonzero(hit).tolist():
+                visit(int(kids.ids[i]), kids.low[i], kids.high[i])
 
         try:
-            visit(self._root_id, self.bounds)
+            visit(self._root_id, self.bounds.low, self.bounds.high)
         except PageCorruptionError as exc:
             vectors, oids = self._degrade(exc)
             return [int(o) for o in oids[query.contains_points_mask(vectors)]]
@@ -888,7 +901,7 @@ class HybridTree:
         radius = float(check_radii(radius, 1)[0])
         out: list[tuple[int, float]] = []
 
-        def visit(node_id: int, region: Rect) -> None:
+        def visit(node_id: int, low: np.ndarray, high: np.ndarray) -> None:
             node = self.nm.get(node_id)
             if isinstance(node, DataNode):
                 if node.count:
@@ -896,23 +909,13 @@ class HybridTree:
                     for i in np.flatnonzero(dists <= radius):
                         out.append((int(node.live_oids()[i]), float(dists[i])))
                 return
-            walk(node.kd_root, region)
-
-        def walk(kd: KDNode, region: Rect) -> None:
-            if isinstance(kd, KDLeaf):
-                live = self.els.effective_rect(kd.child_id, region)
-                if metric.mindist_rect(q, live.low, live.high) <= radius:
-                    visit(kd.child_id, region)
-                return
-            left_region = region.clip_below(kd.dim, kd.lsp)
-            if metric.mindist_rect(q, left_region.low, left_region.high) <= radius:
-                walk(kd.left, left_region)
-            right_region = region.clip_above(kd.dim, kd.rsp)
-            if metric.mindist_rect(q, right_region.low, right_region.high) <= radius:
-                walk(kd.right, right_region)
+            kids = self._child_boxes(node, low, high)
+            near = _box_mindists(metric, q, kids.box_low, kids.box_high) <= radius
+            for i in np.flatnonzero(near).tolist():
+                visit(int(kids.ids[i]), kids.low[i], kids.high[i])
 
         try:
-            visit(self._root_id, self.bounds)
+            visit(self._root_id, self.bounds.low, self.bounds.high)
         except PageCorruptionError as exc:
             vectors, oids = self._degrade(exc)
             dists = metric.distance_batch(vectors.astype(np.float64), q)
@@ -941,8 +944,9 @@ class HybridTree:
         k = check_k(k)
         shrink = 1.0 / (1.0 + check_approximation(approximation_factor))
         counter = itertools.count()
-        frontier: list[tuple[float, int, int, Rect]] = [
-            (0.0, next(counter), self._root_id, self.bounds)
+        # Entries: (bound, push order, page id, region low, region high).
+        frontier: list[tuple[float, int, int, np.ndarray, np.ndarray]] = [
+            (0.0, next(counter), self._root_id, self.bounds.low, self.bounds.high)
         ]
         # Max-heap of the best k, keyed by (distance, oid) with both parts
         # negated so the root is the *worst* retained neighbour.  The oid
@@ -955,7 +959,7 @@ class HybridTree:
 
         try:
             while frontier:
-                bound, _, node_id, region = heapq.heappop(frontier)
+                bound, _, node_id, low, high = heapq.heappop(frontier)
                 if bound > kth() * shrink:
                     break
                 node = self.nm.get(node_id)
@@ -971,14 +975,16 @@ class HybridTree:
                         elif (dist, oid) < (-best[0][0], -best[0][1]):
                             heapq.heapreplace(best, (-dist, -oid))
                     continue
-                for child_id, child_region in node.children_with_regions(region):
-                    live = self.els.effective_rect(child_id, child_region)
-                    child_bound = metric.mindist_rect(q, live.low, live.high)
-                    if child_bound <= kth() * shrink:
-                        heapq.heappush(
-                            frontier,
-                            (child_bound, next(counter), child_id, child_region),
-                        )
+                kids = self._child_boxes(node, low, high)
+                bounds = _box_mindists(metric, q, kids.box_low, kids.box_high)
+                # Children are pushed in kd order, so the push counter
+                # breaks bound ties as the kd walk did.
+                for i in np.flatnonzero(bounds <= kth() * shrink).tolist():
+                    heapq.heappush(
+                        frontier,
+                        (float(bounds[i]), next(counter), int(kids.ids[i]),
+                         kids.low[i], kids.high[i]),
+                    )
         except PageCorruptionError as exc:
             vectors, oids = self._degrade(exc)
             dists = metric.distance_batch(vectors.astype(np.float64), q)
@@ -1003,14 +1009,14 @@ class HybridTree:
         counter = itertools.count()
         # Entries: (key, tiebreak, kind, payload); kind 0 = point, 1 = node.
         heap: list[tuple[float, int, int, object]] = [
-            (0.0, next(counter), 1, (self._root_id, self.bounds))
+            (0.0, next(counter), 1, (self._root_id, self.bounds.low, self.bounds.high))
         ]
         while heap:
             key, _, kind, payload = heapq.heappop(heap)
             if kind == 0:
                 yield payload, key  # (oid, distance)
                 continue
-            node_id, region = payload
+            node_id, low, high = payload
             node = self.nm.get(node_id)
             if isinstance(node, DataNode):
                 if node.count:
@@ -1021,12 +1027,45 @@ class HybridTree:
                             (float(dist), next(counter), 0, int(node.live_oids()[i])),
                         )
                 continue
-            for child_id, child_region in node.children_with_regions(region):
-                live = self.els.effective_rect(child_id, child_region)
-                bound = metric.mindist_rect(q, live.low, live.high)
+            kids = self._child_boxes(node, low, high)
+            bounds = _box_mindists(metric, q, kids.box_low, kids.box_high)
+            for i, child_id in enumerate(kids.ids.tolist()):
                 heapq.heappush(
-                    heap, (bound, next(counter), 1, (child_id, child_region))
+                    heap,
+                    (float(bounds[i]), next(counter), 1,
+                     (child_id, kids.low[i], kids.high[i])),
                 )
+
+    def _child_boxes(
+        self, node: IndexNode, low: np.ndarray, high: np.ndarray
+    ) -> ChildBoxes:
+        """``node``'s children in the region ``[low, high]``, as arrays: page
+        ids, kd regions (:func:`~repro.core.kdnodes.leaf_region_arrays`) and
+        ELS-effective boxes (:meth:`ELSTable.effective_boxes`), in kd order.
+
+        Each ELS box lies inside every region on its child's kd path, so a
+        query that reaches the box passes every kd split test on the way:
+        testing the boxes alone prunes what the kd walk did.
+
+        Built on a node's first traversal and cached on the decoded node
+        (``IndexNode.child_boxes``), so it lives as long as the buffer
+        keeps the node.  The key is the region plus the versions the node
+        manager and the ELS table take on every write (and on a mutation
+        that raised, see :meth:`_snapshot_stale`), so a changed node, ELS
+        entry or region rebuilds it.  The arrays are read-only and published
+        in one assignment: thread-mode sessions share decoded nodes.
+        """
+        key = (self.nm.version, self.els.version, low.tobytes(), high.tobytes())
+        kids = node.child_boxes
+        if kids is not None and kids.key == key:
+            return kids
+        ids, reg_low, reg_high = kdnodes.leaf_region_arrays(node.kd_root, low, high)
+        box_low, box_high = self.els.effective_boxes(ids, reg_low, reg_high)
+        for arr in (ids, reg_low, reg_high, box_low, box_high):
+            arr.flags.writeable = False
+        kids = ChildBoxes(key, ids, reg_low, reg_high, box_low, box_high)
+        node.child_boxes = kids
+        return kids
 
     def count_range(self, query: Rect) -> int:
         """Number of points in the closed box (the traversal and I/O of
@@ -1157,8 +1196,10 @@ class HybridTree:
         """Every mutation: a kept snapshot goes stale, to be refreshed by
         the next batch.  ``reuse=False`` (a mutation that raised, possibly
         after editing a node in place without ``nm.put``) makes that
-        refresh a full compile.  O(1): the page and ELS journals already
-        hold what changed."""
+        refresh a full compile, and rebuilds every cached child box.
+        O(1): the page and ELS journals already hold what changed."""
+        if not reuse:
+            self.nm.touch()
         if self._soa_snapshot is not None and self._soa_refresher is None:
             from repro.engine.soa.refresh import SnapshotRefresher
 
@@ -1212,17 +1253,16 @@ class HybridTree:
     def trav_children(self, node, region):
         from repro.engine.kernel import RectBound
 
-        # The child's pruning bound is its ELS-quantized live-space box
-        # clipped to the derived region — the same rect the single-query
-        # paths test; the kd split tests are subsumed because the
-        # effective rect is contained in every region along the kd path.
+        # The child's pruning bound is its ELS-effective box, the same box
+        # the single-query paths test (see _child_boxes).
+        kids = self._child_boxes(node, region.low, region.high)
         return [
             (
                 child_id,
-                child_region,
-                RectBound(self.els.effective_rect(child_id, child_region)),
+                Rect(kids.low[i], kids.high[i]),
+                RectBound(Rect(kids.box_low[i], kids.box_high[i])),
             )
-            for child_id, child_region in node.children_with_regions(region)
+            for i, child_id in enumerate(kids.ids.tolist())
         ]
 
     def trav_degrade(self, exc: PageCorruptionError):

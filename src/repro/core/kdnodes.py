@@ -146,34 +146,56 @@ def leaf_region_arrays(
     """:func:`leaves_with_regions` as arrays: ``(child_ids, lows, highs)``.
 
     Leaves are numbered left to right, so each internal node's two
-    subtrees own two contiguous row ranges; applying every internal node's
-    clamped clip (as :meth:`Rect.clip_below` / :meth:`Rect.clip_above` do)
-    to its ranges in pre-order gives each row exactly the clips of its kd
+    subtrees own two contiguous row ranges, and the internal nodes at one
+    kd depth own disjoint ones.  Applying each depth's clamped clips (as
+    :meth:`Rect.clip_below` / :meth:`Rect.clip_above` do) in one array step,
+    shallowest depth first, gives each row exactly the clips of its kd
     path, in path order — the same floats, without a ``Rect`` per step.
     """
     ids: list[int] = []
-    clips: list[tuple] = []
+    # Per internal node: depth, first row, first right row, end row, dim,
+    # lsp, rsp.
+    rec: list = []
 
-    def walk(kd: KDNode) -> None:
+    def walk(kd: KDNode, depth: int) -> None:
         if isinstance(kd, KDLeaf):
             ids.append(kd.child_id)
             return
-        at = len(clips)
-        clips.append(None)
         first = len(ids)
-        walk(kd.left)
+        walk(kd.left, depth + 1)
         mid = len(ids)
-        walk(kd.right)
-        clips[at] = (first, mid, len(ids), kd.dim, kd.lsp, kd.rsp)
+        walk(kd.right, depth + 1)
+        rec.extend((depth, first, mid, len(ids), kd.dim, kd.lsp, kd.rsp))
 
-    walk(node)
+    walk(node, 0)
     lows = np.tile(np.asarray(low, dtype=np.float64), (len(ids), 1))
     highs = np.tile(np.asarray(high, dtype=np.float64), (len(ids), 1))
-    for first, mid, end, dim, lsp, rsp in clips:
-        left, right = slice(first, mid), slice(mid, end)
-        highs[left, dim] = np.minimum(highs[left, dim], np.maximum(lsp, lows[left, dim]))
-        lows[right, dim] = np.maximum(lows[right, dim], np.minimum(rsp, highs[right, dim]))
+    if rec:
+        table = np.array(rec).reshape(-1, 7)
+        table = table[np.argsort(table[:, 0], kind="stable")]
+        depth, first, mid, end, dim = table[:, :5].astype(np.intp).T
+        dims = lows.shape[1]
+        left = _cells_by_depth(depth, first, mid, dim, dims, table[:, 5])
+        right = _cells_by_depth(depth, mid, end, dim, dims, table[:, 6])
+        lo, hi = lows.reshape(-1), highs.reshape(-1)
+        for (cells, lsp), (rcells, rsp) in zip(left, right):
+            hi[cells] = np.minimum(hi[cells], np.maximum(lsp, lo[cells]))
+            lo[rcells] = np.maximum(lo[rcells], np.minimum(rsp, hi[rcells]))
     return np.asarray(ids, dtype=np.int64), lows, highs
+
+
+def _cells_by_depth(depth, start, stop, dim, dims: int, pos) -> list:
+    """Per kd depth: the flat cells ``row * dims + dim`` of rows
+    ``start:stop`` of every internal node at that depth (one side of its
+    split), and the split position each cell is clipped with."""
+    # Imported here: importing repro.engine imports this module.
+    from repro.engine.bestfirst import concat_ranges
+
+    counts = stop - start
+    cells = np.repeat(start * dims + dim, counts) + concat_ranges(counts) * dims
+    pos = np.repeat(pos, counts)
+    cuts = np.searchsorted(np.repeat(depth, counts), np.arange(depth[-1] + 2))
+    return [(cells[a:b], pos[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
 def region_of_child(node: KDNode, region: Rect, child_id: int) -> Rect:

@@ -3,10 +3,13 @@
 Data nodes store raw ``(vector, oid)`` entries in pre-allocated numpy blocks
 so that query-time scans (range masks, batch distances) run at numpy speed.
 Index nodes hold only their intranode kd-tree; child regions are derived on
-demand (see :mod:`repro.core.kdnodes`).
+demand (see :mod:`repro.core.kdnodes`), and a decoded index node caches them,
+with its children's ELS boxes, as :class:`ChildBoxes` arrays.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -161,16 +164,34 @@ class DataNode:
         return self.count / self.capacity
 
 
-class IndexNode:
-    """An internal page: an intranode kd-tree over child page pointers."""
+class ChildBoxes(NamedTuple):
+    """An index node's children as arrays, derived for one region: row
+    ``i`` is the ``i``-th child in kd order.  Built and cached by
+    ``HybridTree._child_boxes``; every array is read-only."""
 
-    __slots__ = ("kd_root", "level")
+    key: tuple  # what the rows were derived from (region and versions)
+    ids: np.ndarray  # int64 (m,)  child page ids
+    low: np.ndarray  # float64 (m, d)  kd regions
+    high: np.ndarray
+    box_low: np.ndarray  # float64 (m, d)  ELS-effective boxes
+    box_high: np.ndarray
+
+
+class IndexNode:
+    """An internal page: an intranode kd-tree over child page pointers.
+
+    ``child_boxes`` is the traversal cache (:class:`ChildBoxes`, or None
+    until the first traversal); it is never serialized, so it lives and
+    dies with the decoded node."""
+
+    __slots__ = ("kd_root", "level", "child_boxes")
 
     def __init__(self, kd_root: KDNode, level: int):
         if level < 1:
             raise ValueError("index nodes live at level >= 1")
         self.kd_root = kd_root
         self.level = level
+        self.child_boxes: ChildBoxes | None = None
 
     @property
     def fanout(self) -> int:

@@ -33,6 +33,7 @@ __all__ = [
     "BatchQueries",
     "QueryBatch",
     "check_approximation",
+    "check_box",
     "check_k",
     "check_on_timeout",
     "check_radii",
@@ -68,6 +69,14 @@ def check_approximation(approximation_factor) -> float:
     if not eps >= 0:
         raise ValueError("approximation_factor must be >= 0")
     return eps
+
+
+def check_box(lows, highs) -> None:
+    """Reject NaN box corners: every comparison with NaN is false, so such
+    a box would silently match nothing.  Infinite corners (half-open
+    boxes) are fine."""
+    if np.isnan(lows).any() or np.isnan(highs).any():
+        raise ValueError("query box corners must not be NaN")
 
 
 def check_radii(radii, n: int) -> np.ndarray:
@@ -128,11 +137,10 @@ class QueryBatch:
         if not queries:
             empty = np.empty((0, dims))
             return cls(RANGE, lows=empty, highs=empty)
-        return cls(
-            RANGE,
-            lows=np.stack([q.low for q in queries]),
-            highs=np.stack([q.high for q in queries]),
-        )
+        lows = np.stack([q.low for q in queries])
+        highs = np.stack([q.high for q in queries])
+        check_box(lows, highs)
+        return cls(RANGE, lows=lows, highs=highs)
 
     @classmethod
     def distance(cls, centers, radii, metric: Metric, dims: int) -> "QueryBatch":

@@ -2,7 +2,7 @@
 
 A write round touches a few pages of a tree with thousands, yet a full
 :func:`~repro.engine.soa.snapshot.compile_snapshot` re-derives every edge
-box (an ``ELSTable.effective_rect`` call per child edge) and re-copies
+box (``ELSTable.effective_boxes`` over every child edge) and re-copies
 every leaf.  :class:`SnapshotRefresher` rebuilds the snapshot from the
 previous one instead, re-deriving only the rows whose inputs changed:
 
@@ -253,12 +253,21 @@ class _Pass:
         k = src - self.n_old_edges
         return self.fresh_reg_low.data[k], self.fresh_reg_high.data[k]
 
-    def _fresh_box(self, child: int, region: Rect) -> int:
-        """Derive one edge box; returns its source index."""
-        rect = self.tree.els.effective_rect(child, region)
-        self.fresh_low.extend(rect.low[None])
-        self.fresh_high.extend(rect.high[None])
-        return self.n_old_edges + self.fresh_low.size - 1
+    def _fresh_boxes(
+        self, box_src: np.ndarray, pos: list, ids: list, low: list, high: list
+    ) -> None:
+        """Derive one level's fresh edge boxes in one call: edge
+        ``pos[j][i]`` gets the box of child ``ids[j][i]`` in the region
+        ``(low[j][i], high[j][i])``; its ``box_src`` names the new row."""
+        pos = np.concatenate(pos)
+        if not len(pos):
+            return
+        box_low, box_high = self.tree.els.effective_boxes(
+            np.concatenate(ids), np.concatenate(low), np.concatenate(high)
+        )
+        box_src[pos] = self.n_old_edges + self.fresh_low.size + np.arange(len(pos))
+        self.fresh_low.extend(box_low)
+        self.fresh_high.extend(box_high)
 
     def _expand(self, level: _Level, base: int) -> _Expansion:
         """Classify one level's pages and list their child edges in order."""
@@ -316,10 +325,10 @@ class _Pass:
         child_pages[pos] = old.node_ref[old.edge_child[oe]]
         box_src[pos] = oe
         child_region[pos] = oe
+        # Edges whose box is derived afresh, by parts.
         hit = _member(child_pages[pos], self.touched)
-        for p, e in zip(pos[hit].tolist(), oe[hit].tolist()):
-            region = Rect(prev.reg_low[e], prev.reg_high[e])
-            box_src[p] = self._fresh_box(int(child_pages[p]), region)
+        fresh_pos, fresh_ids = [pos[hit]], [child_pages[pos[hit]]]
+        fresh_low, fresh_high = [prev.reg_low[oe[hit]]], [prev.reg_high[oe[hit]]]
 
         for i, (ids, low, high) in walked.items():
             pos = int(offsets[i]) + np.arange(len(ids))
@@ -332,10 +341,12 @@ class _Pass:
             child_changed[pos] = changed
             # The old root (occurrence 0) had no edge box to reuse.
             fresh = changed | (c_occ <= 0) | _member(ids, self.touched)
-            keep = np.flatnonzero(~fresh)
-            box_src[pos[keep]] = prev.in_edge[c_occ[keep]]
-            for j in np.flatnonzero(fresh).tolist():
-                box_src[pos[j]] = self._fresh_box(int(ids[j]), Rect(low[j], high[j]))
+            box_src[pos[~fresh]] = prev.in_edge[c_occ[~fresh]]
+            fresh_pos.append(pos[fresh])
+            fresh_ids.append(ids[fresh])
+            fresh_low.append(low[fresh])
+            fresh_high.append(high[fresh])
+        self._fresh_boxes(box_src, fresh_pos, fresh_ids, fresh_low, fresh_high)
         return _Expansion(
             leaf, row_src, row_n,
             np.repeat(np.arange(base, base + n, dtype=np.int64), counts),

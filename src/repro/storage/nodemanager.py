@@ -17,6 +17,7 @@ access while the accounting stays identical to a cold, unbuffered disk.
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections import OrderedDict
 from typing import Any, Protocol
@@ -104,6 +105,10 @@ class NodeManager:
         # unreachable, and a reused id is put again); None while nobody
         # listens (the tree's SOA snapshot refresh does).
         self.journal: set[int] | None = None
+        # Caches derived from the nodes (the hybrid tree's per-node child
+        # boxes) key on this; see :meth:`touch`.
+        self._versions = itertools.count()
+        self.version = next(self._versions)
 
     # ------------------------------------------------------------------
     # Core protocol used by the index structures
@@ -167,6 +172,7 @@ class NodeManager:
             self._track_freed.discard(page_id)
         if self.journal is not None:
             self.journal.add(page_id)
+        self.touch()
         self._cache[page_id] = node
         if self.max_cached is not None:
             self._cache.move_to_end(page_id)
@@ -174,6 +180,12 @@ class NodeManager:
         if charge and self.max_cached is None:
             self.stats.record(AccessKind.RANDOM_WRITE)
         self._evict_if_needed()
+
+    def touch(self) -> None:
+        """Take a new :attr:`version`, so caches derived from the nodes
+        rebuild.  :meth:`put` and :meth:`free` call it; so does a tree
+        mutation that raised, which may have edited a node in place."""
+        self.version = next(self._versions)
 
     def _evict_if_needed(self) -> None:
         if self.max_cached is None:
@@ -194,6 +206,7 @@ class NodeManager:
         if self._track_freed is not None:
             self._track_freed.add(page_id)
             self._track_written.discard(page_id)
+        self.touch()
         self._cache.pop(page_id, None)
         self._dirty.discard(page_id)
         self._pinned.discard(page_id)

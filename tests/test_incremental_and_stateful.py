@@ -117,6 +117,15 @@ class HybridTreeMachine(RuleBasedStateMachine):
             self.reference[self.next_oid] = v
             self.next_oid += 1
 
+    @rule(v=st.lists(st.floats(-1, 2, width=32), min_size=3, max_size=3))
+    def insert_outside(self, v):
+        """A point that may leave the unit cube: the root region grows
+        under nodes that cached their child boxes."""
+        v = np.array(v, dtype=np.float32)
+        self.tree.insert(v, self.next_oid)
+        self.reference[self.next_oid] = v
+        self.next_oid += 1
+
     @rule()
     def delete_random(self):
         if not self.reference:
@@ -140,15 +149,30 @@ class HybridTreeMachine(RuleBasedStateMachine):
         assert set(self.tree.range_search(box)) == expected
         assert self.tree.count_range(box) == len(expected)
 
+    def _rows(self):
+        oids = np.array(sorted(self.reference), dtype=np.int64)
+        rows = np.array([self.reference[o] for o in oids], dtype=np.float64).reshape(-1, 3)
+        return oids, rows
+
     @rule()
     def check_knn(self):
         if len(self.reference) < 3:
             return
-        q = self.rng.random(3)
+        q = self.rng.random(3).astype(np.float32).astype(np.float64)
         got = self.tree.knn(q, 3, L1)
-        rows = np.array([v for v in self.reference.values()], dtype=np.float64)
-        expected = np.sort(np.abs(rows - q).sum(axis=1))[:3]
-        assert np.allclose([d for _, d in got], expected, atol=1e-6)
+        oids, rows = self._rows()
+        dists = L1.distance_batch(rows, q)
+        order = np.lexsort((oids, dists))[:3]
+        assert got == [(int(oids[i]), float(dists[i])) for i in order]
+
+    @rule(radius=st.floats(0.0, 0.5))
+    def check_distance_range(self, radius):
+        q = self.rng.random(3).astype(np.float32).astype(np.float64)
+        got = self.tree.distance_range(q, radius, L2)
+        oids, rows = self._rows()
+        dists = L2.distance_batch(rows, q)
+        hits = np.flatnonzero(dists <= radius)
+        assert sorted(got) == [(int(oids[i]), float(dists[i])) for i in hits]
 
     @rule()
     def compile_snapshot(self):

@@ -1,0 +1,601 @@
+"""The intranode step of the single-query methods.
+
+``HybridTree.range_search``, ``distance_range``, ``knn`` and
+``nearest_iter`` test all children of an index node in one array step,
+over the children's ids, kd regions and ELS boxes that the decoded node
+caches (``HybridTree._child_boxes``).  These tests pin:
+
+- both array helpers (``kdnodes.leaf_region_arrays`` and
+  ``ELSTable.effective_boxes``) equal their scalar forms bit for bit on
+  random kd-trees and ELS tables;
+- every query kind answers like a numpy brute force and like the object
+  kernel's batch of one, with equal charged reads per query: in memory,
+  through an 8-page buffer (which evicts nodes, so caches are rebuilt)
+  and over mmap;
+- a cached entry never outlives what it was derived from: after a leaf
+  split, root growth, an insert outside the data space, a delete down to
+  underflow-and-reinsert, a failed insert and a WAL-replayed open, every
+  cached entry equals a fresh derivation and the answers stay exact.
+"""
+
+from __future__ import annotations
+
+import heapq
+import itertools
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from repro.core import HybridTree, kdnodes
+from repro.core.els import ELSTable
+from repro.core.kdnodes import KDInternal, KDLeaf
+from repro.core.nodes import IndexNode
+from repro.datasets.synthetic import clustered_dataset
+from repro.distances import (
+    L1,
+    L2,
+    LINF,
+    QuadraticFormMetric,
+    UserMetric,
+    WeightedEuclidean,
+)
+from repro.engine.kernel import (
+    kernel_distance_range_many,
+    kernel_knn_many,
+    kernel_range_search_many,
+)
+from repro.engine.query import QueryBatch
+from repro.geometry.rect import Rect
+
+DIMS = 4
+PAGE = 512  # 23 points per leaf, 27 children per index node
+K = 7
+METRICS = {
+    "L1": L1,
+    "L2": L2,
+    "Linf": LINF,
+    "weighted": WeightedEuclidean(np.linspace(0.5, 2.0, DIMS)),
+    "quadratic": QuadraticFormMetric(np.eye(DIMS) + 0.3 * np.ones((DIMS, DIMS))),
+    "user": UserMetric(lambda a, b: float(np.abs(a - b).sum() ** 0.5), None),
+}
+
+
+# ----------------------------------------------------------------------
+# The array helpers against their scalar forms
+# ----------------------------------------------------------------------
+def _random_kd(rng, ids: list[int], dims: int):
+    """A random kd-tree over ``ids``: splits anywhere in [-0.5, 1.5] (so
+    some fall outside the region), about a third of them clean."""
+    if len(ids) == 1:
+        return KDLeaf(ids[0])
+    cut = int(rng.integers(1, len(ids)))
+    rsp, lsp = sorted(rng.uniform(-0.5, 1.5, 2))
+    if rng.random() < 0.3:
+        rsp = lsp
+    return KDInternal(
+        int(rng.integers(dims)), lsp, rsp,
+        _random_kd(rng, ids[:cut], dims), _random_kd(rng, ids[cut:], dims),
+    )
+
+
+def _random_region(rng, dims: int) -> Rect:
+    low = rng.uniform(0.0, 0.5, dims)
+    high = low + rng.uniform(0.0, 0.5, dims)
+    flat = rng.random(dims) < 0.2  # zero-extent sides
+    high[flat] = low[flat]
+    return Rect(low, high)
+
+
+def _scalar_quantize(live: Rect, region: Rect, bits: int) -> Rect:
+    """The ELS quantizer of paper Section 3.4, one box at a time."""
+    if bits == 0:
+        return region
+    cells = float(1 << bits)
+    extent = region.high - region.low
+    safe = np.where(extent > 0, extent, 1.0)
+    lo_cell = np.clip(np.floor((live.low - region.low) / safe * cells), 0, cells)
+    hi_cell = np.clip(np.ceil((live.high - region.low) / safe * cells), lo_cell, cells)
+    low = np.minimum(region.low + lo_cell / cells * extent, live.low)
+    high = np.maximum(region.low + hi_cell / cells * extent, live.high)
+    return Rect(np.maximum(low, region.low), np.minimum(high, region.high))
+
+
+def _scalar_effective(table: ELSTable, node_id: int, region: Rect) -> Rect:
+    if not table.enabled or table.get(node_id) is None:
+        return region
+    clipped = table.get(node_id).intersection(region)
+    if clipped is None:  # a stale live box outside the region
+        return region
+    return _scalar_quantize(clipped, region, table.bits)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_leaf_region_arrays_equal_the_scalar_mapping():
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        dims = int(rng.integers(1, 6))
+        n = int(rng.integers(1, 40))
+        kd = _random_kd(rng, list(range(n)), dims)
+        region = _random_region(rng, dims)
+        ids, low, high = kdnodes.leaf_region_arrays(kd, region.low, region.high)
+        scalar = list(kdnodes.leaves_with_regions(kd, region))
+        assert ids.tolist() == [leaf.child_id for leaf, _ in scalar]
+        for i, (_, leaf_region) in enumerate(scalar):
+            assert _same_bits(low[i], leaf_region.low)
+            assert _same_bits(high[i], leaf_region.high)
+
+
+@pytest.mark.parametrize("bits", [0, 1, 4, 16])
+def test_effective_boxes_equal_the_scalar_rect(bits):
+    rng = np.random.default_rng(bits)
+    for _ in range(300):
+        dims = int(rng.integers(1, 6))
+        n = int(rng.integers(1, 40))
+        kd = _random_kd(rng, list(range(n)), dims)
+        region = _random_region(rng, dims)
+        ids, low, high = kdnodes.leaf_region_arrays(kd, region.low, region.high)
+        table = ELSTable(dims, bits)
+        for i, node_id in enumerate(ids.tolist()):
+            kind = rng.random()
+            if kind < 0.2:
+                continue  # no entry: the region itself
+            if kind < 0.35:
+                # A stale live box disjoint from the region.
+                corner = high[i] + 1.0 + rng.random(dims)
+                table.set(node_id, Rect(corner, corner + rng.random(dims)))
+            elif kind < 0.45:
+                point = rng.uniform(low[i], high[i])
+                table.set(node_id, Rect(point, point))
+            else:
+                a, b = rng.uniform(low[i] - 0.1, high[i] + 0.1, (2, dims))
+                table.set(node_id, Rect(np.minimum(a, b), np.maximum(a, b)))
+        box_low, box_high = table.effective_boxes(ids, low, high)
+        for i, node_id in enumerate(ids.tolist()):
+            region = Rect(low[i], high[i])
+            expected = _scalar_effective(table, node_id, region)
+            assert _same_bits(box_low[i], expected.low)
+            assert _same_bits(box_high[i], expected.high)
+            single = table.effective_rect(node_id, region)
+            assert _same_bits(single.low, expected.low)
+            assert _same_bits(single.high, expected.high)
+
+
+# ----------------------------------------------------------------------
+# Answers and charged reads, per storage mode
+# ----------------------------------------------------------------------
+def _reads(tree) -> int:
+    return tree.io.random_reads + tree.io.sequential_reads
+
+
+def _measured(tree, run):
+    """``run()`` and the page reads it charged.  A tree with a bounded
+    buffer starts each call cold, so a single query and a batch of one
+    fault the same pages (and every cached child box is rebuilt)."""
+    if tree.nm.max_cached is not None:
+        tree.nm.flush()
+        tree.nm.evict_all()
+    before = _reads(tree)
+    out = run()
+    return out, _reads(tree) - before
+
+
+def _model_arrays(model: dict):
+    oids = np.array(sorted(model), dtype=np.int64)
+    rows = np.array([model[o] for o in oids], dtype=np.float64).reshape(-1, DIMS)
+    return oids, rows
+
+
+def _queries(rng, rows, n_boxes=8, n_centers=4):
+    boxes = []
+    for _ in range(n_boxes):
+        side = rng.uniform(0.15, 0.5, DIMS)
+        low = rng.uniform(0.0, 1.0, DIMS) * (1.0 - side)
+        boxes.append(Rect(low, low + side))
+    inf = np.inf
+    boxes.append(Rect([0.3, -inf, -inf, 0.2], [inf, 0.6, inf, inf]))  # half-open
+    boxes.append(Rect(np.full(DIMS, 5.0), np.full(DIMS, 6.0)))  # misses everything
+    picks = rows[rng.choice(len(rows), n_centers, replace=False)]
+    centers = np.vstack([picks + rng.normal(0, 0.02, picks.shape), np.full((1, DIMS), 2.0)])
+    return boxes, centers.astype(np.float32).astype(np.float64)
+
+
+def _check_range(tree, oids, rows, boxes):
+    for box in boxes:
+        got, reads = _measured(tree, lambda: tree.range_search(box))
+        inside = np.all((rows >= box.low) & (rows <= box.high), axis=1)
+        assert sorted(got) == oids[inside].tolist()
+        (batch,), batch_reads = _measured(
+            tree, lambda: kernel_range_search_many(tree, QueryBatch.range([box], DIMS))
+        )
+        assert got == batch and reads == batch_reads
+
+
+def _check_distance(tree, oids, rows, centers, metrics):
+    for metric in metrics:
+        for q in centers:
+            d = metric.distance_batch(rows, q)
+            radius = float(np.sort(d)[min(15, len(d) - 1)])
+            got, reads = _measured(tree, lambda: tree.distance_range(q, radius, metric))
+            hits = np.flatnonzero(d <= radius)
+            assert sorted(got) == [(int(oids[i]), float(d[i])) for i in hits]
+            (batch,), batch_reads = _measured(
+                tree,
+                lambda: kernel_distance_range_many(
+                    tree, QueryBatch.distance([q], radius, metric, DIMS)
+                ),
+            )
+            assert got == batch and reads == batch_reads
+
+
+def _check_knn(tree, oids, rows, centers, metrics, eps=0.0):
+    for metric in metrics:
+        for q in centers:
+            got, reads = _measured(tree, lambda: tree.knn(q, K, metric, eps))
+            d = metric.distance_batch(rows, q)
+            order = np.lexsort((oids, d))[:K]
+            if eps == 0.0:
+                assert got == [(int(oids[i]), float(d[i])) for i in order]
+            else:
+                assert len(got) == min(K, len(oids))
+                assert all(dist <= (1 + eps) * d[order[-1]] for _, dist in got)
+            (batch,), batch_reads = _measured(
+                tree,
+                lambda: kernel_knn_many(tree, QueryBatch.knn([q], K, metric, eps, DIMS)),
+            )
+            assert got == batch and reads == batch_reads
+
+
+def _check_nearest_iter(tree, oids, rows, centers, metrics, n=25):
+    for metric in metrics:
+        for q in centers:
+            it = tree.nearest_iter(q, metric)
+            got = [next(it) for _ in range(min(n, len(oids)))]
+            d = metric.distance_batch(rows, q)
+            order = np.lexsort((oids, d))
+            assert [dist for _, dist in got] == [float(d[i]) for i in order[: len(got)]]
+            # The order of equal distances is the heap's; the set is not.
+            cut = len(got) - 1
+            if cut + 1 == len(d) or d[order[cut]] < d[order[cut + 1]]:
+                assert sorted(o for o, _ in got) == sorted(oids[order[: len(got)]].tolist())
+
+
+@pytest.fixture(scope="module")
+def data():
+    return clustered_dataset(3000, DIMS, seed=0)
+
+
+@pytest.fixture(scope="module")
+def saved(data, tmp_path_factory):
+    path = tmp_path_factory.mktemp("intranode") / "tree.pages"
+    HybridTree.bulk_load(data, page_size=PAGE).save(path)
+    return path
+
+
+def _open(mode, data, path):
+    if mode == "memory":
+        return HybridTree.bulk_load(data, page_size=PAGE)
+    if mode == "buffer8":
+        return HybridTree.open(path, buffer_pages=8)
+    return HybridTree.open(path, mmap=True)
+
+
+@pytest.mark.parametrize("mode", ["memory", "buffer8", "mmap"])
+def test_single_queries_equal_brute_force_and_batch_of_one(mode, data, saved):
+    tree = _open(mode, data, saved)
+    assert tree.height >= 3 and tree.soa_snapshot is None
+    oids, rows = _model_arrays(dict(enumerate(data)))
+    boxes, centers = _queries(np.random.default_rng(7), rows)
+    _check_range(tree, oids, rows, boxes)
+    _check_distance(tree, oids, rows, centers, METRICS.values())
+    _check_knn(tree, oids, rows, centers, METRICS.values())
+    _check_knn(tree, oids, rows, centers, [L1, L2, METRICS["quadratic"]], eps=0.5)
+    _check_nearest_iter(tree, oids, rows, centers, [L2, LINF, METRICS["user"]])
+    tree.close()
+
+
+def _scalar_nearest_iter(tree, q, metric):
+    """Distance browsing with a ``Rect`` per child, walked in kd order."""
+    counter = itertools.count()
+    heap = [(0.0, next(counter), 1, (tree.root_id, tree.bounds))]
+    while heap:
+        key, _, kind, payload = heapq.heappop(heap)
+        if kind == 0:
+            yield payload, key
+            continue
+        node = tree.nm.get(payload[0], charge=False)
+        if not isinstance(node, IndexNode):
+            dists = metric.distance_batch(node.points().astype(np.float64), q)
+            for oid, dist in zip(node.live_oids().tolist(), dists.tolist()):
+                heapq.heappush(heap, (dist, next(counter), 0, oid))
+            continue
+        for child_id, region in node.children_with_regions(payload[1]):
+            box = tree.els.effective_rect(child_id, region)
+            bound = metric.mindist_rect(q, box.low, box.high)
+            heapq.heappush(heap, (bound, next(counter), 1, (child_id, region)))
+
+
+def test_ties_follow_kd_order():
+    """On a coarse grid, bounds and distances tie everywhere: the children
+    of a node must be pushed in kd order for the heap to pop ties (and
+    approximate k-NN to stop) where the batch kernel does."""
+    rng = np.random.default_rng(2)
+    grid = (rng.integers(0, 5, (1500, DIMS)) / 4).astype(np.float32)
+    tree = HybridTree.bulk_load(grid, page_size=PAGE)
+    oids, rows = _model_arrays(dict(enumerate(grid)))
+    centers = np.vstack([rows[:6], rows[6:12] + 0.125])
+    boxes = [Rect(c - 0.25, c + 0.25) for c in centers]
+    _check_range(tree, oids, rows, boxes)
+    _check_distance(tree, oids, rows, centers, [L1, LINF])
+    _check_knn(tree, oids, rows, centers, [L1, L2, LINF])
+    for eps in (0.5, 2.0):
+        _check_knn(tree, oids, rows, centers, [L1, LINF], eps=eps)
+    for q in centers:
+        for metric in (L1, METRICS["quadratic"]):
+            got = itertools.islice(tree.nearest_iter(q, metric), 60)
+            want = itertools.islice(_scalar_nearest_iter(tree, q, metric), 60)
+            assert list(got) == list(want)
+
+
+def test_threads_share_cached_boxes(data):
+    """Thread-mode sessions share decoded nodes: threads that race to build
+    and read the same nodes' child boxes still answer exactly."""
+    tree = HybridTree.bulk_load(data, page_size=PAGE)
+    oids, rows = _model_arrays(dict(enumerate(data)))
+    boxes, centers = _queries(np.random.default_rng(11), rows, 12, 6)
+    want_range = [
+        oids[np.all((rows >= b.low) & (rows <= b.high), axis=1)].tolist() for b in boxes
+    ]
+    want_knn = []
+    for q in centers:
+        d = L2.distance_batch(rows, q)
+        want_knn.append([(int(oids[i]), float(d[i])) for i in np.lexsort((oids, d))[:K]])
+    errors: list[BaseException] = []
+
+    def worker(seed: int, start: threading.Barrier) -> None:
+        order = np.random.default_rng(seed).permutation(len(boxes))
+        try:
+            start.wait(timeout=30)
+            for i in order.tolist():
+                assert sorted(tree.range_search(boxes[i])) == want_range[i]
+                j = i % len(centers)
+                assert tree.knn(centers[j], K, L2) == want_knn[j]
+        except BaseException as exc:  # reported below, on the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(3):
+            stack = [tree.root_id]
+            while stack:  # drop every cache: the threads rebuild them at once
+                node = tree.nm.get(stack.pop(), charge=False)
+                if isinstance(node, IndexNode):
+                    node.child_boxes = None
+                    stack.extend(node.child_ids())
+            start = threading.Barrier(6)
+            threads = [
+                threading.Thread(target=worker, args=(10 * round_ + t, start))
+                for t in range(6)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors[0]
+
+
+def test_nan_box_corners_are_rejected_by_every_engine(data):
+    tree = HybridTree.bulk_load(data[:500], page_size=PAGE)
+    nan_box = Rect([np.nan, 0, 0, 0], [1, 1, 1, 1])
+    with pytest.raises(ValueError, match="NaN"):
+        tree.range_search(nan_box)
+    with pytest.raises(ValueError, match="NaN"):
+        tree.range_search_many([Rect.unit(DIMS), nan_box])  # object kernel
+    tree.compile_snapshot()
+    with pytest.raises(ValueError, match="NaN"):
+        tree.range_search_many([nan_box])  # SOA kernel
+    with pytest.raises(ValueError, match="NaN"):
+        tree.range_search(Rect([0, 0, 0, 0], [1, np.nan, 1, 1]))
+    # Infinite corners stay legal: a half-open box answers exactly.
+    half_open = Rect([-np.inf, 0.5, -np.inf, -np.inf], [np.inf, np.inf, 0.5, np.inf])
+    rows = data[:500].astype(np.float64)
+    expected = np.flatnonzero((rows[:, 1] >= 0.5) & (rows[:, 2] <= 0.5)).tolist()
+    assert sorted(tree.range_search(half_open)) == expected
+    assert sorted(tree.range_search_many([half_open])[0]) == expected
+    tree.invalidate_snapshot()
+    assert sorted(tree.range_search_many([half_open])[0]) == expected
+
+
+# ----------------------------------------------------------------------
+# Invalidation: a cached entry never outlives what it was derived from
+# ----------------------------------------------------------------------
+EVERYTHING = Rect(np.full(DIMS, -10.0), np.full(DIMS, 10.0))
+
+
+def _assert_cache_fresh(tree):
+    """Every index node's child boxes, as a query would get them, equal a
+    derivation from scratch."""
+    checked = 0
+    stack = [(tree.root_id, tree.bounds.low, tree.bounds.high)]
+    while stack:
+        node_id, low, high = stack.pop()
+        node = tree.nm.get(node_id, charge=False)
+        if not isinstance(node, IndexNode):
+            continue
+        kids = tree._child_boxes(node, low, high)
+        ids, reg_low, reg_high = kdnodes.leaf_region_arrays(node.kd_root, low, high)
+        fresh = (ids, reg_low, reg_high, *tree.els.effective_boxes(ids, reg_low, reg_high))
+        for got, want in zip(kids[1:], fresh):
+            assert _same_bits(got, want)
+        checked += 1
+        stack.extend(zip(ids.tolist(), reg_low, reg_high))
+    return checked
+
+
+def _check_after_write(tree, model, what):
+    assert _assert_cache_fresh(tree) or tree.height == 1, what
+    oids, rows = _model_arrays(model)
+    boxes, centers = _queries(np.random.default_rng(len(model)), rows, 4, 2)
+    boxes.append(EVERYTHING)
+    _check_range(tree, oids, rows, boxes)
+    _check_distance(tree, oids, rows, centers, [L1])
+    _check_knn(tree, oids, rows, centers, [L2])
+
+
+def _warm(tree):
+    """Query the whole space: every reachable index node caches its boxes."""
+    tree.range_search(EVERYTHING)
+
+
+def _writable(mode, data, tmp_path):
+    tree = HybridTree.bulk_load(data, page_size=PAGE)
+    if mode == "memory":
+        return tree
+    tree.save(tmp_path / "tree.pages")
+    return HybridTree.open(tmp_path / "tree.pages", buffer_pages=8)
+
+
+@pytest.mark.parametrize("mode", ["memory", "buffer8"])
+def test_cached_boxes_follow_every_write(mode, tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    points = clustered_dataset(2000, DIMS, clusters=4, seed=5)
+    model = {oid: points[oid] for oid in range(20)}
+    tree = _writable(mode, points[:20], tmp_path)
+    assert tree.height == 1
+    events = {"split": 0, "remove": 0}
+    for name in ("_split_data_node", "_remove_child"):
+        method = getattr(HybridTree, name)
+
+        def counted(self, *args, _method=method, _key=name):
+            events["split" if _key == "_split_data_node" else "remove"] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(HybridTree, name, counted)
+
+    # Leaf splits, then root growth (twice), each checked right after.
+    oid, heights = 20, {1}
+    while tree.height < 3:
+        _warm(tree)
+        splits, height = events["split"], tree.height
+        tree.insert(points[oid], oid)
+        model[oid] = points[oid]
+        oid += 1
+        if tree.height != height:
+            heights.add(tree.height)
+            _check_after_write(tree, model, f"root growth to height {tree.height}")
+        elif events["split"] != splits and events["split"] < 4:
+            _check_after_write(tree, model, "leaf split")
+    assert heights == {1, 2, 3}
+
+    # An insert outside the data space: the root region grows.
+    _warm(tree)
+    outside = np.array([1.5, -0.25, 0.5, 0.5], dtype=np.float32)
+    tree.insert(outside, oid)
+    model[oid] = outside
+    oid += 1
+    assert tree.bounds.high[0] == np.float32(1.5) and tree.bounds.low[1] < 0
+    _check_after_write(tree, model, "insert outside the bounds")
+
+    # Deletes from one leaf until it underflows and is reinserted.
+    leaf_points = None
+    stack = [tree.root_id]
+    while leaf_points is None:
+        node = tree.nm.get(stack.pop(), charge=False)
+        if isinstance(node, IndexNode):
+            stack.extend(node.child_ids())
+        elif node.count:
+            leaf_points = list(zip(node.live_oids().tolist(), node.points().copy()))
+    for victim, point in leaf_points:
+        _warm(tree)
+        assert tree.delete(point, victim)
+        del model[victim]
+        if events["remove"]:
+            break
+    assert events["remove"], "no delete reached an underflow"
+    _check_after_write(tree, model, "underflow and reinsert")
+    tree.validate()
+
+    # ELS writes alone: a live box grown to its region's corner, then
+    # every box tightened again.
+    _warm(tree)
+    root = tree.nm.get(tree.root_id, charge=False)
+    first, region = root.children_with_regions(tree.bounds)[0]
+    tree.els.merge_point(first, region.high)
+    _check_after_write(tree, model, "grown live box")
+    _warm(tree)
+    tree.rebuild_els()
+    _check_after_write(tree, model, "rebuild_els")
+
+    # A page write alone: a widened kd path, as reinsertion writes it.
+    _warm(tree)
+    (first, region), (_, other) = root.children_with_regions(tree.bounds)[:2]
+    assert not region.contains_rect(other)
+    tree._widen_child(tree.root_id, root, tree.bounds, first, other.low, other.high)
+    _check_after_write(tree, model, "widened kd path")
+
+    # A failed insert: the split edits a parent's kd-tree in place, after a
+    # concurrent reader cached every node's boxes, and then raises.
+    def broken_split(self, path, node_id, node, vector, new_oid):
+        self.range_search(EVERYTHING)
+        parent_id, parent, region = path[-1]
+        self._widen_path_to(parent.kd_root, node_id, region.low, region.high)
+        raise RuntimeError("split failed")
+
+    monkeypatch.setattr(HybridTree, "_split_data_node", broken_split)
+    with pytest.raises(RuntimeError, match="split failed"):
+        for new_oid in range(oid, len(points)):
+            tree.insert(points[new_oid], new_oid)
+            model[new_oid] = points[new_oid]
+    monkeypatch.undo()
+    _check_after_write(tree, model, "failed insert")
+    tree.close()
+
+
+def test_cache_key_names_the_region(data):
+    tree = HybridTree.bulk_load(data, page_size=PAGE)
+    root = tree.nm.get(tree.root_id, charge=False)
+    kids = tree._child_boxes(root, tree.bounds.low, tree.bounds.high)
+    assert tree._child_boxes(root, tree.bounds.low, tree.bounds.high) is kids
+    assert not kids.box_low.flags.writeable and not kids.ids.flags.writeable
+    low, high = tree.bounds.low + 0.25, tree.bounds.high - 0.25
+    shrunk = tree._child_boxes(root, low, high)
+    ids, reg_low, reg_high = kdnodes.leaf_region_arrays(root.kd_root, low, high)
+    fresh = (ids, reg_low, reg_high, *tree.els.effective_boxes(ids, reg_low, reg_high))
+    for got, want in zip(shrunk[1:], fresh):
+        assert _same_bits(got, want)
+    assert root.child_boxes is shrunk
+
+
+def test_cached_boxes_after_a_wal_replayed_open(tmp_path):
+    points = clustered_dataset(1600, DIMS, seed=8)
+    path = tmp_path / "tree.pages"
+    HybridTree.bulk_load(points[:1500], page_size=PAGE).save(path)
+    model = {oid: points[oid] for oid in range(1500)}
+    tree = HybridTree.open(path, wal=True)
+    for oid in range(1500, 1600):
+        _warm(tree)
+        tree.insert(points[oid], oid)
+        model[oid] = points[oid]
+    for oid in range(0, 1500, 50):
+        _warm(tree)
+        assert tree.delete(points[oid], oid)
+        del model[oid]
+    _check_after_write(tree, model, "durable writes")
+    tree.close()  # no save: the log is the only durable copy
+
+    replayed = HybridTree.open(path)
+    assert replayed.wal_replayed_transactions > 0
+    _check_after_write(replayed, model, "replayed open")
+    _warm(replayed)
+    replayed.insert(points[0], 0)
+    model[0] = points[0]
+    _check_after_write(replayed, model, "a write after the replayed open")
+    replayed.close()

@@ -211,18 +211,18 @@ def test_one_insert_refreshes_one_path(monkeypatch):
     assert tree.soa_snapshot is None  # stale until the next batch
 
     calls = {"rect": 0, "leaf": 0}
-    effective_rect = ELSTable.effective_rect
+    effective_boxes = ELSTable.effective_boxes
     leaf_points = HybridTree.trav_leaf_points
 
-    def counted_rect(self, *args):
-        calls["rect"] += 1
-        return effective_rect(self, *args)
+    def counted_boxes(self, ids, *args):
+        calls["rect"] += len(ids)
+        return effective_boxes(self, ids, *args)
 
     def counted_points(self, node):
         calls["leaf"] += 1
         return leaf_points(self, node)
 
-    monkeypatch.setattr(ELSTable, "effective_rect", counted_rect)
+    monkeypatch.setattr(ELSTable, "effective_boxes", counted_boxes)
     monkeypatch.setattr(HybridTree, "trav_leaf_points", counted_points)
     refreshed = tree.refresh_snapshot()
     assert calls["rect"] <= tree.height
