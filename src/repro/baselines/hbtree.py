@@ -43,7 +43,7 @@ from repro.baselines.common import EntryLeaf, KernelQueryMixin, check_vector
 from repro.core import kdnodes
 from repro.core.kdnodes import KDInternal, KDLeaf, KDNode
 from repro.core.splits import choose_data_split
-from repro.distances import Metric, mindist_rect_many
+from repro.distances import Metric
 from repro.engine.kernel import ChildBound
 from repro.geometry.rect import Rect
 from repro.storage.iostats import IOStats
@@ -106,7 +106,7 @@ class _HBBound(ChildBound):
         return self.path_rect.intersects_boxes_mask(lows, highs)
 
     def mindist(self, qs: np.ndarray, metric: Metric) -> np.ndarray:
-        return mindist_rect_many(metric, qs, self.region.low, self.region.high)
+        return metric.pair_mindist(qs, self.region.low, self.region.high)
 
 
 class HBTree(KernelQueryMixin):

@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.baselines.common import BatchQueryMixin, check_vector
 from repro.distances import L2, Metric
+from repro.engine.query import check_metric
 from repro.geometry.rect import Rect
 from repro.storage.iostats import AccessKind, IOStats
 from repro.storage.page import PageLayout, data_node_capacity
@@ -102,6 +103,7 @@ class SequentialScan(BatchQueryMixin):
         self, query: np.ndarray, radius: float, metric: Metric = L2
     ) -> list[tuple[int, float]]:
         q = check_vector(query, self.dims)
+        check_metric(metric, self.dims)
         self._charge_scan()
         if self._count == 0:
             return []
@@ -113,6 +115,7 @@ class SequentialScan(BatchQueryMixin):
         self, query: np.ndarray, k: int, metric: Metric = L2, **_ignored
     ) -> list[tuple[int, float]]:
         q = check_vector(query, self.dims)
+        check_metric(metric, self.dims)
         if k < 1:
             raise ValueError("k must be >= 1")
         self._charge_scan()

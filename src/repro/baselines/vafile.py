@@ -24,7 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.common import BatchQueryMixin, check_vector
-from repro.distances import L2, LpMetric, Metric
+from repro.distances import L2, Metric
+from repro.engine.query import check_metric
 from repro.geometry.rect import Rect
 from repro.storage.iostats import AccessKind, IOStats
 from repro.storage.page import PAGE_HEADER_SIZE, PageLayout, data_node_capacity
@@ -163,31 +164,15 @@ class VAFile(BatchQueryMixin):
         v32 = np.asarray(vector, dtype=np.float32).astype(np.float64)
         return self.range_search(Rect(v32, v32))
 
-    def _cell_lower_bounds(self, q: np.ndarray, metric: Metric) -> np.ndarray:
-        """Per-vector lower bound: metric distance to the vector's cell."""
-        low, high = self._cell_rects()
-        clamped = np.clip(q, low, high)
-        if isinstance(metric, LpMetric):
-            diff = np.abs(clamped - q)
-            if np.isinf(metric.p):
-                return diff.max(axis=1)
-            if metric.p == 1.0:
-                return diff.sum(axis=1)
-            if metric.p == 2.0:
-                return np.sqrt((diff * diff).sum(axis=1))
-            return (diff ** metric.p).sum(axis=1) ** (1.0 / metric.p)
-        return np.array(
-            [metric.mindist_rect(q, lo, hi) for lo, hi in zip(low, high)]
-        )
-
     def distance_range(
         self, query: np.ndarray, radius: float, metric: Metric = L2
     ) -> list[tuple[int, float]]:
         q = check_vector(query, self.dims)
+        check_metric(metric, self.dims)
         if self._count == 0:
             return []
         self._charge_approximation_scan()
-        bounds = self._cell_lower_bounds(q, metric)
+        bounds = metric.pair_mindist(q, *self._cell_rects())
         candidates = np.flatnonzero(bounds <= radius)
         if candidates.size == 0:
             return []
@@ -207,12 +192,13 @@ class VAFile(BatchQueryMixin):
         """Two-phase VA-SSA search: visit candidates in lower-bound order,
         stop when the next bound exceeds the current k-th distance."""
         q = check_vector(query, self.dims)
+        check_metric(metric, self.dims)
         if k < 1:
             raise ValueError("k must be >= 1")
         if self._count == 0:
             return []
         self._charge_approximation_scan()
-        bounds = self._cell_lower_bounds(q, metric)
+        bounds = metric.pair_mindist(q, *self._cell_rects())
         order = np.argsort(bounds, kind="stable")
         kth = np.inf
         # Heap keyed (-dist, -oid): ties on distance evict the largest oid

@@ -43,12 +43,12 @@ from repro.core.splits import (
     reset_round_robin,
 )
 from repro.distances import L2, Metric
-from repro.engine.bestfirst import rowwise_distances, rowwise_metric
 from repro.engine.query import (
     BatchQueries,
     check_approximation,
     check_box,
     check_k,
+    check_metric,
     check_radii,
 )
 from repro.geometry.rect import Rect
@@ -92,18 +92,6 @@ def _f32_outward(x: float, toward: float) -> float:
     if (toward > 0 and v < x) or (toward < 0 and v > x):
         v = np.nextafter(v, np.float32(toward))
     return float(v)
-
-
-def _box_mindists(
-    metric: Metric, q: np.ndarray, low: np.ndarray, high: np.ndarray
-) -> np.ndarray:
-    """Row ``i``: ``metric.mindist_rect(q, low[i], high[i])``, bitwise — one
-    clip-and-reduce for a row-wise metric, a call per row otherwise."""
-    if rowwise_metric(metric):
-        return rowwise_distances(metric, q, np.clip(q, low, high))
-    return np.array(
-        [metric.mindist_rect(q, lo, hi) for lo, hi in zip(low, high)], dtype=np.float64
-    )
 
 
 class HybridTree:
@@ -898,6 +886,7 @@ class HybridTree:
         ``metric`` — the paper's distance-based range query, usable with a
         different metric on every call."""
         q = self._check_vector(query)
+        check_metric(metric, self.dims)
         radius = float(check_radii(radius, 1)[0])
         out: list[tuple[int, float]] = []
 
@@ -910,7 +899,7 @@ class HybridTree:
                         out.append((int(node.live_oids()[i]), float(dists[i])))
                 return
             kids = self._child_boxes(node, low, high)
-            near = _box_mindists(metric, q, kids.box_low, kids.box_high) <= radius
+            near = metric.pair_mindist(q, kids.box_low, kids.box_high) <= radius
             for i in np.flatnonzero(near).tolist():
                 visit(int(kids.ids[i]), kids.low[i], kids.high[i])
 
@@ -941,6 +930,7 @@ class HybridTree:
         future-work approximate-NN mode.
         """
         q = self._check_vector(query)
+        check_metric(metric, self.dims)
         k = check_k(k)
         shrink = 1.0 / (1.0 + check_approximation(approximation_factor))
         counter = itertools.count()
@@ -976,7 +966,7 @@ class HybridTree:
                             heapq.heapreplace(best, (-dist, -oid))
                     continue
                 kids = self._child_boxes(node, low, high)
-                bounds = _box_mindists(metric, q, kids.box_low, kids.box_high)
+                bounds = metric.pair_mindist(q, kids.box_low, kids.box_high)
                 # Children are pushed in kd order, so the push counter
                 # breaks bound ties as the kd walk did.
                 for i in np.flatnonzero(bounds <= kth() * shrink).tolist():
@@ -1006,6 +996,7 @@ class HybridTree:
         "give me results until the user stops"), where k is unknown upfront.
         """
         q = self._check_vector(query)
+        check_metric(metric, self.dims)
         counter = itertools.count()
         # Entries: (key, tiebreak, kind, payload); kind 0 = point, 1 = node.
         heap: list[tuple[float, int, int, object]] = [
@@ -1028,7 +1019,7 @@ class HybridTree:
                         )
                 continue
             kids = self._child_boxes(node, low, high)
-            bounds = _box_mindists(metric, q, kids.box_low, kids.box_high)
+            bounds = metric.pair_mindist(q, kids.box_low, kids.box_high)
             for i, child_id in enumerate(kids.ids.tolist()):
                 heapq.heappush(
                     heap,

@@ -7,6 +7,21 @@ relevance-feedback loops require (paper Sections 1, 3.5).  A metric here is an
 object that can (a) measure point-to-point distances and (b) lower-bound the
 distance from a query point to an axis-aligned box, which is all a
 feature-based index needs to prune.
+
+Every metric is a :class:`Metric` and offers both as row-wise primitives,
+the only forms the query engines call:
+
+- ``pair_distances(a, b)`` — row ``i`` is the distance between ``a[i]`` and
+  ``b[i]`` (``b`` is caller-owned float64 scratch);
+- ``pair_mindist(q, low, high)`` — row ``i`` is the lower bound from
+  ``q[i]`` to the box ``[low[i], high[i]]``.
+
+``distance``, ``distance_batch`` and ``mindist_rect`` are their one-row and
+broadcast cases, so each metric's formula lives in one place and every
+engine gets the same bits for the same pair (see :mod:`.metrics`).
+:class:`UserMetric` adapts an arbitrary Python function ``fn(a, b)``, with an
+optional ``rect_lower_bound(q, low, high)``; the row-wise forms call it once
+per row.
 """
 
 from repro.distances.metrics import (
@@ -18,7 +33,6 @@ from repro.distances.metrics import (
     QuadraticFormMetric,
     UserMetric,
     WeightedEuclidean,
-    mindist_rect_many,
 )
 
 __all__ = [
@@ -30,5 +44,4 @@ __all__ = [
     "QuadraticFormMetric",
     "UserMetric",
     "WeightedEuclidean",
-    "mindist_rect_many",
 ]

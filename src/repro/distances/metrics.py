@@ -1,54 +1,110 @@
 """Metric implementations: Lp family, weighted/quadratic forms, user hooks.
 
-Each metric provides three operations:
+Every metric is a :class:`Metric` with two row-wise primitives, the only
+things the query engines call:
 
-``distance(a, b)``
-    Point-to-point distance.
-``distance_batch(points, q)``
-    Vectorized distances from every row of ``points`` to ``q`` — the inner
-    loop of data-node scans, so it must be numpy-level fast.
-``mindist_rect(q, low, high)``
-    A lower bound on ``distance(q, x)`` over all ``x`` in the box.  For every
-    metric here the bound is *tight* (attained by the box point closest to
-    ``q``), which keeps branch-and-bound search exact.
+``pair_distances(a, b)``
+    Row ``i`` is the distance between ``a[i]`` and ``b[i]``.  ``b`` is the
+    caller's scratch: a fresh float64 array of the full ``(rows, d)`` shape,
+    which may be overwritten (the vectorized metrics form the difference in
+    it, so a leaf scan that gathers ``b`` anyway allocates nothing more).
+    ``a`` may be a single row that broadcasts, or float32 rows, which the
+    subtraction promotes exactly.
+``pair_mindist(q, low, high)``
+    Row ``i`` is a lower bound on ``distance(q[i], x)`` over all ``x`` in
+    the box ``[low[i], high[i]]``; a single box (or query) broadcasts.  For
+    the Lp and weighted metrics the bound is *tight* (attained by the box
+    point closest to the query), which keeps branch-and-bound search exact
+    and prunes as much as possible.
 
-The concrete metrics additionally implement ``mindist_rect_batch(queries,
-low, high)`` — the row-wise form of ``mindist_rect`` for *many query points
-against one box*, the primitive the batch query engine
-(:mod:`repro.engine`) tests a fetched node against all alive queries with.
-The batch form performs the same clip-and-reduce operations as the scalar
-one, so the two are bitwise identical and batch search decisions match
-single-query search exactly.  :func:`mindist_rect_many` dispatches to it
-with a scalar fallback, so user metrics that only implement the three-method
-protocol still work in batches.
+The familiar forms are their special cases: ``distance(a, b)`` is the
+one-row case of ``pair_distances``, ``distance_batch(points, q)`` (distances
+from every row of ``points`` to ``q``) its broadcast case, and
+``mindist_rect(q, low, high)`` the one-row case of ``pair_mindist``.  Each
+vectorized metric therefore writes its formula once, as a reduction over
+``axis=1`` of the coordinate differences, and a row's result does not depend
+on how many rows share the call (a one-row reduction equals the 1-d one):
+every engine — single query, object kernel, SOA kernel — gets the same bits
+for the same pair, however it batches them.
+
+:class:`UserMetric` adapts an arbitrary Python distance function: the base
+class's looping defaults call it once per row.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 
-@runtime_checkable
-class Metric(Protocol):
-    """What an index needs from a distance function in order to prune."""
+class Metric:
+    """What an index needs from a distance function in order to prune.
+
+    A subclass gives :meth:`distance` (and :meth:`mindist_rect` when the
+    clamped-point distance is not a lower bound); the row-wise primitives
+    then loop over them.  Vectorized metrics override the primitives
+    instead, and derive the scalar forms from them.
+    """
+
+    dims: int | None = None
+    """The dimensionality the metric is defined for; ``None`` for any."""
 
     def distance(self, a: np.ndarray, b: np.ndarray) -> float:
-        ...
-
-    def distance_batch(self, points: np.ndarray, q: np.ndarray) -> np.ndarray:
-        ...
+        raise NotImplementedError
 
     def mindist_rect(self, q: np.ndarray, low: np.ndarray, high: np.ndarray) -> float:
-        ...
+        """The distance to the box point closest to ``q`` — a lower bound
+        whenever the metric is coordinatewise monotone in ``|a_i - b_i|``."""
+        return self.distance(q, np.clip(q, low, high))
+
+    def distance_batch(self, points: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Distances from every row of ``points`` to ``q``; neither argument
+        is modified."""
+        return self.pair_distances(points, q)
+
+    def pair_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        a, b = np.broadcast_arrays(a, b)
+        return np.array([self.distance(x, y) for x, y in zip(a, b)], dtype=np.float64)
+
+    def pair_mindist(self, q: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+        rows = zip(*np.broadcast_arrays(q, low, high))
+        return np.array([self.mindist_rect(*row) for row in rows], dtype=np.float64)
 
 
-class LpMetric:
+class _DifferenceMetric(Metric):
+    """A metric computed from the coordinate difference alone: every form
+    runs :meth:`_reduce`, the metric's one formula."""
+
+    def _reduce(self, diff: np.ndarray) -> np.ndarray:
+        """Row ``i``: the distance of two points whose difference (of either
+        sign) is ``diff[i]``.  ``diff`` is float64 and may be overwritten."""
+        raise NotImplementedError
+
+    def pair_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # ``b - a`` is bitwise ``-(a - b)``: IEEE subtraction is
+        # antisymmetric, and every formula here takes the difference's
+        # absolute value or multiplies it by itself.
+        return self._reduce(np.subtract(b, a, out=b))
+
+    def pair_mindist(self, q: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+        return self.pair_distances(q, np.clip(q, low, high))
+
+    def distance(self, a: np.ndarray, b: np.ndarray) -> float:
+        return float(self.pair_distances(a, np.array(b, dtype=np.float64, ndmin=2))[0])
+
+    def distance_batch(self, points: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return self._reduce(points - q)
+
+    def mindist_rect(self, q: np.ndarray, low: np.ndarray, high: np.ndarray) -> float:
+        return float(self.pair_mindist(np.array(q, dtype=np.float64, ndmin=2), low, high)[0])
+
+
+class LpMetric(_DifferenceMetric):
     """The Minkowski ``L_p`` family, ``p >= 1`` or ``p = inf``.
 
-    ``mindist_rect`` clamps the query into the box and measures the distance
+    The box bound clamps the query into the box and measures the distance
     to the clamped point — exact for every ``L_p`` because the box is convex
     and the metric is coordinatewise monotone.
     """
@@ -58,44 +114,14 @@ class LpMetric:
             raise ValueError(f"Lp requires p >= 1, got {p}")
         self.p = float(p)
 
-    def distance(self, a: np.ndarray, b: np.ndarray) -> float:
-        diff = np.abs(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64))
-        if np.isinf(self.p):
-            return float(diff.max())
-        if self.p == 1.0:
-            return float(diff.sum())
+    def _reduce(self, diff: np.ndarray) -> np.ndarray:
         if self.p == 2.0:
-            return float(np.sqrt((diff * diff).sum()))
-        return float((diff**self.p).sum() ** (1.0 / self.p))
-
-    def distance_batch(self, points: np.ndarray, q: np.ndarray) -> np.ndarray:
-        diff = np.abs(points - q)
-        if np.isinf(self.p):
-            return diff.max(axis=1)
+            return np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=1))
+        diff = np.abs(diff, out=diff)
         if self.p == 1.0:
             return diff.sum(axis=1)
-        if self.p == 2.0:
-            return np.sqrt((diff * diff).sum(axis=1))
-        return (diff**self.p).sum(axis=1) ** (1.0 / self.p)
-
-    def mindist_rect(self, q: np.ndarray, low: np.ndarray, high: np.ndarray) -> float:
-        clamped = np.clip(q, low, high)
-        return self.distance(q, clamped)
-
-    def mindist_rect_batch(
-        self, queries: np.ndarray, low: np.ndarray, high: np.ndarray
-    ) -> np.ndarray:
-        """Row-wise :meth:`mindist_rect` for many query points to one box."""
-        queries = np.asarray(queries, dtype=np.float64)
-        if queries.shape[0] == 0:
-            return np.empty(0)
-        diff = np.abs(queries - np.clip(queries, low, high))
-        if np.isinf(self.p):
+        if math.isinf(self.p):
             return diff.max(axis=1)
-        if self.p == 1.0:
-            return diff.sum(axis=1)
-        if self.p == 2.0:
-            return np.sqrt((diff * diff).sum(axis=1))
         return (diff**self.p).sum(axis=1) ** (1.0 / self.p)
 
     def __repr__(self) -> str:
@@ -119,46 +145,28 @@ LINF = LpMetric(float("inf"))
 """Chebyshev distance; a cube range query is an L-inf ball query."""
 
 
-class WeightedEuclidean:
+class WeightedEuclidean(_DifferenceMetric):
     """``sqrt(sum_i w_i (a_i - b_i)^2)`` with non-negative weights.
 
     Re-weighting dimensions per query is the basic relevance-feedback move
     (MARS/MindReader); the hybrid tree supports it because pruning only needs
-    the box lower bound below.
+    the box lower bound, the weighted distance to the clamped point.
     """
 
     def __init__(self, weights: np.ndarray):
         self.weights = np.asarray(weights, dtype=np.float64)
         if self.weights.ndim != 1 or np.any(self.weights < 0):
             raise ValueError("weights must be a 1-d non-negative array")
+        self.dims = len(self.weights)
 
-    def distance(self, a: np.ndarray, b: np.ndarray) -> float:
-        diff = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
-        return float(np.sqrt((self.weights * diff * diff).sum()))
-
-    def distance_batch(self, points: np.ndarray, q: np.ndarray) -> np.ndarray:
-        diff = points - q
-        return np.sqrt((self.weights * diff * diff).sum(axis=1))
-
-    def mindist_rect(self, q: np.ndarray, low: np.ndarray, high: np.ndarray) -> float:
-        clamped = np.clip(q, low, high)
-        return self.distance(q, clamped)
-
-    def mindist_rect_batch(
-        self, queries: np.ndarray, low: np.ndarray, high: np.ndarray
-    ) -> np.ndarray:
-        """Row-wise :meth:`mindist_rect` for many query points to one box."""
-        queries = np.asarray(queries, dtype=np.float64)
-        if queries.shape[0] == 0:
-            return np.empty(0)
-        diff = queries - np.clip(queries, low, high)
+    def _reduce(self, diff: np.ndarray) -> np.ndarray:
         return np.sqrt((self.weights * diff * diff).sum(axis=1))
 
     def __repr__(self) -> str:
         return f"WeightedEuclidean(weights={self.weights.tolist()})"
 
 
-class QuadraticFormMetric:
+class QuadraticFormMetric(_DifferenceMetric):
     """``sqrt((a-b)^T A (a-b))`` for a symmetric positive-definite ``A``.
 
     Quadratic-form distances arise from relevance feedback with correlated
@@ -177,41 +185,27 @@ class QuadraticFormMetric:
         if eigvals[0] <= 0:
             raise ValueError("matrix must be positive definite")
         self._sqrt_lambda_min = float(np.sqrt(eigvals[0]))
+        self.dims = self.matrix.shape[0]
 
-    def distance(self, a: np.ndarray, b: np.ndarray) -> float:
-        diff = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
-        return float(np.sqrt(diff @ self.matrix @ diff))
-
-    def distance_batch(self, points: np.ndarray, q: np.ndarray) -> np.ndarray:
-        diff = points - q
+    def _reduce(self, diff: np.ndarray) -> np.ndarray:
         return np.sqrt(np.einsum("ij,jk,ik->i", diff, self.matrix, diff))
 
-    def mindist_rect(self, q: np.ndarray, low: np.ndarray, high: np.ndarray) -> float:
-        clamped = np.clip(q, low, high)
-        l2 = float(np.linalg.norm(np.asarray(q, dtype=np.float64) - clamped))
-        return self._sqrt_lambda_min * l2
-
-    def mindist_rect_batch(
-        self, queries: np.ndarray, low: np.ndarray, high: np.ndarray
-    ) -> np.ndarray:
-        """Row-wise :meth:`mindist_rect`.  ``np.linalg.norm`` reduces a 1-d
-        vector through BLAS ``dot``, whose summation order differs from an
-        axis reduction, so this loops per row to stay bitwise identical to
-        the scalar bound."""
-        return np.array([self.mindist_rect(q, low, high) for q in queries])
+    def pair_mindist(self, q: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+        return self._sqrt_lambda_min * L2.pair_mindist(q, low, high)
 
     def __repr__(self) -> str:
         return f"QuadraticFormMetric(dims={self.matrix.shape[0]})"
 
 
-class UserMetric:
+class UserMetric(Metric):
     """Wrap an arbitrary user distance function for query-time use.
 
-    ``mindist_rect`` defaults to the clamped-point evaluation, which is a
+    The box bound defaults to the clamped-point evaluation, which is a
     correct lower bound whenever the function is coordinatewise monotone in
     ``|a_i - b_i|`` (true for every similarity measure used in MARS).  For
     functions without that property, supply an explicit ``rect_lower_bound``;
     passing a constant-zero bound degrades pruning but never correctness.
+    The row-wise forms call the function once per row.
     """
 
     def __init__(
@@ -225,32 +219,10 @@ class UserMetric:
     def distance(self, a: np.ndarray, b: np.ndarray) -> float:
         return float(self.fn(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)))
 
-    def distance_batch(self, points: np.ndarray, q: np.ndarray) -> np.ndarray:
-        return np.array([self.distance(row, q) for row in points])
-
     def mindist_rect(self, q: np.ndarray, low: np.ndarray, high: np.ndarray) -> float:
         if self._rect_lower_bound is not None:
             return float(self._rect_lower_bound(q, low, high))
-        clamped = np.clip(q, low, high)
-        return self.distance(q, clamped)
+        return super().mindist_rect(q, low, high)
 
     def __repr__(self) -> str:
         return f"UserMetric({getattr(self.fn, '__name__', 'fn')})"
-
-
-def mindist_rect_many(
-    metric: Metric, queries: np.ndarray, low: np.ndarray, high: np.ndarray
-) -> np.ndarray:
-    """Lower-bound distances from many query points to one box.
-
-    Dispatches to the metric's vectorized ``mindist_rect_batch`` when it has
-    one and otherwise falls back to a per-query loop, so any object
-    satisfying the three-method :class:`Metric` protocol — user metrics
-    included — can drive the batch query engine.
-    """
-    batch = getattr(metric, "mindist_rect_batch", None)
-    if batch is not None:
-        return np.asarray(batch(queries, low, high), dtype=np.float64)
-    return np.array(
-        [metric.mindist_rect(q, low, high) for q in queries], dtype=np.float64
-    )

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distances import LpMetric, Metric, WeightedEuclidean
+from repro.distances import Metric
 
 __all__ = ["TopK", "best_first_knn"]
 
@@ -72,48 +72,6 @@ def per_edge_eval(edges: np.ndarray, fill, fn) -> np.ndarray:
     for seg in np.split(order, starts):
         out[seg] = fn(int(edges[seg[0]]), seg)
     return out
-
-
-def rowwise_metric(metric: Metric) -> bool:
-    """True for metrics whose distance and box bound are elementwise math
-    plus an ``axis=1`` reduction, so any set of rows can be evaluated in
-    one array op with results bitwise equal to the per-call forms."""
-    return isinstance(metric, (LpMetric, WeightedEuclidean))
-
-
-def rowwise_distances(metric: Metric, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row ``i``: the distance between ``a[i]`` and ``b[i]``, computed with
-    exactly the elementwise steps and ``axis=1`` reduction of
-    ``distance_batch`` / ``mindist_rect_batch`` (for a
-    :func:`rowwise_metric`), so every row is bitwise equal to theirs.
-
-    ``b`` is scratch: the float64 difference is formed in it, so callers
-    pass a fresh array (a gather or a clip).  ``b - a`` is bitwise
-    ``-(a - b)`` — IEEE subtraction is antisymmetric — and every metric
-    here takes its absolute value or squares it, so the sign never shows.
-    ``a`` may be float32 rows; the subtraction promotes them exactly."""
-    diff = np.subtract(b, a, out=b)
-    if isinstance(metric, WeightedEuclidean):
-        return np.sqrt((metric.weights * diff * diff).sum(axis=1))
-    return _lp_reduce(metric, np.abs(diff, out=diff))
-
-
-def _lp_reduce(metric: LpMetric, diff: np.ndarray) -> np.ndarray:
-    if np.isinf(metric.p):
-        return diff.max(axis=1)
-    if metric.p == 1.0:
-        return diff.sum(axis=1)
-    if metric.p == 2.0:
-        return np.sqrt((diff * diff).sum(axis=1))
-    return (diff ** metric.p).sum(axis=1) ** (1.0 / metric.p)
-
-
-def rect_mindist_rows(
-    metric: Metric, qrows: np.ndarray, low: np.ndarray, high: np.ndarray, e: np.ndarray
-) -> np.ndarray:
-    """Row ``i``: ``metric.mindist_rect(qrows[i], low[e[i]], high[e[i]])``,
-    bitwise (for a :func:`rowwise_metric`)."""
-    return rowwise_distances(metric, qrows, np.clip(qrows, low[e], high[e]))
 
 
 class Growing:
@@ -216,17 +174,9 @@ def _scan_leaves(tree, nodes, q, qs, metric, topk: TopK, scanned) -> None:
     starts, sizes, q = starts[nz], sizes[nz], q[nz]
     if not q.size:
         return
-    points, oids = tree.points, tree.oids
-    if not rowwise_metric(metric):
-        for s, size, qi in zip(starts.tolist(), sizes.tolist(), q.tolist()):
-            d = metric.distance_batch(
-                np.asarray(points[s : s + size], dtype=np.float64), qs[qi]
-            )
-            topk.merge(np.full(size, qi), d, oids[s : s + size])
-        return
     rows = np.repeat(starts, sizes) + concat_ranges(sizes)
     qrow = np.repeat(q, sizes)
-    topk.merge(qrow, rowwise_distances(metric, points[rows], qs[qrow]), oids[rows])
+    topk.merge(qrow, metric.pair_distances(tree.points[rows], qs[qrow]), tree.oids[rows])
 
 
 def best_first_knn(

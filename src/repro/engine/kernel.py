@@ -73,15 +73,8 @@ import time
 
 import numpy as np
 
-from repro.distances import Metric, mindist_rect_many
-from repro.engine.bestfirst import (
-    Growing,
-    TopK,
-    best_first_knn,
-    per_edge_eval,
-    rect_mindist_rows,
-    rowwise_metric,
-)
+from repro.distances import Metric
+from repro.engine.bestfirst import Growing, TopK, best_first_knn, per_edge_eval
 from repro.engine.metrics import BatchMetrics
 from repro.engine.query import QueryBatch
 from repro.geometry.rect import Rect
@@ -143,7 +136,7 @@ class RectBound(ChildBound):
         return self.rect.intersects_boxes_mask(lows, highs)
 
     def mindist(self, qs: np.ndarray, metric: Metric) -> np.ndarray:
-        return mindist_rect_many(metric, qs, self.rect.low, self.rect.high)
+        return metric.pair_mindist(qs, self.rect.low, self.rect.high)
 
 
 # ----------------------------------------------------------------------
@@ -385,7 +378,6 @@ class _ReachedTree:
         self.index, self._fetch = index, fetch
         self.dedup = bool(getattr(index, "trav_dedup", False))
         self._qs, self._metric = qs, metric
-        self._rowwise = rowwise_metric(metric)
         dims = qs.shape[1]
         self._refs: list = [root_ref]
         self._ctxs: list = [root_ctx]
@@ -458,10 +450,10 @@ class _ReachedTree:
 
     def mindist(self, e: np.ndarray, q: np.ndarray) -> np.ndarray:
         qs, metric = self._qs, self._metric
-        if self._all_rect and self._rowwise:
-            # Row-wise RectBound.mindist, bitwise (mindist_rect_batch is
-            # elementwise clip-and-reduce).
-            return rect_mindist_rows(metric, qs[q], self._low.data, self._high.data, e)
+        if self._all_rect:
+            # Row-wise RectBound.mindist: a metric's rows do not depend on
+            # which other rows share the call.
+            return metric.pair_mindist(qs[q], self._low.data[e], self._high.data[e])
         bounds = self._bounds
         return per_edge_eval(
             e, np.float64, lambda eid, seg: bounds[eid].mindist(qs[q[seg]], metric)

@@ -85,12 +85,11 @@ Determinism contract (tested in ``tests/test_mmap_parallel.py``):
   ``knn_many`` are **bit-identical** to the serial batch call (and hence to
   the single-query loop) for every worker count and mode — including after
   a crashed partition is retried on a respawned worker;
-- per-query node-visit counts are partition-independent for range and
-  distance queries (the alive-set predicates are evaluated row-wise);
-  for k-NN they are not — the shared traversal orders children by the best
-  bound *over the alive set*, so a query's visit attribution depends on
-  its batch companions (the same caveat the serial batch engine documents
-  versus the single-query loop);
+- per-query node-visit counts are partition-independent for every kind:
+  range and distance because the alive-set predicates are evaluated
+  row-wise, k-NN because every query runs its own best-first search
+  (:mod:`repro.engine.bestfirst`), so its visits equal the single-query
+  ``knn``'s whatever batch companions it has;
 - ``charged_reads`` is the sum over workers.  It exceeds the serial batch
   figure because every worker re-reads the directory levels for itself:
   parallelism buys wall time with duplicated (cheap, cached) page reads,

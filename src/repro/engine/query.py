@@ -35,6 +35,7 @@ __all__ = [
     "check_approximation",
     "check_box",
     "check_k",
+    "check_metric",
     "check_on_timeout",
     "check_radii",
     "query_matrix",
@@ -63,11 +64,25 @@ def check_k(k) -> int:
     return value
 
 
+def check_metric(metric, dims: int) -> Metric:
+    """``metric``, if it is a :class:`~repro.distances.Metric` defined for
+    ``dims`` dimensions (or for any); checked before a page is read."""
+    if not isinstance(metric, Metric):
+        raise TypeError(f"metric must be a repro.distances.Metric, got {metric!r}")
+    if metric.dims is not None and metric.dims != dims:
+        raise ValueError(
+            f"{metric!r} is {metric.dims}-dimensional, the index is {dims}-dimensional"
+        )
+    return metric
+
+
 def check_approximation(approximation_factor) -> float:
-    """The approximate-NN factor ``eps``: a number >= 0 (not NaN)."""
+    """The approximate-NN factor ``eps``: a finite number >= 0.  (An
+    infinite one would make the pruning bound ``kth / inf`` 0, and ``0 *
+    inf`` NaN, so the search would prune everything.)"""
     eps = float(approximation_factor)
-    if not eps >= 0:
-        raise ValueError("approximation_factor must be >= 0")
+    if not (eps >= 0 and np.isfinite(eps)):
+        raise ValueError("approximation_factor must be finite and >= 0")
     return eps
 
 
@@ -148,7 +163,10 @@ class QueryBatch:
         one radius per query."""
         qs = query_matrix(centers, dims)
         return cls(
-            DISTANCE, centers=qs, radii=check_radii(radii, len(qs)), metric=metric
+            DISTANCE,
+            centers=qs,
+            radii=check_radii(radii, len(qs)),
+            metric=check_metric(metric, dims),
         )
 
     @classmethod
@@ -159,7 +177,7 @@ class QueryBatch:
         return cls(
             KNN,
             centers=query_matrix(centers, dims),
-            metric=metric,
+            metric=check_metric(metric, dims),
             k=check_k(k),
             approximation_factor=check_approximation(approximation_factor),
         )

@@ -18,21 +18,21 @@ same results, same accounting:
 
 Bit-identity rules (asserted by ``tests/test_soa_conformance.py``):
 
-- rect bounds evaluate the same elementwise clip-and-reduce formulas as
-  ``mindist_rect_batch`` — row-wise reductions over ``axis=1`` of a 2-d
-  array are independent of how many rows ride along, so per-pair batches
-  match the object kernel's per-edge batches float for float;
-- metrics without a mirrored batch form (quadratic form, user metrics)
-  and all sphere geometry fall back to *per-edge grouped* calls of the
-  exact same ``ChildBound`` / ``mindist_rect_many`` code the object
-  kernel runs;
+- every metric is evaluated through its two row-wise primitives,
+  ``pair_mindist`` for rect bounds and ``pair_distances`` for leaf scans
+  (:mod:`repro.distances`); a metric's row does not depend on how many
+  rows ride along, so per-pair batches match the object kernel's and the
+  single-query search's calls float for float, whatever the metric;
+- non-rect geometry (spheres, SR-tree rect-spheres, M-tree routers) is
+  evaluated with *per-edge grouped* calls of the exact same
+  ``ChildBound`` code the object kernel runs;
 - leaf scans see the float32 leaf rows upcast exactly to float64, as the
-  object kernel's per-leaf ``pts.astype(np.float64)`` does: row-wise
-  metrics get the float32 rows and let the subtraction promote them, the
-  range stage and per-leaf metric calls upcast the rows they use;
-- large row-wise passes (vectorized frontier masks, the distance leaf
-  scan) run in blocks of ``_BLOCK_ELEMS // dims`` rows; a row's result
-  never depends on its neighbours, so blocks change peak memory and cache
+  object kernel's per-leaf ``pts.astype(np.float64)`` does: the metric
+  gets the float32 rows and the subtraction promotes them, the range
+  stage upcasts the rows it uses;
+- large row-wise passes (rect frontier masks, the distance leaf scan) run
+  in blocks of ``_BLOCK_ELEMS // dims`` rows; a row's result never
+  depends on its neighbours, so blocks change peak memory and cache
   behaviour, never a result bit.  Per-edge grouped calls are never split
   across blocks;
 - each page is charged once per batch (supernodes charge their page
@@ -47,14 +47,8 @@ import time
 
 import numpy as np
 
-from repro.distances import Metric, mindist_rect_many
-from repro.engine.bestfirst import (
-    TopK,
-    best_first_knn,
-    rect_mindist_rows,
-    rowwise_distances,
-    rowwise_metric,
-)
+from repro.distances import Metric
+from repro.engine.bestfirst import TopK, best_first_knn
 from repro.engine.bestfirst import concat_ranges as _concat_ranges
 from repro.engine.bestfirst import per_edge_eval as _per_edge_eval
 from repro.engine.kernel import _finish, _reads, _wrap_partial
@@ -156,20 +150,16 @@ def _conservative_query_f32(
 class _PairBounds:
     """Pruning predicates over ``(edge, query)`` pair arrays.
 
-    Chooses, per snapshot kind and metric, between fully vectorized pair
-    math and per-edge grouped calls of the original bound objects — the
-    two regimes described in the module docstring.  The vectorized masks
-    run in :func:`_row_blocks`; per-edge calls keep each edge's full row
-    group, exactly the rows the object kernel passes its bound.
+    Rect snapshots evaluate every pair with row-wise array math, run in
+    :func:`_row_blocks`; other geometry calls each edge's own bound object
+    once with its full row group, exactly the rows the object kernel
+    passes it.
     """
 
     def __init__(self, snap, metric: Metric | None = None):
         self.snap = snap
         self.metric = metric
         self._rectlike = snap.kind in ("rect", "rect2")
-        # Lp / weighted-Euclidean mindist_rect_batch is pure elementwise
-        # clip-and-reduce, safe to evaluate with per-row boxes.
-        self._vec_metric = rowwise_metric(metric)
 
     def _in_blocks(self, fn, e: np.ndarray, q: np.ndarray) -> np.ndarray:
         """The row-wise mask ``fn(e, q)``, evaluated block by block."""
@@ -225,24 +215,12 @@ class _PairBounds:
         )
 
     # -- metric lower bounds -------------------------------------------
-    def _rect_mindist(
-        self, low: np.ndarray, high: np.ndarray, e: np.ndarray, qrows: np.ndarray
-    ) -> np.ndarray:
-        # Mirrors LpMetric/WeightedEuclidean.mindist_rect_batch elementwise.
-        return rect_mindist_rows(self.metric, qrows, low, high, e)
-
     def mindist(self, e: np.ndarray, q: np.ndarray, qs: np.ndarray) -> np.ndarray:
         snap, metric = self.snap, self.metric
         if self._rectlike:
             low = snap.dist_low if snap.kind == "rect2" else snap.box_low
             high = snap.dist_high if snap.kind == "rect2" else snap.box_high
-            if self._vec_metric:
-                return self._rect_mindist(low, high, e, qs[q])
-            return _per_edge_eval(
-                e,
-                np.float64,
-                lambda eid, seg: mindist_rect_many(metric, qs[q[seg]], low[eid], high[eid]),
-            )
+            return metric.pair_mindist(qs[q], low[e], high[e])
         bounds = snap.edge_bounds
         return _per_edge_eval(
             e, np.float64, lambda eid, seg: bounds[eid].mindist(qs[q[seg]], metric)
@@ -252,10 +230,7 @@ class _PairBounds:
         self, e: np.ndarray, q: np.ndarray, qs: np.ndarray, radii: np.ndarray
     ) -> np.ndarray:
         if self._rectlike:
-            def within(e, q):
-                return self.mindist(e, q, qs) <= radii[q]
-
-            return self._in_blocks(within, e, q) if self._vec_metric else within(e, q)
+            return self._in_blocks(lambda e, q: self.mindist(e, q, qs) <= radii[q], e, q)
         bounds = self.snap.edge_bounds
         metric = self.metric
         return _per_edge_eval(
@@ -346,17 +321,6 @@ def _run_frontier(snap, n: int, visits: np.ndarray, pair_pred, deadline=None,
         occ, lq = occ[order[first]], lq[order[first]]
     order = np.lexsort((lq, occ))
     return occ[order], lq[order], visited
-
-
-def _leaf_groups(occ: np.ndarray, lq: np.ndarray):
-    """Split ``(occurrence, query)`` pairs (sorted by occurrence) into
-    per-occurrence groups — the replay of the object kernel's leaf visits
-    in DFS order."""
-    if not occ.size:
-        return
-    starts = np.flatnonzero(np.diff(occ)) + 1
-    for seg in np.split(np.arange(len(occ)), starts):
-        yield int(occ[seg[0]]), lq[seg]
 
 
 def _pair_point_rows(snap, occ: np.ndarray, lq: np.ndarray):
@@ -519,36 +483,19 @@ def soa_distance_range_many(
             snap, n, visits,
             lambda e, q: pred.distance_mask(e, q, qs, radii), deadline, visited,
         )
-        if rowwise_metric(metric):
-            # These metrics' ``distance_batch`` is a row-wise difference plus
-            # an ``axis=1`` reduction — per-row results don't depend on which
-            # other rows ride along, so evaluating every (leaf, query, point)
-            # row in flat blocks is bit-identical to the object kernel's
-            # per-leaf calls.  The float32 rows go in as they are; the
-            # subtraction promotes them exactly.
-            for pidx, qrow in _pair_point_rows(snap, occ, lq):
-                if deadline is not None:
-                    deadline.check()
-                dists = rowwise_distances(metric, snap.points[pidx], qs[qrow])
-                hits = np.flatnonzero(dists <= radii[qrow])
-                if hits.size:
-                    hit_q.append(qrow[hits])
-                    hit_o.append(snap.oids[pidx[hits]])
-                    hit_d.append(dists[hits])
-        else:
-            # Quadratic-form / user metrics have no mirrored batch form:
-            # replay the object kernel's per-leaf scans verbatim.
-            for node, alive in _leaf_groups(occ, lq):
-                if deadline is not None:
-                    deadline.check()
-                s, e = snap.leaf_start[node], snap.leaf_end[node]
-                if e > s:
-                    points64 = snap.points[s:e].astype(np.float64)
-                    oids = snap.oids[s:e]
-                    for qi in alive:
-                        dists = metric.distance_batch(points64, qs[qi])
-                        for i in np.flatnonzero(dists <= radii[qi]):
-                            out[qi].append((int(oids[i]), float(dists[i])))
+        # A metric's rows do not depend on which other rows ride along, so
+        # every (leaf, query, point) row is scored in flat blocks,
+        # bit-identical to the object kernel's per-leaf calls.  The float32
+        # rows go in as they are; the subtraction promotes them exactly.
+        for pidx, qrow in _pair_point_rows(snap, occ, lq):
+            if deadline is not None:
+                deadline.check()
+            dists = metric.pair_distances(snap.points[pidx], qs[qrow])
+            hits = np.flatnonzero(dists <= radii[qrow])
+            if hits.size:
+                hit_q.append(qrow[hits])
+                hit_o.append(snap.oids[pidx[hits]])
+                hit_d.append(dists[hits])
     except QueryTimeoutError as exc:
         if on_timeout != "partial":
             raise

@@ -1,0 +1,382 @@
+"""Every metric's row-wise primitives, and the checks in front of them.
+
+Each metric in :mod:`repro.distances` writes its formula once, as the
+row-wise ``pair_distances(a, b)`` and ``pair_mindist(q, low, high)``; the
+scalar ``distance`` / ``mindist_rect`` and the broadcast ``distance_batch``
+are their one-row and broadcast cases, and every engine calls the
+primitives unconditionally.  These tests pin:
+
+- the primitives equal reference copies of the L_p and weighted-Euclidean
+  formulas the engines used before (an ``axis=1`` reduction of the
+  elementwise difference), bit for bit, and the quadratic-form bound is
+  ``sqrt(lambda_min) * sqrt(sum d^2)``;
+- the scalar forms equal the one-row case, and a row's result does not
+  depend on how many rows share the call (1, 7, and a batch straddling
+  the SOA kernel's ``_BLOCK_ELEMS`` block boundary);
+- ``distance_batch``, ``distance``, ``mindist_rect`` and ``pair_mindist``
+  leave their arguments alone (``pair_distances`` may overwrite only its
+  scratch operand ``b``);
+- a non-finite ``approximation_factor`` and a metric of the wrong
+  dimensionality (or no metric at all) are rejected before any page is
+  read, on the single-query search, the object kernel and the SOA kernel;
+- the VA-file, whose cell bounds now come from ``pair_mindist``, answers
+  like a brute force under weighted and quadratic-form metrics.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.baselines.seqscan import SequentialScan
+from repro.baselines.vafile import VAFile
+from repro.core import HybridTree
+from repro.datasets.synthetic import clustered_dataset
+from repro.distances import (
+    L1,
+    L2,
+    LINF,
+    LpMetric,
+    Metric,
+    QuadraticFormMetric,
+    UserMetric,
+    WeightedEuclidean,
+)
+from repro.engine.soa import kernel as soa_kernel
+
+
+def _metrics(dims: int) -> dict[str, Metric]:
+    rng = np.random.default_rng(dims)
+    basis = rng.normal(size=(dims, dims))
+    return {
+        "L1": L1,
+        "L2": L2,
+        "Linf": LINF,
+        "L3": LpMetric(3.0),
+        "weighted": WeightedEuclidean(np.linspace(0.5, 2.0, dims)),
+        "quadratic": QuadraticFormMetric(basis @ basis.T + dims * np.eye(dims)),
+        "user": UserMetric(lambda a, b: float(np.abs(a - b).sum() ** 0.5)),
+        "user-bound": UserMetric(
+            lambda a, b: float(np.abs(a - b).max()),
+            rect_lower_bound=lambda q, lo, hi: float(np.abs(q - np.clip(q, lo, hi)).max()),
+        ),
+    }
+
+
+NAMES = list(_metrics(2))
+
+
+# ----------------------------------------------------------------------
+# Reference copies of the formulas the engines evaluated before
+# ----------------------------------------------------------------------
+def _ref_lp(p: float, diff: np.ndarray, axis=None):
+    diff = np.abs(diff)
+    if np.isinf(p):
+        return diff.max(axis=axis)
+    if p == 1.0:
+        return diff.sum(axis=axis)
+    if p == 2.0:
+        return np.sqrt((diff * diff).sum(axis=axis))
+    return (diff**p).sum(axis=axis) ** (1.0 / p)
+
+
+def _ref_weighted(weights: np.ndarray, diff: np.ndarray, axis=None):
+    return np.sqrt((weights * diff * diff).sum(axis=axis))
+
+
+def _reference_rows(metric: Metric, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """Row ``i`` of the pre-refactor row-wise formula, or None when the
+    metric had none."""
+    diff = np.asarray(a, dtype=np.float64) - b
+    if isinstance(metric, LpMetric):
+        return _ref_lp(metric.p, diff, axis=1)
+    if isinstance(metric, WeightedEuclidean):
+        return _ref_weighted(metric.weights, diff, axis=1)
+    return None
+
+
+def _reference_scalar(metric: Metric, a: np.ndarray, b: np.ndarray) -> float | None:
+    diff = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
+    if isinstance(metric, LpMetric):
+        return float(_ref_lp(metric.p, diff))
+    if isinstance(metric, WeightedEuclidean):
+        return float(_ref_weighted(metric.weights, diff))
+    return None
+
+
+def _data(n: int, dims: int, seed: int = 0):
+    """Float32 points (as leaves store them), float64 queries, boxes of
+    which some contain their query and some have zero-extent sides."""
+    rng = np.random.default_rng(seed)
+    points = rng.random((n, dims)).astype(np.float32)
+    qs = rng.uniform(-0.2, 1.2, size=(n, dims))
+    c1, c2 = rng.random((n, dims)), rng.random((n, dims))
+    low, high = np.minimum(c1, c2), np.maximum(c1, c2)
+    high[:, 0] = low[:, 0]
+    return points, qs, low, high
+
+
+def _bits_equal(x, y) -> bool:
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+# ----------------------------------------------------------------------
+# The primitives against the reference formulas and the scalar forms
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("dims", [1, 5, 16, 64])
+@pytest.mark.parametrize("name", NAMES)
+def test_pair_forms_equal_reference_and_scalar_forms(name, dims):
+    metric = _metrics(dims)[name]
+    points, qs, low, high = _data(40, dims, seed=dims)
+    dists = metric.pair_distances(points, qs.copy())
+    bounds = metric.pair_mindist(qs, low, high)
+    assert dists.dtype == bounds.dtype == np.float64
+    assert dists.shape == bounds.shape == (40,)
+
+    ref = _reference_rows(metric, points, qs)
+    if ref is not None:
+        assert _bits_equal(dists, ref)
+        assert _bits_equal(bounds, _reference_rows(metric, qs, np.clip(qs, low, high)))
+        scalar = [_reference_scalar(metric, p, q) for p, q in zip(points, qs)]
+        if getattr(metric, "p", 2.0) in (1.0, 2.0, np.inf):
+            assert _bits_equal(dists, scalar)
+        else:
+            # numpy's scalar and array power paths differ in the last bit,
+            # so the 1-d formula is only close for a general p (the scalar
+            # ``distance`` is the one-row case, checked below).
+            assert np.allclose(dists, scalar, rtol=1e-14, atol=0)
+    if isinstance(metric, QuadraticFormMetric):
+        lam = np.linalg.eigvalsh(metric.matrix)[0]
+        d = qs - np.clip(qs, low, high)
+        assert _bits_equal(bounds, np.sqrt(lam) * np.sqrt((d * d).sum(axis=1)))
+    if isinstance(metric, UserMetric):
+        assert _bits_equal(dists, [metric.fn(p.astype(np.float64), q) for p, q in zip(points, qs)])
+        if metric._rect_lower_bound is not None:
+            expect = [metric._rect_lower_bound(*row) for row in zip(qs, low, high)]
+            assert _bits_equal(bounds, expect)
+
+    # The scalar forms are the one-row case.
+    for i in range(len(qs)):
+        assert _bits_equal(metric.distance(points[i], qs[i]), dists[i])
+        assert _bits_equal(metric.mindist_rect(qs[i], low[i], high[i]), bounds[i])
+        assert _bits_equal(
+            metric.pair_distances(points[i], qs[i : i + 1].copy()), dists[i : i + 1]
+        )
+    # distance_batch is the broadcast case, from either side.
+    q = qs[0]
+    assert _bits_equal(
+        metric.distance_batch(points, q),
+        metric.pair_distances(points, np.repeat(q[None], len(points), axis=0)),
+    )
+    assert _bits_equal(
+        metric.distance_batch(points, q), [metric.distance(p, q) for p in points]
+    )
+    # One box against many queries, and one query against many boxes.
+    assert _bits_equal(
+        metric.pair_mindist(qs, low[0], high[0]),
+        [metric.mindist_rect(x, low[0], high[0]) for x in qs],
+    )
+    assert _bits_equal(
+        metric.pair_mindist(q, low, high),
+        [metric.mindist_rect(q, lo, hi) for lo, hi in zip(low, high)],
+    )
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_bound_is_a_lower_bound(name):
+    dims = 3
+    metric = _metrics(dims)[name]
+    rng = np.random.default_rng(5)
+    _, qs, low, high = _data(25, dims, seed=9)
+    bounds = metric.pair_mindist(qs, low, high)
+    for i in range(len(qs)):
+        members = rng.uniform(low[i], high[i], size=(50, dims))
+        assert np.all(metric.distance_batch(members, qs[i]) >= bounds[i] - 1e-12)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_rows_do_not_depend_on_batch_size(name):
+    # 64-d: one SOA block is _BLOCK_ELEMS // 64 rows, so the big batch
+    # straddles a block boundary while staying cheap for user metrics.
+    dims = 64
+    metric = _metrics(dims)[name]
+    n = soa_kernel._BLOCK_ELEMS // dims + 5
+    points, qs, low, high = _data(n, dims, seed=3)
+    whole_d = metric.pair_distances(points, qs.copy())
+    whole_b = metric.pair_mindist(qs, low, high)
+    blocks = soa_kernel._row_blocks(n, dims)
+    assert len(blocks) == 2
+    assert _bits_equal(
+        whole_d, np.concatenate([metric.pair_distances(points[b], qs[b].copy()) for b in blocks])
+    )
+    assert _bits_equal(
+        whole_b, np.concatenate([metric.pair_mindist(qs[b], low[b], high[b]) for b in blocks])
+    )
+    edge = blocks[0].stop
+    for size in (1, 7):
+        for lo in (0, edge - 3, n - size):
+            rows = slice(lo, lo + size)
+            assert _bits_equal(
+                metric.pair_distances(points[rows], qs[rows].copy()), whole_d[rows]
+            )
+            assert _bits_equal(metric.pair_mindist(qs[rows], low[rows], high[rows]), whole_b[rows])
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_inputs_are_left_alone(name):
+    dims = 6
+    metric = _metrics(dims)[name]
+    points, qs, low, high = _data(12, dims, seed=1)
+    rows = points.astype(np.float64)
+    args = [rows, qs, low, high, points]
+    before = [x.copy() for x in args]
+    metric.distance_batch(rows, rows[3])
+    metric.distance_batch(points, qs[0])
+    metric.distance(rows[0], qs[0])
+    metric.mindist_rect(qs[0], low[0], high[0])
+    metric.pair_mindist(qs, low, high)
+    metric.pair_distances(points, qs.copy())  # ``a`` is read only
+    for x, x0 in zip(args, before):
+        assert _bits_equal(x, x0)
+
+
+# ----------------------------------------------------------------------
+# Checks in front of every engine
+# ----------------------------------------------------------------------
+DIMS = 4
+
+
+@pytest.fixture(scope="module")
+def tree():
+    data = clustered_dataset(600, DIMS, seed=2)
+    return HybridTree.bulk_load(data, page_size=512)
+
+
+def _engines(tree):
+    """Single-query search, object-kernel batch and SOA-kernel batch, each
+    as ``(knn, distance_range)`` for one query."""
+    def single():
+        tree.invalidate_snapshot()
+        return tree.knn, tree.distance_range
+
+    def batch(soa: bool):
+        def prep():
+            if soa:
+                tree.compile_snapshot()
+            else:
+                tree.invalidate_snapshot()
+            knn = lambda q, k, metric, **kw: tree.knn_many([q], k, metric, **kw)
+            dist = lambda q, r, metric: tree.distance_range_many([q], r, metric)
+            return knn, dist
+
+        return prep
+
+    return {"single": single, "object": batch(False), "soa": batch(True)}
+
+
+ENGINES = ["single", "object", "soa"]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("eps", [np.inf, float("nan"), -0.5])
+def test_non_finite_or_negative_approximation_is_rejected(tree, engine, eps):
+    knn, _ = _engines(tree)[engine]()
+    q = np.full(DIMS, 0.5)
+    reads = tree.io.random_reads
+    with pytest.raises(ValueError, match="approximation_factor"):
+        knn(q, 3, L2, approximation_factor=eps)
+    assert tree.io.random_reads == reads
+    # A huge finite factor still answers (it prunes all but the first leaves).
+    assert len(np.asarray(knn(q, 3, L2, approximation_factor=1e300), dtype=object).ravel())
+
+
+BAD_METRICS = {
+    "weighted-1": WeightedEuclidean([4.0]),
+    "weighted-3": WeightedEuclidean(np.ones(DIMS - 1)),
+    "weighted-5": WeightedEuclidean(np.ones(DIMS + 1)),
+    "quadratic-3": QuadraticFormMetric(np.eye(DIMS - 1)),
+}
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("bad", list(BAD_METRICS))
+def test_metric_of_another_dimensionality_is_rejected(tree, engine, bad):
+    knn, dist = _engines(tree)[engine]()
+    metric = BAD_METRICS[bad]
+    q = np.full(DIMS, 0.5)
+    reads = tree.io.random_reads
+    with pytest.raises(ValueError, match="dimensional"):
+        knn(q, 3, metric)
+    with pytest.raises(ValueError, match="dimensional"):
+        dist(q, 0.3, metric)
+    if engine == "single":
+        with pytest.raises(ValueError, match="dimensional"):
+            next(tree.nearest_iter(q, metric))
+    assert tree.io.random_reads == reads
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_non_metric_is_a_type_error(tree, engine):
+    knn, dist = _engines(tree)[engine]()
+    q = np.full(DIMS, 0.5)
+    for bad in ("L2", lambda a, b: 0.0, None):
+        with pytest.raises(TypeError, match="Metric"):
+            knn(q, 3, bad)
+        with pytest.raises(TypeError, match="Metric"):
+            dist(q, 0.3, bad)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_metric_of_the_right_dimensionality_answers(tree, engine):
+    knn, dist = _engines(tree)[engine]()
+    q = np.full(DIMS, 0.5)
+    metric = WeightedEuclidean(np.full(DIMS, 4.0))
+    # 2 * L2, for weights of 4 in every dimension.
+    got = knn(q, 5, metric)
+    want = knn(q, 5, L2)
+    if engine != "single":
+        got, want = got[0], want[0]
+    assert [o for o, _ in got] == [o for o, _ in want]
+    assert np.allclose([d for _, d in got], [2 * d for _, d in want])
+
+
+@pytest.mark.parametrize("cls", [SequentialScan, VAFile])
+def test_scans_check_the_metric_first(cls):
+    index = cls(DIMS)
+    for i, v in enumerate(clustered_dataset(200, DIMS, seed=4)):
+        index.insert(v, i)
+    q = np.full(DIMS, 0.5)
+    io = index.io
+    reads = (io.random_reads, io.sequential_reads)
+    for metric in BAD_METRICS.values():
+        with pytest.raises(ValueError, match="dimensional"):
+            index.knn(q, 3, metric)
+        with pytest.raises(ValueError, match="dimensional"):
+            index.distance_range(q, 0.3, metric)
+    with pytest.raises(TypeError, match="Metric"):
+        index.knn(q, 3, "L2")
+    assert (io.random_reads, io.sequential_reads) == reads
+
+
+# ----------------------------------------------------------------------
+# The VA-file's cell bounds under non-L_p metrics
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", ["weighted", "quadratic", "L1", "Linf"])
+def test_vafile_equals_brute_force(name):
+    metric = _metrics(DIMS)[name]
+    data = clustered_dataset(500, DIMS, seed=6)
+    va = VAFile(DIMS, bits=3)
+    for i, v in enumerate(data):
+        va.insert(v, i)
+    stored = data.astype(np.float32).astype(np.float64)
+    oids = np.arange(len(data))
+    rng = np.random.default_rng(8)
+    for q in rng.random((12, DIMS)).astype(np.float32).astype(np.float64):
+        dists = metric.distance_batch(stored, q)
+        order = np.lexsort((oids, dists))[:6]
+        assert va.knn(q, 6, metric) == [(int(oids[i]), float(dists[i])) for i in order]
+        radius = float(np.quantile(dists, 0.05))
+        got = sorted(va.distance_range(q, radius, metric))
+        want = sorted((int(i), float(dists[i])) for i in np.flatnonzero(dists <= radius))
+        assert got == want
