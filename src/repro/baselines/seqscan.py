@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.baselines.common import BatchQueryMixin, check_vector
 from repro.distances import L2, Metric
-from repro.engine.query import check_metric
+from repro.engine.query import check_k, check_metric, check_radii
 from repro.geometry.rect import Rect
 from repro.storage.iostats import AccessKind, IOStats
 from repro.storage.page import PageLayout, data_node_capacity
@@ -104,6 +104,7 @@ class SequentialScan(BatchQueryMixin):
     ) -> list[tuple[int, float]]:
         q = check_vector(query, self.dims)
         check_metric(metric, self.dims)
+        radius = float(check_radii(radius, 1)[0])
         self._charge_scan()
         if self._count == 0:
             return []
@@ -116,8 +117,7 @@ class SequentialScan(BatchQueryMixin):
     ) -> list[tuple[int, float]]:
         q = check_vector(query, self.dims)
         check_metric(metric, self.dims)
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        k = check_k(k)
         self._charge_scan()
         if self._count == 0:
             return []

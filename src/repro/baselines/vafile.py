@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.baselines.common import BatchQueryMixin, check_vector
 from repro.distances import L2, Metric
-from repro.engine.query import check_metric
+from repro.engine.query import check_k, check_metric, check_radii
 from repro.geometry.rect import Rect
 from repro.storage.iostats import AccessKind, IOStats
 from repro.storage.page import PAGE_HEADER_SIZE, PageLayout, data_node_capacity
@@ -169,6 +169,7 @@ class VAFile(BatchQueryMixin):
     ) -> list[tuple[int, float]]:
         q = check_vector(query, self.dims)
         check_metric(metric, self.dims)
+        radius = float(check_radii(radius, 1)[0])
         if self._count == 0:
             return []
         self._charge_approximation_scan()
@@ -193,8 +194,7 @@ class VAFile(BatchQueryMixin):
         stop when the next bound exceeds the current k-th distance."""
         q = check_vector(query, self.dims)
         check_metric(metric, self.dims)
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        k = check_k(k)
         if self._count == 0:
             return []
         self._charge_approximation_scan()

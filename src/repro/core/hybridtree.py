@@ -79,6 +79,12 @@ def _save_store(path: str, page_size: int) -> FilePageStore:
     return FilePageStore(path, page_size, checksums=True)
 
 
+def _volume(row: tuple[int, list, list]) -> float:
+    """``Rect.volume`` of a ``(child_id, low, high)`` row of
+    :func:`kdnodes.leaves_holding_point`."""
+    return float(np.prod(np.subtract(row[2], row[1])))
+
+
 def _f32(x: float) -> float:
     """Round a split position to float32, the precision pages store."""
     return float(np.float32(x))
@@ -255,7 +261,10 @@ class HybridTree:
         # data level stays overlap-free (Section 3.6).  Only when
         # overlapping index splits have left the point in a coverage hole
         # on *every* path does the greedy descent widen kd positions.
-        descent = self._containment_descent(self._root_id, self.bounds, v)
+        descent = self._containment_descent(
+            self._root_id, self.bounds.low.tolist(), self.bounds.high.tolist(),
+            v.tolist(),
+        )
         if descent is None:
             descent = self._greedy_descent(v)
         path, (node_id, node, _region) = descent[:-1], descent[-1]
@@ -272,31 +281,25 @@ class HybridTree:
         self._snapshot_stale()
 
     def _containment_descent(
-        self, node_id: int, region: Rect, v: np.ndarray
+        self, node_id: int, low: list, high: list, x: list
     ) -> list[tuple[int, object, Rect]] | None:
         """Depth-first search for a fully containing path; smallest-region
-        children first (the zero-enlargement, min-volume R-tree rule)."""
+        children first (the zero-enlargement, min-volume R-tree rule).
+
+        Regions travel as lists of floats (``low``, ``high``; ``x`` is the
+        point); only the nodes of the returned path get a ``Rect``."""
         node = self.nm.get(node_id)
         if isinstance(node, DataNode):
-            return [(node_id, node, region)]
-        containing: list[tuple[float, int, Rect]] = []
-
-        def collect(kd: KDNode, kd_region: Rect) -> None:
-            if isinstance(kd, KDLeaf):
-                containing.append((kd_region.volume(), kd.child_id, kd_region))
-                return
-            x = v[kd.dim]
-            if x <= kd.lsp:
-                collect(kd.left, kd_region.clip_below(kd.dim, kd.lsp))
-            if x >= kd.rsp:
-                collect(kd.right, kd_region.clip_above(kd.dim, kd.rsp))
-
-        collect(node.kd_root, region)
-        containing.sort(key=lambda t: t[0])
-        for _, child_id, child_region in containing:
-            sub = self._containment_descent(child_id, child_region, v)
+            return [(node_id, node, Rect(low, high))]
+        containing = kdnodes.leaves_holding_point(
+            node.kd_root, low, high, x, faces=False
+        )
+        if len(containing) > 1:
+            containing.sort(key=_volume)
+        for child_id, child_low, child_high in containing:
+            sub = self._containment_descent(child_id, child_low, child_high, x)
             if sub is not None:
-                return [(node_id, node, region)] + sub
+                return [(node_id, node, Rect(low, high))] + sub
         return None
 
     def _greedy_descent(self, v: np.ndarray) -> list[tuple[int, object, Rect]]:
@@ -419,13 +422,9 @@ class HybridTree:
                     "count": self._count,
                     "root_id": self._root_id,
                     "height": self._height,
-                    "bounds": [self.bounds.low.tolist(), self.bounds.high.tolist()],
+                    "bounds": (self.bounds.low, self.bounds.high),
                     "els": {
-                        str(nid): (
-                            None
-                            if rect is None
-                            else [rect.low.tolist(), rect.high.tolist()]
-                        )
+                        nid: None if rect is None else (rect.low, rect.high)
                         for nid, rect in sorted(els_delta.items())
                     },
                     "free_ids": sorted(free_now),
@@ -536,22 +535,13 @@ class HybridTree:
         R-tree region enlargement; the widened node is written back
         (``nm.put``), so the log and the snapshot refresh see it.
         """
-        containing: list[tuple[float, KDLeaf, Rect]] = []
-
-        def collect(kd: KDNode, kd_region: Rect) -> None:
-            if isinstance(kd, KDLeaf):
-                containing.append((kd_region.volume(), kd, kd_region))
-                return
-            x = point[kd.dim]
-            if x <= kd.lsp:
-                collect(kd.left, kd_region.clip_below(kd.dim, kd.lsp))
-            if x >= kd.rsp:
-                collect(kd.right, kd_region.clip_above(kd.dim, kd.rsp))
-
-        collect(node.kd_root, region)
+        containing = kdnodes.leaves_holding_point(
+            node.kd_root, region.low.tolist(), region.high.tolist(),
+            point.tolist(), faces=False,
+        )
         if containing:
-            _, leaf, leaf_region = min(containing, key=lambda t: t[0])
-            return leaf.child_id, leaf_region
+            child_id, low, high = min(containing, key=_volume)
+            return child_id, Rect(low, high)
 
         # No containing leaf: widen the cheapest leaf's kd path.
         best_leaf_id: int | None = None
@@ -736,9 +726,16 @@ class HybridTree:
     def _find_entry(
         self, v: np.ndarray, oid: int
     ) -> tuple[list[tuple[int, IndexNode, Rect]], int, DataNode, int] | None:
-        """DFS for the data node holding ``(v, oid)``, returning its path."""
+        """DFS for the data node holding ``(v, oid)``, returning its path.
+
+        Inside an index node the search follows the kd splits by the point
+        (Section 3.1): only the children whose derived regions contain
+        ``v`` are reached, and only their ELS boxes are tested.  They are
+        pushed in kd order, as a test of every child would push them, so
+        the same entry, path and charged reads come out."""
         stack: list[tuple[int, Rect, list]] = [(self._root_id, self.bounds, [])]
         target = np.asarray(v, dtype=np.float32)
+        x = v.tolist()
         while stack:
             node_id, region, path = stack.pop()
             node = self.nm.get(node_id)
@@ -747,10 +744,13 @@ class HybridTree:
                 if idx is not None:
                     return path, node_id, node, idx
                 continue
+            if not path and not region.contains_point(v):
+                continue  # the root: every child region lies inside it
             new_path = path + [(node_id, node, region)]
-            for child_id, child_region in node.children_with_regions(region):
-                if not child_region.contains_point(v):
-                    continue
+            for child_id, low, high in kdnodes.leaves_holding_point(
+                node.kd_root, region.low.tolist(), region.high.tolist(), x
+            ):
+                child_region = Rect(low, high)
                 live = self.els.effective_rect(child_id, child_region)
                 if live.contains_point(v):
                     stack.append((child_id, child_region, new_path))
@@ -759,7 +759,7 @@ class HybridTree:
     def _remove_child(
         self, path: list[tuple[int, IndexNode, Rect]], child_id: int
     ) -> None:
-        parent_id, parent, parent_region = path[-1]
+        parent_id, parent, _parent_region = path[-1]
         parent.kd_root = kdnodes.remove_leaf(parent.kd_root, child_id)
         assert parent.kd_root is not None, "index nodes always hold >= 2 children"
         self.nm.free(child_id)
@@ -777,9 +777,9 @@ class HybridTree:
         if parent.fanout >= min_children:
             return
         # Index-node underflow: eliminate the parent, reinsert its subtrees.
-        orphans = parent.children_with_regions(parent_region)
+        orphans = parent.child_ids()
         self._remove_child(path[:-1], parent_id)
-        for orphan_id, _orphan_region in orphans:
+        for orphan_id in orphans:
             self._reinsert_subtree(orphan_id, parent.level - 1)
 
     def _reinsert_subtree(self, subtree_id: int, subtree_level: int) -> None:
@@ -1569,22 +1569,13 @@ class HybridTree:
         if "height" in meta:
             self._height = int(meta["height"])
         if "bounds" in meta:
-            low, high = meta["bounds"]
-            self.bounds = Rect(
-                np.asarray(low, dtype=np.float64), np.asarray(high, dtype=np.float64)
-            )
+            self.bounds = Rect(*meta["bounds"])
         for key, val in meta.get("els", {}).items():
             node_id = int(key)
             if val is None:
                 self.els.drop(node_id)
             else:
-                self.els.set(
-                    node_id,
-                    Rect(
-                        np.asarray(val[0], dtype=np.float64),
-                        np.asarray(val[1], dtype=np.float64),
-                    ),
-                )
+                self.els.set(node_id, Rect(*val))
         if "next_id" in meta:
             store.set_allocator_state(
                 int(meta["next_id"]), [int(p) for p in meta.get("free_ids", [])]

@@ -198,6 +198,52 @@ def _cells_by_depth(depth, start, stop, dim, dims: int, pos) -> list:
     return [(cells[a:b], pos[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
+def leaves_holding_point(
+    node: KDNode, low: list, high: list, point: list, faces: bool = True
+) -> list[tuple[int, list, list]]:
+    """The children whose derived regions hold ``point``, found by walking
+    the splits by the point instead of deriving every child's region.
+
+    ``low``/``high``/``point`` are lists of floats (the region's corners
+    and the point, which the region must contain).  A side is entered only
+    when its clamped clip — :meth:`Rect.clip_below` / :meth:`Rect.clip_above`,
+    same floats, same operand order — still holds ``point[dim]``, so the
+    result is exactly the rows of :func:`leaves_with_regions` whose region
+    contains the point: ``(child_id, low, high)`` in kd order, with fresh
+    lists.  ``faces=False`` tests the raw split positions instead
+    (``x <= lsp`` / ``x >= rsp``): a split outside the region then no
+    longer admits a point on the region's face (the insert descent's rule,
+    which needs no containing region).  Iterative, like :func:`count_leaves`.
+    """
+    out: list[tuple[int, list, list]] = []
+    stack = [(node, list(low), list(high))]
+    while stack:
+        kd, lo, hi = stack.pop()
+        while isinstance(kd, KDInternal):
+            dim, x = kd.dim, point[kd.dim]
+            below = min(hi[dim], max(kd.lsp, lo[dim]))
+            above = max(lo[dim], min(kd.rsp, hi[dim]))
+            left = x <= below if faces else x <= kd.lsp
+            right = x >= above if faces else x >= kd.rsp
+            if left and right:
+                # The right side gets its own copies; the walk goes on
+                # left, reusing (and clipping) this path's lists.
+                right_lo = lo.copy()
+                right_lo[dim] = above
+                stack.append((kd.right, right_lo, hi.copy()))
+            if left:
+                hi[dim] = below
+                kd = kd.left
+            elif right:
+                lo[dim] = above
+                kd = kd.right
+            else:
+                break
+        else:
+            out.append((kd.child_id, lo, hi))
+    return out
+
+
 def region_of_child(node: KDNode, region: Rect, child_id: int) -> Rect:
     """Region of one specific child (raises ``KeyError`` if absent)."""
     for leaf, leaf_region in leaves_with_regions(node, region):

@@ -407,8 +407,6 @@ def _wal_salvage_state(path: str, page_size: int, manifest: dict):
     scan = wal_io.usable_scan(path, int(manifest.get("generation", 0)))
     if scan is None or not scan.transactions:
         return overrides, excluded, 0
-    import json
-
     last_free: list[int] = []
     for pages, commit in wal_io.committed_transactions(scan):
         for record in pages:
@@ -431,7 +429,7 @@ def _wal_salvage_state(path: str, page_size: int, manifest: dict):
                 overrides.pop(record.page_id, None)
                 excluded.add(record.page_id)
         try:
-            last_free = json.loads(commit.payload.decode()).get("free_ids", last_free)
+            last_free = wal_io.decode_commit(commit.payload).get("free_ids", last_free)
         except ValueError:
             pass
     for pid in last_free:

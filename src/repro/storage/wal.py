@@ -12,9 +12,25 @@ On-disk layout — an append-only stream of CRC-framed, LSN-stamped records::
 
     [HEADER record]  JSON: wal format, page size, base-file generation
     [PAGE   record]* full framed page image for one page id
-    [COMMIT record]  JSON transaction metadata (ELS deltas, bounds, count,
+    [COMMIT record]  transaction metadata (ELS deltas, bounds, count,
                      root/height, allocator state) — the commit point
     [PAGE ...] [COMMIT ...] ...
+
+A COMMIT payload (format 2, :func:`encode_commit` / :func:`decode_commit`)
+keeps its floats out of text::
+
+    0x02 | u32 head length | JSON head | float64 rows (little-endian)
+
+The JSON head holds every scalar and list field (``kind``, ``count``,
+``root_id``, ``height``, ``free_ids``, ``next_id``, ...).  The bounding box
+and the ELS boxes are raw float64 rows after it, in the order the head
+lists them: ``"bounds": 1`` means the first two rows are the bounds' low
+and high corners, and ``"els"`` lists the node ids whose live box
+(low row, high row) follows, in order; ``"els_dropped"`` lists the ids
+whose entry was dropped.  The rows copy the floats bit for bit (``-0.0``,
+subnormals) in 8 bytes each, where their decimal text took about 20.  A
+format-1 payload — the whole metadata as one JSON object, so its first
+byte is ``{`` — still decodes, so a log written before format 2 replays.
 
 Every record carries a 32-byte header (magic, type, LSN, page id, payload
 length) and a CRC32 over header+payload, so torn tails and bit flips are
@@ -46,17 +62,20 @@ import threading
 import zlib
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.storage.errors import PageCorruptionError
 
 WAL_MAGIC = 0x4C415748  # "HWAL"
-WAL_FORMAT = 1
+WAL_FORMAT = 2
 
 REC_HEADER = 0
 """First record of every log: JSON ``{"format", "page_size", "base_generation"}``."""
 REC_PAGE = 1
 """A full framed page image; ``page_id`` names its slot in the tree file."""
 REC_COMMIT = 2
-"""Transaction commit point; payload is the JSON metadata delta."""
+"""Transaction commit point; payload is the metadata delta
+(:func:`encode_commit`)."""
 
 _RECORD = struct.Struct("<IBxxxQqII")  # magic, type, lsn, page_id, len, crc
 RECORD_HEADER_SIZE = _RECORD.size
@@ -73,6 +92,77 @@ def frame_record(rec_type: int, lsn: int, payload: bytes, page_id: int = -1) -> 
     crc = _record_crc(bare, payload)
     header = _RECORD.pack(WAL_MAGIC, rec_type, lsn, page_id, len(payload), crc)
     return header + payload
+
+
+_COMMIT_TAG = 0x02
+_COMMIT_HEAD = struct.Struct("<BI")  # tag, JSON head length
+
+
+def encode_commit(meta: dict) -> bytes:
+    """The COMMIT payload for ``meta`` (format 2; see the module docstring).
+
+    ``meta["bounds"]`` is a ``(low, high)`` pair of float vectors and
+    ``meta["els"]`` maps node ids to a ``(low, high)`` pair or ``None``
+    (a dropped entry); both are optional.  Every other field goes into the
+    JSON head as it is."""
+    head = {key: val for key, val in meta.items() if key not in ("bounds", "els")}
+    rows: list = []
+    if "bounds" in meta:
+        head["bounds"] = 1
+        rows.extend(meta["bounds"])
+    if "els" in meta:
+        kept, dropped = [], []
+        for node_id, box in meta["els"].items():
+            if box is None:
+                dropped.append(int(node_id))
+            else:
+                kept.append(int(node_id))
+                rows.extend(box)
+        head["els"] = kept
+        head["els_dropped"] = dropped
+    text = json.dumps(head, sort_keys=True).encode()
+    floats = np.asarray(rows, dtype="<f8").tobytes() if rows else b""
+    return _COMMIT_HEAD.pack(_COMMIT_TAG, len(text)) + text + floats
+
+
+def decode_commit(payload: bytes) -> dict:
+    """Inverse of :func:`encode_commit`, also for a format-1 (JSON) payload.
+
+    Either way the result has the format-1 shape: ``"bounds"`` is
+    ``[low, high]``, ``"els"`` maps ``str(node_id)`` to ``[low, high]`` or
+    ``None``, with every vector a float64 array.  A malformed payload
+    raises ``ValueError``."""
+    if payload[:1] == b"{":
+        meta = json.loads(payload.decode())
+        if "bounds" in meta:
+            meta["bounds"] = [np.asarray(v, dtype=np.float64) for v in meta["bounds"]]
+        if "els" in meta:
+            meta["els"] = {
+                key: None if box is None else [np.asarray(v, dtype=np.float64) for v in box]
+                for key, box in meta["els"].items()
+            }
+        return meta
+    if len(payload) < _COMMIT_HEAD.size or payload[0] != _COMMIT_TAG:
+        raise ValueError("not a WAL commit payload")
+    _, length = _COMMIT_HEAD.unpack_from(payload)
+    start = _COMMIT_HEAD.size + length
+    meta = json.loads(payload[_COMMIT_HEAD.size : start].decode())
+    kept = meta.pop("els", None)
+    dropped = meta.pop("els_dropped", [])
+    count = 2 * (int(meta.get("bounds", 0)) + len(kept or ()))
+    flat = np.frombuffer(payload, dtype="<f8", offset=start).astype(np.float64)
+    if count == 0 and flat.size:
+        raise ValueError("WAL commit payload has stray float rows")
+    rows = list(flat.reshape(count, -1)) if count else []
+    if "bounds" in meta:
+        meta["bounds"] = rows[:2]
+        rows = rows[2:]
+    if kept is not None:
+        meta["els"] = {
+            str(node_id): rows[2 * i : 2 * i + 2] for i, node_id in enumerate(kept)
+        }
+        meta["els"].update((str(node_id), None) for node_id in dropped)
+    return meta
 
 
 @dataclass(frozen=True)
@@ -253,9 +343,9 @@ class WriteAheadLog:
         return self._append(REC_PAGE, bytes(page), page_id)
 
     def append_commit(self, meta: dict) -> int:
-        """Log the commit record closing the current transaction."""
-        payload = json.dumps(meta, sort_keys=True).encode()
-        return self._append(REC_COMMIT, payload)
+        """Log the commit record closing the current transaction
+        (``meta`` as :func:`encode_commit` takes it)."""
+        return self._append(REC_COMMIT, encode_commit(meta))
 
     def _append(self, rec_type: int, payload: bytes, page_id: int = -1) -> int:
         with self._cond:
@@ -390,7 +480,7 @@ def apply_scan(scan: WalScan, store, page_size: int, verify_pages: bool = True) 
                 unframe_page(record.payload, record.page_id)
             store.ensure_allocated(record.page_id)
             store.write(record.page_id, record.payload, charge=False)
-        meta = json.loads(commit.payload.decode())
+        meta = decode_commit(commit.payload)
         els = merged["els"]
         els.update(meta.pop("els", {}))
         merged.update(meta)

@@ -1,5 +1,9 @@
 """Distance browsing, range counting, and a stateful fuzz of the tree."""
 
+import os
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -207,4 +211,39 @@ class HybridTreeMachine(RuleBasedStateMachine):
 TestHybridTreeStateful = HybridTreeMachine.TestCase
 TestHybridTreeStateful.settings = settings(
     max_examples=25, stateful_step_count=40, deadline=None
+)
+
+
+class WalHybridTreeMachine(HybridTreeMachine):
+    """The same rules and invariants on a WAL-backed tree: saved to a
+    temporary directory and reopened with ``wal=True``, so every write is
+    logged and committed.  ``crash_and_reopen`` closes the tree without a
+    save and reopens it through log replay."""
+
+    @initialize()
+    def setup(self):
+        self.dir = tempfile.mkdtemp(prefix="hybrid-wal-")
+        self.path = os.path.join(self.dir, "t.pages")
+        HybridTree(3, els_bits=4, page_size=512).save(self.path)
+        self.tree = HybridTree.open(self.path, wal=True)
+        self.reference: dict[int, np.ndarray] = {}
+        self.next_oid = 0
+
+    @rule()
+    def crash_and_reopen(self):
+        self.tree.close()
+        self.tree = HybridTree.open(self.path, wal=True)
+
+    def teardown(self):
+        try:
+            super().teardown()
+        finally:
+            if hasattr(self, "tree"):
+                self.tree.close()
+                shutil.rmtree(self.dir, ignore_errors=True)
+
+
+TestWalHybridTreeStateful = WalHybridTreeMachine.TestCase
+TestWalHybridTreeStateful.settings = settings(
+    max_examples=15, stateful_step_count=30, deadline=None
 )

@@ -8,7 +8,7 @@ that used to differ per layer: empty batches, NaN radii and non-integer k.
 import numpy as np
 import pytest
 
-from repro.baselines import RTree
+from repro.baselines import RTree, SequentialScan, VAFile
 from repro.core import HybridTree
 from repro.distances import L1, L2
 from repro.engine import ParallelQueryEngine, QueryBatch, QuerySession
@@ -88,6 +88,19 @@ def test_single_query_methods_share_the_batch_validator(executors, data):
         tree.knn(data[0], 2.5)
     # Integer-valued numpy scalars are integers.
     assert tree.knn(data[0], np.int64(3)) == tree.knn(data[0], 3)
+
+
+@pytest.mark.parametrize("index_cls", [SequentialScan, VAFile])
+def test_scan_baselines_share_the_single_query_validators(index_cls, data):
+    index = index_cls.from_points(data)
+    for radius in (float("nan"), -0.1):
+        with pytest.raises(ValueError, match="radius"):
+            index.distance_range(data[0], radius)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        index.knn(data[0], 2.5)
+    assert index.distance_range(data[0], 0.0) == [(0, 0.0)]
+    assert index.knn(data[0], np.int64(3)) == index.knn(data[0], 3)
+    assert len(index.knn(data[0], 3)) == 3
 
 
 @pytest.mark.parametrize("name", EXECUTORS)
