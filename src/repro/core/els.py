@@ -91,13 +91,20 @@ class ELSTable:
     matches a ``bits``-per-boundary code while updates stay cheap.  Live
     boxes only ever grow on insert and are left stale (a superset) on delete,
     preserving the superset safety property; ``recompute`` tightens them.
+
+    Boxes live in dense arrays indexed by node id (page ids are small and
+    allocated densely), with a mask of the ids that have one, so the boxes
+    of all of a node's children are one gather.  :meth:`get` and
+    :meth:`end_tracking` hand out fresh ``Rect`` copies.
     """
 
     def __init__(self, dims: int, bits: int):
         _check_bits(bits)
         self.dims = dims
         self.bits = bits
-        self._live: dict[int, Rect] = {}
+        self._low = np.empty((0, dims), dtype=np.float64)
+        self._high = np.empty((0, dims), dtype=np.float64)
+        self._known = np.zeros(0, dtype=bool)
         self._track: set[int] | None = None
         # Node ids changed since the owner last took the set; None while
         # nobody listens (the tree's SOA snapshot refresh does).
@@ -121,11 +128,26 @@ class ELSTable:
         (``None`` for dropped entries)."""
         touched = self._track or set()
         self._track = None
-        return {node_id: self._live.get(node_id) for node_id in touched}
+        return {node_id: self.get(node_id) for node_id in touched}
 
     def set(self, node_id: int, live: Rect) -> None:
         self._note(node_id)
-        self._live[node_id] = live
+        self._store(node_id, live.low, live.high)
+
+    def set_many(self, node_ids: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> None:
+        """:meth:`set` for row ``i`` of ``lows``/``highs`` as node
+        ``node_ids[i]``'s live box, for every ``i`` (ids distinct)."""
+        node_ids = np.asarray(node_ids, dtype=np.int64)
+        if not len(node_ids):
+            return
+        if np.any(lows > highs):
+            raise ValueError("live box with low exceeding high")
+        for node_id in node_ids.tolist():
+            self._note(node_id)
+        self._reserve(int(node_ids.max()) + 1)
+        self._low[node_ids] = lows
+        self._high[node_ids] = highs
+        self._known[node_ids] = True
 
     def _note(self, node_id: int) -> None:
         self.version = next(self._versions)
@@ -134,36 +156,69 @@ class ELSTable:
         if self.journal is not None:
             self.journal.add(node_id)
 
+    def _reserve(self, size: int) -> None:
+        if size > len(self._known):
+            grow = max(size, 2 * len(self._known), 64) - len(self._known)
+            pad = np.zeros((grow, self.dims))
+            # New arrays are built whole and then published: a reader
+            # holding the old ones sees them unchanged.
+            self._low = np.concatenate((self._low, pad))
+            self._high = np.concatenate((self._high, pad))
+            self._known = np.concatenate((self._known, np.zeros(grow, dtype=bool)))
+
+    def _store(self, node_id: int, low, high) -> None:
+        self._reserve(node_id + 1)
+        self._low[node_id] = low
+        self._high[node_id] = high
+        self._known[node_id] = True
+
+    def _has(self, node_id: int) -> bool:
+        return 0 <= node_id < len(self._known) and bool(self._known[node_id])
+
     def get(self, node_id: int) -> Rect | None:
-        return self._live.get(node_id)
+        if not self._has(node_id):
+            return None
+        return Rect.trusted(self._low[node_id].copy(), self._high[node_id].copy())
 
     def drop(self, node_id: int) -> None:
         self._note(node_id)
-        self._live.pop(node_id, None)
+        if self._has(node_id):
+            self._known[node_id] = False
 
     def copy(self) -> "ELSTable":
-        """An independent table with the same entries (``Rect`` values are
-        immutable once stored, so sharing them is safe)."""
+        """An independent table with the same entries."""
         dup = ELSTable(self.dims, self.bits)
-        dup._live = dict(self._live)
+        dup._low = self._low.copy()
+        dup._high = self._high.copy()
+        dup._known = self._known.copy()
         return dup
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Snapshot of every entry as ``(node_ids, lows, highs)`` arrays,
+        sorted by node id (the form persistence writes)."""
+        node_ids = np.flatnonzero(self._known)
+        return node_ids, self._low[node_ids], self._high[node_ids]
 
     def items(self) -> list[tuple[int, Rect]]:
         """Snapshot of ``(node_id, live box)`` pairs, sorted by node id.
 
-        The public view persistence and diagnostics iterate — callers never
-        touch the underlying table."""
-        return sorted(self._live.items())
+        The public view diagnostics iterate — callers never touch the
+        underlying table."""
+        node_ids, lows, highs = self.arrays()
+        return [
+            (node_id, Rect.trusted(low, high))
+            for node_id, low, high in zip(node_ids.tolist(), lows, highs)
+        ]
 
     def merge_point(self, node_id: int, point: np.ndarray) -> None:
         """Grow a node's live box to absorb a newly inserted point."""
         self._note(node_id)
-        live = self._live.get(node_id)
-        self._live[node_id] = (
-            live.merge_point(point)
-            if live is not None
-            else Rect(np.asarray(point, dtype=np.float64), np.asarray(point, dtype=np.float64))
-        )
+        point = np.asarray(point, dtype=np.float64)
+        if self._has(node_id):
+            np.minimum(self._low[node_id], point, out=self._low[node_id])
+            np.maximum(self._high[node_id], point, out=self._high[node_id])
+        else:
+            self._store(node_id, point, point)
 
     def effective_rect(self, node_id: int, region: Rect) -> Rect:
         """What the search actually prunes with: the quantized live box, or
@@ -182,14 +237,15 @@ class ELSTable:
         ``(n, dims)`` arrays."""
         low = np.asarray(low, dtype=np.float64)
         high = np.asarray(high, dtype=np.float64)
-        if not self.enabled or not len(node_ids):
+        known_ids = self._known
+        if not self.enabled or not len(node_ids) or not len(known_ids):
             return low.copy(), high.copy()
-        lives = [self._live.get(node_id) for node_id in node_ids.tolist()]
-        known = np.array([live is not None for live in lives], dtype=bool)
-        live_low, live_high = low.copy(), high.copy()
-        if known.any():
-            live_low[known] = [live.low for live in lives if live is not None]
-            live_high[known] = [live.high for live in lives if live is not None]
+        stored_low, stored_high = self._low, self._high
+        inside = (node_ids >= 0) & (node_ids < len(known_ids))
+        known = known_ids.take(node_ids, mode="clip") & inside
+        column = known[:, None]
+        live_low = np.where(column, stored_low.take(node_ids, axis=0, mode="clip"), low)
+        live_high = np.where(column, stored_high.take(node_ids, axis=0, mode="clip"), high)
         # Clip each live box to its region.  A stale live box can drift
         # outside a shrunk region; such rows fall back to the region.
         np.maximum(live_low, low, out=live_low)
@@ -203,10 +259,10 @@ class ELSTable:
         """Side-table footprint: ``2 * dims * bits`` bits per node."""
         if not self.enabled:
             return 0
-        return (2 * self.dims * self.bits * len(self._live) + 7) // 8
+        return (2 * self.dims * self.bits * len(self) + 7) // 8
 
     def __len__(self) -> int:
-        return len(self._live)
+        return int(np.count_nonzero(self._known))
 
     def __contains__(self, node_id: int) -> bool:
-        return node_id in self._live
+        return self._has(node_id)

@@ -957,9 +957,13 @@ class HybridTree:
                     if not node.count:
                         continue
                     dists = metric.distance_batch(node.points().astype(np.float64), q)
-                    for i, dist in enumerate(dists):
-                        dist = float(dist)
-                        oid = int(node.live_oids()[i])
+                    oids = node.live_oids()
+                    if len(best) >= k:
+                        # kth only falls while the leaf is scanned: a point
+                        # beyond it now can never enter the heap.
+                        near = np.flatnonzero(dists <= -best[0][0])
+                        dists, oids = dists[near], oids[near]
+                    for dist, oid in zip(dists.tolist(), oids.tolist()):
                         if len(best) < k:
                             heapq.heappush(best, (-dist, -oid))
                         elif (dist, oid) < (-best[0][0], -best[0][1]):
@@ -1050,7 +1054,7 @@ class HybridTree:
         kids = node.child_boxes
         if kids is not None and kids.key == key:
             return kids
-        ids, reg_low, reg_high = kdnodes.leaf_region_arrays(node.kd_root, low, high)
+        ids, reg_low, reg_high = kdnodes.leaf_region_arrays(node.table, low, high)
         box_low, box_high = self.els.effective_boxes(ids, reg_low, reg_high)
         for arr in (ids, reg_low, reg_high, box_low, box_high):
             arr.flags.writeable = False
@@ -1383,18 +1387,7 @@ class HybridTree:
 
     def _els_blob(self, free_ids: list[int]) -> bytes:
         """Serialize the ELS table, free list and bounds into one npz blob."""
-        entries = self.els.items()
-        node_ids = np.array([node_id for node_id, _ in entries], dtype=np.int64)
-        lows = (
-            np.array([live.low for _, live in entries])
-            if entries
-            else np.empty((0, self.dims))
-        )
-        highs = (
-            np.array([live.high for _, live in entries])
-            if entries
-            else np.empty((0, self.dims))
-        )
+        node_ids, lows, highs = self.els.arrays()
         buf = io.BytesIO()
         np.savez(
             buf,
@@ -1531,8 +1524,7 @@ class HybridTree:
             store=store, codec=codec, stats=stats, max_cached=buffer_pages
         )
         tree.els = ELSTable(tree.dims, int(manifest["els_bits"]))
-        for node_id, low, high in zip(blob["node_ids"], blob["lows"], blob["highs"]):
-            tree.els.set(int(node_id), Rect(low, high))
+        tree.els.set_many(blob["node_ids"], blob["lows"], blob["highs"])
         tree._root_id = int(manifest["root_id"])
         tree._height = int(manifest["height"])
         tree._count = int(manifest["count"])

@@ -20,6 +20,7 @@ so the fanout stays independent of dimensionality.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,62 +141,174 @@ def leaves_with_regions(node: KDNode, region: Rect) -> Iterator[tuple[KDLeaf, Re
     yield from leaves_with_regions(node.right, region.clip_above(node.dim, node.rsp))
 
 
+class SplitTable(NamedTuple):
+    """An intranode kd-tree as arrays: what an index page stores.
+
+    Splits are numbered in preorder and leaves (children) left to right,
+    so every split's subtree owns the contiguous leaf rows
+    ``first:end``; its left subtree owns ``first:mid`` and its right one
+    ``mid:end`` (:func:`split_mids`).  The arrays are never mutated."""
+
+    ids: np.ndarray  # int64 (m,)  child page ids, left to right
+    dim: np.ndarray  # intp (m - 1,)  per split, preorder
+    lsp: np.ndarray  # float64 (m - 1,)
+    rsp: np.ndarray  # float64 (m - 1,)
+    first: np.ndarray  # intp (m - 1,)  first leaf row of the subtree
+    end: np.ndarray  # intp (m - 1,)  one past its last leaf row
+
+
+def split_table(node: KDNode) -> SplitTable:
+    """The kd-tree's :class:`SplitTable`, by one iterative preorder walk
+    (a degenerate kd-tree can be deeper than the recursion limit)."""
+    ids: list[int] = []
+    splits: list[tuple] = []  # (dim, lsp, rsp, first) per split
+    end: list[int] = []
+    stack: list = [node]
+    while stack:
+        kd = stack.pop()
+        if isinstance(kd, KDLeaf):
+            ids.append(kd.child_id)
+        elif isinstance(kd, KDInternal):
+            # The split's index, popped after both subtrees, closes its
+            # row range.
+            stack += (len(end), kd.right, kd.left)
+            splits.append((kd.dim, kd.lsp, kd.rsp, len(ids)))
+            end.append(0)
+        else:
+            end[kd] = len(ids)
+    # Dims and rows are small integers: exact in float64.
+    rec = np.array(splits, dtype=np.float64).reshape(-1, 4)
+    return SplitTable(
+        np.array(ids, dtype=np.int64),
+        rec[:, 0].astype(np.intp),
+        rec[:, 1].copy(),
+        rec[:, 2].copy(),
+        rec[:, 3].astype(np.intp),
+        np.array(end, dtype=np.intp),
+    )
+
+
+def split_mids(table: SplitTable) -> np.ndarray:
+    """Each split's first right-subtree row.  A left subtree that is a
+    split is the next split in preorder and starts on the same row; any
+    other left subtree is one leaf."""
+    first, end = table.first, table.end
+    mid = first + 1
+    inner = first[1:] == first[:-1]
+    mid[:-1][inner] = end[1:][inner]
+    return mid
+
+
+def kd_from_table(table: SplitTable) -> KDNode:
+    """Materialize the kd-tree a :class:`SplitTable` describes (the
+    inverse of :func:`split_table`).  Children are built before their
+    parents, so no recursion is needed."""
+    leaves = [KDLeaf(child_id) for child_id in table.ids.tolist()]
+    n = len(table.dim)
+    if not n:
+        return leaves[0]
+    nodes: list = [None] * n
+    for i, dim, lsp, rsp, first, mid, end in zip(
+        range(n - 1, -1, -1),
+        table.dim[::-1].tolist(),
+        table.lsp[::-1].tolist(),
+        table.rsp[::-1].tolist(),
+        table.first[::-1].tolist(),
+        split_mids(table)[::-1].tolist(),
+        table.end[::-1].tolist(),
+    ):
+        left = leaves[first] if mid - first == 1 else nodes[i + 1]
+        right = leaves[mid] if end - mid == 1 else nodes[i + mid - first]
+        nodes[i] = KDInternal(dim, lsp, rsp, left, right)
+    return nodes[0]
+
+
+def check_split_table(table: SplitTable, dims: int) -> None:
+    """Raise ``ValueError`` unless ``table`` describes a kd-tree over
+    ``dims`` dimensions: split dims in range, no coverage gap, and row
+    ranges that nest as one binary tree in preorder."""
+    m, n = len(table.ids), len(table.dim)
+    if m < 1 or n != m - 1:
+        raise ValueError(f"kd table has {n} splits for {m} children")
+    if not n:
+        return
+    dim, first, end = table.dim, table.first, table.end
+    if (dim >= dims).any():
+        raise ValueError(f"kd split on dim {int(dim.max())} of a {dims}-dim tree")
+    if not (table.lsp >= table.rsp).all():
+        raise ValueError("kd split with lsp < rsp (a coverage gap)")
+    # Split i's left subtree is split i + 1 or one leaf (split_mids); its
+    # right subtree, if more than one leaf, must be split i + (leaves on
+    # its left) over exactly the rows mid:end.  Then, by induction on the
+    # row count, the splits reached from split i are i, i + 1, ... up to
+    # its own leaf count less one: the root reaches every split once.
+    mid = split_mids(table)
+    left_size, right_size = mid - first, end - mid
+    kid = np.arange(n) + left_size
+    bad = (left_size < 1) | (right_size < 1)
+    bad |= (right_size > 1) & (
+        (kid >= n)
+        | (first.take(kid, mode="clip") != mid)
+        | (end.take(kid, mode="clip") != end)
+    )
+    if first[0] != 0 or end[0] != m or bad.any():
+        raise ValueError("kd split offsets do not nest as one tree")
+
+
 def leaf_region_arrays(
-    node: KDNode, low: np.ndarray, high: np.ndarray
+    table: SplitTable, low: np.ndarray, high: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`leaves_with_regions` as arrays: ``(child_ids, lows, highs)``.
 
-    Leaves are numbered left to right, so each internal node's two
-    subtrees own two contiguous row ranges, and the internal nodes at one
-    kd depth own disjoint ones.  Applying each depth's clamped clips (as
-    :meth:`Rect.clip_below` / :meth:`Rect.clip_above` do) in one array step,
-    shallowest depth first, gives each row exactly the clips of its kd
-    path, in path order — the same floats, without a ``Rect`` per step.
+    Each split clips its left rows' ``high`` and its right rows' ``low``
+    on its dim, clamped as :meth:`Rect.clip_below` / :meth:`Rect.clip_above` do.
+    A cell (row, dim) is clipped only by the splits on that dim along its
+    row's kd path, so the splits are applied in groups by how many
+    ancestors split on the same dim: one group's clips touch disjoint
+    cells, and each cell gets its clips in path order — the same floats
+    as the scalar mapping, in a few array steps.
     """
-    ids: list[int] = []
-    # Per internal node: depth, first row, first right row, end row, dim,
-    # lsp, rsp.
-    rec: list = []
-
-    def walk(kd: KDNode, depth: int) -> None:
-        if isinstance(kd, KDLeaf):
-            ids.append(kd.child_id)
-            return
-        first = len(ids)
-        walk(kd.left, depth + 1)
-        mid = len(ids)
-        walk(kd.right, depth + 1)
-        rec.extend((depth, first, mid, len(ids), kd.dim, kd.lsp, kd.rsp))
-
-    walk(node, 0)
-    lows = np.tile(np.asarray(low, dtype=np.float64), (len(ids), 1))
-    highs = np.tile(np.asarray(high, dtype=np.float64), (len(ids), 1))
-    if rec:
-        table = np.array(rec).reshape(-1, 7)
-        table = table[np.argsort(table[:, 0], kind="stable")]
-        depth, first, mid, end, dim = table[:, :5].astype(np.intp).T
-        dims = lows.shape[1]
-        left = _cells_by_depth(depth, first, mid, dim, dims, table[:, 5])
-        right = _cells_by_depth(depth, mid, end, dim, dims, table[:, 6])
-        lo, hi = lows.reshape(-1), highs.reshape(-1)
-        for (cells, lsp), (rcells, rsp) in zip(left, right):
-            hi[cells] = np.minimum(hi[cells], np.maximum(lsp, lo[cells]))
-            lo[rcells] = np.maximum(lo[rcells], np.minimum(rsp, hi[rcells]))
-    return np.asarray(ids, dtype=np.int64), lows, highs
-
-
-def _cells_by_depth(depth, start, stop, dim, dims: int, pos) -> list:
-    """Per kd depth: the flat cells ``row * dims + dim`` of rows
-    ``start:stop`` of every internal node at that depth (one side of its
-    split), and the split position each cell is clipped with."""
-    # Imported here: importing repro.engine imports this module.
-    from repro.engine.bestfirst import concat_ranges
-
-    counts = stop - start
-    cells = np.repeat(start * dims + dim, counts) + concat_ranges(counts) * dims
-    pos = np.repeat(pos, counts)
-    cuts = np.searchsorted(np.repeat(depth, counts), np.arange(depth[-1] + 2))
-    return [(cells[a:b], pos[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+    m, n = len(table.ids), len(table.dim)
+    lows = np.empty((m, len(low)))
+    highs = np.empty((m, len(high)))
+    lows[:] = low
+    highs[:] = high
+    if not n:
+        return table.ids, lows, highs
+    dims = lows.shape[1]
+    dim, first, end = table.dim, table.first, table.end
+    mid = split_mids(table)
+    # Same-dim ancestors of each split: the same-dim splits before it in
+    # preorder, less those wholly to its left (end <= its first).  Its
+    # place in the stable order by dim, less the count of (dim, end) keys
+    # up to (its dim, its first): the splits of lower dims cancel.
+    rank = np.empty(n, dtype=np.intp)
+    rank[np.argsort(dim, kind="stable")] = np.arange(n)
+    rank -= np.searchsorted(
+        np.sort(dim * (m + 1) + end), dim * (m + 1) + first, side="right"
+    )
+    # Both sides of every split as row ranges, ordered by (rank, side):
+    # step 2r clips the left sides of rank r, step 2r + 1 the right sides.
+    step = np.concatenate((2 * rank, 2 * rank + 1))
+    by = np.argsort(step, kind="stable")
+    step = step[by]
+    start = np.concatenate((first, mid))[by]
+    counts = np.concatenate((mid, end))[by] - start
+    pos = np.repeat(np.concatenate((table.lsp, table.rsp))[by], counts)
+    ends = np.cumsum(counts)
+    # Flat cells row * dims + dim of every row of every range (range j's
+    # t-th row is element ends[j] - counts[j] + t of the concatenation).
+    offset = start * dims + np.concatenate((dim, dim))[by] - (ends - counts) * dims
+    cells = np.repeat(offset, counts) + np.arange(ends[-1]) * dims
+    cuts = np.concatenate(([0], ends))[np.searchsorted(step, np.arange(step[-1] + 2))]
+    lo, hi = lows.reshape(-1), highs.reshape(-1)
+    for k in range(len(cuts) - 1):
+        c, p = cells[cuts[k] : cuts[k + 1]], pos[cuts[k] : cuts[k + 1]]
+        if k % 2 == 0:
+            hi[c] = np.minimum(hi[c], np.maximum(p, lo[c]))
+        else:
+            lo[c] = np.maximum(lo[c], np.minimum(p, hi[c]))
+    return table.ids, lows, highs
 
 
 def leaves_holding_point(

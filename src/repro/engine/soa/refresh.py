@@ -305,7 +305,7 @@ class _Pass:
             nodes[i] = tree.trav_node(int(pages[i]), charge=False)
         reuse = np.flatnonzero(~leaf & ~dirty & ~level.reg_changed)
         walked = {
-            i: leaf_region_arrays(node.kd_root, *self._region(int(level.region[i])))
+            i: leaf_region_arrays(node.table, *self._region(int(level.region[i])))
             for i, node in nodes.items()
         }
         counts = np.zeros(n, dtype=np.int64)

@@ -30,6 +30,16 @@ class Rect:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
+    def trusted(cls, low: np.ndarray, high: np.ndarray) -> "Rect":
+        """A rect over 1-d float64 arrays already known to satisfy
+        ``low <= high`` (rows a container validated when they were
+        stored), without re-checking them."""
+        rect = cls.__new__(cls)
+        rect.low = low
+        rect.high = high
+        return rect
+
+    @classmethod
     def unit(cls, dims: int) -> "Rect":
         """The normalized feature space ``[0, 1]^k`` (paper Section 3.2)."""
         return cls(np.zeros(dims), np.ones(dims))

@@ -15,8 +15,9 @@ Byte layout conventions (little-endian, matching
   vectors;
 - object identifiers and page identifiers are ``uint32`` (4 bytes);
 - a kd-tree internal node stores the split dimension (``uint16``), the two
-  split positions lsp and rsp (``float32`` each), and two intra-node child
-  offsets (``uint16`` each): 14 bytes total;
+  split positions lsp and rsp (``float32`` each), and two intra-node
+  offsets (``uint16`` each, the leaf rows its subtree spans): 14 bytes
+  total;
 - a kd-tree leaf stores the child page id: 4 bytes.  Encoded-live-space codes
   are *not* charged against the page (Section 3.4 of the paper keeps them in
   memory; their footprint is reported separately by ``ELSTable.memory_bytes``).
@@ -64,6 +65,16 @@ class PageHeader:
     crc: int
     lsn: int = 0
     version: int = PAGE_FORMAT_VERSION
+
+
+class VerifiedPage(bytes):
+    """A page image whose frame, CRC included, the store that read it has
+    just verified (:class:`~repro.storage.pagestore.FilePageStore` with
+    ``checksums=True``).  The node codec does not sweep its CRC again;
+    pages from anywhere else (overlays, logs, raw reads) arrive as plain
+    ``bytes`` and are verified in full."""
+
+    __slots__ = ()
 
 
 def _page_crc(header_no_crc: bytes, rest: bytes) -> int:
@@ -154,7 +165,8 @@ OID_SIZE = 4
 PAGE_ID_SIZE = 4
 
 KD_INTERNAL_SIZE = 2 + FLOAT_SIZE + FLOAT_SIZE + 2 + 2
-"""Split dim (u16) + lsp (f32) + rsp (f32) + two intranode offsets (u16)."""
+"""Split dim (u16) + lsp (f32) + rsp (f32) + two intranode offsets (u16):
+the first and one-past-last leaf rows of the split's subtree."""
 
 KD_LEAF_SIZE = PAGE_ID_SIZE
 """A kd-tree leaf is just the child page pointer."""

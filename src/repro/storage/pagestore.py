@@ -23,7 +23,7 @@ from collections.abc import Iterable
 
 from repro.storage.errors import PageCorruptionError, ReadOnlyStoreError
 from repro.storage.iostats import AccessKind, IOStats
-from repro.storage.page import DEFAULT_PAGE_SIZE, unframe_page
+from repro.storage.page import DEFAULT_PAGE_SIZE, VerifiedPage, unframe_page
 
 
 class PageStore(ABC):
@@ -166,7 +166,9 @@ class FilePageStore(PageStore):
     (magic + format version + whole-page CRC32, see
     :func:`repro.storage.page.unframe_page`) and raises
     :class:`PageCorruptionError` on any mismatch — the mode
-    ``HybridTree.save``/``open`` run in.  The default leaves pages opaque
+    ``HybridTree.save``/``open`` run in.  A verified page comes back as a
+    :class:`~repro.storage.page.VerifiedPage`, so the node codec does not
+    check its CRC a second time.  The default leaves pages opaque
     for callers that store raw bytes.
     """
 
@@ -199,6 +201,7 @@ class FilePageStore(PageStore):
         data = self._file.read(self.page_size).ljust(self.page_size, b"\x00")
         if self.checksums:
             unframe_page(data, page_id)
+            return VerifiedPage(data)
         return data
 
     def write(

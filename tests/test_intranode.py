@@ -122,7 +122,9 @@ def test_leaf_region_arrays_equal_the_scalar_mapping():
         n = int(rng.integers(1, 40))
         kd = _random_kd(rng, list(range(n)), dims)
         region = _random_region(rng, dims)
-        ids, low, high = kdnodes.leaf_region_arrays(kd, region.low, region.high)
+        ids, low, high = kdnodes.leaf_region_arrays(
+            kdnodes.split_table(kd), region.low, region.high
+        )
         scalar = list(kdnodes.leaves_with_regions(kd, region))
         assert ids.tolist() == [leaf.child_id for leaf, _ in scalar]
         for i, (_, leaf_region) in enumerate(scalar):
@@ -138,7 +140,9 @@ def test_effective_boxes_equal_the_scalar_rect(bits):
         n = int(rng.integers(1, 40))
         kd = _random_kd(rng, list(range(n)), dims)
         region = _random_region(rng, dims)
-        ids, low, high = kdnodes.leaf_region_arrays(kd, region.low, region.high)
+        ids, low, high = kdnodes.leaf_region_arrays(
+            kdnodes.split_table(kd), region.low, region.high
+        )
         table = ELSTable(dims, bits)
         for i, node_id in enumerate(ids.tolist()):
             kind = rng.random()
@@ -431,7 +435,9 @@ def _assert_cache_fresh(tree):
         if not isinstance(node, IndexNode):
             continue
         kids = tree._child_boxes(node, low, high)
-        ids, reg_low, reg_high = kdnodes.leaf_region_arrays(node.kd_root, low, high)
+        ids, reg_low, reg_high = kdnodes.leaf_region_arrays(
+            kdnodes.split_table(node.kd_root), low, high
+        )
         fresh = (ids, reg_low, reg_high, *tree.els.effective_boxes(ids, reg_low, reg_high))
         for got, want in zip(kids[1:], fresh):
             assert _same_bits(got, want)
@@ -567,7 +573,9 @@ def test_cache_key_names_the_region(data):
     assert not kids.box_low.flags.writeable and not kids.ids.flags.writeable
     low, high = tree.bounds.low + 0.25, tree.bounds.high - 0.25
     shrunk = tree._child_boxes(root, low, high)
-    ids, reg_low, reg_high = kdnodes.leaf_region_arrays(root.kd_root, low, high)
+    ids, reg_low, reg_high = kdnodes.leaf_region_arrays(
+        kdnodes.split_table(root.kd_root), low, high
+    )
     fresh = (ids, reg_low, reg_high, *tree.els.effective_boxes(ids, reg_low, reg_high))
     for got, want in zip(shrunk[1:], fresh):
         assert _same_bits(got, want)

@@ -338,25 +338,33 @@ class TestHybridNodeCodec:
         from repro.core.nodes import DataNode, IndexNode
         from repro.storage.serialization import HybridNodeCodec
 
-        for dims in (2, 16, 64):
-            codec = HybridNodeCodec(dims, data_node_capacity(dims))
-            full = DataNode(dims, data_node_capacity(dims))
-            for i in range(full.capacity):
-                full.add(np.zeros(dims, dtype=np.float32), i)
-            assert len(codec.encode(full)) <= 4096
-
-        # Balanced kd-tree with the maximum number of leaves.
-        cap = kdtree_node_capacity(16)
-
         def build(lo, hi):
             if hi - lo == 1:
                 return KDLeaf(lo)
             mid = (lo + hi) // 2
             return KDInternal(0, 0.5, 0.5, build(lo, mid), build(mid, hi))
 
-        codec = HybridNodeCodec(16, data_node_capacity(16))
-        node = IndexNode(build(0, cap), level=1)
-        assert len(codec.encode(node)) <= 4096
+        # At 8192 bytes the capacity model leaves only 2 spare bytes.
+        for page_size in (512, 1024, 4096, 8192, 65536):
+            layout = PageLayout(page_size=page_size)
+            for dims in (2, 16, 64):
+                if dims * 4 * 2 + 8 > layout.usable:
+                    continue
+                cap = data_node_capacity(dims, layout)
+                codec = HybridNodeCodec(dims, cap, page_size)
+                full = DataNode(dims, cap)
+                for i in range(full.capacity):
+                    full.add(np.zeros(dims, dtype=np.float32), i)
+                assert len(codec.encode(full)) <= page_size
+                assert codec.decode(codec.encode(full)).count == cap
+
+            # Balanced kd-tree with the maximum number of leaves.
+            cap = kdtree_node_capacity(16, layout)
+            codec = HybridNodeCodec(16, data_node_capacity(16, layout), page_size)
+            node = IndexNode(build(0, cap), level=1)
+            page = codec.encode(node)
+            assert len(page) <= page_size
+            assert codec.decode(page).child_ids() == list(range(cap))
 
 
 class TestBoundedNodeManager:
