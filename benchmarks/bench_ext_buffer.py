@@ -2,11 +2,12 @@
 
 The paper reports cold per-query disk accesses; a production deployment
 runs behind a buffer pool.  This benchmark saves a tree to a real page file,
-reopens it with bounded LRU node caches of various sizes, and measures
-page faults per query over a clustered workload.  Expected shape: misses
-fall monotonically with buffer size; once the pool covers the working set
-(directory + hot clusters), queries run almost I/O-free — the locality that
-makes tree indexes deployable at all.
+reopens it with bounded node caches of various sizes (level-aware: leaves
+are evicted before index pages, least recently used first within a level),
+and measures page faults per query over a clustered workload.  Expected
+shape: misses fall monotonically with buffer size; once the pool covers
+the working set (directory + hot clusters), queries run almost I/O-free —
+the locality that makes tree indexes deployable at all.
 """
 
 import numpy as np

@@ -1427,9 +1427,11 @@ class HybridTree:
     ) -> "HybridTree":
         """Reopen a saved tree; nodes fault in lazily from the page file.
 
-        ``buffer_pages`` bounds the in-memory node cache (LRU, write-back):
-        hits are then free, misses re-read and re-decode real pages — the
-        behaviour of a disk-resident index under a fixed buffer pool.  The
+        ``buffer_pages`` bounds the in-memory node cache (write-back,
+        level-aware: leaves are evicted before index pages, least recently
+        used first within a level): hits are then free, misses re-read and
+        re-decode real pages — the behaviour of a disk-resident index under
+        a fixed buffer pool.  The
         default (``None``) caches every touched node and charges one access
         per visit, the paper's cold-query accounting.
 

@@ -15,7 +15,8 @@ that makes those numbers meaningful in a pure-Python reproduction:
 - :mod:`repro.storage.buffer` -- an LRU buffer pool.
 - :mod:`repro.storage.nodemanager` -- the node cache every index runs through;
   it charges one page access per node visit and, when file-backed, round-trips
-  nodes through ``struct``-packed pages.
+  nodes through ``struct``-packed pages; bounded, it evicts leaves before
+  index pages.
 - :mod:`repro.storage.serialization` -- byte-level node codecs; every page
   is framed with a header and whole-page CRC32 (:mod:`repro.storage.page`).
 - :mod:`repro.storage.errors` -- the typed storage exception hierarchy

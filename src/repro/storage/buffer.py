@@ -1,11 +1,10 @@
 """An LRU buffer pool over a :class:`~repro.storage.pagestore.PageStore`.
 
-The paper reports *cold* per-query disk accesses, so the benchmark harness
-runs without a buffer pool.  The pool exists because a production index would
-never run without one: it lets users measure warm-cache behaviour and it backs
-the ``buffer_pages`` option of the public index classes.  Hits are served from
-memory and not charged to the underlying store's ``IOStats``; misses and dirty
-evictions are.
+A byte-level page cache: hits are served from memory and not charged to the
+underlying store's ``IOStats``; misses and dirty evictions are.  It is a
+stand-alone building block, not what ``HybridTree.open(buffer_pages=...)``
+uses: that option bounds :class:`~repro.storage.nodemanager.NodeManager`'s
+node cache, which caches decoded nodes and evicts leaves before index pages.
 """
 
 from __future__ import annotations

@@ -13,6 +13,13 @@ paged store.  Its contract:
 
 The object cache means benchmarks do not pay Python ``struct`` costs on every
 access while the accounting stays identical to a cold, unbuffered disk.
+
+A *bounded* cache (``max_cached``) evicts by level: it keeps one LRU order
+per tree level and evicts the least recently used unpinned page of the
+lowest level that has one, so leaf faults do not push out the few index
+pages every query passes through.  This is the idea of LRU-K (O'Neil,
+O'Neil & Weikum, SIGMOD 1993) reduced to what a tree needs: pages high in
+the tree are re-referenced far more often than leaves.
 """
 
 from __future__ import annotations
@@ -51,6 +58,14 @@ class NodeManager:
         faulting nodes in from a persistent store.
     stats:
         Shared I/O accountant.  Defaults to the store's.
+    max_cached:
+        Bound on the resident *unpinned* nodes; ``None`` (the default)
+        caches every node and charges every visit.  Bounded, a hit is free
+        and eviction is level-aware: the victim is the least recently used
+        unpinned page of the lowest tree level that has one (a node's level
+        is its ``level`` attribute, 0 without one), never the page being
+        admitted.  :attr:`data_evictions` and :attr:`index_evictions` count
+        evictions of level-0 and higher pages.
     max_retries / retry_backoff / retry_budget:
         Transient store faults (:class:`TransientStorageError`) are retried
         up to ``max_retries`` times with exponential backoff starting at
@@ -97,6 +112,13 @@ class NodeManager:
                 raise ValueError("bounded caching needs a codec to evict through")
         self.max_cached = max_cached
         self._cache: OrderedDict[int, Any] = OrderedDict()
+        # Bounded caches only: one LRU order per tree level (list index =
+        # level) over the resident unpinned pages, and each such page's
+        # level.  A pinned page is in neither.
+        self._lru: list[OrderedDict[int, None]] = []
+        self._level_of: dict[int, int] = {}
+        self.data_evictions = 0
+        self.index_evictions = 0
         self._dirty: set[int] = set()
         self._pinned: set[int] = set()
         self._track_written: set[int] | None = None
@@ -137,7 +159,11 @@ class NodeManager:
             if page_id in self._pinned:
                 return node
             if self.max_cached is not None:
-                self._cache.move_to_end(page_id)
+                # None: pinned through a parallel worker's copy of this
+                # manager, which shares the cache but not the pin set.
+                level = self._level_of.get(page_id)
+                if level is not None:
+                    self._lru[level].move_to_end(page_id)
             elif charge:
                 self.stats.record(AccessKind.RANDOM_READ)
             return node
@@ -146,7 +172,9 @@ class NodeManager:
         data = self._store_read(page_id, charge=charge)
         node = self.codec.decode(data)
         self._cache[page_id] = node
-        self._evict_if_needed()
+        if self.max_cached is not None:
+            self._list(page_id, node)
+            self._evict_if_needed(keep=page_id)
         return node
 
     def begin_mutation_tracking(self) -> None:
@@ -174,12 +202,13 @@ class NodeManager:
             self.journal.add(page_id)
         self.touch()
         self._cache[page_id] = node
-        if self.max_cached is not None:
-            self._cache.move_to_end(page_id)
         self._dirty.add(page_id)
-        if charge and self.max_cached is None:
-            self.stats.record(AccessKind.RANDOM_WRITE)
-        self._evict_if_needed()
+        if self.max_cached is None:
+            if charge:
+                self.stats.record(AccessKind.RANDOM_WRITE)
+        elif page_id not in self._pinned:
+            self._list(page_id, node)
+            self._evict_if_needed(keep=page_id)
 
     def touch(self) -> None:
         """Take a new :attr:`version`, so caches derived from the nodes
@@ -187,19 +216,41 @@ class NodeManager:
         mutation that raised, which may have edited a node in place."""
         self.version = next(self._versions)
 
-    def _evict_if_needed(self) -> None:
-        if self.max_cached is None:
-            return
-        while len(self._cache) - len(self._pinned) > self.max_cached:
-            victim = next(
-                (pid for pid in self._cache if pid not in self._pinned), None
-            )
-            if victim is None:
-                return
-            node = self._cache.pop(victim)
+    # ------------------------------------------------------------------
+    # Level-aware eviction (bounded caches)
+    # ------------------------------------------------------------------
+    def _list(self, page_id: int, node: Any) -> None:
+        """Make a resident unpinned page the most recent of its level."""
+        self._unlist(page_id)
+        level = getattr(node, "level", 0)
+        while len(self._lru) <= level:
+            self._lru.append(OrderedDict())
+        self._lru[level][page_id] = None
+        self._level_of[page_id] = level
+
+    def _unlist(self, page_id: int) -> None:
+        level = self._level_of.pop(page_id, None)
+        if level is not None:
+            del self._lru[level][page_id]
+
+    def _evict_if_needed(self, keep: int | None = None) -> None:
+        """Evict down to ``max_cached`` unpinned resident pages, never
+        ``keep``.  Each victim is the head of the lowest non-empty level's
+        LRU (or the entry after it, if that is ``keep``), so finding it
+        costs O(levels).  A dirty victim is written back before it leaves
+        the cache; a failed write-back leaves it resident and dirty."""
+        while len(self._level_of) > self.max_cached:
+            victim = next(pid for lru in self._lru for pid in lru if pid != keep)
             if victim in self._dirty:
-                self._store_write(victim, self.codec.encode(node))
+                self._store_write(victim, self.codec.encode(self._cache[victim]))
                 self._dirty.discard(victim)
+            level = self._level_of[victim]
+            self._unlist(victim)
+            del self._cache[victim]
+            if level:
+                self.index_evictions += 1
+            else:
+                self.data_evictions += 1
 
     def free(self, page_id: int) -> None:
         """Release a node's page."""
@@ -208,6 +259,7 @@ class NodeManager:
             self._track_written.discard(page_id)
         self.touch()
         self._cache.pop(page_id, None)
+        self._unlist(page_id)
         self._dirty.discard(page_id)
         self._pinned.discard(page_id)
         self.store.free(page_id)
@@ -221,12 +273,18 @@ class NodeManager:
         evicts it.  Returns the node."""
         node = self.get(page_id, charge=charge)
         self._pinned.add(page_id)
+        self._unlist(page_id)
         return node
 
     def unpin(self, page_id: int) -> None:
-        """Release a pin; the page returns to normal charging/eviction."""
+        """Release a pin; the page returns to normal charging/eviction, as
+        the most recently used page of its level."""
+        if page_id not in self._pinned:
+            return
         self._pinned.discard(page_id)
-        self._evict_if_needed()
+        if self.max_cached is not None and page_id in self._cache:
+            self._list(page_id, self._cache[page_id])
+            self._evict_if_needed()
 
     def unpin_all(self) -> None:
         for page_id in list(self._pinned):
@@ -300,6 +358,8 @@ class NodeManager:
         kept = {pid: self._cache[pid] for pid in self._pinned if pid in self._cache}
         self._cache.clear()
         self._cache.update(kept)
+        self._lru.clear()
+        self._level_of.clear()
 
     @property
     def cached_nodes(self) -> int:

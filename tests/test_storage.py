@@ -448,6 +448,194 @@ class TestBoundedNodeManager:
         assert 999_999 in small.point_search(v)
 
 
+class StrCodec:
+    """Stores string nodes as their UTF-8 bytes."""
+
+    def encode(self, node):
+        return node.encode()
+
+    def decode(self, data):
+        return data.rstrip(b"\x00").decode()
+
+
+class CountingStore:
+    """Delegates to a page store and counts the charged reads that reach it."""
+
+    def __init__(self, store):
+        self.store = store
+        self.charged_reads = 0
+
+    def __getattr__(self, name):
+        return getattr(self.store, name)
+
+    def read(self, page_id, kind=AccessKind.RANDOM_READ, charge=True):
+        self.charged_reads += bool(charge)
+        return self.store.read(page_id, kind, charge)
+
+
+class TestLevelAwareEviction:
+    """A bounded node cache evicts leaves before index pages.
+
+    The tree: 2,000 bulk-loaded 3-d points on 512-byte pages, height 3,
+    with a handful of index pages and about a hundred leaves."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        from repro.core import HybridTree
+        from repro.datasets import uniform_dataset
+
+        data = uniform_dataset(2000, 3, seed=72)
+        path = str(tmp_path / "t.pages")
+        HybridTree.bulk_load(data, page_size=512).save(path)
+        return path
+
+    @staticmethod
+    def _index_pages(path):
+        from repro.core import HybridTree
+        from repro.core.nodes import IndexNode
+
+        tree = HybridTree.open(path)
+        count, stack = 0, [tree.root_id]
+        while stack:
+            node = tree.nm.get(stack.pop(), charge=False)
+            if isinstance(node, IndexNode):
+                count += 1
+                stack.extend(node.child_ids())
+        return count
+
+    @staticmethod
+    def _queries(tree, seed):
+        from repro.distances import L2
+        from repro.geometry.rect import Rect
+
+        rng = np.random.default_rng(seed)
+        out = []
+        for _ in range(12):
+            low = rng.random(3) * 0.7
+            out.append(tree.range_search(Rect(low, low + 0.3)))
+            center = rng.random(3)
+            out.append(tree.distance_range(center, 0.15, L2))
+            out.append(tree.knn(center, 5, L2))
+        return out
+
+    def test_charged_reads_are_store_reads(self, path):
+        from repro.core import HybridTree
+
+        tree = HybridTree.open(path, buffer_pages=3)
+        counting = CountingStore(tree.nm.store)
+        tree.nm.store = counting
+        self._queries(tree, seed=1)
+        assert tree.nm.index_evictions > 0
+        assert tree.io.random_reads == counting.charged_reads > 0
+
+    def test_buffer_above_index_pages_keeps_them(self, path):
+        from repro.core import HybridTree
+
+        index_pages = self._index_pages(path)
+        assert index_pages > 3
+        tree = HybridTree.open(path, buffer_pages=index_pages + 1)
+        self._queries(tree, seed=2)  # warm pass
+        evicted = tree.nm.data_evictions
+        for seed in (3, 4, 5):
+            self._queries(tree, seed)
+        assert tree.nm.data_evictions > evicted  # leaves did cycle
+        assert tree.nm.index_evictions == 0
+
+    def test_small_buffer_bounds_cache_and_answers(self, path):
+        from repro.core import HybridTree
+
+        assert self._index_pages(path) > 3
+        cold = HybridTree.open(path)
+        tight = HybridTree.open(path, buffer_pages=3)
+        tight.nm.pin(tight.root_id)
+        for seed in (6, 7):
+            assert self._queries(tight, seed) == self._queries(cold, seed)
+            assert tight.nm.cached_nodes <= 3 + tight.nm.pinned_nodes
+        assert tight.nm.index_evictions > 0
+
+    def test_admitted_page_is_not_its_own_victim(self, path):
+        from repro.core import HybridTree
+        from repro.core.nodes import IndexNode
+
+        tree = HybridTree.open(path, buffer_pages=3)
+        root = tree.nm.get(tree.root_id)
+        upper = [tree.root_id, *root.child_ids()[:2]]
+        leaf_id = tree.nm.get(upper[1]).child_ids()[0]
+        for pid in upper:  # the cache now holds index pages only
+            assert isinstance(tree.nm.get(pid), IndexNode)
+        evicted = tree.nm.index_evictions
+        tree.nm.get(leaf_id)  # the lowest level holds only this page
+        assert tree.nm.index_evictions == evicted + 1
+        tree.io.reset()
+        tree.nm.get(leaf_id)
+        assert tree.io.random_reads == 0  # still resident: a free hit
+
+    def test_worker_view_hits_pages_pinned_in_the_source(self, path):
+        """A thread worker's view shares the source's cache but not its pin
+        set, so it hits pages that are resident yet in no eviction order."""
+        from repro.core import HybridTree
+        from repro.engine.parallel import _index_view
+        from repro.geometry.rect import Rect
+
+        tree = HybridTree.open(path, buffer_pages=3)
+        tree.nm.pin(tree.root_id)
+        view = _index_view(tree)
+        cold = HybridTree.open(path)
+        for lo in np.linspace(0, 0.7, 8):
+            box = Rect(np.full(3, lo), np.full(3, lo + 0.3))
+            assert view.range_search(box) == cold.range_search(box)
+        assert tree.nm.cached_nodes <= 3 + tree.nm.pinned_nodes
+
+    def test_failed_write_back_keeps_the_victim(self):
+        class FailingStore(InMemoryPageStore):
+            fail = False
+
+            def write(self, *args, **kwargs):
+                if self.fail:
+                    raise OSError("disk full")
+                super().write(*args, **kwargs)
+
+        store = FailingStore()
+        nm = NodeManager(store=store, codec=StrCodec(), max_cached=1)
+        a, b = nm.allocate(), nm.allocate()
+        nm.put(a, "a")
+        store.fail = True
+        with pytest.raises(OSError):
+            nm.put(b, "b")  # evicts a, whose write-back fails
+        store.fail = False
+        assert nm.dirty_nodes == 2  # a is still resident, still dirty
+        nm.flush()
+        nm.evict_all()
+        assert (nm.get(a), nm.get(b)) == ("a", "b")
+
+    def test_evicted_dirty_index_page_survives_save(self, path, tmp_path):
+        from repro.core import HybridTree
+        from repro.core.nodes import IndexNode
+        from repro.geometry.rect import Rect
+
+        tree = HybridTree.open(path, buffer_pages=3)
+        rng = np.random.default_rng(8)
+        added = {10_000: rng.random(3).astype(np.float32)}
+        tree.insert(added[10_000], 10_000)
+        dirty_index = {
+            pid for pid in tree.nm._dirty if isinstance(tree.nm._cache[pid], IndexNode)
+        }
+        assert dirty_index
+        tree.range_search(Rect.unit(3))  # every page: thrash the cache
+        assert dirty_index - set(tree.nm._cache)  # evicted while dirty
+        for oid in range(10_001, 10_400):  # many more dirty evictions
+            added[oid] = rng.random(3).astype(np.float32)
+            tree.insert(added[oid], oid)
+        saved = str(tmp_path / "saved.pages")
+        tree.save(saved)
+        reopened = HybridTree.open(saved)
+        reopened.validate()
+        assert len(reopened) == 2400
+        for oid, v in added.items():
+            assert oid in reopened.point_search(v)
+        assert sorted(reopened.range_search(Rect.unit(3))) == list(range(2000)) + sorted(added)
+
+
 class TestPinning:
     def test_pin_charges_once_then_free(self):
         nm = NodeManager()
@@ -501,13 +689,6 @@ class TestPinning:
         assert small.io.random_reads == 0
 
     def test_evict_all_keeps_pinned(self):
-        class StrCodec:
-            def encode(self, node):
-                return node.encode()
-
-            def decode(self, data):
-                return data.rstrip(b"\x00").decode()
-
         nm = NodeManager(codec=StrCodec())
         pid, other = nm.allocate(), nm.allocate()
         nm.put(pid, "a", charge=False)
