@@ -40,8 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines.common import EntryLeaf, KernelQueryMixin, check_vector
-from repro.core import kdnodes
-from repro.core.kdnodes import KDInternal, KDLeaf, KDNode
 from repro.core.splits import choose_data_split
 from repro.distances import Metric
 from repro.engine.kernel import ChildBound
@@ -50,6 +48,55 @@ from repro.storage.iostats import IOStats
 from repro.storage.nodemanager import NodeManager
 from repro.storage.page import PageLayout, data_node_capacity, kdtree_node_capacity
 from repro.storage.pagestore import PageStore
+
+
+class KDLeaf:
+    """A kd-tree leaf: a pointer to one child page of the index node."""
+
+    __slots__ = ("child_id",)
+
+    def __init__(self, child_id: int):
+        self.child_id = child_id
+
+
+class KDInternal:
+    """A kd split; children are ``KDLeaf | KDInternal``.  The hB-tree's
+    splits are clean, so ``lsp == rsp``, but the two positions keep the
+    hybrid tree's split record."""
+
+    __slots__ = ("dim", "lsp", "rsp", "left", "right")
+
+    def __init__(self, dim: int, lsp: float, rsp: float, left: "KDNode", right: "KDNode"):
+        if lsp < rsp:
+            raise ValueError(f"coverage gap: lsp ({lsp}) < rsp ({rsp})")
+        self.dim = dim
+        self.lsp = float(lsp)
+        self.rsp = float(rsp)
+        self.left = left
+        self.right = right
+
+
+KDNode = KDLeaf | KDInternal
+
+
+def child_ids(node: KDNode) -> list[int]:
+    """Page ids of the kd leaves, left to right, one per leaf: a child
+    posted at several fragments appears once per fragment.  Iterative."""
+    out = []
+    stack = [node]
+    while stack:
+        kd = stack.pop()
+        if isinstance(kd, KDLeaf):
+            out.append(kd.child_id)
+        else:
+            stack.append(kd.right)
+            stack.append(kd.left)
+    return out
+
+
+def count_leaves(node: KDNode) -> int:
+    """Number of kd leaves, duplicates included."""
+    return len(child_ids(node))
 
 
 @dataclass(frozen=True)
@@ -79,11 +126,11 @@ class HBIndexNode:
     @property
     def kd_size(self) -> int:
         """Leaves including duplicates — the page-budget measure."""
-        return kdnodes.count_leaves(self.kd_root)
+        return count_leaves(self.kd_root)
 
     @property
     def fanout(self) -> int:
-        return len(set(kdnodes.child_ids(self.kd_root)))
+        return len(set(child_ids(self.kd_root)))
 
 
 class _HBBound(ChildBound):
@@ -350,7 +397,7 @@ class HBTree(KernelQueryMixin):
             if isinstance(node, EntryLeaf):
                 return
             ratios.append(node.kd_size / node.fanout)
-            for child_id in kdnodes.child_ids(node.kd_root):
+            for child_id in child_ids(node.kd_root):
                 visit(child_id)
 
         visit(self._root_id)
@@ -369,7 +416,7 @@ class HBTree(KernelQueryMixin):
             if isinstance(node, EntryLeaf):
                 fills.append(node.count / node.capacity)
                 return
-            for child_id in kdnodes.child_ids(node.kd_root):
+            for child_id in child_ids(node.kd_root):
                 visit(child_id)
 
         visit(self._root_id)
@@ -435,13 +482,13 @@ def _choose_extraction(root: KDNode) -> tuple[list[_Cut], KDNode] | None:
     split across the boundary), proper (neither the root nor empty), and as
     close to half the leaves as possible; subject to that, shortest path
     (fewest posted kd nodes).  Returns (cuts along the path, subtree)."""
-    total_refs = Counter(kdnodes.child_ids(root))
+    total_refs = Counter(child_ids(root))
     total = sum(total_refs.values())
     best: tuple[float, int, list[_Cut], KDNode] | None = None
 
     def consider(sub: KDNode, cuts: list[_Cut]) -> None:
         nonlocal best
-        sub_refs = Counter(kdnodes.child_ids(sub))
+        sub_refs = Counter(child_ids(sub))
         size = sum(sub_refs.values())
         if size == total:
             return

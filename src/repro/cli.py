@@ -59,6 +59,19 @@ def _metric(name: str):
         raise SystemExit(f"unknown metric {name!r}; use l1, l2, linf or a p-value")
 
 
+def _floats(text: str, dims: int, flag: str) -> np.ndarray:
+    """``dims`` comma-separated numbers, or a one-line exit naming ``flag``."""
+    try:
+        values = np.array([float(x) for x in text.split(",")])
+    except ValueError:
+        raise SystemExit(f"{flag}: {text!r} is not a comma-separated list of numbers") from None
+    if len(values) != dims:
+        raise SystemExit(f"{flag} has {len(values)} values; the tree has {dims} dims")
+    if np.isnan(values).any():
+        raise SystemExit(f"{flag} holds NaN")
+    return values
+
+
 # ----------------------------------------------------------------------
 # Commands
 # ----------------------------------------------------------------------
@@ -122,13 +135,19 @@ def cmd_build(args: argparse.Namespace) -> int:
     data = np.load(args.data)
     if data.ndim != 2:
         raise SystemExit(f"{args.data} is not a 2-d array")
-    if args.bulk:
-        tree = HybridTree.bulk_load(
-            data.astype(np.float32), els_bits=args.els_bits
+    with np.errstate(over="ignore"):  # beyond float32's range: inf, caught below
+        data = data.astype(np.float32)
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if len(bad):
+        raise SystemExit(
+            f"{args.data}: {len(bad)} row(s) not finite in float32, "
+            f"the first is row {bad[0]}"
         )
+    if args.bulk:
+        tree = HybridTree.bulk_load(data, els_bits=args.els_bits)
     else:
         tree = HybridTree(data.shape[1], els_bits=args.els_bits)
-        for oid, vector in enumerate(data.astype(np.float32)):
+        for oid, vector in enumerate(data):
             tree.insert(vector, oid)
     tree.save(args.out)
     print(
@@ -141,13 +160,21 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_query(args: argparse.Namespace) -> int:
     tree = HybridTree.open(args.tree, on_corruption=args.on_corruption)
     metric = _metric(args.metric)
+    if args.knn is not None or args.radius is not None:
+        if args.vector is None:
+            raise SystemExit(f"--{'knn' if args.knn is not None else 'radius'} needs --vector")
+        vector = _floats(args.vector, tree.dims, "--vector")
+        if not np.isfinite(vector).all():
+            raise SystemExit("--vector must be finite")
     if args.knn is not None:
-        vector = np.array([float(x) for x in args.vector.split(",")])
+        if args.knn < 1:
+            raise SystemExit("--knn must be >= 1")
         results = tree.knn(vector, args.knn, metric=metric)
         for oid, dist in results:
             print(f"{oid}\t{dist:.6f}")
     elif args.radius is not None:
-        vector = np.array([float(x) for x in args.vector.split(",")])
+        if not args.radius >= 0:
+            raise SystemExit("--radius must be >= 0")
         results = sorted(
             tree.distance_range(vector, args.radius, metric=metric),
             key=lambda t: t[1],
@@ -155,9 +182,13 @@ def cmd_query(args: argparse.Namespace) -> int:
         for oid, dist in results:
             print(f"{oid}\t{dist:.6f}")
     elif args.box is not None:
-        low_str, high_str = args.box.split(":")
-        low = np.array([float(x) for x in low_str.split(",")])
-        high = np.array([float(x) for x in high_str.split(",")])
+        low_str, colon, high_str = args.box.partition(":")
+        if not colon:
+            raise SystemExit("--box must be 'low1,low2,...:high1,high2,...'")
+        low = _floats(low_str, tree.dims, "--box low")
+        high = _floats(high_str, tree.dims, "--box high")
+        if (low > high).any():
+            raise SystemExit(f"--box low exceeds high in dim {int(np.argmax(low > high))}")
         for oid in sorted(tree.range_search(Rect(low, high))):
             print(oid)
     else:

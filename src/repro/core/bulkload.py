@@ -5,7 +5,11 @@ benchmark datasets we also provide the standard top-down alternative: apply
 the same split rules (EDA dimension choice, middle position, utilization
 bound) recursively over the whole dataset until partitions fit a data page,
 producing one global kd split tree whose leaves are data nodes; then chop
-that tree into page-sized index nodes level by level.  Every split is clean
+that tree into page-sized index nodes level by level.  Each level is one
+:class:`~repro.core.kdnodes.SplitTable`, and each index node's table is
+that table pruned to the node's children (a subtree's splits are exactly
+those with kept rows on both sides), so nodes are emitted in the form
+their pages store.  Every split is clean
 (``lsp == rsp``), so a bulk-loaded tree starts with zero overlap — the
 paper's structure in its best case; subsequent dynamic inserts and deletes
 work on it normally and introduce overlap only where the paper allows it.
@@ -15,8 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import kdnodes
-from repro.core.kdnodes import KDInternal, KDLeaf, KDNode
+from repro.core.kdnodes import SplitTable, from_preorder, prune, split_mids
 from repro.core.nodes import MAX_OID, DataNode, IndexNode, OidRangeError
 from repro.core.splits import choose_data_split
 from repro.geometry.rect import Rect
@@ -62,6 +65,10 @@ def bulk_load_into(tree, vectors: np.ndarray, oids: np.ndarray | None = None) ->
     vectors = np.asarray(vectors, dtype=np.float32)
     if vectors.ndim != 2 or vectors.shape[1] != tree.dims:
         raise ValueError(f"expected an (n, {tree.dims}) array")
+    # After the float32 cast, so float64 values beyond its range are caught
+    # too; before any page is allocated, as insert checks each vector.
+    if not np.isfinite(vectors).all():
+        raise ValueError("vectors must be finite")
     n = vectors.shape[0]
     if oids is None:
         oids = np.arange(n, dtype=np.uint32)
@@ -87,35 +94,14 @@ def _bulk_load_inner(tree, vectors: np.ndarray, oids: np.ndarray, n: int) -> int
     # Root was pre-allocated as an empty data node; recycle its page.
     tree.nm.free(tree._root_id)
 
-    def build_data_level(indices: np.ndarray) -> KDNode:
-        if len(indices) <= tree.data_capacity:
-            node = DataNode(tree.dims, tree.data_capacity)
-            node.vectors[: len(indices)] = vectors[indices]
-            node.oids[: len(indices)] = oids[indices]
-            node.count = len(indices)
-            node_id = tree.nm.allocate()
-            tree.nm.put(node_id, node, charge=False)
-            tree.els.set(node_id, node.live_rect())
-            return KDLeaf(node_id)
-        split = choose_data_split(
-            vectors[indices].astype(np.float64),
-            tree.min_fill,
-            tree.split_policy,
-            tree.split_position,
-        )
-        pos = float(np.float32(split.position))
-        left = build_data_level(indices[split.left_indices])
-        right = build_data_level(indices[split.right_indices])
-        return KDInternal(split.dim, pos, pos, left, right)
-
-    kd = build_data_level(np.arange(n))
+    table = _data_level(tree, vectors, oids, n)
     deferred: list[tuple[np.ndarray, int]] = []
     level = 1
-    while isinstance(kd, KDInternal):
-        kd = _pack_level(tree, kd, level, deferred)
+    while len(table.dim):
+        table = _pack_level(tree, table, level, deferred)
         level += 1
-    # kd is now a single leaf pointing at the root node.
-    tree._root_id = kd.child_id
+    # The table is now a single leaf: the root node.
+    tree._root_id = int(table.ids[0])
     tree._height = level
     tree._count = n - len(deferred)
     # Entries _pack_level could not place (pathologically skewed split
@@ -127,63 +113,109 @@ def _bulk_load_inner(tree, vectors: np.ndarray, oids: np.ndarray, n: int) -> int
     return len(deferred)
 
 
-def _collect_and_free(tree, kd: KDNode, deferred: list) -> None:
-    """Dismantle an already-packed subtree: free every node under ``kd``
-    (dropping its ELS boxes) and collect the raw ``(vector, oid)`` entries
-    for per-insert reloading."""
-
-    def dismantle(node_id: int) -> None:
-        node = tree.nm.get(node_id, charge=False)
-        if isinstance(node, DataNode):
-            points = node.points()
-            live = node.live_oids()
-            for i in range(node.count):
-                deferred.append((points[i].copy(), int(live[i])))
+def _data_level(tree, vectors: np.ndarray, oids: np.ndarray, n: int) -> SplitTable:
+    """Split the dataset down to data pages: the global split tree, as one
+    table whose leaves are the data nodes.  Preorder, left side first, so
+    pages are allocated (and round-robin split dims chosen) left to right."""
+    ids: list[int] = []
+    splits: list[tuple] = []
+    end: list[int] = []
+    # An int on the stack closes that split's row range.
+    stack: list = [np.arange(n)]
+    while stack:
+        indices = stack.pop()
+        if isinstance(indices, int):
+            end[indices] = len(ids)
+        elif len(indices) <= tree.data_capacity:
+            node = DataNode(tree.dims, tree.data_capacity)
+            node.vectors[: len(indices)] = vectors[indices]
+            node.oids[: len(indices)] = oids[indices]
+            node.count = len(indices)
+            node_id = tree.nm.allocate()
+            tree.nm.put(node_id, node, charge=False)
+            tree.els.set(node_id, node.live_rect())
+            ids.append(node_id)
         else:
-            for child_id in node.child_ids():
-                dismantle(child_id)
-        tree.nm.free(node_id)
-        tree.els.drop(node_id)
+            split = choose_data_split(
+                vectors[indices].astype(np.float64),
+                tree.min_fill,
+                tree.split_policy,
+                tree.split_position,
+            )
+            pos = float(np.float32(split.position))
+            splits.append((split.dim, pos, pos, len(ids)))
+            stack += (len(end), indices[split.right_indices], indices[split.left_indices])
+            end.append(0)
+    return from_preorder(ids, splits, end)
 
-    for leaf in kdnodes.iter_leaves(kd):
-        dismantle(leaf.child_id)
+
+def _collect_and_free(tree, node_id: int, deferred: list) -> None:
+    """Dismantle an already-packed subtree: free every node under
+    ``node_id`` (dropping its ELS boxes) and collect the raw
+    ``(vector, oid)`` entries for per-insert reloading."""
+    node = tree.nm.get(node_id, charge=False)
+    if isinstance(node, DataNode):
+        points = node.points()
+        live = node.live_oids()
+        for i in range(node.count):
+            deferred.append((points[i].copy(), int(live[i])))
+    else:
+        for child_id in node.child_ids():
+            _collect_and_free(tree, child_id, deferred)
+    tree.nm.free(node_id)
+    tree.els.drop(node_id)
 
 
-def _pack_level(tree, kd: KDNode, level: int, deferred: list | None = None) -> KDNode:
-    """Chop a kd split tree into page-sized index nodes at ``level``.
+def _index_node(tree, table: SplitTable, rows: slice, level: int) -> int:
+    """Store the subtree over leaf rows ``rows`` of a level's table as one
+    index node at ``level``: its table is the level's, pruned to those
+    children.  Returns the node's page id."""
+    node = IndexNode(prune(table, table.ids[rows]), level)
+    node_id = tree.nm.allocate()
+    tree.nm.put(node_id, node, charge=False)
+    lives = [tree.els.get(c) for c in node.child_ids()]
+    tree.els.set(node_id, Rect.merge_all([r for r in lives if r is not None]))
+    return node_id
+
+
+def _pack_level(tree, table: SplitTable, level: int, deferred: list) -> SplitTable:
+    """Chop a level's split table into page-sized index nodes at ``level``.
 
     Subtrees with at most ``index_capacity`` leaves become one index node;
-    larger subtrees keep their top split and recurse, so the returned tree's
-    leaves are the new (level-``level``) nodes and its internals become the
-    next level's intranode structure.
+    larger subtrees keep their top split and are chopped further, so the
+    returned table's leaves are the new (level-``level``) nodes and its
+    splits become the next level's intranode structure.
     """
-    if isinstance(kd, KDLeaf) or kdnodes.count_leaves(kd) <= tree.index_capacity:
-        if isinstance(kd, KDLeaf):
-            # A lone child cannot form a legal index node; let the caller
-            # absorb it (only possible at the very top, handled by the loop).
-            return kd
-        node = IndexNode(kd, level)
-        node_id = tree.nm.allocate()
-        tree.nm.put(node_id, node, charge=False)
-        lives = [tree.els.get(c) for c in node.child_ids()]
-        tree.els.set(node_id, Rect.merge_all([r for r in lives if r is not None]))
-        return KDLeaf(node_id)
-    assert isinstance(kd, KDInternal)
-    if kdnodes.count_leaves(kd.left) < 2 or kdnodes.count_leaves(kd.right) < 2:
-        # A lone child next to an over-capacity sibling cannot form a legal
-        # index node.  The utilization bound on splits makes leaf counts of
-        # siblings comparable, so this needs a pathologically skewed split
-        # tree (extreme min_fill on heavily clustered data).  Degrade
-        # gracefully: dismantle the lone side, defer its entries to the
-        # dynamic insert path, and pack only the bulk side.  (Both sides
-        # cannot be lone: the subtree is over capacity, so >= 3 leaves.)
-        if kdnodes.count_leaves(kd.left) < 2:
-            lone, bulk = kd.left, kd.right
+    dim, lsp, rsp, first, mid, end = (
+        col.tolist()
+        for col in (table.dim, table.lsp, table.rsp, table.first, split_mids(table), table.end)
+    )
+    ids: list[int] = []
+    splits: list[tuple] = []
+    ends: list[int] = []
+    # Splits of ``table`` to chop, left side first; ~k closes output split k.
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        if i < 0:
+            ends[~i] = len(ids)
+            continue
+        if end[i] - first[i] <= tree.index_capacity:
+            ids.append(_index_node(tree, table, slice(first[i], end[i]), level))
+        elif mid[i] - first[i] < 2 or end[i] - mid[i] < 2:
+            # A lone child next to an over-capacity sibling cannot form a
+            # legal index node.  The utilization bound on splits makes leaf
+            # counts of siblings comparable, so this needs a pathologically
+            # skewed split tree (extreme min_fill on heavily clustered
+            # data).  Degrade gracefully: dismantle the lone side, defer its
+            # entries to the dynamic insert path, and pack only the bulk
+            # side, which is split i + 1 either way.  (Both sides cannot be
+            # lone: the subtree is over capacity, so >= 3 leaves.)
+            lone = first[i] if mid[i] - first[i] < 2 else mid[i]
+            _collect_and_free(tree, int(table.ids[lone]), deferred)
+            stack.append(i + 1)
         else:
-            lone, bulk = kd.right, kd.left
-        assert deferred is not None, "skewed split tree outside bulk_load_into"
-        _collect_and_free(tree, lone, deferred)
-        return _pack_level(tree, bulk, level, deferred)
-    left = _pack_level(tree, kd.left, level, deferred)
-    right = _pack_level(tree, kd.right, level, deferred)
-    return KDInternal(kd.dim, kd.lsp, kd.rsp, left, right)
+            splits.append((dim[i], lsp[i], rsp[i], len(ids)))
+            stack += (~len(ends), i + mid[i] - first[i], i + 1)
+            ends.append(0)
+    return from_preorder(ids, splits, ends)

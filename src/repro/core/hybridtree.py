@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.core import kdnodes
 from repro.core.els import ELSTable
-from repro.core.kdnodes import KDInternal, KDLeaf, KDNode
 from repro.core.nodes import MAX_OID, ChildBoxes, DataNode, IndexNode, OidRangeError
 from repro.core.splits import (
     POLICY_EDA,
@@ -88,16 +87,6 @@ def _volume(row: tuple[int, list, list]) -> float:
 def _f32(x: float) -> float:
     """Round a split position to float32, the precision pages store."""
     return float(np.float32(x))
-
-
-def _f32_outward(x: float, toward: float) -> float:
-    """``x`` rounded to float32 toward ``toward``: the nearest float32 at
-    or above ``x`` for ``+inf``, at or below it for ``-inf`` — a widened
-    split position that still contains ``x``."""
-    v = np.float32(x)
-    if (toward > 0 and v < x) or (toward < 0 and v > x):
-        v = np.nextafter(v, np.float32(toward))
-    return float(v)
 
 
 class HybridTree:
@@ -292,7 +281,7 @@ class HybridTree:
         if isinstance(node, DataNode):
             return [(node_id, node, Rect(low, high))]
         containing = kdnodes.leaves_holding_point(
-            node.kd_root, low, high, x, faces=False
+            node.table, low, high, x, faces=False
         )
         if len(containing) > 1:
             containing.sort(key=_volume)
@@ -536,7 +525,7 @@ class HybridTree:
         (``nm.put``), so the log and the snapshot refresh see it.
         """
         containing = kdnodes.leaves_holding_point(
-            node.kd_root, region.low.tolist(), region.high.tolist(),
+            node.table, region.low.tolist(), region.high.tolist(),
             point.tolist(), faces=False,
         )
         if containing:
@@ -546,11 +535,11 @@ class HybridTree:
         # No containing leaf: widen the cheapest leaf's kd path.
         best_leaf_id: int | None = None
         best_cost = (np.inf, np.inf)
-        for leaf, leaf_region in kdnodes.leaves_with_regions(node.kd_root, region):
+        for child_id, leaf_region in node.children_with_regions(region):
             cost = (leaf_region.enlargement(point), leaf_region.volume())
             if cost < best_cost:
                 best_cost = cost
-                best_leaf_id = leaf.child_id
+                best_leaf_id = child_id
         assert best_leaf_id is not None
         return best_leaf_id, self._widen_child(node_id, node, region, best_leaf_id, point, point)
 
@@ -561,31 +550,13 @@ class HybridTree:
         """Widen the kd path to ``child_id`` until the child's region
         contains the box ``[low, high]``; writes the node back if a split
         position moved.  Returns the child's region."""
-        child_region = kdnodes.region_of_child(node.kd_root, region, child_id)
+        child_region = kdnodes.region_of_child(node.table, region, child_id)
         if np.all(child_region.low <= low) and np.all(child_region.high >= high):
             return child_region
-        self._widen_path_to(node.kd_root, child_id, low, high)
+        row = kdnodes.row_of(node.table, child_id)
+        node.table = kdnodes.widen(node.table, row, low, high)
         self.nm.put(node_id, node)
-        return kdnodes.region_of_child(node.kd_root, region, child_id)
-
-    def _widen_path_to(
-        self, kd: KDNode, child_id: int, low: np.ndarray, high: np.ndarray
-    ) -> bool:
-        """Adjust lsp/rsp along the path to ``child_id`` so its region
-        contains the box ``[low, high]`` (a point when ``low is high``).
-        Widening only increases overlap, never creates gaps (``lsp`` grows
-        / ``rsp`` shrinks); positions round outward to float32."""
-        if isinstance(kd, KDLeaf):
-            return kd.child_id == child_id
-        if self._widen_path_to(kd.left, child_id, low, high):
-            if high[kd.dim] > kd.lsp:
-                kd.lsp = _f32_outward(high[kd.dim], np.inf)
-            return True
-        if self._widen_path_to(kd.right, child_id, low, high):
-            if low[kd.dim] < kd.rsp:
-                kd.rsp = _f32_outward(low[kd.dim], -np.inf)
-            return True
-        return False
+        return kdnodes.region_of_child(node.table, region, child_id)
 
     # ------------------------------------------------------------------
     # Splitting
@@ -623,11 +594,8 @@ class HybridTree:
         split = choose_index_split(
             children, self.min_fill, self.expected_query_side, self.split_policy
         )
-        left_kd = kdnodes.prune_to_children(node.kd_root, set(split.left_ids))
-        right_kd = kdnodes.prune_to_children(node.kd_root, set(split.right_ids))
-        assert left_kd is not None and right_kd is not None
-        left_node = IndexNode(left_kd, node.level)
-        right_node = IndexNode(right_kd, node.level)
+        left_node = IndexNode(kdnodes.prune(node.table, split.left_ids), node.level)
+        right_node = IndexNode(kdnodes.prune(node.table, split.right_ids), node.level)
         right_id = self.nm.allocate()
         self.nm.put(node_id, left_node)
         self.nm.put(right_id, right_node)
@@ -656,12 +624,12 @@ class HybridTree:
         rsp: float,
     ) -> None:
         """Post a child split ``old -> (old, new)`` to the parent: the child's
-        kd leaf becomes a fresh dual-position internal node.  Cascades upward
-        (never downward) when the parent overflows; splits the root by
-        growing a new root, keeping the tree height-balanced."""
-        new_internal = KDInternal(dim, lsp, rsp, KDLeaf(old_id), KDLeaf(new_id))
+        kd leaf becomes a fresh dual-position split over the two.  Cascades
+        upward (never downward) when the parent overflows; splits the root
+        by growing a new root, keeping the tree height-balanced."""
         if not path:
-            root = IndexNode(new_internal, level=self._height)
+            table = kdnodes.from_preorder([old_id, new_id], [(dim, lsp, rsp, 0)], [2])
+            root = IndexNode(table, level=self._height)
             new_root_id = self.nm.allocate()
             self.nm.put(new_root_id, root)
             self._root_id = new_root_id
@@ -669,7 +637,8 @@ class HybridTree:
             self._refresh_els_from_children(new_root_id, root, self.bounds)
             return
         parent_id, parent, _parent_region = path[-1]
-        parent.kd_root = kdnodes.replace_leaf(parent.kd_root, old_id, new_internal)
+        row = kdnodes.row_of(parent.table, old_id)
+        parent.table = kdnodes.split_leaf(parent.table, row, dim, lsp, rsp, old_id, new_id)
         self.nm.put(parent_id, parent)
         if parent.fanout > self.index_capacity:
             self._split_index_node(path)
@@ -748,7 +717,7 @@ class HybridTree:
                 continue  # the root: every child region lies inside it
             new_path = path + [(node_id, node, region)]
             for child_id, low, high in kdnodes.leaves_holding_point(
-                node.kd_root, region.low.tolist(), region.high.tolist(), x
+                node.table, region.low.tolist(), region.high.tolist(), x
             ):
                 child_region = Rect(low, high)
                 live = self.els.effective_rect(child_id, child_region)
@@ -760,8 +729,9 @@ class HybridTree:
         self, path: list[tuple[int, IndexNode, Rect]], child_id: int
     ) -> None:
         parent_id, parent, _parent_region = path[-1]
-        parent.kd_root = kdnodes.remove_leaf(parent.kd_root, child_id)
-        assert parent.kd_root is not None, "index nodes always hold >= 2 children"
+        parent.table = kdnodes.remove_leaf(
+            parent.table, kdnodes.row_of(parent.table, child_id)
+        )
         self.nm.free(child_id)
         self.els.drop(child_id)
         self.nm.put(parent_id, parent)
@@ -787,7 +757,7 @@ class HybridTree:
 
         Descends by least enlargement of the subtree's live box, then pairs
         the orphan with the best-matching kd leaf under a new clean/minimal
-        dual-position internal node.  Overflow is handled by the normal
+        dual-position split.  Overflow is handled by the normal
         index-node split path.
         """
         live = self.els.get(subtree_id)
@@ -810,17 +780,18 @@ class HybridTree:
             raise RuntimeError("reinsert descended past the target level")
         # Attach: pair with the leaf whose region is cheapest to merge with.
         best: tuple[float, int, Rect] | None = None
-        for leaf, leaf_region in kdnodes.leaves_with_regions(node.kd_root, region):
+        for child_id, leaf_region in node.children_with_regions(region):
             cost = leaf_region.enlargement_rect(live)
             if best is None or cost < best[0]:
-                best = (cost, leaf.child_id, leaf_region)
+                best = (cost, child_id, leaf_region)
         assert best is not None
         _, buddy_id, buddy_region = best
         # The pair replaces the buddy's kd leaf, so the subtree inherits the
         # buddy's kd path: widen it to hold the subtree's live box too.
         self._widen_child(node_id, node, region, buddy_id, live.low, live.high)
-        pair_kd = self._pair_children(buddy_id, buddy_region, subtree_id, live)
-        node.kd_root = kdnodes.replace_leaf(node.kd_root, buddy_id, pair_kd)
+        pair = self._pair_children(buddy_id, buddy_region, subtree_id, live)
+        row = kdnodes.row_of(node.table, buddy_id)
+        node.table = kdnodes.split_leaf(node.table, row, *pair)
         self.nm.put(node_id, node)
         self.els.set(node_id, (self.els.get(node_id) or live).merge(live))
         path.append((node_id, node, region))
@@ -829,9 +800,10 @@ class HybridTree:
 
     def _pair_children(
         self, left_id: int, left_rect: Rect, right_id: int, right_rect: Rect
-    ) -> KDInternal:
-        """Build a dual-position internal separating two sibling regions on
-        the dimension where they are most cleanly separable."""
+    ) -> tuple[int, float, float, int, int]:
+        """A dual-position split ``(dim, lsp, rsp, left_id, right_id)``
+        separating two sibling regions on the dimension where they are
+        most cleanly separable."""
         gaps = right_rect.low - left_rect.high  # >0 means clean gap
         reverse_gaps = left_rect.low - right_rect.high
         if float(reverse_gaps.max()) > float(gaps.max()):
@@ -841,7 +813,7 @@ class HybridTree:
         rsp = _f32(right_rect.low[dim])
         if lsp < rsp:
             lsp = rsp = _f32((lsp + rsp) / 2.0)
-        return KDInternal(dim, lsp, rsp, KDLeaf(left_id), KDLeaf(right_id))
+        return dim, lsp, rsp, left_id, right_id
 
     # ------------------------------------------------------------------
     # Queries
@@ -1190,7 +1162,7 @@ class HybridTree:
     def _snapshot_stale(self, reuse: bool = True) -> None:
         """Every mutation: a kept snapshot goes stale, to be refreshed by
         the next batch.  ``reuse=False`` (a mutation that raised, possibly
-        after editing a node in place without ``nm.put``) makes that
+        after changing a node without ``nm.put``) makes that
         refresh a full compile, and rebuilds every cached child box.
         O(1): the page and ELS journals already hold what changed."""
         if not reuse:
@@ -1689,8 +1661,12 @@ class HybridTree:
             assert 2 <= node.fanout <= self.index_capacity, (
                 f"index node {node_id} fanout {node.fanout}"
             )
-            kdnodes.validate_kdtree(node.kd_root, region)
+            try:
+                kdnodes.check_split_table(node.table, self.dims)
+            except ValueError as exc:
+                raise AssertionError(f"index node {node_id}: {exc}") from exc
             for child_id, child_region in node.children_with_regions(region):
+                assert region.contains_rect(child_region)
                 child = self.nm.get(child_id, charge=False)
                 child_level = child.level if isinstance(child, IndexNode) else 0
                 assert child_level == node.level - 1, "level mismatch"

@@ -1,8 +1,8 @@
-"""The modified intranode kd-tree (paper Section 3.1).
+"""The modified intranode kd-tree (paper Section 3.1), as a split table.
 
 Every hybrid-tree *index node* organises its children as a small kd-tree kept
 inside the node's page.  The modification over a regular kd-tree is that each
-internal node carries **two** split positions:
+split carries **two** positions:
 
 - ``lsp`` — the high boundary of the left (lower-side) partition, and
 - ``rsp`` — the low boundary of the right (higher-side) partition.
@@ -10,135 +10,29 @@ internal node carries **two** split positions:
 ``lsp == rsp`` is a clean (disjoint) split; ``lsp > rsp`` is an overlapping
 split, the relaxation that lets the hybrid tree avoid the KDB-tree's cascading
 splits.  ``lsp < rsp`` (a coverage gap) is never produced; the invariant
-``lsp >= rsp`` is asserted throughout and checked by ``validate_kdtree``.
+``lsp >= rsp`` is checked by :func:`check_split_table`.
 
-The child bounding regions are never stored: they are *derived* from the kd
-structure by the recursive mapping of Section 3.1 (``leaves_with_regions``),
-so the fanout stays independent of dimensionality.
+The kd-tree has one form, the page's: a :class:`SplitTable`, one record per
+split (dim, lsp, rsp and the leaf rows its subtree owns), as paper Section
+3.1 stores it.  The child bounding regions are never stored: they are
+*derived* from the splits by the Section 3.1 mapping
+(:func:`leaf_region_arrays`; :func:`leaves_holding_point` for the children
+holding one point), so the fanout stays independent of dimensionality.
+
+A write step never edits a table in place: each is a function from a table
+to a new one (:func:`split_leaf`, :func:`remove_leaf`, :func:`prune`,
+:func:`widen`).  Every walk here is iterative, so a degenerate kd-tree deeper
+than the interpreter's recursion limit (a legal node on a large page) is no
+different from a balanced one.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.geometry.rect import Rect
-
-
-class KDLeaf:
-    """A kd-tree leaf: a pointer to one child page of the index node."""
-
-    __slots__ = ("child_id",)
-
-    def __init__(self, child_id: int):
-        self.child_id = child_id
-
-    def __repr__(self) -> str:
-        return f"KDLeaf({self.child_id})"
-
-
-class KDInternal:
-    """A kd split with dual positions; children are ``KDLeaf | KDInternal``."""
-
-    __slots__ = ("dim", "lsp", "rsp", "left", "right")
-
-    def __init__(
-        self,
-        dim: int,
-        lsp: float,
-        rsp: float,
-        left: "KDNode",
-        right: "KDNode",
-    ):
-        if lsp < rsp:
-            raise ValueError(f"coverage gap: lsp ({lsp}) < rsp ({rsp})")
-        self.dim = dim
-        self.lsp = float(lsp)
-        self.rsp = float(rsp)
-        self.left = left
-        self.right = right
-
-    @property
-    def overlap(self) -> float:
-        """Width of the overlap zone along the split dimension."""
-        return self.lsp - self.rsp
-
-    def __repr__(self) -> str:
-        return f"KDInternal(dim={self.dim}, lsp={self.lsp}, rsp={self.rsp})"
-
-
-KDNode = KDLeaf | KDInternal
-
-
-def count_leaves(node: KDNode) -> int:
-    """Number of children the index node has (kd leaves).
-
-    Iterative, like the codec's kd walks: a degenerate intranode kd-tree
-    on a large page can be deeper than the interpreter's recursion limit.
-    """
-    count = 0
-    stack = [node]
-    while stack:
-        kd = stack.pop()
-        if isinstance(kd, KDLeaf):
-            count += 1
-        else:
-            stack.append(kd.right)
-            stack.append(kd.left)
-    return count
-
-
-def count_internals(node: KDNode) -> int:
-    if isinstance(node, KDLeaf):
-        return 0
-    return 1 + count_internals(node.left) + count_internals(node.right)
-
-
-def depth(node: KDNode) -> int:
-    """Longest root-to-leaf path length (0 for a single leaf)."""
-    if isinstance(node, KDLeaf):
-        return 0
-    return 1 + max(depth(node.left), depth(node.right))
-
-
-def iter_leaves(node: KDNode) -> Iterator[KDLeaf]:
-    """Yield kd leaves left-to-right (iterative; see :func:`count_leaves`)."""
-    stack = [node]
-    while stack:
-        kd = stack.pop()
-        if isinstance(kd, KDLeaf):
-            yield kd
-        else:
-            stack.append(kd.right)
-            stack.append(kd.left)
-
-
-def iter_internals(node: KDNode) -> Iterator[KDInternal]:
-    if isinstance(node, KDInternal):
-        yield node
-        yield from iter_internals(node.left)
-        yield from iter_internals(node.right)
-
-
-def child_ids(node: KDNode) -> list[int]:
-    """Page ids of all children, left-to-right."""
-    return [leaf.child_id for leaf in iter_leaves(node)]
-
-
-def leaves_with_regions(node: KDNode, region: Rect) -> Iterator[tuple[KDLeaf, Rect]]:
-    """The Section 3.1 mapping: derive each child's bounding region.
-
-    Given the index node's own region, the left child of a split on
-    ``(dim, lsp, rsp)`` gets ``region ∩ {x_dim <= lsp}`` and the right child
-    ``region ∩ {x_dim >= rsp}``; applied recursively down to the kd leaves.
-    """
-    if isinstance(node, KDLeaf):
-        yield node, region
-        return
-    yield from leaves_with_regions(node.left, region.clip_below(node.dim, node.lsp))
-    yield from leaves_with_regions(node.right, region.clip_above(node.dim, node.rsp))
 
 
 class SplitTable(NamedTuple):
@@ -157,25 +51,10 @@ class SplitTable(NamedTuple):
     end: np.ndarray  # intp (m - 1,)  one past its last leaf row
 
 
-def split_table(node: KDNode) -> SplitTable:
-    """The kd-tree's :class:`SplitTable`, by one iterative preorder walk
-    (a degenerate kd-tree can be deeper than the recursion limit)."""
-    ids: list[int] = []
-    splits: list[tuple] = []  # (dim, lsp, rsp, first) per split
-    end: list[int] = []
-    stack: list = [node]
-    while stack:
-        kd = stack.pop()
-        if isinstance(kd, KDLeaf):
-            ids.append(kd.child_id)
-        elif isinstance(kd, KDInternal):
-            # The split's index, popped after both subtrees, closes its
-            # row range.
-            stack += (len(end), kd.right, kd.left)
-            splits.append((kd.dim, kd.lsp, kd.rsp, len(ids)))
-            end.append(0)
-        else:
-            end[kd] = len(ids)
+def from_preorder(ids: list, splits: list, end: list) -> SplitTable:
+    """A :class:`SplitTable` from a preorder walk's lists: child ids left
+    to right, one ``(dim, lsp, rsp, first)`` per split, and each split's
+    end row."""
     # Dims and rows are small integers: exact in float64.
     rec = np.array(splits, dtype=np.float64).reshape(-1, 4)
     return SplitTable(
@@ -199,30 +78,6 @@ def split_mids(table: SplitTable) -> np.ndarray:
     return mid
 
 
-def kd_from_table(table: SplitTable) -> KDNode:
-    """Materialize the kd-tree a :class:`SplitTable` describes (the
-    inverse of :func:`split_table`).  Children are built before their
-    parents, so no recursion is needed."""
-    leaves = [KDLeaf(child_id) for child_id in table.ids.tolist()]
-    n = len(table.dim)
-    if not n:
-        return leaves[0]
-    nodes: list = [None] * n
-    for i, dim, lsp, rsp, first, mid, end in zip(
-        range(n - 1, -1, -1),
-        table.dim[::-1].tolist(),
-        table.lsp[::-1].tolist(),
-        table.rsp[::-1].tolist(),
-        table.first[::-1].tolist(),
-        split_mids(table)[::-1].tolist(),
-        table.end[::-1].tolist(),
-    ):
-        left = leaves[first] if mid - first == 1 else nodes[i + 1]
-        right = leaves[mid] if end - mid == 1 else nodes[i + mid - first]
-        nodes[i] = KDInternal(dim, lsp, rsp, left, right)
-    return nodes[0]
-
-
 def check_split_table(table: SplitTable, dims: int) -> None:
     """Raise ``ValueError`` unless ``table`` describes a kd-tree over
     ``dims`` dimensions: split dims in range, no coverage gap, and row
@@ -233,8 +88,11 @@ def check_split_table(table: SplitTable, dims: int) -> None:
     if not n:
         return
     dim, first, end = table.dim, table.first, table.end
-    if (dim >= dims).any():
-        raise ValueError(f"kd split on dim {int(dim.max())} of a {dims}-dim tree")
+    bad_dim = (dim < 0) | (dim >= dims)
+    if bad_dim.any():
+        raise ValueError(
+            f"kd split on dim {int(dim[bad_dim][0])} of a {dims}-dim tree"
+        )
     if not (table.lsp >= table.rsp).all():
         raise ValueError("kd split with lsp < rsp (a coverage gap)")
     # Split i's left subtree is split i + 1 or one leaf (split_mids); its
@@ -258,15 +116,17 @@ def check_split_table(table: SplitTable, dims: int) -> None:
 def leaf_region_arrays(
     table: SplitTable, low: np.ndarray, high: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`leaves_with_regions` as arrays: ``(child_ids, lows, highs)``.
+    """The Section 3.1 mapping: every child's derived bounding region, as
+    arrays ``(child_ids, lows, highs)`` for the node region ``[low, high]``.
 
-    Each split clips its left rows' ``high`` and its right rows' ``low``
-    on its dim, clamped as :meth:`Rect.clip_below` / :meth:`Rect.clip_above` do.
+    The left side of a split on ``(dim, lsp, rsp)`` gets
+    ``region ∩ {x_dim <= lsp}`` and the right side ``region ∩ {x_dim >= rsp}``,
+    clamped as :meth:`Rect.clip_below` / :meth:`Rect.clip_above` do.
     A cell (row, dim) is clipped only by the splits on that dim along its
     row's kd path, so the splits are applied in groups by how many
     ancestors split on the same dim: one group's clips touch disjoint
     cells, and each cell gets its clips in path order — the same floats
-    as the scalar mapping, in a few array steps.
+    as clipping one ``Rect`` down each row's path, in a few array steps.
     """
     m, n = len(table.ids), len(table.dim)
     lows = np.empty((m, len(low)))
@@ -302,17 +162,23 @@ def leaf_region_arrays(
     cells = np.repeat(offset, counts) + np.arange(ends[-1]) * dims
     cuts = np.concatenate(([0], ends))[np.searchsorted(step, np.arange(step[-1] + 2))]
     lo, hi = lows.reshape(-1), highs.reshape(-1)
+    # The clips pick operands as Python's min/max do — the first of two
+    # equal ones — so signed zeros come out as the scalar clips make them
+    # (np.minimum/np.maximum return the second).
     for k in range(len(cuts) - 1):
         c, p = cells[cuts[k] : cuts[k + 1]], pos[cuts[k] : cuts[k + 1]]
+        c_lo, c_hi = lo[c], hi[c]
         if k % 2 == 0:
-            hi[c] = np.minimum(hi[c], np.maximum(p, lo[c]))
+            t = np.where(c_lo > p, c_lo, p)
+            hi[c] = np.where(t < c_hi, t, c_hi)
         else:
-            lo[c] = np.maximum(lo[c], np.minimum(p, hi[c]))
+            t = np.where(c_hi < p, c_hi, p)
+            lo[c] = np.where(t > c_lo, t, c_lo)
     return table.ids, lows, highs
 
 
 def leaves_holding_point(
-    node: KDNode, low: list, high: list, point: list, faces: bool = True
+    table: SplitTable, low: list, high: list, point: list, faces: bool = True
 ) -> list[tuple[int, list, list]]:
     """The children whose derived regions hold ``point``, found by walking
     the splits by the point instead of deriving every child's region.
@@ -321,121 +187,180 @@ def leaves_holding_point(
     and the point, which the region must contain).  A side is entered only
     when its clamped clip — :meth:`Rect.clip_below` / :meth:`Rect.clip_above`,
     same floats, same operand order — still holds ``point[dim]``, so the
-    result is exactly the rows of :func:`leaves_with_regions` whose region
+    result is exactly the rows of :func:`leaf_region_arrays` whose region
     contains the point: ``(child_id, low, high)`` in kd order, with fresh
     lists.  ``faces=False`` tests the raw split positions instead
     (``x <= lsp`` / ``x >= rsp``): a split outside the region then no
     longer admits a point on the region's face (the insert descent's rule,
-    which needs no containing region).  Iterative, like :func:`count_leaves`.
+    which needs no containing region).
     """
+    ids, dim, lsp, rsp, first, end = table
+    n = len(dim)
     out: list[tuple[int, list, list]] = []
-    stack = [(node, list(low), list(high))]
+    # A subtree is a split index i >= 0, or ~row for a single leaf row.
+    # The walk reads only the splits it visits (``item`` gives Python
+    # scalars): a kd path is short next to the node's fanout.
+    stack = [(0 if n else ~0, list(low), list(high))]
     while stack:
-        kd, lo, hi = stack.pop()
-        while isinstance(kd, KDInternal):
-            dim, x = kd.dim, point[kd.dim]
-            below = min(hi[dim], max(kd.lsp, lo[dim]))
-            above = max(lo[dim], min(kd.rsp, hi[dim]))
-            left = x <= below if faces else x <= kd.lsp
-            right = x >= above if faces else x >= kd.rsp
+        i, lo, hi = stack.pop()
+        while i >= 0:
+            d, f, e = dim.item(i), first.item(i), end.item(i)
+            # The left side is split i + 1 if that starts on row f (split_mids).
+            m = end.item(i + 1) if i + 1 < n and first.item(i + 1) == f else f + 1
+            x, split_lo, split_hi = point[d], lsp.item(i), rsp.item(i)
+            below = min(hi[d], max(split_lo, lo[d]))
+            above = max(lo[d], min(split_hi, hi[d]))
+            left = x <= below if faces else x <= split_lo
+            right = x >= above if faces else x >= split_hi
             if left and right:
                 # The right side gets its own copies; the walk goes on
                 # left, reusing (and clipping) this path's lists.
                 right_lo = lo.copy()
-                right_lo[dim] = above
-                stack.append((kd.right, right_lo, hi.copy()))
+                right_lo[d] = above
+                stack.append((i + m - f if e - m > 1 else ~m, right_lo, hi.copy()))
             if left:
-                hi[dim] = below
-                kd = kd.left
+                hi[d] = below
+                i = i + 1 if m - f > 1 else ~f
             elif right:
-                lo[dim] = above
-                kd = kd.right
+                lo[d] = above
+                i = i + m - f if e - m > 1 else ~m
             else:
                 break
         else:
-            out.append((kd.child_id, lo, hi))
+            out.append((ids.item(~i), lo, hi))
     return out
 
 
-def region_of_child(node: KDNode, region: Rect, child_id: int) -> Rect:
-    """Region of one specific child (raises ``KeyError`` if absent)."""
-    for leaf, leaf_region in leaves_with_regions(node, region):
-        if leaf.child_id == child_id:
-            return leaf_region
-    raise KeyError(f"child {child_id} not in this kd-tree")
+def row_of(table: SplitTable, child_id: int) -> int:
+    """The leaf row of ``child_id`` (raises ``KeyError`` if absent)."""
+    rows = np.flatnonzero(table.ids == child_id)
+    if not len(rows):
+        raise KeyError(f"child {child_id} not in this kd-tree")
+    return int(rows[0])
 
 
-def replace_leaf(node: KDNode, child_id: int, replacement: KDNode) -> KDNode:
-    """Return the kd-tree with the leaf for ``child_id`` swapped for
-    ``replacement`` (identity elsewhere).  Used when a child splits: its leaf
-    becomes a fresh ``KDInternal`` over the two halves.
-    """
-    if isinstance(node, KDLeaf):
-        return replacement if node.child_id == child_id else node
-    node.left = replace_leaf(node.left, child_id, replacement)
-    node.right = replace_leaf(node.right, child_id, replacement)
-    return node
+def _path(table: SplitTable, row: int) -> np.ndarray:
+    """The splits on ``row``'s kd path, root first (ancestors come before
+    their descendants in preorder)."""
+    return np.flatnonzero((table.first <= row) & (row < table.end))
 
 
-def remove_leaf(node: KDNode, child_id: int) -> KDNode | None:
-    """Return the kd-tree with the leaf for ``child_id`` pruned.
-
-    The leaf's sibling subtree is promoted into its parent's place, which
-    implicitly widens the regions of the surviving side (their constraints
-    from the removed internal node disappear) without disturbing any other
-    pairwise separation.  Returns ``None`` if the whole tree was that leaf.
-    """
-    if isinstance(node, KDLeaf):
-        return None if node.child_id == child_id else node
-    left = remove_leaf(node.left, child_id)
-    if left is None:
-        return node.right
-    right = remove_leaf(node.right, child_id)
-    if right is None:
-        return left
-    node.left = left
-    node.right = right
-    return node
+def region_of_child(table: SplitTable, region: Rect, child_id: int) -> Rect:
+    """Derived region of one child (raises ``KeyError`` if absent): the
+    clips of its kd path only, in path order, as :meth:`Rect.clip_below` /
+    :meth:`Rect.clip_above` make them."""
+    row = row_of(table, child_id)
+    lo, hi = region.low.tolist(), region.high.tolist()
+    path = _path(table, row)
+    mid = split_mids(table)[path].tolist()
+    for d, lsp, rsp, m in zip(
+        table.dim[path].tolist(), table.lsp[path].tolist(), table.rsp[path].tolist(), mid
+    ):
+        if row < m:
+            hi[d] = min(hi[d], max(lsp, lo[d]))
+        else:
+            lo[d] = max(lo[d], min(rsp, hi[d]))
+    return Rect(lo, hi)
 
 
-def prune_to_children(node: KDNode, keep: set[int]) -> KDNode | None:
-    """Restrict the kd-tree to the children in ``keep`` (index-node split).
+def split_leaf(
+    table: SplitTable, row: int, dim: int, lsp: float, rsp: float,
+    left_id: int, right_id: int,
+) -> SplitTable:
+    """The leaf at ``row`` becomes a split ``(dim, lsp, rsp)`` over two
+    leaves, ``left_id`` then ``right_id`` (a child split, or an orphan
+    paired with its buddy).  The new split goes in preorder after every
+    split that starts at or before ``row``; the row ranges past ``row``
+    shift by one."""
+    if lsp < rsp:
+        raise ValueError(f"coverage gap: lsp ({lsp}) < rsp ({rsp})")
+    first, end = table.first, table.end
+    at = int(np.searchsorted(first, row, side="right"))
+    return SplitTable(
+        np.concatenate(
+            (table.ids[:row], np.array([left_id, right_id], dtype=np.int64), table.ids[row + 1 :])
+        ),
+        np.insert(table.dim, at, dim),
+        np.insert(table.lsp, at, lsp),
+        np.insert(table.rsp, at, rsp),
+        np.insert(first + (first > row), at, row),
+        np.insert(end + (end > row), at, row + 2),
+    )
 
-    Internal nodes left with a single side are elided.  Because any two kept
-    children retain their lowest common ancestor split, every pairwise
-    separation (in particular the disjointness of data-level regions) is
-    preserved exactly — this is why the hybrid tree *prunes* rather than
-    rebuilds when an index node splits.
-    """
-    if isinstance(node, KDLeaf):
-        return node if node.child_id in keep else None
-    left = prune_to_children(node.left, keep)
-    right = prune_to_children(node.right, keep)
-    if left is None:
-        return right
-    if right is None:
-        return left
-    return KDInternal(node.dim, node.lsp, node.rsp, left, right)
+
+def remove_leaf(table: SplitTable, row: int) -> SplitTable:
+    """Drop the leaf at ``row``: its parent split goes and the sibling
+    subtree takes the parent's place.  That widens the surviving side's
+    regions (their constraint from the dropped split disappears) without
+    disturbing any other pairwise separation.  The sibling's splits follow
+    the parent's in preorder, so the parent's record is simply deleted."""
+    path = _path(table, row)
+    if not len(path):
+        raise ValueError("cannot remove the only child of a kd-tree")
+    parent = int(path[-1])
+    first = np.delete(table.first, parent)
+    end = np.delete(table.end, parent)
+    return SplitTable(
+        np.delete(table.ids, row),
+        np.delete(table.dim, parent),
+        np.delete(table.lsp, parent),
+        np.delete(table.rsp, parent),
+        first - (first > row),
+        end - (end > row),
+    )
 
 
-def split_dimensions(node: KDNode) -> set[int]:
-    """Dimensions actually used by splits in this kd-tree (Lemma 1 support)."""
-    return {internal.dim for internal in iter_internals(node)}
+def prune(table: SplitTable, keep) -> SplitTable:
+    """Restrict the kd-tree to the children in ``keep`` (an index-node
+    split).  A split stays only if both its sides keep a child — it is the
+    lowest common ancestor of two kept rows.  Any two kept children keep
+    that split, so every pairwise separation (in particular the
+    disjointness of data-level regions) is preserved exactly — this is why
+    the hybrid tree *prunes* rather than rebuilds when an index node
+    splits."""
+    kept = np.isin(table.ids, np.fromiter(keep, dtype=np.int64))
+    if not kept.any():
+        raise ValueError("prune keeps no child")
+    # before[k]: kept rows before row k.
+    before = np.zeros(len(kept) + 1, dtype=np.intp)
+    np.cumsum(kept, out=before[1:])
+    first, end = table.first, table.end
+    mid = split_mids(table)
+    live = (before[mid] > before[first]) & (before[end] > before[mid])
+    return SplitTable(
+        table.ids[kept],
+        table.dim[live],
+        table.lsp[live],
+        table.rsp[live],
+        before[first[live]],
+        before[end[live]],
+    )
 
 
-def validate_kdtree(node: KDNode, region: Rect) -> None:
-    """Assert structural invariants; raises ``AssertionError`` on violation.
+def _f32_outward(x: float, toward: float) -> float:
+    """``x`` rounded to float32 toward ``toward``: the nearest float32 at
+    or above ``x`` for ``+inf``, at or below it for ``-inf`` — a widened
+    split position that still contains ``x``."""
+    v = np.float32(x)
+    if (toward > 0 and v < x) or (toward < 0 and v > x):
+        v = np.nextafter(v, np.float32(toward))
+    return float(v)
 
-    Checks ``lsp >= rsp`` everywhere, split positions within the region, and
-    that derived child regions are proper sub-rectangles of the node region.
-    """
-    if isinstance(node, KDLeaf):
-        return
-    assert node.lsp >= node.rsp, f"gap at {node!r}"
-    assert 0 <= node.dim < region.dims, f"bad dim at {node!r}"
-    left_region = region.clip_below(node.dim, node.lsp)
-    right_region = region.clip_above(node.dim, node.rsp)
-    assert region.contains_rect(left_region)
-    assert region.contains_rect(right_region)
-    validate_kdtree(node.left, left_region)
-    validate_kdtree(node.right, right_region)
+
+def widen(table: SplitTable, row: int, low: np.ndarray, high: np.ndarray) -> SplitTable:
+    """Move lsp/rsp along ``row``'s kd path until its region holds the box
+    ``[low, high]`` (a point when ``low is high``): a split whose left side
+    the path takes raises ``lsp`` to ``high[dim]``, one whose right side it
+    takes lowers ``rsp`` to ``low[dim]``.  Widening only adds overlap,
+    never a gap; positions round outward to float32, the precision pages
+    store."""
+    path = _path(table, row)
+    mid = split_mids(table)[path].tolist()
+    lsp, rsp = table.lsp.copy(), table.rsp.copy()
+    for i, d, m in zip(path.tolist(), table.dim[path].tolist(), mid):
+        if row < m:
+            if high[d] > lsp[i]:
+                lsp[i] = _f32_outward(high[d], np.inf)
+        elif low[d] < rsp[i]:
+            rsp[i] = _f32_outward(low[d], -np.inf)
+    return table._replace(lsp=lsp, rsp=rsp)

@@ -2,10 +2,10 @@
 
 Data nodes store raw ``(vector, oid)`` entries in pre-allocated numpy blocks
 so that query-time scans (range masks, batch distances) run at numpy speed.
-Index nodes hold only their intranode kd-tree (as ``KDNode`` objects or, when
-decoded, as the page's split table); child regions are derived on demand (see
-:mod:`repro.core.kdnodes`), and a decoded index node caches them, with its
-children's ELS boxes, as :class:`ChildBoxes` arrays.
+Index nodes hold only their intranode kd-tree, as the split table their page
+stores; child regions are derived on demand (see :mod:`repro.core.kdnodes`),
+and an index node caches them, with its children's ELS boxes, as
+:class:`ChildBoxes` arrays.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core import kdnodes
-from repro.core.kdnodes import KDNode
 from repro.geometry.rect import Rect
 
 
@@ -181,74 +180,37 @@ class ChildBoxes(NamedTuple):
 class IndexNode:
     """An internal page: an intranode kd-tree over child page pointers.
 
-    A node decoded from a page holds the kd-tree as its page stores it, a
-    :class:`~repro.core.kdnodes.SplitTable`, and builds ``kd_root`` (the
-    ``KDNode`` objects) only when a write path asks for it.  From then on
-    the kd objects are the node: write paths edit them in place, so
-    ``table`` is derived from them afresh on every access.
+    The node is its :class:`~repro.core.kdnodes.SplitTable` — the form its
+    page stores, so encoding and decoding copy columns and nothing else.
+    A write step never edits the table: it builds the next one with a
+    :mod:`~repro.core.kdnodes` table edit and publishes it in one
+    assignment to ``table``, so a thread-mode session sharing the decoded
+    node reads either the old table or the new one.
 
     ``child_boxes`` is the traversal cache (:class:`ChildBoxes`, or None
     until the first traversal); it is never serialized, so it lives and
     dies with the decoded node."""
 
-    __slots__ = ("_kd", "_table", "level", "child_boxes")
+    __slots__ = ("table", "level", "child_boxes")
 
-    def __init__(self, kd_root: KDNode | None, level: int):
+    def __init__(self, table: kdnodes.SplitTable, level: int):
         if level < 1:
             raise ValueError("index nodes live at level >= 1")
-        self._kd = kd_root
-        self._table: kdnodes.SplitTable | None = None
+        self.table = table
         self.level = level
         self.child_boxes: ChildBoxes | None = None
 
-    @classmethod
-    def from_table(cls, table: kdnodes.SplitTable, level: int) -> "IndexNode":
-        """A node over a decoded split table (``kd_root`` built lazily)."""
-        node = cls(None, level)
-        node._table = table
-        return node
-
-    @property
-    def kd_root(self) -> KDNode:
-        kd = self._kd
-        if kd is None:
-            kd = kdnodes.kd_from_table(self._table)
-            self._kd = kd
-            self._table = None
-        return kd
-
-    @kd_root.setter
-    def kd_root(self, kd: KDNode) -> None:
-        self._kd = kd
-        self._table = None
-
-    @property
-    def table(self) -> kdnodes.SplitTable:
-        """The kd-tree as a split table (what :meth:`HybridNodeCodec.encode`
-        writes and :func:`~repro.core.kdnodes.leaf_region_arrays` reads)."""
-        # _table is read first: it is cleared only after _kd is set.
-        table, kd = self._table, self._kd
-        return table if kd is None else kdnodes.split_table(kd)
-
     @property
     def fanout(self) -> int:
-        table = self._table
-        if table is not None:
-            return len(table.ids)
-        return kdnodes.count_leaves(self._kd)
+        return len(self.table.ids)
 
     def child_ids(self) -> list[int]:
-        table = self._table
-        if table is not None:
-            return table.ids.tolist()
-        return kdnodes.child_ids(self._kd)
+        return self.table.ids.tolist()
 
     def children_with_regions(self, region: Rect) -> list[tuple[int, Rect]]:
         """Children and their derived bounding regions (Section 3.1 mapping)."""
-        return [
-            (leaf.child_id, leaf_region)
-            for leaf, leaf_region in kdnodes.leaves_with_regions(self.kd_root, region)
-        ]
+        ids, lows, highs = kdnodes.leaf_region_arrays(self.table, region.low, region.high)
+        return [(child_id, Rect(lo, hi)) for child_id, lo, hi in zip(ids.tolist(), lows, highs)]
 
     def utilization(self, capacity: int) -> float:
         return self.fanout / capacity

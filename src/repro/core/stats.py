@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core import kdnodes
 from repro.core.nodes import DataNode, IndexNode
 from repro.geometry.rect import Rect
 
@@ -65,15 +64,15 @@ def compute_stats(tree) -> TreeStats:
         assert isinstance(node, IndexNode)
         stats.num_index_nodes += 1
         fanouts.append(node.fanout)
-        for internal in kdnodes.iter_internals(node.kd_root):
-            stats.kd_internal_count += 1
-            stats.split_dims_used.add(internal.dim)
-            span = region.high[internal.dim] - region.low[internal.dim]
-            if internal.overlap > 0:
-                stats.overlapping_split_count += 1
-                overlaps.append(internal.overlap / span if span > 0 else 0.0)
-            else:
-                overlaps.append(0.0)
+        table = node.table
+        overlap = table.lsp - table.rsp
+        span = (region.high - region.low)[table.dim]
+        stats.kd_internal_count += len(table.dim)
+        stats.split_dims_used.update(table.dim.tolist())
+        stats.overlapping_split_count += int(np.count_nonzero(overlap > 0))
+        overlaps.extend(np.divide(
+            overlap, span, out=np.zeros_like(overlap), where=(overlap > 0) & (span > 0)
+        ).tolist())
         for child_id, child_region in node.children_with_regions(region):
             walk(child_id, child_region)
 

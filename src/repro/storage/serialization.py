@@ -171,7 +171,7 @@ class HybridNodeCodec:
                     f"{header.entry_count}"
                 )
             kdnodes.check_split_table(table, self.dims)
-            return IndexNode.from_table(table, level)
+            return IndexNode(table, level)
         raise ValueError(f"unknown node kind {header.kind}")
 
     # ------------------------------------------------------------------

@@ -158,7 +158,7 @@ class TestHBTree:
         assert len(tree) == 18000
 
     def test_kd_size_within_capacity(self):
-        from repro.baselines.hbtree import HBIndexNode
+        from repro.baselines.hbtree import HBIndexNode, child_ids
 
         data = uniform_dataset(8000, 8, seed=11)
         tree = HBTree.from_points(data)
@@ -171,16 +171,13 @@ class TestHBTree:
             node = tree.nm.get(node_id, charge=False)
             if isinstance(node, HBIndexNode):
                 assert node.kd_size <= tree.index_capacity
-                from repro.core import kdnodes
-
-                for child_id in kdnodes.child_ids(node.kd_root):
+                for child_id in child_ids(node.kd_root):
                     walk(child_id)
 
         walk(tree._root_id)
 
     def test_clean_splits_everywhere(self):
-        from repro.baselines.hbtree import HBIndexNode
-        from repro.core import kdnodes
+        from repro.baselines.hbtree import HBIndexNode, KDInternal, child_ids
 
         data = uniform_dataset(5000, 4, seed=12)
         tree = HBTree.from_points(data)
@@ -192,9 +189,13 @@ class TestHBTree:
             seen.add(node_id)
             node = tree.nm.get(node_id, charge=False)
             if isinstance(node, HBIndexNode):
-                for internal in kdnodes.iter_internals(node.kd_root):
-                    assert internal.lsp == internal.rsp  # holey bricks never overlap
-                for child_id in kdnodes.child_ids(node.kd_root):
+                stack = [node.kd_root]
+                while stack:
+                    kd = stack.pop()
+                    if isinstance(kd, KDInternal):
+                        assert kd.lsp == kd.rsp  # holey bricks never overlap
+                        stack += (kd.left, kd.right)
+                for child_id in child_ids(node.kd_root):
                     walk(child_id)
 
         walk(tree._root_id)

@@ -182,3 +182,42 @@ class TestWritePathFixes:
         tree.validate()
         for i in range(0, n, 37):
             assert i in tree.point_search(data[i])
+
+
+# SHA-256 of the file the bulk load below saves, recorded from the bulk
+# loader that built kd objects (before it emitted split tables).
+BULK_SHA256 = "ab18613f7402985eb3992d80ca290f2b4693e4896a2ca771525f0044ef717347"
+
+
+def test_a_bulk_loaded_tree_saves_the_pinned_file(tmp_path):
+    import hashlib
+
+    data = clustered_dataset(3000, 4, seed=0)
+    HybridTree.bulk_load(data, page_size=512).save(tmp_path / "bulk.pages")
+    digest = hashlib.sha256((tmp_path / "bulk.pages").read_bytes()).hexdigest()
+    assert digest == BULK_SHA256
+
+
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf, 1e39], ids=["nan", "inf", "-inf", "beyond-float32"]
+)
+def test_bulk_load_rejects_non_finite_vectors(bad):
+    """``insert`` rejects a non-finite vector; so does a bulk load, before
+    it allocates a page (a float64 value beyond float32's range becomes
+    inf in the cast, and is caught too)."""
+    data = uniform_dataset(5000, 4, seed=3).astype(np.float64)
+    data[17, 2] = bad
+    data[4000, 0] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        HybridTree.bulk_load(data)
+    tree = HybridTree(4)
+    pages = tree.pages()
+    with pytest.raises(ValueError, match="finite"):
+        bulk_load_into(tree, data)
+    assert len(tree) == 0 and tree.pages() == pages
+    assert tree.bounds.low.tolist() == HybridTree(4).bounds.low.tolist()
+    # The tree is untouched: a finite load goes through and answers.
+    finite = np.isfinite(data).all(axis=1) & (np.abs(data) < 1e38).all(axis=1)
+    bulk_load_into(tree, data[finite])
+    tree.validate()
+    assert sorted(tree.range_search(Rect.unit(4))) == list(range(int(finite.sum())))

@@ -130,3 +130,67 @@ def test_unsupported_dims_exit_with_one_line(cmd, tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip().splitlines() == [str(exc.value.code)]
     assert not (tmp_path / "unused.npy").exists()
+
+
+@pytest.fixture(scope="module")
+def small_tree(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "t.pages"
+    data = np.random.default_rng(0).random((300, 4)).astype(np.float32)
+    repro.HybridTree.bulk_load(data).save(path)
+    return path
+
+
+def _one_line_exit(argv: list[str], cwd, message: str) -> None:
+    """``argv`` exits with ``message``: in process as ``SystemExit``, and as
+    a subprocess with status 1, that line on stderr and no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert message in str(exc.value.code)
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines() == [str(exc.value.code)]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--knn", "3"], "--knn needs --vector"),
+    (["--radius", "0.1"], "--radius needs --vector"),
+    (["--knn", "3", "--vector", "0.1,x,0.3,0.4"], "is not a comma-separated list"),
+    (["--knn", "3", "--vector", "0.1,0.2,0.3"], "--vector has 3 values; the tree has 4"),
+    (["--knn", "3", "--vector", "0.1,nan,0.3,0.4"], "--vector holds NaN"),
+    (["--knn", "3", "--vector", "0.1,inf,0.3,0.4"], "--vector must be finite"),
+    (["--knn", "0", "--vector", "0.1,0.2,0.3,0.4"], "--knn must be >= 1"),
+    (["--radius", "-1", "--vector", "0.1,0.2,0.3,0.4"], "--radius must be >= 0"),
+    (["--box", "0,0,0,0"], "--box must be 'low1,low2,...:high1,high2,...'"),
+    (["--box", "0,0,0:1,1,1"], "--box low has 3 values"),
+    (["--box", "0,0,0,0:1,1,1,1,1"], "--box high has 5 values"),
+    (["--box", "0,0.5,0,0:1,0.25,1,1"], "--box low exceeds high in dim 1"),
+    (["--box", "0,0,0,0:1,one,1,1"], "--box high: '1,one,1,1' is not"),
+])
+def test_bad_query_input_exits_with_one_line(small_tree, tmp_path, args, message):
+    _one_line_exit(["query", "--tree", str(small_tree), *args], tmp_path, message)
+
+
+def test_good_query_input_still_answers(small_tree, capsys):
+    assert main(["query", "--tree", str(small_tree), "--box=-inf,0,0,0:inf,1,1,1"]) == 0
+    assert len(capsys.readouterr().out.split()) == 300
+
+
+@pytest.mark.parametrize("bulk", [True, False], ids=["bulk", "insert"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39], ids=["nan", "inf", "beyond-float32"])
+def test_build_on_non_finite_data_exits_with_one_line(tmp_path, bulk, bad):
+    data = np.random.default_rng(1).random((200, 4))
+    data[[7, 150], 2] = bad
+    np.save(tmp_path / "d.npy", data)
+    argv = ["build", "--data", "d.npy", "--out", "t.pages"] + (["--bulk"] if bulk else [])
+    cwd = os.getcwd()
+    os.chdir(tmp_path)
+    try:
+        _one_line_exit(argv, tmp_path, "d.npy: 2 row(s) not finite in float32, the first is row 7")
+    finally:
+        os.chdir(cwd)
+    assert not (tmp_path / "t.pages").exists()

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.baselines.common import EntryLeaf
-from repro.core.kdnodes import KDInternal, KDLeaf
 from repro.core.nodes import DataNode, IndexNode
 from repro.geometry.rect import Rect
+from tests.kd_reference import KDInternal, KDLeaf, split_table
 
 
 class TestDataNode:
@@ -88,7 +88,7 @@ class TestDataNode:
 class TestIndexNode:
     def _node(self):
         kd = KDInternal(0, 0.5, 0.4, KDLeaf(10), KDLeaf(20))
-        return IndexNode(kd, level=1)
+        return IndexNode(split_table(kd), level=1)
 
     def test_fanout_and_children(self):
         node = self._node()
@@ -103,7 +103,7 @@ class TestIndexNode:
 
     def test_level_validation(self):
         with pytest.raises(ValueError):
-            IndexNode(KDLeaf(1), level=0)
+            IndexNode(split_table(KDLeaf(1)), level=0)
 
     def test_utilization(self):
         node = self._node()

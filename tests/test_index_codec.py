@@ -12,7 +12,7 @@ import pytest
 from repro.core import kdnodes
 from repro.core.els import ELSTable
 from repro.core.hybridtree import HybridTree
-from repro.core.kdnodes import KDInternal, KDLeaf, SplitTable
+from repro.core.kdnodes import SplitTable
 from repro.core.nodes import IndexNode
 from repro.datasets import clustered_dataset
 from repro.geometry.rect import Rect
@@ -28,6 +28,8 @@ from repro.storage.page import (
 )
 from repro.storage.pagestore import FilePageStore
 from repro.storage.serialization import HybridNodeCodec
+from tests import kd_reference as ref
+from tests.kd_reference import KDInternal, KDLeaf
 
 DIMS = 4
 
@@ -39,7 +41,7 @@ def _encode_preorder(node: IndexNode, page_size: int) -> bytes:
     """The kind-2 index page, as the encoder before the columnar layout
     wrote it (kept here only to produce such pages)."""
     parts = [struct.pack("<BH", 2, node.level)]
-    stack = [node.kd_root]
+    stack = [ref.kd_from_table(node.table)]
     while stack:
         kd = stack.pop()
         if isinstance(kd, KDLeaf):
@@ -52,8 +54,8 @@ def _encode_preorder(node: IndexNode, page_size: int) -> bytes:
 
 
 def _scalar_regions(kd, region: Rect) -> list[tuple[int, Rect]]:
-    """:func:`kdnodes.leaves_with_regions` without recursion (the deep
-    chains below are deeper than the recursion limit)."""
+    """The Section 3.1 mapping over kd objects, without recursion (the
+    deep chains below are deeper than the recursion limit)."""
     out = []
     stack = [(kd, region)]
     while stack:
@@ -114,13 +116,13 @@ def _chain(n_splits: int, dims: int):
 
 def _check_round_trip(kd, region: Rect, dims: int, page_size: int, level: int = 1):
     codec = HybridNodeCodec(dims, data_node_capacity(dims, PageLayout(page_size)), page_size)
-    node = IndexNode(kd, level)
+    node = IndexNode(ref.split_table(kd), level)
     page = codec.encode(node)
     assert len(page) == page_size
     decoded = codec.decode(page)
     assert isinstance(decoded, IndexNode) and decoded.level == level
-    assert decoded.child_ids() == kdnodes.child_ids(kd)
-    assert decoded.fanout == kdnodes.count_leaves(kd)
+    assert decoded.child_ids() == ref.child_ids(kd)
+    assert decoded.fanout == ref.count_leaves(kd)
     ids, lows, highs = kdnodes.leaf_region_arrays(decoded.table, region.low, region.high)
     want = _scalar_regions(kd, region)
     assert ids.tolist() == [child_id for child_id, _ in want]
@@ -128,7 +130,7 @@ def _check_round_trip(kd, region: Rect, dims: int, page_size: int, level: int = 
     want_high = np.array([r.high for _, r in want])
     assert lows.tobytes() == want_low.tobytes()
     assert highs.tobytes() == want_high.tobytes()
-    assert _shape(decoded.kd_root) == _shape(kd)
+    assert _shape(ref.kd_from_table(decoded.table)) == _shape(kd)
     return decoded
 
 
@@ -145,7 +147,7 @@ def test_columnar_round_trip_on_random_kd_trees():
         kd = _random_kd(rng, int(rng.integers(1, 60)), dims, region)
         _check_round_trip(kd, region, dims, 4096, level=int(rng.integers(1, 6)))
         if trial < 40 and not isinstance(kd, KDLeaf):
-            want = list(kdnodes.leaves_with_regions(kd, region))
+            want = list(ref.leaves_with_regions(kd, region))
             got = _scalar_regions(kd, region)
             assert [(leaf.child_id, r.low.tobytes(), r.high.tobytes()) for leaf, r in want] == [
                 (i, r.low.tobytes(), r.high.tobytes()) for i, r in got
@@ -159,31 +161,21 @@ def test_columnar_round_trip_of_a_chain_beyond_the_recursion_limit():
     region = Rect(np.zeros(DIMS), np.ones(DIMS))
     decoded = _check_round_trip(kd, region, DIMS, page)
     assert decoded.fanout == cap
-    # Built lazily, then the node's kd objects rule: editing them in place
-    # shows in the table it reports.
-    root = decoded.kd_root
-    root.lsp = root.rsp = 0.5
-    assert decoded.table.lsp[0] == 0.5
-
-
-def test_a_decoded_node_builds_kd_objects_only_on_demand():
-    codec = HybridNodeCodec(DIMS, 10)
-    kd = KDInternal(2, 0.75, 0.5, KDLeaf(7), KDInternal(0, 0.25, 0.25, KDLeaf(9), KDLeaf(11)))
-    decoded = codec.decode(codec.encode(IndexNode(kd, 2)))
-    assert decoded._kd is None and decoded.fanout == 3
-    # A write path edits the kd objects in place (as _widen_path_to does);
-    # the table follows them, and so does the next page image.
-    decoded.kd_root.right.lsp = 0.375
-    assert decoded.table.lsp.tolist() == [0.75, 0.375]
+    # A table edit on the deepest row publishes a new table; the next
+    # page image is that table's.
+    codec = HybridNodeCodec(DIMS, data_node_capacity(DIMS, PageLayout(page)), page)
+    table = decoded.table
+    decoded.table = kdnodes.widen(table, cap - 1, np.zeros(DIMS), np.zeros(DIMS))
+    assert decoded.table.rsp[-1] == 0.0 and table.rsp[-1] > 0.0
     again = codec.decode(codec.encode(decoded))
-    assert _shape(again.kd_root) == _shape(decoded.kd_root)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(again.table, decoded.table))
 
 
 def test_columnar_payload_size_is_the_charged_budget():
     codec = HybridNodeCodec(DIMS, 10)
     for m in (1, 2, 3, 17):
         kd = _chain(m - 1, DIMS)
-        header, payload = unframe_page(codec.encode(IndexNode(kd, 1)))
+        header, payload = unframe_page(codec.encode(IndexNode(ref.split_table(kd), 1)))
         assert header.entry_count == m
         assert len(payload) == (5 if m == 1 else 14 * (m - 1) + 4 * m - 3)
 
@@ -197,13 +189,13 @@ def test_preorder_pages_decode_to_the_same_node():
     region = Rect(np.zeros(DIMS), np.ones(DIMS))
     for _ in range(100):
         kd = _random_kd(rng, int(rng.integers(1, 80)), DIMS, region)
-        node = IndexNode(kd, 2)
+        node = IndexNode(ref.split_table(kd), 2)
         old = codec.decode(_encode_preorder(node, 4096))
         new = codec.decode(codec.encode(node))
         assert old.level == new.level == 2
         for a, b in zip(old.table, new.table):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        assert _shape(old.kd_root) == _shape(kd)
+        assert _shape(ref.kd_from_table(old.table)) == _shape(kd)
 
 
 def _save_as_preorder(tree, path, monkeypatch) -> int:
@@ -310,9 +302,9 @@ def _codec() -> HybridNodeCodec:
 
 @pytest.mark.parametrize("encode", ["columnar", "preorder"])
 def test_split_dim_beyond_the_codec_dims_is_rejected(encode):
-    node = IndexNode(_BAD_DIM, 1)
+    node = IndexNode(ref.split_table(_BAD_DIM), 1)
     page = (
-        _columnar_page(kdnodes.split_table(_BAD_DIM)) if encode == "columnar"
+        _columnar_page(node.table) if encode == "columnar"
         else _encode_preorder(node, 4096)
     )
     with pytest.raises(ValueError, match="dim 5"):
@@ -320,7 +312,7 @@ def test_split_dim_beyond_the_codec_dims_is_rejected(encode):
 
 
 def _table(**changes) -> SplitTable:
-    return kdnodes.split_table(_GOOD)._replace(**changes)
+    return ref.split_table(_GOOD)._replace(**changes)
 
 
 @pytest.mark.parametrize(
@@ -343,7 +335,7 @@ def test_columnar_offsets_that_do_not_form_one_tree_are_rejected():
     # (a) -> [(b) -> 1, 2], [(c) -> 3, 4]: give c the rows of b.
     kd = KDInternal(0, 0.5, 0.5, KDInternal(1, 0.5, 0.5, KDLeaf(1), KDLeaf(2)),
                     KDInternal(2, 0.5, 0.5, KDLeaf(3), KDLeaf(4)))
-    table = kdnodes.split_table(kd)
+    table = ref.split_table(kd)
     bad = table._replace(first=np.array([0, 0, 0]), end=np.array([4, 2, 2]))
     with pytest.raises(ValueError):
         _codec().decode(_columnar_page(bad))
@@ -352,7 +344,7 @@ def test_columnar_offsets_that_do_not_form_one_tree_are_rejected():
 def _is_a_kd_tree(table: SplitTable) -> bool:
     """Whether the table is some kd-tree's (rebuild it and compare)."""
     try:
-        again = kdnodes.split_table(kdnodes.kd_from_table(table))
+        again = ref.split_table(ref.kd_from_table(table))
     except (AttributeError, IndexError, TypeError):
         return False
     return all(np.array_equal(a, b) for a, b in zip(again, table))
@@ -363,7 +355,7 @@ def test_table_check_accepts_exactly_the_tables_of_kd_trees():
     verdicts = set()
     for _ in range(3000):
         m = int(rng.integers(2, 30))
-        table = kdnodes.split_table(_random_kd(rng, m, 1, Rect([0.0], [1.0])))
+        table = ref.split_table(_random_kd(rng, m, 1, Rect([0.0], [1.0])))
         first, end = table.first.copy(), table.end.copy()
         for _ in range(int(rng.integers(0, 3))):
             i = int(rng.integers(0, m - 1))
@@ -383,7 +375,7 @@ def test_table_check_accepts_exactly_the_tables_of_kd_trees():
 
 
 def test_columnar_trailing_bytes_and_level_zero_are_rejected():
-    table = kdnodes.split_table(_GOOD)
+    table = ref.split_table(_GOOD)
     with pytest.raises(ValueError, match="expected"):
         _codec().decode(_columnar_page(table, extra=b"\x00\x00"))
     with pytest.raises(ValueError, match="level 0"):
@@ -402,7 +394,7 @@ def _reframe(payload: bytes, entries: int = 3, level: int = 1) -> bytes:
 
 
 def test_inconsistent_preorder_pages_are_rejected():
-    good = _preorder_payload(_encode_preorder(IndexNode(_GOOD, 1), 4096))
+    good = _preorder_payload(_encode_preorder(IndexNode(ref.split_table(_GOOD), 1), 4096))
     codec = _codec()
     assert codec.decode(_reframe(good)).child_ids() == [7, 8, 9]
     with pytest.raises(ValueError, match="trailing"):
@@ -418,7 +410,9 @@ def test_inconsistent_preorder_pages_are_rejected():
     with pytest.raises(ValueError, match="level 0"):
         codec.decode(_reframe(b"\x02\x00\x00" + good[3:]))
     gap = KDInternal(0, 0.5, 0.5, KDLeaf(1), KDLeaf(2))
-    gap_payload = bytearray(_preorder_payload(_encode_preorder(IndexNode(gap, 1), 4096)))
+    gap_payload = bytearray(
+        _preorder_payload(_encode_preorder(IndexNode(ref.split_table(gap), 1), 4096))
+    )
     struct.pack_into("<ff", gap_payload, 6, 0.25, 0.75)
     with pytest.raises(ValueError, match="lsp < rsp"):
         codec.decode(_reframe(bytes(gap_payload), entries=2))
@@ -438,7 +432,7 @@ def test_a_checked_store_read_is_not_swept_twice(tmp_path, monkeypatch):
     from repro.storage import page as page_module
 
     codec = _codec()
-    image = codec.encode(IndexNode(_GOOD, 1))
+    image = codec.encode(IndexNode(ref.split_table(_GOOD), 1))
     crc32 = zlib.crc32
     with FilePageStore(tmp_path / "p.bin", 4096, checksums=True) as store:
         pid = store.allocate()

@@ -30,7 +30,6 @@ import pytest
 
 from repro.core import HybridTree, kdnodes
 from repro.core.els import ELSTable
-from repro.core.kdnodes import KDInternal, KDLeaf
 from repro.core.nodes import IndexNode
 from repro.datasets.synthetic import clustered_dataset
 from repro.distances import (
@@ -48,6 +47,8 @@ from repro.engine.kernel import (
 )
 from repro.engine.query import QueryBatch
 from repro.geometry.rect import Rect
+from tests import kd_reference as ref
+from tests.kd_reference import KDInternal, KDLeaf
 
 DIMS = 4
 PAGE = 512  # 23 points per leaf, 27 children per index node
@@ -123,9 +124,9 @@ def test_leaf_region_arrays_equal_the_scalar_mapping():
         kd = _random_kd(rng, list(range(n)), dims)
         region = _random_region(rng, dims)
         ids, low, high = kdnodes.leaf_region_arrays(
-            kdnodes.split_table(kd), region.low, region.high
+            ref.split_table(kd), region.low, region.high
         )
-        scalar = list(kdnodes.leaves_with_regions(kd, region))
+        scalar = list(ref.leaves_with_regions(kd, region))
         assert ids.tolist() == [leaf.child_id for leaf, _ in scalar]
         for i, (_, leaf_region) in enumerate(scalar):
             assert _same_bits(low[i], leaf_region.low)
@@ -141,7 +142,7 @@ def test_effective_boxes_equal_the_scalar_rect(bits):
         kd = _random_kd(rng, list(range(n)), dims)
         region = _random_region(rng, dims)
         ids, low, high = kdnodes.leaf_region_arrays(
-            kdnodes.split_table(kd), region.low, region.high
+            ref.split_table(kd), region.low, region.high
         )
         table = ELSTable(dims, bits)
         for i, node_id in enumerate(ids.tolist()):
@@ -435,9 +436,7 @@ def _assert_cache_fresh(tree):
         if not isinstance(node, IndexNode):
             continue
         kids = tree._child_boxes(node, low, high)
-        ids, reg_low, reg_high = kdnodes.leaf_region_arrays(
-            kdnodes.split_table(node.kd_root), low, high
-        )
+        ids, reg_low, reg_high = kdnodes.leaf_region_arrays(node.table, low, high)
         fresh = (ids, reg_low, reg_high, *tree.els.effective_boxes(ids, reg_low, reg_high))
         for got, want in zip(kids[1:], fresh):
             assert _same_bits(got, want)
@@ -547,12 +546,13 @@ def test_cached_boxes_follow_every_write(mode, tmp_path, monkeypatch):
     tree._widen_child(tree.root_id, root, tree.bounds, first, other.low, other.high)
     _check_after_write(tree, model, "widened kd path")
 
-    # A failed insert: the split edits a parent's kd-tree in place, after a
+    # A failed insert: the split publishes a parent's new table, after a
     # concurrent reader cached every node's boxes, and then raises.
     def broken_split(self, path, node_id, node, vector, new_oid):
         self.range_search(EVERYTHING)
         parent_id, parent, region = path[-1]
-        self._widen_path_to(parent.kd_root, node_id, region.low, region.high)
+        row = kdnodes.row_of(parent.table, node_id)
+        parent.table = kdnodes.widen(parent.table, row, region.low, region.high)
         raise RuntimeError("split failed")
 
     monkeypatch.setattr(HybridTree, "_split_data_node", broken_split)
@@ -573,9 +573,7 @@ def test_cache_key_names_the_region(data):
     assert not kids.box_low.flags.writeable and not kids.ids.flags.writeable
     low, high = tree.bounds.low + 0.25, tree.bounds.high - 0.25
     shrunk = tree._child_boxes(root, low, high)
-    ids, reg_low, reg_high = kdnodes.leaf_region_arrays(
-        kdnodes.split_table(root.kd_root), low, high
-    )
+    ids, reg_low, reg_high = kdnodes.leaf_region_arrays(root.table, low, high)
     fresh = (ids, reg_low, reg_high, *tree.els.effective_boxes(ids, reg_low, reg_high))
     for got, want in zip(shrunk[1:], fresh):
         assert _same_bits(got, want)

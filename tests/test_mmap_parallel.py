@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.core import HybridTree
-from repro.core.kdnodes import KDInternal, KDLeaf
 from repro.core.nodes import DataNode, FrozenNodeError, IndexNode
 from repro.engine import ParallelQueryEngine, QuerySession
 from repro.engine.parallel import WORKER_MODES
@@ -30,6 +29,7 @@ from repro.storage.mmapstore import MmapPageStore
 from repro.storage.page import frame_page
 from repro.storage.pagestore import FilePageStore
 from repro.storage.serialization import _DATA_HEADER, HybridNodeCodec
+from tests.kd_reference import KDInternal, KDLeaf, split_table
 
 DIMS = 8
 COUNT = 2500
@@ -278,7 +278,7 @@ class TestCodecValidation:
         kd = KDLeaf(0)
         for i in range(1, depth + 1):
             kd = KDInternal(0, 0.5, 0.5, KDLeaf(i), kd)
-        node = IndexNode(kd, level=1)
+        node = IndexNode(split_table(kd), level=1)
         codec = HybridNodeCodec(4, 20, page_size=65536)
         decoded = codec.decode(codec.encode(node))
         assert decoded.level == 1

@@ -299,21 +299,22 @@ class TestHybridNodeCodec:
         assert np.array_equal(decoded.live_oids(), node.live_oids())
 
     def test_index_node_round_trip(self):
-        from repro.core.kdnodes import KDInternal, KDLeaf
         from repro.core.nodes import IndexNode
         from repro.storage.serialization import HybridNodeCodec
+        from tests.kd_reference import KDInternal, KDLeaf, same_table, split_table
 
         codec = HybridNodeCodec(dims=4, data_capacity=10)
         kd = KDInternal(
             2, 0.75, 0.5, KDLeaf(7), KDInternal(0, 0.25, 0.25, KDLeaf(9), KDLeaf(11))
         )
-        node = IndexNode(kd, level=3)
+        node = IndexNode(split_table(kd), level=3)
         decoded = codec.decode(codec.encode(node))
         assert decoded.level == 3
         assert decoded.child_ids() == [7, 9, 11]
-        assert decoded.kd_root.dim == 2
-        assert decoded.kd_root.lsp == pytest.approx(0.75)
-        assert decoded.kd_root.rsp == pytest.approx(0.5)
+        assert decoded.table.dim.tolist() == [2, 0]
+        assert decoded.table.lsp.tolist() == [0.75, 0.25]
+        assert decoded.table.rsp.tolist() == [0.5, 0.25]
+        assert same_table(decoded.table, node.table)
 
     def test_oversized_node_rejected(self):
         from repro.core.nodes import DataNode
@@ -334,9 +335,9 @@ class TestHybridNodeCodec:
 
     def test_full_capacity_nodes_fit_page(self):
         """The capacity model must never admit a node that cannot be packed."""
-        from repro.core.kdnodes import KDInternal, KDLeaf
         from repro.core.nodes import DataNode, IndexNode
         from repro.storage.serialization import HybridNodeCodec
+        from tests.kd_reference import KDInternal, KDLeaf, split_table
 
         def build(lo, hi):
             if hi - lo == 1:
@@ -361,7 +362,7 @@ class TestHybridNodeCodec:
             # Balanced kd-tree with the maximum number of leaves.
             cap = kdtree_node_capacity(16, layout)
             codec = HybridNodeCodec(16, data_node_capacity(16, layout), page_size)
-            node = IndexNode(build(0, cap), level=1)
+            node = IndexNode(split_table(build(0, cap)), level=1)
             page = codec.encode(node)
             assert len(page) <= page_size
             assert codec.decode(page).child_ids() == list(range(cap))

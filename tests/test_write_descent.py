@@ -1,12 +1,14 @@
 """The write path's descents against the ``Rect``-based forms they replaced.
 
 ``HybridTree._find_entry`` (delete), ``_containment_descent`` (insert) and
-``_choose_child`` walk an index node's kd-tree by the point
+``_choose_child`` walk an index node's split table by the point
 (``kdnodes.leaves_holding_point``) instead of deriving a ``Rect`` for every
-child.  The reference copies below are the derive-every-child forms.  These
-tests pin that both give the same leaves, entries, paths, chosen children
-and charged reads, and that a long seeded run of inserts and deletes (with
-underflows) leaves byte-equal page images:
+child.  The reference copies below are the derive-every-child forms, over
+the kd objects of ``tests/kd_reference.py``.  These tests pin that both
+give the same leaves, entries, paths, chosen children and charged reads,
+that a long seeded run of inserts and deletes (with underflows) leaves
+byte-equal page images, and that a seeded mixed run saves a file whose
+SHA-256 was recorded from the write path that edited kd objects:
 
 - on random kd-trees whose splits fall outside their region (the
   ``tests/test_intranode.py`` generator), with points on region faces and
@@ -23,10 +25,11 @@ import numpy as np
 import pytest
 
 from repro.core import HybridTree, kdnodes
-from repro.core.kdnodes import KDLeaf
 from repro.core.nodes import DataNode, IndexNode
 from repro.geometry.rect import Rect
 from repro.storage.serialization import HybridNodeCodec
+from tests import kd_reference as ref
+from tests.kd_reference import KDInternal, KDLeaf
 from tests.test_intranode import _random_kd, _random_region
 
 DIMS = 4
@@ -78,7 +81,7 @@ def ref_containment_descent(tree, node_id, region, v):
     node = tree.nm.get(node_id)
     if isinstance(node, DataNode):
         return [(node_id, node, region)]
-    containing = _ref_containing(node.kd_root, region, v)
+    containing = _ref_containing(ref.kd_from_table(node.table), region, v)
     containing.sort(key=lambda t: t[0])
     for _, child_id, child_region in containing:
         sub = ref_containment_descent(tree, child_id, child_region, v)
@@ -88,12 +91,12 @@ def ref_containment_descent(tree, node_id, region, v):
 
 
 def ref_choose_child(tree, node_id, node, region, point):
-    containing = _ref_containing(node.kd_root, region, point)
+    containing = _ref_containing(ref.kd_from_table(node.table), region, point)
     if containing:
         _, child_id, child_region = min(containing, key=lambda t: t[0])
         return child_id, child_region
     best_leaf_id, best_cost = None, (np.inf, np.inf)
-    for leaf, leaf_region in kdnodes.leaves_with_regions(node.kd_root, region):
+    for leaf, leaf_region in ref.leaves_with_regions(ref.kd_from_table(node.table), region):
         cost = (leaf_region.enlargement(point), leaf_region.volume())
         if cost < best_cost:
             best_cost, best_leaf_id = cost, leaf.child_id
@@ -143,7 +146,7 @@ def _probe_points(rng, kd, region: Rect, count: int) -> list[np.ndarray]:
     low, high = region.low, region.high
     points = [rng.uniform(low, high) for _ in range(count)]
     points += [low.copy(), high.copy(), np.where(rng.random(len(low)) < 0.5, low, high)]
-    for internal in kdnodes.iter_internals(kd):
+    for internal in ref.iter_internals(kd):
         for pos in (internal.lsp, internal.rsp):
             p = rng.uniform(low, high)
             p[internal.dim] = min(max(pos, low[internal.dim]), high[internal.dim])
@@ -157,11 +160,12 @@ def test_kd_walk_equals_derived_regions_with_splits_outside_the_region():
         dims = int(rng.integers(1, 5))
         kd = _random_kd(rng, list(range(int(rng.integers(1, 24)))), dims)
         region = _random_region(rng, dims)
-        rows = list(kdnodes.leaves_with_regions(kd, region))
+        table = ref.split_table(kd)
+        rows = list(ref.leaves_with_regions(kd, region))
         for p in _probe_points(rng, kd, region, 6):
             x = p.tolist()
             got = kdnodes.leaves_holding_point(
-                kd, region.low.tolist(), region.high.tolist(), x
+                table, region.low.tolist(), region.high.tolist(), x
             )
             want = [(leaf.child_id, r) for leaf, r in rows if r.contains_point(p)]
             assert [cid for cid, _, _ in got] == [cid for cid, _ in want]
@@ -169,7 +173,7 @@ def test_kd_walk_equals_derived_regions_with_splits_outside_the_region():
                 assert _bits(Rect(lo, hi)) == _bits(r)
             # The insert rule: raw split tests, no containing region needed.
             got = kdnodes.leaves_holding_point(
-                kd, region.low.tolist(), region.high.tolist(), x, faces=False
+                table, region.low.tolist(), region.high.tolist(), x, faces=False
             )
             want = _ref_containing(kd, region, p)
             assert [cid for cid, _, _ in got] == [cid for _, cid, _ in want]
@@ -180,7 +184,7 @@ def test_kd_walk_equals_derived_regions_with_splits_outside_the_region():
 def test_faces_rule_differs_only_on_the_face_of_an_outside_split():
     # One split at 0.2, below the region [0.5, 1]: the clamped left clip
     # is the face x = 0.5 itself, which holds a point on that face only.
-    kd = kdnodes.KDInternal(0, 0.2, 0.2, KDLeaf(1), KDLeaf(2))
+    kd = ref.split_table(KDInternal(0, 0.2, 0.2, KDLeaf(1), KDLeaf(2)))
     on_face = kdnodes.leaves_holding_point(kd, [0.5], [1.0], [0.5])
     assert [(cid, lo, hi) for cid, lo, hi in on_face] == [(1, [0.5], [0.5]), (2, [0.5], [1.0])]
     raw = kdnodes.leaves_holding_point(kd, [0.5], [1.0], [0.5], faces=False)
@@ -190,10 +194,10 @@ def test_faces_rule_differs_only_on_the_face_of_an_outside_split():
 def test_kd_walk_keeps_signed_zeros_like_the_rect_clips():
     for lsp in (0.0, -0.0):
         for lo in (0.0, -0.0):
-            kd = kdnodes.KDInternal(0, lsp, lsp, KDLeaf(1), KDLeaf(2))
+            kd = KDInternal(0, lsp, lsp, KDLeaf(1), KDLeaf(2))
             region = Rect([lo], [0.5])
-            want = list(kdnodes.leaves_with_regions(kd, region))
-            got = kdnodes.leaves_holding_point(kd, [lo], [0.5], [0.0])
+            want = list(ref.leaves_with_regions(kd, region))
+            got = kdnodes.leaves_holding_point(ref.split_table(kd), [lo], [0.5], [0.0])
             assert [(cid, _bits(Rect(low, high))) for cid, low, high in got] == [
                 (leaf.child_id, _bits(r)) for leaf, r in want
             ]
@@ -201,7 +205,7 @@ def test_kd_walk_keeps_signed_zeros_like_the_rect_clips():
 
 def _f32_kd(kd) -> None:
     """Round every split position to float32, as pages store them."""
-    for internal in kdnodes.iter_internals(kd):
+    for internal in ref.iter_internals(kd):
         internal.lsp = float(np.float32(internal.lsp))
         internal.rsp = float(np.float32(internal.rsp))
 
@@ -219,7 +223,7 @@ def test_find_entry_matches_with_splits_outside_the_region():
         region = _random_region(rng, DIMS)
         tree.bounds = Rect(region.low.astype(np.float32), region.high.astype(np.float32))
         root_id = tree.nm.allocate()
-        tree.nm.put(root_id, IndexNode(kd, level=1))
+        tree.nm.put(root_id, IndexNode(ref.split_table(kd), level=1))
         tree._root_id, tree._height = root_id, 2
         nodes = {cid: DataNode(DIMS, tree.data_capacity) for cid in ids}
         probes = [
@@ -379,9 +383,9 @@ def test_choose_child_matches_on_every_index_node():
         node = tree.nm.get(node_id)
         if not isinstance(node, IndexNode):
             continue
-        for p in _probe_points(rng, node.kd_root, region, 8):
+        for p in _probe_points(rng, ref.kd_from_table(node.table), region, 8):
             if kdnodes.leaves_holding_point(
-                node.kd_root, region.low.tolist(), region.high.tolist(),
+                node.table, region.low.tolist(), region.high.tolist(),
                 p.tolist(), faces=False,
             ):
                 got = tree._choose_child(node_id, node, region, p)
@@ -390,3 +394,45 @@ def test_choose_child_matches_on_every_index_node():
                 checked += 1
         stack.extend(node.children_with_regions(region))
     assert checked > 50
+
+
+# ----------------------------------------------------------------------
+# The saved file of a seeded mixed run, pinned
+# ----------------------------------------------------------------------
+# SHA-256 of the file the run below saves, recorded from the write path
+# that edited kd objects (before index nodes were only split tables).
+MIXED_RUN_SHA256 = "cc2029ffa4882e7767b18bb72d5888964f503b9b9fd0d6170c8f9bd42ad4ac7a"
+
+
+def test_a_seeded_mixed_run_saves_the_pinned_file(tmp_path):
+    """Inserts, then deletes with data- and index-node underflows and
+    subtree reinsertions, more inserts and deletes, on 512-byte pages:
+    every table edit lands in the same page bytes as the object edits."""
+    import hashlib
+
+    rng = np.random.default_rng(22)
+    points = np.vstack([_grid_points(rng, 1200), rng.random((1000, DIMS)).astype(np.float32)])
+    tree = HybridTree(DIMS, page_size=PAGE)
+    events = []
+    remove_child, reinsert = tree._remove_child, tree._reinsert_subtree
+    tree._remove_child = lambda path, child_id: (
+        events.append(type(tree.nm.get(child_id, charge=False))),
+        remove_child(path, child_id),
+    )
+    tree._reinsert_subtree = lambda subtree_id, level: (
+        events.append("reinsert"), reinsert(subtree_id, level)
+    )
+    for oid, v in enumerate(points[:1600]):
+        tree.insert(v, oid)
+    order = rng.permutation(1600).tolist()
+    for i in order[:1000]:
+        assert tree.delete(points[i], i)
+    for oid in range(1600, len(points)):
+        tree.insert(points[oid], oid)
+    for i in order[1000:1200]:
+        assert tree.delete(points[i], i)
+    assert {DataNode, IndexNode, "reinsert"} <= set(events)
+    tree.validate()
+    tree.save(tmp_path / "mixed.pages")
+    digest = hashlib.sha256((tmp_path / "mixed.pages").read_bytes()).hexdigest()
+    assert digest == MIXED_RUN_SHA256
