@@ -59,7 +59,6 @@ def test_refresh_vs_compile(run_once, report, monkeypatch):
         data = colhist_dataset(n + ROUNDS * INSERTS, DIMS, seed=0)
         tree = HybridTree.bulk_load(data[:n])
         tree.compile_snapshot().leaf_sort0()
-        tree.soa_snapshot.boxes32()
         rng = np.random.default_rng(1)
         live, nxt = list(range(n)), n
         rows = []

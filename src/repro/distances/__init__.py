@@ -16,6 +16,10 @@ the only forms the query engines call:
 - ``pair_mindist(q, low, high)`` — row ``i`` is the lower bound from
   ``q[i]`` to the box ``[low[i], high[i]]``.
 
+Both take broadcastable ``(..., d)`` operands and reduce over the last
+axis, so ``(E, 1, d)`` boxes against ``(1, Q, d)`` queries give every
+box's bound to every query in one call.
+
 ``distance``, ``distance_batch`` and ``mindist_rect`` are their one-row and
 broadcast cases, so each metric's formula lives in one place and every
 engine gets the same bits for the same pair (see :mod:`.metrics`).

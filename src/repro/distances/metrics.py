@@ -1,31 +1,37 @@
 """Metric implementations: Lp family, weighted/quadratic forms, user hooks.
 
 Every metric is a :class:`Metric` with two row-wise primitives, the only
-things the query engines call:
+things the query engines call.  Both take broadcastable ``(..., d)``
+operands and reduce over the last axis, so a "row" is any last-axis vector
+and the result has the operands' broadcast leading shape:
 
 ``pair_distances(a, b)``
     Row ``i`` is the distance between ``a[i]`` and ``b[i]``.  ``b`` is the
-    caller's scratch: a fresh float64 array of the full ``(rows, d)`` shape,
+    caller's scratch: a fresh float64 array of the full broadcast shape,
     which may be overwritten (the vectorized metrics form the difference in
     it, so a leaf scan that gathers ``b`` anyway allocates nothing more).
     ``a`` may be a single row that broadcasts, or float32 rows, which the
     subtraction promotes exactly.
 ``pair_mindist(q, low, high)``
     Row ``i`` is a lower bound on ``distance(q[i], x)`` over all ``x`` in
-    the box ``[low[i], high[i]]``; a single box (or query) broadcasts.  For
-    the Lp and weighted metrics the bound is *tight* (attained by the box
-    point closest to the query), which keeps branch-and-bound search exact
-    and prunes as much as possible.
+    the box ``[low[i], high[i]]``; a single box (or query) broadcasts, and
+    so do ``(E, 1, d)`` boxes against ``(1, Q, d)`` queries, which gives
+    the ``(E, Q)`` bounds of every box against every query in one call.
+    For the Lp and weighted metrics the bound is *tight* (attained by the
+    box point closest to the query), which keeps branch-and-bound search
+    exact and prunes as much as possible.
 
 The familiar forms are their special cases: ``distance(a, b)`` is the
 one-row case of ``pair_distances``, ``distance_batch(points, q)`` (distances
 from every row of ``points`` to ``q``) its broadcast case, and
 ``mindist_rect(q, low, high)`` the one-row case of ``pair_mindist``.  Each
 vectorized metric therefore writes its formula once, as a reduction over
-``axis=1`` of the coordinate differences, and a row's result does not depend
-on how many rows share the call (a one-row reduction equals the 1-d one):
-every engine — single query, object kernel, SOA kernel — gets the same bits
-for the same pair, however it batches them.
+``axis=-1`` of the coordinate differences, and a row's result does not
+depend on how many rows share the call or how they are laid out (a
+contiguous last-axis reduction of a row gives the same bits in a ``(rows,
+d)`` array, an ``(E, Q, d)`` array, or alone): every engine — single query,
+object kernel, SOA kernel — gets the same bits for the same pair, however
+it batches them.
 
 :class:`UserMetric` adapts an arbitrary Python distance function: the base
 class's looping defaults call it once per row.
@@ -37,6 +43,16 @@ import math
 from collections.abc import Callable
 
 import numpy as np
+
+
+def _per_row(fn, *arrays: np.ndarray) -> np.ndarray:
+    """``fn`` of each last-axis row of the broadcast ``arrays``, shaped like
+    their leading axes: the arrays are flattened to ``(rows, d)`` and the
+    results reshaped back."""
+    arrays = np.broadcast_arrays(*arrays)
+    lead, d = arrays[0].shape[:-1], arrays[0].shape[-1]
+    rows = zip(*(x.reshape(-1, d) for x in arrays))
+    return np.array([fn(*row) for row in rows], dtype=np.float64).reshape(lead)
 
 
 class Metric:
@@ -65,12 +81,10 @@ class Metric:
         return self.pair_distances(points, q)
 
     def pair_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a, b = np.broadcast_arrays(a, b)
-        return np.array([self.distance(x, y) for x, y in zip(a, b)], dtype=np.float64)
+        return _per_row(self.distance, a, b)
 
     def pair_mindist(self, q: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
-        rows = zip(*np.broadcast_arrays(q, low, high))
-        return np.array([self.mindist_rect(*row) for row in rows], dtype=np.float64)
+        return _per_row(self.mindist_rect, q, low, high)
 
 
 class _DifferenceMetric(Metric):
@@ -79,7 +93,8 @@ class _DifferenceMetric(Metric):
 
     def _reduce(self, diff: np.ndarray) -> np.ndarray:
         """Row ``i``: the distance of two points whose difference (of either
-        sign) is ``diff[i]``.  ``diff`` is float64 and may be overwritten."""
+        sign) is ``diff[i]``, a reduction over the last axis of ``diff``
+        (any leading shape).  ``diff`` is float64 and may be overwritten."""
         raise NotImplementedError
 
     def pair_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -116,13 +131,13 @@ class LpMetric(_DifferenceMetric):
 
     def _reduce(self, diff: np.ndarray) -> np.ndarray:
         if self.p == 2.0:
-            return np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=1))
+            return np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=-1))
         diff = np.abs(diff, out=diff)
         if self.p == 1.0:
-            return diff.sum(axis=1)
+            return diff.sum(axis=-1)
         if math.isinf(self.p):
-            return diff.max(axis=1)
-        return (diff**self.p).sum(axis=1) ** (1.0 / self.p)
+            return diff.max(axis=-1)
+        return (diff**self.p).sum(axis=-1) ** (1.0 / self.p)
 
     def __repr__(self) -> str:
         return f"LpMetric(p={self.p})"
@@ -160,7 +175,7 @@ class WeightedEuclidean(_DifferenceMetric):
         self.dims = len(self.weights)
 
     def _reduce(self, diff: np.ndarray) -> np.ndarray:
-        return np.sqrt((self.weights * diff * diff).sum(axis=1))
+        return np.sqrt((self.weights * diff * diff).sum(axis=-1))
 
     def __repr__(self) -> str:
         return f"WeightedEuclidean(weights={self.weights.tolist()})"
@@ -188,7 +203,7 @@ class QuadraticFormMetric(_DifferenceMetric):
         self.dims = self.matrix.shape[0]
 
     def _reduce(self, diff: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.einsum("ij,jk,ik->i", diff, self.matrix, diff))
+        return np.sqrt(np.einsum("...j,jk,...k->...", diff, self.matrix, diff))
 
     def pair_mindist(self, q: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
         return self._sqrt_lambda_min * L2.pair_mindist(q, low, high)

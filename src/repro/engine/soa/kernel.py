@@ -5,11 +5,13 @@ Three entry points mirror :mod:`repro.engine.kernel` — same signatures
 same results, same accounting:
 
 - ``soa_range_search_many`` / ``soa_distance_range_many`` run a
-  *level-synchronous frontier*: the set of live ``(node, query)`` pairs is
-  expanded to ``(edge, query)`` pairs with CSR arithmetic and pruned with
-  one vectorized predicate per level, instead of one Python call per node
-  per child.  Leaf hits are then replayed in DFS pre-order (occurrence id
-  order), which reproduces the object walk's output order exactly.
+  *level-synchronous frontier*: the set of live ``(node, query)`` pairs of
+  a level is grouped by parent, and each parent's children — contiguous
+  CSR edge rows — are tested against its live queries with one broadcast
+  predicate, whose edge-major ``(children, queries)`` mask's nonzero
+  entries are the next level.  Leaf hits are then replayed in DFS
+  pre-order (occurrence id order), which reproduces the object walk's
+  output order exactly.
 - ``soa_knn_many`` runs the object kernel's per-query best-first rounds
   (:mod:`repro.engine.bestfirst`) — k-NN pruning depends on the order
   leaves are scanned in, so every query keeps ``HybridTree.knn``'s own
@@ -20,21 +22,25 @@ Bit-identity rules (asserted by ``tests/test_soa_conformance.py``):
 
 - every metric is evaluated through its two row-wise primitives,
   ``pair_mindist`` for rect bounds and ``pair_distances`` for leaf scans
-  (:mod:`repro.distances`); a metric's row does not depend on how many
-  rows ride along, so per-pair batches match the object kernel's and the
-  single-query search's calls float for float, whatever the metric;
+  (:mod:`repro.distances`); a metric's row is a contiguous last-axis
+  reduction and does not depend on how many rows ride along or whether
+  they sit in a ``(pairs, d)`` or an ``(edges, queries, d)`` array, so the
+  frontier's per-parent broadcasts, k-NN's per-pair batches and the leaf
+  scans match the object kernel's and the single-query search's calls
+  float for float, whatever the metric.  The box test is pure comparison;
 - non-rect geometry (spheres, SR-tree rect-spheres, M-tree routers) is
-  evaluated with *per-edge grouped* calls of the exact same
-  ``ChildBound`` code the object kernel runs;
+  evaluated with *per-edge* calls of the exact same ``ChildBound`` code
+  the object kernel runs, each with the parent's live queries;
 - leaf scans see the float32 leaf rows upcast exactly to float64, as the
   object kernel's per-leaf ``pts.astype(np.float64)`` does: the metric
   gets the float32 rows and the subtraction promotes them, the range
   stage upcasts the rows it uses;
-- large row-wise passes (rect frontier masks, the distance leaf scan) run
-  in blocks of ``_BLOCK_ELEMS // dims`` rows; a row's result never
-  depends on its neighbours, so blocks change peak memory and cache
-  behaviour, never a result bit.  Per-edge grouped calls are never split
-  across blocks;
+- large array passes run in blocks of ``_BLOCK_ELEMS`` elements: a
+  parent's ``children x queries x dims`` broadcast is split along the
+  query axis, and the distance leaf scan into blocks of ``_BLOCK_ELEMS //
+  dims`` rows.  A row's result never depends on its neighbours, so blocks
+  change peak memory and cache behaviour, never a result bit.  Per-edge
+  calls are never split;
 - each page is charged once per batch (supernodes charge their page
   count), and dedup structures scan each ``(page, query)`` pair once, at
   the query's first occurrence in its visit order (DFS for range and
@@ -53,7 +59,6 @@ from repro.engine.bestfirst import concat_ranges as _concat_ranges
 from repro.engine.bestfirst import per_edge_eval as _per_edge_eval
 from repro.engine.kernel import _finish, _reads, _wrap_partial
 from repro.engine.query import QueryBatch
-from repro.engine.soa.snapshot import round_out_f32
 from repro.resilience import Deadline, QueryTimeoutError
 from repro.storage.iostats import AccessKind
 
@@ -67,20 +72,22 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Shared plumbing
 # ----------------------------------------------------------------------
-# Elements (rows x dims) per block of a large row-wise array pass.  2**20
-# float64s make an 8 MB temporary, about one last-level cache: a COLHIST
-# 64-d distance batch no longer allocates (and page-faults in) temporaries
-# of 100+ MB, while FOURIER 16-d's widest frontier level (~51,000 pairs)
-# still runs as a single block.
+# Elements (rows x dims) per block of a large array pass.  2**20 float64s
+# make an 8 MB temporary, about one last-level cache: a COLHIST 64-d
+# distance batch never allocates (and page-faults in) temporaries of 100+
+# MB, while one COLHIST 64-d leaf parent (~140 children x 64 queries x 64
+# dims) still runs as a single block.
 _BLOCK_ELEMS = 1 << 20
 
 
 def _row_blocks(n_rows: int, dims: int) -> list[slice]:
     """Consecutive slices covering ``range(n_rows)``, ``_BLOCK_ELEMS // dims``
     rows each (at least one row; one empty slice when ``n_rows`` is 0).
+    ``dims`` is the elements per row: a point's dims for the leaf scan, a
+    parent's ``children x dims`` for the frontier's query axis.
 
     Every pass run in these blocks is row-wise — elementwise comparisons or
-    arithmetic plus ``axis=1`` reductions — so a row's result does not
+    arithmetic plus last-axis reductions — so a row's result does not
     depend on which rows share its block: blocks change the schedule and
     the peak memory, never a bit of the output.
     """
@@ -135,25 +142,33 @@ def _bisect_windows(
     return lo[:npairs], lo[npairs:]
 
 
-def _conservative_query_f32(
-    lows: np.ndarray, highs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Query boxes widened to the nearest enclosing float32 box.
-
-    Lows round down and highs round up, so a float32 comparison against
-    float32 data never rejects a row the exact float64 comparison keeps —
-    the prefilter side of the prefilter-then-exact-check pattern.
-    """
-    return round_out_f32(lows, highs)
+def round_out_f32(low: np.ndarray, high: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float32 box rows enclosing float64 ``low``/``high`` rows: lows
+    rounded down, highs up.  A float32 comparison of float32 points against
+    them never rejects a point the exact float64 comparison keeps, which
+    makes them the range leaf scan's conservative float32 stage."""
+    lo = low.astype(np.float32)
+    lo = np.where(lo.astype(np.float64) > low, np.nextafter(lo, np.float32(-np.inf)), lo)
+    hi = high.astype(np.float32)
+    hi = np.where(hi.astype(np.float64) < high, np.nextafter(hi, np.float32(np.inf)), hi)
+    return lo, hi
 
 
 class _PairBounds:
-    """Pruning predicates over ``(edge, query)`` pair arrays.
+    """Pruning predicates of the frontier and of best-first k-NN.
 
-    Rect snapshots evaluate every pair with row-wise array math, run in
-    :func:`_row_blocks`; other geometry calls each edge's own bound object
-    once with its full row group, exactly the rows the object kernel
-    passes it.
+    The frontier's masks (:meth:`box_mask`, :meth:`distance_mask`) test one
+    parent at a time: its ``n_edges`` children, which sit in the
+    contiguous CSR edge rows ``[first_edge, first_edge + n_edges)``,
+    against the queries still alive at it, and return the edge-major
+    ``(n_edges, n_live)`` mask.  Rect snapshots compute it with one
+    broadcast call over ``(n_edges, 1, d)`` boxes and ``(1, n_live, d)``
+    queries, split along the query axis by :func:`_row_blocks` so no
+    temporary exceeds ``_BLOCK_ELEMS`` elements; nothing is gathered per
+    pair.  Other geometry calls each child's own bound object once with
+    the parent's live queries, exactly the rows the object kernel passes
+    it.  k-NN's :meth:`mindist` stays per ``(edge, query)`` pair, since
+    best-first rounds mix parents and queries freely.
     """
 
     def __init__(self, snap, metric: Metric | None = None):
@@ -161,102 +176,104 @@ class _PairBounds:
         self.metric = metric
         self._rectlike = snap.kind in ("rect", "rect2")
 
-    def _in_blocks(self, fn, e: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """The row-wise mask ``fn(e, q)``, evaluated block by block."""
-        blocks = _row_blocks(len(e), self.snap.dims)
+    def _by_query(self, fn, n_edges: int, live: np.ndarray) -> np.ndarray:
+        """The ``(n_edges, n_live)`` mask ``fn(live)``, evaluated over
+        blocks of the query axis of at most ``_BLOCK_ELEMS`` box elements
+        (at least one query each)."""
+        blocks = _row_blocks(len(live), n_edges * self.snap.dims)
         if len(blocks) == 1:
-            return fn(e, q)
-        return np.concatenate([fn(e[b], q[b]) for b in blocks])
+            return fn(live)
+        return np.concatenate([fn(live[b]) for b in blocks], axis=1)
+
+    def _per_edge(self, first_edge: int, n_edges: int, n_live: int, fn) -> np.ndarray:
+        """Row ``i``: ``fn(bound)`` of edge ``first_edge + i``'s bound."""
+        bounds = self.snap.edge_bounds
+        out = np.empty((n_edges, n_live), dtype=bool)
+        for i in range(n_edges):
+            out[i] = fn(bounds[first_edge + i])
+        return out
 
     # -- box intersection ----------------------------------------------
     def box_mask(
         self,
-        e: np.ndarray,
-        q: np.ndarray,
+        first_edge: int,
+        n_edges: int,
+        live: np.ndarray,
         lows: np.ndarray,
         highs: np.ndarray,
-        q32: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> np.ndarray:
-        snap = self.snap
         if self._rectlike:
-            return self._in_blocks(
-                lambda e, q: self._box_rows(e, q, lows, highs, q32), e, q
+            # Rect.intersects_boxes_mask, every child box against every
+            # live query: pure comparison, so exact in any layout.
+            rows = slice(first_edge, first_edge + n_edges)
+            box_low = self.snap.box_low[rows, None]
+            box_high = self.snap.box_high[rows, None]
+            return self._by_query(
+                lambda q: np.all(lows[q][None] <= box_high, axis=-1)
+                & np.all(box_low <= highs[q][None], axis=-1),
+                n_edges,
+                live,
             )
-        bounds = snap.edge_bounds
-        return _per_edge_eval(
-            e, bool, lambda eid, seg: bounds[eid].box_mask(lows[q[seg]], highs[q[seg]])
-        )
-
-    def _box_rows(self, e, q, lows, highs, q32) -> np.ndarray:
-        snap = self.snap
-        if q32 is not None:
-            # Conservative float32 prefilter (query lows rounded down,
-            # highs up; box bounds the other way), then the exact float64
-            # test — row-wise Rect.intersects_boxes_mask — on the few pairs
-            # the prefilter keeps.  Containment has no arithmetic, so the
-            # final mask is bit-identical.
-            lo32, hi32 = q32
-            bl32, bh32 = snap.boxes32()
-            cand = np.flatnonzero(
-                np.all((lo32[q] <= bh32[e]) & (bl32[e] <= hi32[q]), axis=1)
-            )
-            ec, qc = e[cand], q[cand]
-            exact = np.all(
-                (lows[qc] <= snap.box_high[ec]) & (snap.box_low[ec] <= highs[qc]),
-                axis=1,
-            )
-            out = np.zeros(len(e), dtype=bool)
-            out[cand[exact]] = True
-            return out
-        # Row-wise Rect.intersects_boxes_mask.
-        return np.all(
-            (lows[q] <= snap.box_high[e]) & (snap.box_low[e] <= highs[q]),
-            axis=1,
-        )
+        lo, hi = lows[live], highs[live]
+        return self._per_edge(first_edge, n_edges, len(live), lambda b: b.box_mask(lo, hi))
 
     # -- metric lower bounds -------------------------------------------
+    def _dist_boxes(self) -> tuple[np.ndarray, np.ndarray]:
+        snap = self.snap
+        if snap.kind == "rect2":
+            return snap.dist_low, snap.dist_high
+        return snap.box_low, snap.box_high
+
     def mindist(self, e: np.ndarray, q: np.ndarray, qs: np.ndarray) -> np.ndarray:
-        snap, metric = self.snap, self.metric
+        """Per ``(edge, query)`` pair: the metric's lower bound."""
         if self._rectlike:
-            low = snap.dist_low if snap.kind == "rect2" else snap.box_low
-            high = snap.dist_high if snap.kind == "rect2" else snap.box_high
-            return metric.pair_mindist(qs[q], low[e], high[e])
-        bounds = snap.edge_bounds
+            low, high = self._dist_boxes()
+            return self.metric.pair_mindist(qs[q], low[e], high[e])
+        bounds, metric = self.snap.edge_bounds, self.metric
         return _per_edge_eval(
             e, np.float64, lambda eid, seg: bounds[eid].mindist(qs[q[seg]], metric)
         )
 
     def distance_mask(
-        self, e: np.ndarray, q: np.ndarray, qs: np.ndarray, radii: np.ndarray
+        self,
+        first_edge: int,
+        n_edges: int,
+        live: np.ndarray,
+        qs: np.ndarray,
+        radii: np.ndarray,
     ) -> np.ndarray:
-        if self._rectlike:
-            return self._in_blocks(lambda e, q: self.mindist(e, q, qs) <= radii[q], e, q)
-        bounds = self.snap.edge_bounds
         metric = self.metric
-        return _per_edge_eval(
-            e,
-            bool,
-            lambda eid, seg: bounds[eid].distance_mask(
-                qs[q[seg]], radii[q[seg]], metric
-            ),
+        if self._rectlike:
+            low, high = self._dist_boxes()
+            rows = slice(first_edge, first_edge + n_edges)
+            low, high = low[rows, None], high[rows, None]
+            return self._by_query(
+                lambda q: metric.pair_mindist(qs[q][None], low, high) <= radii[q],
+                n_edges,
+                live,
+            )
+        qrows, r = qs[live], radii[live]
+        return self._per_edge(
+            first_edge, n_edges, len(live), lambda b: b.distance_mask(qrows, r, metric)
         )
 
 
 # ----------------------------------------------------------------------
 # Level-synchronous frontier (range / distance queries)
 # ----------------------------------------------------------------------
-def _run_frontier(snap, n: int, visits: np.ndarray, pair_pred, deadline=None,
+def _run_frontier(snap, n: int, visits: np.ndarray, group_pred, deadline=None,
                   visited: np.ndarray | None = None):
     """Descend all queries at once; returns the reached leaf pairs.
 
-    ``pair_pred(e, q) -> bool mask`` decides which ``(edge, query)`` pairs
-    survive.  Leaf pairs come back deduplicated (for dedup structures, the
-    query's first occurrence in DFS order — the occurrence the object
-    kernel scans) and sorted by ``(occurrence, query)``.  A level's pairs
-    are gathered whole as index arrays; the :class:`_PairBounds` masks then
-    do their ``pairs x dims`` math in :func:`_row_blocks` blocks, so a
-    COLHIST 64-d distance level of ~227,000 pairs holds 8 MB float64
-    temporaries instead of 116 MB ones.  ``deadline`` is checked once per
+    ``group_pred(first_edge, n_edges, live) -> (n_edges, n_live) bool
+    mask`` decides, for one parent, which of its children each of its live
+    queries (``live``, ascending) descends into; the parent's edges are the
+    CSR rows ``[first_edge, first_edge + n_edges)``.  The next level is the
+    mask's nonzero ``(edge, query)`` entries, edge-major, so each parent's
+    pairs come out in the order the object kernel visits them.  Leaf pairs
+    come back deduplicated (for dedup structures, the query's first
+    occurrence in DFS order — the occurrence the object kernel scans) and
+    sorted by ``(occurrence, query)``.  ``deadline`` is checked once per
     frontier round — each round is one batched level of array work, the
     natural cooperative-cancellation grain here.  The caller may supply
     the ``visited`` page-mask so a mid-frontier timeout still bills the
@@ -287,23 +304,21 @@ def _run_frontier(snap, n: int, visits: np.ndarray, pair_pred, deadline=None,
         # per parent in ascending order, its edges in CSR order — whose
         # child occurrence ids ascend (DFS pre-order numbers subtrees
         # contiguously) and, across same-level parents, occupy disjoint
-        # ascending id ranges.  Boolean filtering preserves the order, so
-        # group boundaries fall out of a single diff.
-        grp_start = np.concatenate(
-            ([0], np.flatnonzero(np.diff(nodes)) + 1)
-        ).astype(np.int64)
-        uniq = nodes[grp_start]
-        grp_len = np.diff(np.concatenate((grp_start, [len(nodes)])))
-        n_edges = cs[uniq + 1] - cs[uniq]
-        totals = n_edges * grp_len
-        idx = _concat_ranges(totals)
-        grp = np.repeat(np.arange(len(uniq), dtype=np.int64), totals)
-        # Edge-major within each group: every edge sees the node's full
-        # (ascending) alive set, like the object kernel's per-child call.
-        e = cs[uniq][grp] + idx // grp_len[grp]
-        q = qs_idx[grp_start[grp] + idx % grp_len[grp]]
-        keep = pair_pred(e, q)
-        nodes, qs_idx = snap.edge_child[e[keep]], q[keep]
+        # ascending id ranges — each with its queries ascending.  So each
+        # parent's live queries are one ascending run, found by one diff.
+        cuts = np.flatnonzero(np.diff(nodes)) + 1
+        starts = np.concatenate(([0], cuts)).tolist()
+        stops = np.concatenate((cuts, [len(nodes)])).tolist()
+        edge_parts: list[np.ndarray] = []
+        query_parts: list[np.ndarray] = []
+        for node, lo, hi in zip(nodes[starts].tolist(), starts, stops):
+            e0 = int(cs[node])
+            live = qs_idx[lo:hi]
+            ei, qi = np.nonzero(group_pred(e0, int(cs[node + 1]) - e0, live))
+            edge_parts.append(ei + e0)
+            query_parts.append(live[qi])
+        nodes = snap.edge_child[np.concatenate(edge_parts)]
+        qs_idx = np.concatenate(query_parts)
 
     if leaf_occ_parts:
         occ = np.concatenate(leaf_occ_parts)
@@ -386,14 +401,14 @@ def soa_range_search_many(
     visits = np.zeros(n, dtype=np.int64)
     pred = _PairBounds(snap)
 
-    q32 = _conservative_query_f32(lows, highs) if pred._rectlike else None
     out: list[list[int]] = [[] for _ in range(n)]
     visited = np.zeros(snap.n_nodes, dtype=bool)
     err = None
     try:
         occ, lq, _ = _run_frontier(
             snap, n, visits,
-            lambda e, q: pred.box_mask(e, q, lows, highs, q32), deadline, visited,
+            lambda e0, n_e, live: pred.box_mask(e0, n_e, live, lows, highs),
+            deadline, visited,
         )
         if deadline is not None:
             deadline.check()
@@ -408,7 +423,7 @@ def soa_range_search_many(
         # Hits are restored to the object walk's output order — per query, by
         # leaf occurrence in DFS order, then point order — with one lexsort.
         perm, scol = snap.leaf_sort0()
-        lo32, hi32 = q32 if q32 is not None else _conservative_query_f32(lows, highs)
+        lo32, hi32 = round_out_f32(lows, highs)
         s_arr, e_arr = snap.leaf_start[occ], snap.leaf_end[occ]
         nz = e_arr > s_arr
         pocc, palive, s_arr, sizes = occ[nz], lq[nz], s_arr[nz], (e_arr - s_arr)[nz]
@@ -481,7 +496,8 @@ def soa_distance_range_many(
     try:
         occ, lq, _ = _run_frontier(
             snap, n, visits,
-            lambda e, q: pred.distance_mask(e, q, qs, radii), deadline, visited,
+            lambda e0, n_e, live: pred.distance_mask(e0, n_e, live, qs, radii),
+            deadline, visited,
         )
         # A metric's rows do not depend on which other rows ride along, so
         # every (leaf, query, point) row is scored in flat blocks,

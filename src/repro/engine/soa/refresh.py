@@ -21,8 +21,8 @@ new DFS pre-order is computed level by level with array arithmetic
 pages a round touched, not with the tree; the gathers that lay the arrays
 out in the new order are flat numpy copies.  The result equals a
 from-scratch ``compile_snapshot`` array for array, including the lazily
-built ``leaf_sort0`` / ``boxes32`` caches, which are carried over for
-unchanged rows when the previous snapshot had them.
+built ``leaf_sort0`` cache, which is carried over for unchanged rows
+when the previous snapshot had it.
 
 The reuse state (:class:`_Reuse`) is a few flat arrays beside the
 snapshot: the occurrence of every page id, the edge into every
@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.core.kdnodes import leaf_region_arrays
 from repro.engine.bestfirst import Growing, concat_ranges
-from repro.engine.soa.snapshot import SOASnapshot, round_out_f32
+from repro.engine.soa.snapshot import SOASnapshot
 from repro.geometry.rect import Rect
 
 __all__ = ["SnapshotRefresher"]
@@ -231,7 +231,7 @@ class _Pass:
             points=self._leaf_rows(rows, old.points, self.fresh_points),
             oids=self._leaf_rows(rows, old.oids, self.fresh_oids),
         )
-        self._carry_caches(snap, rows, box_rows, leaf_start, sizes)
+        self._carry_leaf_sort0(snap, rows, leaf_start, sizes)
         occ_of = np.full(int(page.max()) + 1, -1, dtype=np.int64)
         occ_of[snap.node_ref] = np.arange(m, dtype=np.int64)
         in_edge = np.full(m, -1, dtype=np.int64)
@@ -373,9 +373,9 @@ class _Pass:
         out[~from_old] = fresh.data[rows[~from_old] - self.n_old_edges]
         return out
 
-    def _carry_caches(self, snap, rows, box_rows, leaf_start, sizes) -> None:
-        """Build the new snapshot's ``leaf_sort0`` / ``boxes32`` from the
-        previous one's, computing only the rows that are new."""
+    def _carry_leaf_sort0(self, snap, rows, leaf_start, sizes) -> None:
+        """Build the new snapshot's ``leaf_sort0`` from the previous one's,
+        sorting only the leaves that are new."""
         old = self.prev.snap
         cached = getattr(old, "_leaf_sort0", None)
         if cached is not None:
@@ -395,17 +395,6 @@ class _Pass:
                 perm[s:e] = s + order
                 scol[s:e] = snap.points[s:e, 0][order]
             snap._leaf_sort0 = (perm, scol)
-        cached = getattr(old, "_boxes32", None)
-        if cached is not None:
-            lo = np.empty(snap.box_low.shape, dtype=np.float32)
-            hi = np.empty(snap.box_high.shape, dtype=np.float32)
-            from_old = box_rows < self.n_old_edges
-            lo[from_old] = cached[0][box_rows[from_old]]
-            hi[from_old] = cached[1][box_rows[from_old]]
-            lo[~from_old], hi[~from_old] = round_out_f32(
-                snap.box_low[~from_old], snap.box_high[~from_old]
-            )
-            snap._boxes32 = (lo, hi)
 
 
 def _id_mask(ids: set) -> np.ndarray:

@@ -133,29 +133,6 @@ class SOASnapshot:
         self._leaf_sort0 = (perm, scol)
         return self._leaf_sort0
 
-    def boxes32(self) -> tuple[np.ndarray, np.ndarray]:
-        """Conservative float32 copies of the edge boxes, built lazily.
-
-        Lows round down, highs round up, so a float32 intersection test
-        never rejects a pair the exact float64 test accepts — the cheap
-        prefilter in front of the exact check.
-        """
-        cached = getattr(self, "_boxes32", None)
-        if cached is None:
-            cached = self._boxes32 = round_out_f32(self.box_low, self.box_high)
-        return cached
-
-
-def round_out_f32(low: np.ndarray, high: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The float32 box rows enclosing float64 ``low``/``high`` rows: lows
-    rounded down, highs up.  Elementwise, so any subset of rows comes out
-    the same as it does within the whole array."""
-    lo = low.astype(np.float32)
-    lo = np.where(lo.astype(np.float64) > low, np.nextafter(lo, np.float32(-np.inf)), lo)
-    hi = high.astype(np.float32)
-    hi = np.where(hi.astype(np.float64) < high, np.nextafter(hi, np.float32(np.inf)), hi)
-    return lo, hi
-
 
 def active_snapshot(index) -> SOASnapshot | None:
     """The snapshot attached to ``index``, or None (absent / invalidated)."""

@@ -12,7 +12,9 @@ primitives unconditionally.  These tests pin:
   ``sqrt(lambda_min) * sqrt(sum d^2)``;
 - the scalar forms equal the one-row case, and a row's result does not
   depend on how many rows share the call (1, 7, and a batch straddling
-  the SOA kernel's ``_BLOCK_ELEMS`` block boundary);
+  the SOA kernel's ``_BLOCK_ELEMS`` block boundary) or on their layout:
+  ``(E, 1, d)`` boxes against ``(1, Q, d)`` queries give the per-pair
+  rows bit for bit, queries on box faces and at signed zeros included;
 - ``distance_batch``, ``distance``, ``mindist_rect`` and ``pair_mindist``
   leave their arguments alone (``pair_distances`` may overwrite only its
   scratch operand ``b``);
@@ -221,6 +223,52 @@ def test_rows_do_not_depend_on_batch_size(name):
                 metric.pair_distances(points[rows], qs[rows].copy()), whole_d[rows]
             )
             assert _bits_equal(metric.pair_mindist(qs[rows], low[rows], high[rows]), whole_b[rows])
+
+
+def _grouped_data(dims: int, n_edges: int = 5, n_queries: int = 6):
+    """Boxes and queries with degenerate sides, queries on box faces and
+    coordinates at +0.0 and -0.0 on both sides."""
+    rng = np.random.default_rng(100 + dims)
+    c1 = rng.uniform(-1.0, 1.0, size=(n_edges, dims))
+    c2 = rng.uniform(-1.0, 1.0, size=(n_edges, dims))
+    low, high = np.minimum(c1, c2), np.maximum(c1, c2)
+    low[0], high[0] = -0.0, 0.0  # a point box at the origin
+    low[1, ::2], high[1, ::2] = 0.0, 0.5  # faces at +0.0 ...
+    low[2, 1::2], high[2, 1::2] = -0.5, -0.0  # ... and at -0.0
+    high[3, 0] = low[3, 0]
+    qs = rng.uniform(-1.2, 1.2, size=(n_queries, dims))
+    qs[0] = 0.0
+    qs[1] = -0.0
+    qs[2] = low[3]  # on a box's low corner
+    qs[3] = high[4]  # on a box's high corner
+    qs[4, ::2] = low[1, ::2]  # on some faces, inside or outside others
+    qs[4, 1::2] = high[2, 1::2]
+    points = rng.uniform(-1.0, 1.0, size=(n_edges, dims)).astype(np.float32)
+    points[0] = -0.0
+    return points, qs, low, high
+
+
+@pytest.mark.parametrize("dims", [1, 7, 8, 9, 16, 64, 128, 129])
+@pytest.mark.parametrize("name", NAMES)
+def test_grouped_rows_equal_pair_rows(name, dims):
+    # The SOA frontier bounds every child of a parent against every live
+    # query in one broadcast call; each (edge, query) entry must be the
+    # bits of that pair's own row.
+    metric = _metrics(dims)[name]
+    points, qs, low, high = _grouped_data(dims)
+    n_e, n_q = len(low), len(qs)
+    e, q = np.divmod(np.arange(n_e * n_q), n_q)  # edge-major pairs
+
+    grouped = metric.pair_mindist(qs[None], low[:, None], high[:, None])
+    assert grouped.dtype == np.float64 and grouped.shape == (n_e, n_q)
+    assert _bits_equal(grouped.ravel(), metric.pair_mindist(qs[q], low[e], high[e]))
+    for i, j in zip(e, q):
+        assert _bits_equal(grouped[i, j], metric.mindist_rect(qs[j], low[i], high[i]))
+
+    scratch = np.broadcast_to(qs, (n_e, n_q, dims)).copy()
+    dists = metric.pair_distances(points[:, None], scratch)
+    assert dists.shape == (n_e, n_q)
+    assert _bits_equal(dists.ravel(), metric.pair_distances(points[e], qs[q].copy()))
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -1,14 +1,17 @@
 """Cache-sized row blocks in the SOA kernel.
 
 The vectorized frontier masks and the distance leaf scan of
-:mod:`repro.engine.soa.kernel` run in blocks of ``_BLOCK_ELEMS // dims``
-rows.  These tests pin the two halves of that contract:
+:mod:`repro.engine.soa.kernel` run in blocks of ``_BLOCK_ELEMS`` elements:
+each parent's ``children x queries x dims`` broadcast is split along the
+query axis, the leaf scan into ``_BLOCK_ELEMS // dims`` rows.  These tests
+pin the two halves of that contract:
 
 - blocks change only the schedule: with the block size shrunk until every
-  frontier level and distance leaf scan spans many blocks (down to one row
-  per block), range and distance batches still match the object kernel's
-  results, per-query pages and charged reads exactly, and a timeout that
-  fires mid-scan salvages only real hits;
+  parent's mask and distance leaf scan spans many blocks (down to one
+  query or row per block), range and distance batches still match the
+  object kernel's results, per-query pages and charged reads exactly, each
+  parent's mask equals the unsplit run's and the per-pair rows, and a
+  timeout that fires mid-scan salvages only real hits;
 - blocks bound the memory: a COLHIST-like 64-d L1 distance batch, whose
   widest frontier level is ~10^5 pairs, no longer allocates one
   ``pairs x dims`` float64 temporary per level.
@@ -127,6 +130,117 @@ def test_blocks_match_object_kernel_after_deletes(kind, block_log):
     centers, boxes = _workload(seed=5)
     _check_range_and_distance(index, centers, boxes)
     _assert_many_blocks(block_log)
+
+
+def _record_groups(monkeypatch):
+    """Record every frontier group the kernel tests, as ``(predicate,
+    first edge, live queries, mask)``, and how many query-axis blocks each
+    rect group was cut into."""
+    groups: list[tuple] = []
+    splits: list[int] = []
+    bounds_cls = soa_kernel._PairBounds
+    by_query = bounds_cls._by_query
+
+    def spy_by_query(self, fn, n_edges, live):
+        splits.append(len(soa_kernel._row_blocks(len(live), n_edges * self.snap.dims)))
+        return by_query(self, fn, n_edges, live)
+
+    def recorder(name):
+        predicate = getattr(bounds_cls, name)
+
+        def spy(self, first_edge, n_edges, live, *args):
+            mask = predicate(self, first_edge, n_edges, live, *args)
+            assert mask.dtype == bool and mask.shape == (n_edges, len(live))
+            groups.append((name, first_edge, live.copy(), mask.copy()))
+            return mask
+
+        return spy
+
+    monkeypatch.setattr(bounds_cls, "_by_query", spy_by_query)
+    for name in ("box_mask", "distance_mask"):
+        monkeypatch.setattr(bounds_cls, name, recorder(name))
+    return groups, splits
+
+
+def _batches(index, centers, boxes, groups):
+    """A range batch and one distance batch per metric; per batch, its
+    result with metrics and the groups it tested (moved out of ``groups``)."""
+    calls = [lambda: index.range_search_many(boxes, return_metrics=True)] + [
+        lambda m=metric: index.distance_range_many(centers, 0.3, m, return_metrics=True)
+        for metric in METRICS
+    ]
+    runs = []
+    for call in calls:
+        runs.append((call(), list(groups)))
+        groups.clear()
+    return runs
+
+
+def _pair_reference(snap, group, batch):
+    """The group's mask from per-pair rows, as the frontier computed it
+    before it grouped by parent: one gathered box row and query row per
+    ``(edge, query)`` pair, edge-major."""
+    name, first_edge, live, mask = group
+    n_edges, n_live = mask.shape
+    i, j = np.divmod(np.arange(n_edges * n_live), n_live)
+    e, q = first_edge + i, live[j]
+    if name == "box_mask":
+        rows = np.all(
+            (batch.lows[q] <= snap.box_high[e]) & (snap.box_low[e] <= batch.highs[q]),
+            axis=1,
+        )
+    else:
+        low, high = (
+            (snap.dist_low, snap.dist_high) if snap.kind == "rect2"
+            else (snap.box_low, snap.box_high)
+        )
+        rows = batch.metric.pair_mindist(batch.centers[q], low[e], high[e]) <= batch.radii[q]
+    return rows.reshape(n_edges, n_live)
+
+
+# 1 element: one query per block.  256 elements at 4 dims: a 23-child
+# root takes 2 queries per block and a 10-child parent 6, so most groups
+# end in a short block.
+@pytest.mark.parametrize("block_elems", [1, 256])
+@pytest.mark.parametrize("page_size", [PAGE_SIZE, 4096])
+@pytest.mark.parametrize("kind", ["hybrid", "rtree", "hbtree"])
+def test_parent_groups_split_along_query_axis(kind, page_size, block_elems, monkeypatch):
+    # 4096-byte pages give one wide parent (the root); 512-byte pages
+    # give ~10-26 parents of 2-38 children each, many of them tiny groups.
+    index = build_index(kind, clustered_dataset(3000, DIMS, seed=4), page_size=page_size)
+    snap = index.compile_snapshot()
+    centers, boxes = _workload(seed=13, count=24)
+    batches = [QueryBatch.range(boxes, DIMS)] + [
+        QueryBatch.distance(centers, 0.3, metric, DIMS) for metric in METRICS
+    ]
+    groups, splits = _record_groups(monkeypatch)
+    whole = _batches(index, centers, boxes, groups)
+    assert splits and max(splits) == 1, "the default block should hold every group"
+    splits.clear()
+    monkeypatch.setattr(soa_kernel, "_BLOCK_ELEMS", block_elems)
+    split = _batches(index, centers, boxes, groups)
+    assert max(splits) > 1, "no group was split along the query axis"
+    if page_size == PAGE_SIZE:
+        assert len(split[0][1]) > 5, "expected many small parents"
+
+    index.invalidate_snapshot()
+    obj = [kernel_range_search_many(index, batches[0], return_metrics=True)] + [
+        kernel_distance_range_many(index, b, return_metrics=True) for b in batches[1:]
+    ]
+    for batch, (s_run, s_groups), (w_run, w_groups), o_run in zip(batches, split, whole, obj):
+        what = f"{batch.kind}[{batch.metric!r}]"
+        # The split run tests the same groups and gets the same masks, and
+        # each mask is the per-pair rows' verdicts, edge-major.
+        assert len(s_groups) == len(w_groups), what
+        for (n1, e1, l1, m1), (n2, e2, l2, m2) in zip(s_groups, w_groups):
+            assert (n1, e1) == (n2, e2), what
+            assert np.array_equal(l1, l2) and np.array_equal(m1, m2), what
+            assert np.array_equal(m1, _pair_reference(snap, (n1, e1, l1, m1), batch)), what
+        # Same results, pages and charged reads as the unsplit run and
+        # the object kernel.
+        _assert_same(s_run, w_run, f"{what} split vs whole")
+        _assert_same(s_run, o_run, f"{what} split vs object kernel")
+        assert any(s_run[0]), f"{what} found no hits"
 
 
 class _FiresAtCheck(Deadline):

@@ -59,10 +59,9 @@ def _assert_arrays_equal(snap, fresh, what):
             assert np.array_equal(a, b), f"{what}: {f.name} differs"
         else:
             assert a == b, f"{what}: {f.name} differs"
-    # The lazily built caches, carried over by the refresh when present.
-    for name in ("leaf_sort0", "boxes32"):
-        for a, b in zip(getattr(snap, name)(), getattr(fresh, name)()):
-            assert a.dtype == b.dtype and np.array_equal(a, b), f"{what}: {name} differs"
+    # The lazily built cache, carried over by the refresh when present.
+    for a, b in zip(snap.leaf_sort0(), fresh.leaf_sort0()):
+        assert a.dtype == b.dtype and np.array_equal(a, b), f"{what}: leaf_sort0 differs"
 
 
 def _assert_same(soa, obj, what):
