@@ -20,6 +20,14 @@ Both take broadcastable ``(..., d)`` operands and reduce over the last
 axis, so ``(E, 1, d)`` boxes against ``(1, Q, d)`` queries give every
 box's bound to every query in one call.
 
+A third, optional primitive serves filter-and-refine callers:
+``pair_mindist_lower32(q32, low32, high32)`` bounds ``pair_mindist`` from
+below in float32 over query rows and boxes rounded outward by
+:func:`round_out_f32`, with a rounding margin proven for any summation
+order, so ``bound > r`` certifies ``pair_mindist > r``.  ``L_p`` for p in
+{1, 2, inf} and :class:`WeightedEuclidean` give one; every other metric
+returns ``None`` and is evaluated exactly.
+
 ``distance``, ``distance_batch`` and ``mindist_rect`` are their one-row and
 broadcast cases, so each metric's formula lives in one place and every
 engine gets the same bits for the same pair (see :mod:`.metrics`).
@@ -37,6 +45,7 @@ from repro.distances.metrics import (
     QuadraticFormMetric,
     UserMetric,
     WeightedEuclidean,
+    round_out_f32,
 )
 
 __all__ = [
@@ -48,4 +57,5 @@ __all__ = [
     "QuadraticFormMetric",
     "UserMetric",
     "WeightedEuclidean",
+    "round_out_f32",
 ]

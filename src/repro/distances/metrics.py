@@ -21,6 +21,22 @@ and the result has the operands' broadcast leading shape:
     box point closest to the query), which keeps branch-and-bound search
     exact and prunes as much as possible.
 
+``pair_mindist_lower32(q32, low32, high32)``
+    The float32 stage of ``pair_mindist``, for filter-and-refine callers
+    that test many pairs and decide the few that survive exactly.  The
+    operands are float32: query rows (float32-exact) and box rows rounded
+    outward with :func:`round_out_f32`.  Row ``i`` is a float64 number
+    *certified* to be ``<=`` the exact ``pair_mindist(q[i], low[i],
+    high[i])`` for every float64 box ``[low, high]`` inside the float32
+    box and every ``q == q32`` — whatever summation order numpy picks
+    for either reduction, with subnormal gaps, coordinates beyond float32's
+    range and infinite corners included (a row whose float32 sum overflows
+    gets 0).  So ``bound > r`` proves ``pair_mindist > r``, and pruning on
+    it never changes a verdict.  Only metrics with a proven rounding margin
+    give one (``L_p`` for p in {1, 2, inf}, :class:`WeightedEuclidean`);
+    the base class returns ``None`` for any operands, so a caller may ask
+    once with empty rows.
+
 The familiar forms are their special cases: ``distance(a, b)`` is the
 one-row case of ``pair_distances``, ``distance_batch(points, q)`` (distances
 from every row of ``points`` to ``q``) its broadcast case, and
@@ -43,6 +59,74 @@ import math
 from collections.abc import Callable
 
 import numpy as np
+
+
+_U32 = 2.0**-24
+"""float32's unit roundoff: a correctly rounded float32 operation whose
+result is normal is off by at most this factor of it."""
+
+_HALF_SUBNORMAL32 = 2.0**-150
+"""The most a float32 product whose exact value underflows is off by."""
+
+
+def _f32_below(x: np.ndarray) -> np.ndarray:
+    """Elementwise, the largest float32 value ``<= x`` (``-inf`` below
+    float32's range, its largest finite value above it)."""
+    with np.errstate(over="ignore"):
+        y = x.astype(np.float32)
+        return np.where(y > x, np.nextafter(y, np.float32(-np.inf)), y)
+
+
+def round_out_f32(low: np.ndarray, high: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float32 box rows enclosing float64 ``low``/``high`` rows: lows
+    rounded down, highs up.  A float32 comparison of float32 points against
+    them never rejects a point the exact float64 comparison keeps, and
+    :meth:`Metric.pair_mindist_lower32` bounds every box inside them."""
+    return _f32_below(low), -_f32_below(-high)
+
+
+def _gaps32(q32: np.ndarray, low32: np.ndarray, high32: np.ndarray) -> np.ndarray:
+    """``|clip(q, low, high) - q|`` in float32, a fresh array: per
+    coordinate at most ``1 + _U32`` times the real gap from ``q`` to the
+    float32 box, which is no larger than its gap to any box inside it
+    (``inf`` where the subtraction overflows).  A subtraction that
+    underflows is exact, so subnormal gaps keep the relative bound.
+    ``maximum`` then an in-place ``minimum`` is ``np.clip``'s projection at
+    about half its cost."""
+    gap = np.maximum(q32, low32)
+    np.minimum(gap, high32, out=gap)
+    np.subtract(gap, q32, out=gap)
+    return np.abs(gap, out=gap)
+
+
+def _certify(total32: np.ndarray, dims: int, squared: bool, wmax: float = 1.0) -> np.ndarray:
+    """The certified float64 lower bound from a float32 row reduction.
+
+    ``total32`` is the float32 sum (or max) over ``dims`` terms, each at
+    most ``(1 + _U32)**k`` times its real value (k = 1 for a gap, 3 for a
+    square, 4 for a weighted square), plus, for squares, up to
+    ``_HALF_SUBNORMAL32 * (1 + 2 * wmax)`` where a product underflows.  A
+    float32 sum of non-negative terms in any order is at most ``(1 +
+    _U32)**(dims - 1)`` times their real sum.  The float64
+    ``pair_mindist`` of a box inside the float32 one is at least ``(1 -
+    2**-53)**(dims + 5)`` times the real value on the float32 box's gaps
+    (rounding is monotone, and on float32-range gaps its operations never
+    underflow).  ``shrink = 1 - 4 * (dims + 4)
+    * _U32`` covers the product of both factors and the float64
+    operations below with room to spare, and the subtracted slack covers
+    the underflow terms, so the result is ``<=`` the exact bound.  An
+    overflowed (or NaN) row gets 0.
+    """
+    shrink = max(0.0, 1.0 - 4 * (dims + 4) * _U32)
+    bound = total32.astype(np.float64)
+    bound *= shrink
+    if squared:
+        bound -= 2 * dims * _HALF_SUBNORMAL32 * (1.0 + 2.0 * wmax)
+        np.maximum(bound, 0.0, out=bound)
+        np.sqrt(bound, out=bound)
+        bound *= shrink
+    bound[~np.isfinite(bound)] = 0.0
+    return bound
 
 
 def _per_row(fn, *arrays: np.ndarray) -> np.ndarray:
@@ -85,6 +169,14 @@ class Metric:
 
     def pair_mindist(self, q: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
         return _per_row(self.mindist_rect, q, low, high)
+
+    def pair_mindist_lower32(
+        self, q32: np.ndarray, low32: np.ndarray, high32: np.ndarray
+    ) -> np.ndarray | None:
+        """A certified float32-stage lower bound on :meth:`pair_mindist`
+        (see the module docstring), or ``None``: a metric without a proven
+        rounding margin has none, whatever the operands."""
+        return None
 
 
 class _DifferenceMetric(Metric):
@@ -139,6 +231,21 @@ class LpMetric(_DifferenceMetric):
             return diff.max(axis=-1)
         return (diff**self.p).sum(axis=-1) ** (1.0 / self.p)
 
+    def pair_mindist_lower32(
+        self, q32: np.ndarray, low32: np.ndarray, high32: np.ndarray
+    ) -> np.ndarray | None:
+        if self.p not in (1.0, 2.0, math.inf):
+            return None
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap = _gaps32(q32, low32, high32)
+            if self.p == 1.0:
+                total = gap.sum(axis=-1)
+            elif self.p == 2.0:
+                total = np.multiply(gap, gap, out=gap).sum(axis=-1)
+            else:
+                total = gap.max(axis=-1)
+            return _certify(total, gap.shape[-1], squared=self.p == 2.0)
+
     def __repr__(self) -> str:
         return f"LpMetric(p={self.p})"
 
@@ -173,9 +280,24 @@ class WeightedEuclidean(_DifferenceMetric):
         if self.weights.ndim != 1 or np.any(self.weights < 0):
             raise ValueError("weights must be a 1-d non-negative array")
         self.dims = len(self.weights)
+        # Rounded down, so the float32 stage never weighs a gap more.
+        self._weights32 = _f32_below(self.weights) if np.isfinite(self.weights).all() else None
 
     def _reduce(self, diff: np.ndarray) -> np.ndarray:
         return np.sqrt((self.weights * diff * diff).sum(axis=-1))
+
+    def pair_mindist_lower32(
+        self, q32: np.ndarray, low32: np.ndarray, high32: np.ndarray
+    ) -> np.ndarray | None:
+        w32 = self._weights32
+        if w32 is None:
+            return None
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap = _gaps32(q32, low32, high32)
+            np.multiply(gap, gap, out=gap)
+            total = np.multiply(gap, w32, out=gap).sum(axis=-1)
+            wmax = float(w32.max()) if w32.size else 0.0
+            return _certify(total, gap.shape[-1], squared=True, wmax=wmax)
 
     def __repr__(self) -> str:
         return f"WeightedEuclidean(weights={self.weights.tolist()})"

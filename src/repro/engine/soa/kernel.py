@@ -9,9 +9,11 @@ same results, same accounting:
   a level is grouped by parent, and each parent's children — contiguous
   CSR edge rows — are tested against its live queries with one broadcast
   predicate, whose edge-major ``(children, queries)`` mask's nonzero
-  entries are the next level.  Leaf hits are then replayed in DFS
-  pre-order (occurrence id order), which reproduces the object walk's
-  output order exactly.
+  entries are the next level.  On rect snapshots the predicate runs in
+  two stages: a cheap broadcast that may only over-accept (most pairs
+  fail it), then the exact test on its survivors alone.  Leaf hits are
+  then replayed in DFS pre-order (occurrence id order), which reproduces
+  the object walk's output order exactly.
 - ``soa_knn_many`` runs the object kernel's per-query best-first rounds
   (:mod:`repro.engine.bestfirst`) — k-NN pruning depends on the order
   leaves are scanned in, so every query keeps ``HybridTree.knn``'s own
@@ -28,6 +30,14 @@ Bit-identity rules (asserted by ``tests/test_soa_conformance.py``):
   frontier's per-parent broadcasts, k-NN's per-pair batches and the leaf
   scans match the object kernel's and the single-query search's calls
   float for float, whatever the metric.  The box test is pure comparison;
+- a frontier mask may have a cheap first stage only if it can never drop
+  a pair the exact test keeps: the box test's first comparison, and for
+  distance queries a float32 bound that prunes a pair only under the
+  metric's certificate (``pair_mindist_lower32``, provably ``<=`` the
+  float64 ``pair_mindist``, over the snapshot's boxes rounded outward).
+  The survivors are decided by the exact test on their gathered rows —
+  for distance, the unchanged float64 formula, whose rows are the same
+  bits gathered or broadcast — so each mask is the exact mask;
 - non-rect geometry (spheres, SR-tree rect-spheres, M-tree routers) is
   evaluated with *per-edge* calls of the exact same ``ChildBound`` code
   the object kernel runs, each with the parent's live queries;
@@ -53,7 +63,7 @@ import time
 
 import numpy as np
 
-from repro.distances import Metric
+from repro.distances import Metric, round_out_f32
 from repro.engine.bestfirst import TopK, best_first_knn
 from repro.engine.bestfirst import concat_ranges as _concat_ranges
 from repro.engine.bestfirst import per_edge_eval as _per_edge_eval
@@ -142,16 +152,15 @@ def _bisect_windows(
     return lo[:npairs], lo[npairs:]
 
 
-def round_out_f32(low: np.ndarray, high: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The float32 box rows enclosing float64 ``low``/``high`` rows: lows
-    rounded down, highs up.  A float32 comparison of float32 points against
-    them never rejects a point the exact float64 comparison keeps, which
-    makes them the range leaf scan's conservative float32 stage."""
-    lo = low.astype(np.float32)
-    lo = np.where(lo.astype(np.float64) > low, np.nextafter(lo, np.float32(-np.inf)), lo)
-    hi = high.astype(np.float32)
-    hi = np.where(hi.astype(np.float64) < high, np.nextafter(hi, np.float32(np.inf)), hi)
-    return lo, hi
+def _refine(cand: np.ndarray, exact) -> np.ndarray:
+    """Second stage of a two-stage mask: ``cand`` (edge-major, modified in
+    place) with each true entry replaced by ``exact(ei, qi)``, the exact
+    verdicts of the ``(row, column)`` pairs it gathers.  The first stage
+    may only over-accept, so the result is the exact mask."""
+    ei, qi = np.nonzero(cand)
+    if ei.size:
+        cand[ei, qi] = exact(ei, qi)
+    return cand
 
 
 class _PairBounds:
@@ -161,20 +170,37 @@ class _PairBounds:
     parent at a time: its ``n_edges`` children, which sit in the
     contiguous CSR edge rows ``[first_edge, first_edge + n_edges)``,
     against the queries still alive at it, and return the edge-major
-    ``(n_edges, n_live)`` mask.  Rect snapshots compute it with one
-    broadcast call over ``(n_edges, 1, d)`` boxes and ``(1, n_live, d)``
-    queries, split along the query axis by :func:`_row_blocks` so no
-    temporary exceeds ``_BLOCK_ELEMS`` elements; nothing is gathered per
-    pair.  Other geometry calls each child's own bound object once with
-    the parent's live queries, exactly the rows the object kernel passes
-    it.  k-NN's :meth:`mindist` stays per ``(edge, query)`` pair, since
-    best-first rounds mix parents and queries freely.
+    ``(n_edges, n_live)`` mask.  Rect snapshots compute it in two stages,
+    split along the query axis by :func:`_row_blocks` so no temporary
+    exceeds ``_BLOCK_ELEMS`` elements:
+
+    1. one broadcast call over ``(n_edges, 1, d)`` boxes and ``(1, n_live,
+       d)`` queries that may only over-accept: the box test's first
+       comparison, or the metric's certified float32 lower bound
+       (``pair_mindist_lower32`` on :meth:`SOASnapshot.dist_boxes32`),
+       which prunes a pair only where it exceeds the radius;
+    2. :func:`_refine`: the exact test — the box test's second comparison,
+       or the float64 ``pair_mindist`` — on the survivors' gathered rows.
+
+    Most pairs fail stage 1, and a pair's exact row is the same bits
+    gathered or broadcast, so the mask is the exact grouped mask.  A
+    metric without a certificate runs the float64 bound as stage 1, with
+    no stage 2.  Other geometry calls each child's own bound object once
+    with the parent's live queries, exactly the rows the object kernel
+    passes it.  k-NN's :meth:`mindist` stays per ``(edge, query)`` pair,
+    since best-first rounds mix parents and queries freely.
     """
 
     def __init__(self, snap, metric: Metric | None = None):
         self.snap = snap
         self.metric = metric
         self._rectlike = snap.kind in ("rect", "rect2")
+        empty = np.empty((0, snap.dims), dtype=np.float32)
+        self._certified = (
+            self._rectlike
+            and metric is not None
+            and metric.pair_mindist_lower32(empty, empty, empty) is not None
+        )
 
     def _by_query(self, fn, n_edges: int, live: np.ndarray) -> np.ndarray:
         """The ``(n_edges, n_live)`` mask ``fn(live)``, evaluated over
@@ -206,11 +232,12 @@ class _PairBounds:
             # Rect.intersects_boxes_mask, every child box against every
             # live query: pure comparison, so exact in any layout.
             rows = slice(first_edge, first_edge + n_edges)
-            box_low = self.snap.box_low[rows, None]
-            box_high = self.snap.box_high[rows, None]
+            box_low, box_high = self.snap.box_low[rows], self.snap.box_high[rows]
             return self._by_query(
-                lambda q: np.all(lows[q][None] <= box_high, axis=-1)
-                & np.all(box_low <= highs[q][None], axis=-1),
+                lambda q: _refine(
+                    np.all(lows[q][None] <= box_high[:, None], axis=-1),
+                    lambda ei, qi: np.all(box_low[ei] <= highs[q[qi]], axis=-1),
+                ),
                 n_edges,
                 live,
             )
@@ -218,16 +245,10 @@ class _PairBounds:
         return self._per_edge(first_edge, n_edges, len(live), lambda b: b.box_mask(lo, hi))
 
     # -- metric lower bounds -------------------------------------------
-    def _dist_boxes(self) -> tuple[np.ndarray, np.ndarray]:
-        snap = self.snap
-        if snap.kind == "rect2":
-            return snap.dist_low, snap.dist_high
-        return snap.box_low, snap.box_high
-
     def mindist(self, e: np.ndarray, q: np.ndarray, qs: np.ndarray) -> np.ndarray:
         """Per ``(edge, query)`` pair: the metric's lower bound."""
         if self._rectlike:
-            low, high = self._dist_boxes()
+            low, high = self.snap.dist_boxes()
             return self.metric.pair_mindist(qs[q], low[e], high[e])
         bounds, metric = self.snap.edge_bounds, self.metric
         return _per_edge_eval(
@@ -243,18 +264,31 @@ class _PairBounds:
         radii: np.ndarray,
     ) -> np.ndarray:
         metric = self.metric
-        if self._rectlike:
-            low, high = self._dist_boxes()
-            rows = slice(first_edge, first_edge + n_edges)
-            low, high = low[rows, None], high[rows, None]
+        if not self._rectlike:
+            qrows, r = qs[live], radii[live]
+            return self._per_edge(
+                first_edge, n_edges, len(live), lambda b: b.distance_mask(qrows, r, metric)
+            )
+        rows = slice(first_edge, first_edge + n_edges)
+        low, high = (a[rows] for a in self.snap.dist_boxes())
+        if not self._certified:
             return self._by_query(
-                lambda q: metric.pair_mindist(qs[q][None], low, high) <= radii[q],
+                lambda q: metric.pair_mindist(qs[q][None], low[:, None], high[:, None])
+                <= radii[q],
                 n_edges,
                 live,
             )
-        qrows, r = qs[live], radii[live]
-        return self._per_edge(
-            first_edge, n_edges, len(live), lambda b: b.distance_mask(qrows, r, metric)
+        low32, high32 = (a[rows, None] for a in self.snap.dist_boxes32())
+        # QueryBatch centers are float32-canonical, so the cast is exact.
+        return self._by_query(
+            lambda q: _refine(
+                metric.pair_mindist_lower32(qs[q].astype(np.float32)[None], low32, high32)
+                <= radii[q],
+                lambda ei, qi: metric.pair_mindist(qs[q[qi]], low[ei], high[ei])
+                <= radii[q[qi]],
+            ),
+            n_edges,
+            live,
         )
 
 

@@ -22,7 +22,9 @@ pages a round touched, not with the tree; the gathers that lay the arrays
 out in the new order are flat numpy copies.  The result equals a
 from-scratch ``compile_snapshot`` array for array, including the lazily
 built ``leaf_sort0`` cache, which is carried over for unchanged rows
-when the previous snapshot had it.
+when the previous snapshot had it.  The float32 distance boxes
+(``SOASnapshot.dist_boxes32``) are not carried over: one outward-rounding
+pass rebuilds them on the next distance batch.
 
 The reuse state (:class:`_Reuse`) is a few flat arrays beside the
 snapshot: the occurrence of every page id, the edge into every

@@ -38,6 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.distances import round_out_f32
+
 __all__ = ["SOASnapshot", "active_snapshot", "compile_snapshot"]
 
 #: Geometry kinds a snapshot's edges can carry.
@@ -100,6 +102,23 @@ class SOASnapshot:
         """True when the kernel needs no ``edge_bounds`` objects — the
         precondition for persisting the snapshot."""
         return self.kind in ARRAY_ONLY_KINDS
+
+    def dist_boxes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edge boxes metric bounds are taken from: the region rows of
+        a ``rect2`` snapshot, the box rows otherwise."""
+        if self.kind == "rect2":
+            return self.dist_low, self.dist_high
+        return self.box_low, self.box_high
+
+    def dist_boxes32(self) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`dist_boxes` rounded outward to float32
+        (:func:`~repro.distances.round_out_f32`), built lazily on the first
+        distance batch and cached: the operands of the frontier's float32
+        stage.  A refresh builds a new snapshot, which rebuilds them."""
+        cached = getattr(self, "_dist_boxes32", None)
+        if cached is None:
+            cached = self._dist_boxes32 = round_out_f32(*self.dist_boxes())
+        return cached
 
     def leaf_sort0(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-leaf sort of the points by dimension 0, built lazily.

@@ -290,6 +290,174 @@ def test_inputs_are_left_alone(name):
 
 
 # ----------------------------------------------------------------------
+# The float32 stage: a certified lower bound on pair_mindist
+# ----------------------------------------------------------------------
+F32_MAX = float(np.finfo(np.float32).max)
+F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
+CERTIFIED = ["L1", "L2", "Linf", "weighted"]
+
+
+def _certified_metrics(dims: int) -> dict[str, Metric]:
+    """The certified metrics, plus weighted metrics whose weights span
+    float32's range: subnormal and sub-float32 weights, and large ones."""
+    out = {name: m for name, m in _metrics(dims).items() if name in CERTIFIED}
+    spread = np.array([1e-42, 1e-300, 1.0, 3.0, 1e30, 1e-20])
+    out["weighted-spread"] = WeightedEuclidean(np.resize(spread, dims))
+    return out
+
+
+def _f32(x) -> np.ndarray:
+    """Round to float32 (beyond its range to +-inf), back as float64."""
+    with np.errstate(over="ignore"):
+        return np.asarray(x, dtype=np.float32).astype(np.float64)
+
+
+def _certificate_cases(dims: int, seed: int):
+    """Float32-exact queries against float64 boxes covering every rounding
+    hazard of the float32 stage: boxes that are not float32-exact, queries
+    on box faces and at +-0.0, gaps that are float32 subnormals or round to
+    zero in float32, squares that underflow, coordinates at and beyond
+    float32's maximum, and infinite corners."""
+    rng = np.random.default_rng(seed)
+    n_q = 12
+    # Gaps at every magnitude, from float64 subnormals to beyond float32.
+    scale = 10.0 ** rng.integers(-320, 40, size=(n_q, dims)).astype(np.float64)
+    qs = _f32(rng.uniform(-1.0, 1.0, size=(n_q, dims)) * np.minimum(scale, F32_MAX))
+    qs[0] = 0.0
+    qs[1] = -0.0
+    qs[2] = F32_MAX * np.sign(rng.uniform(-1, 1, dims))
+    qs[3] = F32_TINY
+    qs[4] = _f32(rng.uniform(-1.0, 1.0, dims))
+    qs[5] = qs[4]
+
+    lows, highs = [], []
+
+    def box(lo, hi):
+        lo, hi = np.broadcast_to(lo, dims), np.broadcast_to(hi, dims)
+        lows.append(np.minimum(lo, hi))
+        highs.append(np.maximum(lo, hi))
+
+    for q in qs:
+        # Boxes just off the query: float64 steps, float32 subnormal steps,
+        # and gaps whose squares underflow float32.
+        box(np.nextafter(q, np.inf), q + 1e-300)
+        box(q + 3 * F32_TINY, q + 7 * F32_TINY)
+        box(q - 1e-22, q - 3e-23)
+        box(q, q + rng.uniform(0, 1, dims))  # the query on a low face
+        box(q - rng.uniform(0, 1, dims), q)  # ... and on a high face
+        # Float32-exact boxes: no outward rounding hides a rounding error
+        # of the float32 gaps or sums.
+        side = np.where(rng.random(dims) < 0.5, -1.0, 1.0)
+        near = _f32(q + side * rng.uniform(0.0, 1.0, dims) * np.maximum(np.abs(q), 1e-3))
+        box(near, near)
+        box(near, _f32(near + side * rng.uniform(0.0, 1.0, dims)))
+    c1 = rng.uniform(-1.0, 1.0, size=(8, dims)) * 10.0 ** rng.integers(-40, 39, size=(8, 1))
+    c2 = c1 + rng.uniform(0.0, 1.0, size=(8, dims)) * np.abs(c1)
+    for lo, hi in zip(c1, c2):
+        box(lo, hi)  # not float32-exact
+    box(-0.0, 0.0)
+    box(0.0, 0.5)
+    box(-0.5, -0.0)
+    box(1e39, 2e39)  # beyond float32, above
+    box(-2e39, -1e39)  # ... and below
+    box(-np.inf, -1e39)
+    box(1e39, np.inf)
+    box(-np.inf, np.inf)
+    box(F32_MAX, np.inf)
+    box(-np.inf, -F32_MAX)
+    box(-F32_MAX, -F32_MAX / 2)
+    box(np.inf, np.inf)
+    return qs, np.array(lows), np.array(highs)
+
+
+@pytest.mark.parametrize("dims", [1, 7, 8, 9, 16, 64, 128, 129])
+def test_float32_stage_bound_is_below_exact_bound(dims):
+    from repro.distances import round_out_f32
+
+    for seed in range(3):
+        qs, low, high = _certificate_cases(dims, seed)
+        low32, high32 = round_out_f32(low, high)
+        assert low32.dtype == high32.dtype == np.float32
+        assert np.all(low32 <= low) and np.all(high <= high32)
+        q32 = qs.astype(np.float32)
+        assert np.array_equal(q32.astype(np.float64), qs)
+        n_e, n_q = len(low), len(qs)
+        e, q = np.divmod(np.arange(n_e * n_q), n_q)
+        for name, metric in _certified_metrics(dims).items():
+            with np.errstate(all="ignore"):
+                exact = metric.pair_mindist(qs[None], low[:, None], high[:, None])
+            grouped = metric.pair_mindist_lower32(q32[None], low32[:, None], high32[:, None])
+            rows = metric.pair_mindist_lower32(q32[q], low32[e], high32[e])
+            assert grouped.dtype == rows.dtype == np.float64, name
+            assert grouped.shape == exact.shape and rows.shape == (n_e * n_q,), name
+            assert not np.isnan(exact).any(), name
+            # Compared as floats: no tolerance.
+            bad = ~(grouped <= exact)
+            assert not bad.any(), (name, seed, grouped[bad][:3], exact[bad][:3])
+            assert not (~(rows <= exact.ravel())).any(), (name, seed)
+            assert np.all(grouped >= 0) and np.all(rows >= 0), name
+
+
+@pytest.mark.parametrize("dims", [1, 8, 64, 129])
+def test_float32_stage_bound_is_tight(dims):
+    # On data in float32's normal range the bound is within the rounding
+    # margin and one float32 ulp of the box corners per dimension of the
+    # exact one: loose enough to be safe, tight enough that the float32
+    # stage prunes what the exact test prunes.
+    from repro.distances import round_out_f32
+
+    rng = np.random.default_rng(dims)
+    qs = _f32(rng.uniform(0.0, 1.0, size=(20, dims)))
+    low = rng.uniform(0.0, 1.0, size=(30, dims))
+    high = low + rng.uniform(0.0, 0.2, size=(30, dims))
+    low32, high32 = round_out_f32(low, high)
+    for name, metric in _certified_metrics(dims).items():
+        if name == "weighted-spread":
+            continue
+        exact = metric.pair_mindist(qs[None], low[:, None], high[:, None])
+        bound = metric.pair_mindist_lower32(
+            qs.astype(np.float32)[None], low32[:, None], high32[:, None]
+        )
+        assert np.all(bound <= exact), name
+        slack = exact * 20 * (dims + 4) * 2.0**-24 + 4 * dims * 2.0**-23
+        assert np.all(bound >= exact - slack), name
+        assert (exact > 0).mean() > 0.5, name
+
+
+@pytest.mark.parametrize("name", [n for n in NAMES if n not in CERTIFIED])
+def test_float32_stage_is_none_without_certificate(name):
+    dims = 5
+    metric = _metrics(dims)[name]
+    _, qs, low, high = _data(6, dims, seed=2)
+    f32 = [x.astype(np.float32) for x in (qs, low, high)]
+    assert metric.pair_mindist_lower32(*f32) is None
+    empty = np.empty((0, dims), dtype=np.float32)
+    assert metric.pair_mindist_lower32(empty, empty, empty) is None
+    # A weighted metric with a non-finite weight has no certificate either.
+    assert WeightedEuclidean([1.0, np.inf]).pair_mindist_lower32(
+        np.zeros((1, 2), np.float32), np.zeros((1, 2), np.float32), np.ones((1, 2), np.float32)
+    ) is None
+
+
+def test_float32_stage_centers_round_trip_through_float32():
+    # The frontier casts batch centers to float32 for its first stage; the
+    # cast is exact because QueryBatch canonicalizes them to float32.
+    from repro.engine.query import QueryBatch
+
+    rng = np.random.default_rng(4)
+    raw = rng.normal(size=(50, 7)) * 10.0 ** rng.integers(-40, 38, size=(50, 1))
+    raw[0] = np.nextafter(1.0, 2.0)  # not float32-exact
+    raw[1] = -0.0
+    for batch in (
+        QueryBatch.distance(raw, 1.0, L1, 7),
+        QueryBatch.knn(raw, 3, L2, 0.0, 7),
+    ):
+        assert batch.centers.dtype == np.float64
+        assert np.array_equal(batch.centers.astype(np.float32).astype(np.float64), batch.centers)
+        assert _bits_equal(batch.centers, raw.astype(np.float32))
+
+
+# ----------------------------------------------------------------------
 # Checks in front of every engine
 # ----------------------------------------------------------------------
 DIMS = 4

@@ -15,6 +15,13 @@ pin the two halves of that contract:
 - blocks bound the memory: a COLHIST-like 64-d L1 distance batch, whose
   widest frontier level is ~10^5 pairs, no longer allocates one
   ``pairs x dims`` float64 temporary per level.
+
+They also pin the frontier's two-stage masks: a float32 stage that may
+only over-accept, and the exact test on its survivors.  Every group's
+mask equals the exact grouped mask for every metric, with radii on and
+one ulp either side of real pairs' exact bounds; the float32 boxes
+follow a refresh; and on COLHIST-like 64-d data the float32 stage lets
+through almost nothing the exact test rejects.
 """
 
 from __future__ import annotations
@@ -27,7 +34,16 @@ import pytest
 import repro.engine.soa.kernel as soa_kernel
 from repro.core import HybridTree
 from repro.datasets import clustered_dataset
-from repro.distances import L1, L2, LINF, WeightedEuclidean
+from repro.distances import (
+    L1,
+    L2,
+    LINF,
+    LpMetric,
+    QuadraticFormMetric,
+    UserMetric,
+    WeightedEuclidean,
+    round_out_f32,
+)
 from repro.engine.kernel import kernel_distance_range_many, kernel_range_search_many
 from repro.engine.query import QueryBatch
 from repro.eval.harness import build_index
@@ -241,6 +257,137 @@ def test_parent_groups_split_along_query_axis(kind, page_size, block_elems, monk
         _assert_same(s_run, w_run, f"{what} split vs whole")
         _assert_same(s_run, o_run, f"{what} split vs object kernel")
         assert any(s_run[0]), f"{what} found no hits"
+
+
+ALL_METRICS = METRICS + (
+    LpMetric(3.0),
+    QuadraticFormMetric(np.diag(np.linspace(1.0, 3.0, DIMS)) + 0.2),
+    UserMetric(lambda a, b: float(np.abs(a - b).sum())),
+)
+CERTIFIED = METRICS
+
+
+def _record_refines(monkeypatch):
+    """Record ``(candidates, survivors, pairs)`` of every second stage."""
+    stages: list[tuple[int, int, int]] = []
+    refine = soa_kernel._refine
+
+    def spy(cand, exact):
+        n_cand, n_pairs = int(cand.sum()), cand.size
+        mask = refine(cand, exact)
+        stages.append((n_cand, int(mask.sum()), n_pairs))
+        return mask
+
+    monkeypatch.setattr(soa_kernel, "_refine", spy)
+    return stages
+
+
+def _band_radii(snap, metric, centers, rng):
+    """Per query, the positive exact bound of one of the root's children
+    (of any edge where the query is inside every root child), in thirds:
+    the bound itself, one ulp below it and one ulp above it, so pairs fall
+    inside the float32 stage's recheck band on both sides of the radius."""
+    low, high = snap.dist_boxes()
+    qs = centers.astype(np.float64)
+    bounds = metric.pair_mindist(qs[None], low[:, None], high[:, None])
+    root = slice(snap.child_start[0], snap.child_start[1])
+    radii = np.empty(len(qs))
+    for j in range(len(qs)):
+        positive = np.flatnonzero(bounds[root, j] > 0)
+        if not positive.size:
+            positive = np.flatnonzero(bounds[:, j] > 0)
+        r = bounds[rng.choice(positive), j]
+        radii[j] = (r, np.nextafter(r, 0.0), np.nextafter(r, np.inf))[j % 3]
+    return radii
+
+
+@pytest.mark.parametrize("block_elems", [1, 256])
+@pytest.mark.parametrize("page_size", [PAGE_SIZE, 4096])
+@pytest.mark.parametrize("kind", ["hybrid", "rtree", "hbtree"])
+def test_float32_stage_masks_equal_exact_masks(kind, page_size, block_elems, monkeypatch):
+    # Small enough that one-element blocks (which also cut the leaf scan
+    # to one row per block) stay cheap.
+    index = build_index(kind, clustered_dataset(1500, DIMS, seed=4), page_size=page_size)
+    snap = index.compile_snapshot()
+    centers, _ = _workload(seed=17, count=15)
+    rng = np.random.default_rng(5)
+    monkeypatch.setattr(soa_kernel, "_BLOCK_ELEMS", block_elems)
+    groups, _ = _record_groups(monkeypatch)
+    stages = _record_refines(monkeypatch)
+    low, high = snap.dist_boxes()
+    for metric in ALL_METRICS:
+        radii = _band_radii(snap, metric, centers, rng)
+        batch = QueryBatch.distance(centers, radii, metric, DIMS)
+        groups.clear()
+        stages.clear()
+        soa = index.distance_range_many(centers, radii, metric, return_metrics=True)
+        assert groups, repr(metric)
+        for _, e0, live, mask in groups:
+            rows = slice(e0, e0 + mask.shape[0])
+            qs = batch.centers[live]
+            exact = metric.pair_mindist(qs[None], low[rows, None], high[rows, None])
+            assert np.array_equal(mask, exact <= batch.radii[live]), repr(metric)
+        if metric in CERTIFIED:
+            assert len(stages) >= len(groups), repr(metric)
+            # The recheck ran on candidates the exact test rejected.
+            assert sum(c - s for c, s, _ in stages) > 0, repr(metric)
+        else:
+            assert not stages, f"{metric!r} has no certificate"
+        index.invalidate_snapshot()
+        obj = kernel_distance_range_many(index, batch, return_metrics=True)
+        index._soa_snapshot = snap
+        _assert_same(soa, obj, f"distance[{metric!r}]")
+        assert any(soa[0]), f"{metric!r} found no hits"
+
+
+def test_float32_stage_boxes_follow_refresh():
+    data = clustered_dataset(2000, DIMS, seed=8)
+    tree = HybridTree.bulk_load(data, page_size=PAGE_SIZE)
+    tree.compile_snapshot()
+    centers, _ = _workload(seed=3, count=12)
+    tree.distance_range_many(centers, 0.3, L1)
+    old = tree.soa_snapshot
+    old_low32, _ = old.dist_boxes32()
+    # Points outside the data space widen the root's children's boxes.
+    outside = 1.5 + np.arange(30, dtype=np.float32)[:, None] / 30 + np.zeros(DIMS, np.float32)
+    for i, point in enumerate(outside):
+        tree.insert(point, len(data) + i)
+    snap = tree.refresh_snapshot()
+    assert snap is not old
+    assert getattr(snap, "_dist_boxes32", None) is None, "float32 boxes carried over"
+    low32, high32 = snap.dist_boxes32()
+    want_low, want_high = round_out_f32(snap.box_low, snap.box_high)
+    assert low32.dtype == high32.dtype == np.float32
+    assert np.array_equal(low32, want_low) and np.array_equal(high32, want_high)
+    assert low32.shape != old_low32.shape or not np.array_equal(low32, old_low32)
+    assert snap.dist_boxes32()[0] is low32, "not cached"
+
+    soa = tree.distance_range_many(centers, 0.3, L1, return_metrics=True)
+    batch = QueryBatch.distance(centers, 0.3, L1, DIMS)
+    tree.invalidate_snapshot()
+    _assert_same(soa, kernel_distance_range_many(tree, batch, return_metrics=True), "refreshed")
+
+
+def test_float32_stage_prunes_nearly_every_failing_pair(monkeypatch):
+    # The float32 stage only saves work if its margin is tight: on
+    # COLHIST-like 64-d data, one 64-query L1 batch, it may let through
+    # at most 0.5% of the pairs tested beyond those the exact test keeps.
+    data = clustered_dataset(20000, 64, seed=0)
+    tree = HybridTree.bulk_load(data)
+    tree.compile_snapshot()
+    queries = data[np.random.default_rng(1).choice(len(data), 64, replace=False)]
+    points = data.astype(np.float64)
+    radii = np.array(
+        [np.partition(np.abs(points - q).sum(axis=1), 40)[40] for q in queries.astype(np.float64)]
+    )
+    stages = _record_refines(monkeypatch)
+    tree.distance_range_many(queries, radii, L1)
+    candidates, survivors, pairs = map(sum, zip(*stages))
+    assert pairs > 10_000
+    assert survivors <= candidates
+    assert candidates <= survivors + 0.005 * pairs, (candidates, survivors, pairs)
+    # ... and it does prune: most pairs fail the exact test.
+    assert survivors < 0.5 * pairs
 
 
 class _FiresAtCheck(Deadline):
