@@ -3,8 +3,9 @@
 Dynamic insertion builds the paper's tree one point at a time; for large
 benchmark datasets we also provide the standard top-down alternative: apply
 the same split rules (EDA dimension choice, middle position, utilization
-bound) recursively over the whole dataset until partitions fit a data page,
-producing one global kd split tree whose leaves are data nodes; then chop
+bound) level by level over the whole dataset, every over-full partition of
+a level at once, until partitions fit a data page, producing one global kd
+split tree whose leaves are data nodes; then chop
 that tree into page-sized index nodes level by level.  Each level is one
 :class:`~repro.core.kdnodes.SplitTable`, and each index node's table is
 that table pruned to the node's children (a subtree's splits are exactly
@@ -21,8 +22,11 @@ import numpy as np
 
 from repro.core.kdnodes import SplitTable, from_preorder, prune, split_mids
 from repro.core.nodes import MAX_OID, DataNode, IndexNode, OidRangeError
-from repro.core.splits import choose_data_split
+from repro.core.splits import split_segments
 from repro.geometry.rect import Rect
+
+# Coordinates gathered at once while data pages are filled.
+_LEAF_BLOCK_ELEMS = 1 << 16
 
 
 def _check_oids(oids, n: int) -> np.ndarray:
@@ -115,38 +119,95 @@ def _bulk_load_inner(tree, vectors: np.ndarray, oids: np.ndarray, n: int) -> int
 
 def _data_level(tree, vectors: np.ndarray, oids: np.ndarray, n: int) -> SplitTable:
     """Split the dataset down to data pages: the global split tree, as one
-    table whose leaves are the data nodes.  Preorder, left side first, so
-    pages are allocated (and round-robin split dims chosen) left to right."""
-    ids: list[int] = []
-    splits: list[tuple] = []
-    end: list[int] = []
-    # An int on the stack closes that split's row range.
-    stack: list = [np.arange(n)]
-    while stack:
-        indices = stack.pop()
-        if isinstance(indices, int):
-            end[indices] = len(ids)
-        elif len(indices) <= tree.data_capacity:
-            node = DataNode(tree.dims, tree.data_capacity)
-            node.vectors[: len(indices)] = vectors[indices]
-            node.oids[: len(indices)] = oids[indices]
-            node.count = len(indices)
-            node_id = tree.nm.allocate()
-            tree.nm.put(node_id, node, charge=False)
-            tree.els.set(node_id, node.live_rect())
-            ids.append(node_id)
-        else:
-            split = choose_data_split(
-                vectors[indices].astype(np.float64),
-                tree.min_fill,
-                tree.split_policy,
-                tree.split_position,
-            )
-            pos = float(np.float32(split.position))
-            splits.append((split.dim, pos, pos, len(ids)))
-            stack += (len(end), indices[split.right_indices], indices[split.left_indices])
-            end.append(0)
-    return from_preorder(ids, splits, end)
+    table whose leaves are the data nodes.
+
+    One loop step per split-tree level: :func:`split_segments` splits
+    every over-full partition ("segment") of the level at once, over a
+    dims-major working copy whose columns are reordered so that every
+    segment's points are contiguous, low side first.  Pages are then
+    allocated left to right, and the splits numbered in preorder."""
+    cap = tree.data_capacity
+    work = vectors.T.copy()  # a copy even when the transpose is contiguous
+    order = np.arange(n)  # order[p]: the input row at working column p
+    starts = np.zeros(1, dtype=np.intp)
+    sizes = np.full(1, n, dtype=np.intp)
+    leaf_parts = []
+    levels = []
+    while True:
+        full = sizes > cap
+        leaf_parts.append((starts[~full], sizes[~full]))
+        starts, sizes = starts[full], sizes[full]
+        if not len(starts):
+            break
+        split = split_segments(
+            work, starts, sizes, tree.min_fill, tree.split_policy,
+            tree.split_position, tree._rr,
+        )
+        for dim in range(tree.dims):
+            work[dim] = work[dim].take(split.source)
+        order = order.take(split.source)
+        levels.append((starts, sizes, split.dim, split.position))
+        starts = np.column_stack((starts, starts + split.left)).ravel()
+        sizes = np.column_stack((split.left, sizes - split.left)).ravel()
+    del work
+
+    leaf_starts, leaf_sizes = (np.concatenate(col) for col in zip(*leaf_parts))
+    by_start = np.argsort(leaf_starts)
+    leaf_starts, leaf_sizes = leaf_starts[by_start], leaf_sizes[by_start]
+    ids = _data_pages(tree, vectors, oids, order, leaf_starts, leaf_sizes)
+    if not levels:
+        return from_preorder(ids, [], [])
+    s, m, dim, pos = (np.concatenate(col) for col in zip(*levels))
+    # Splits nest, so preorder is by first column, the larger one first.
+    pre = np.lexsort((-m, s))
+    s, m = s[pre], m[pre]
+    cut = pos[pre].astype(np.float32).astype(np.float64)
+    return SplitTable(
+        ids,
+        dim[pre].astype(np.intp),
+        cut,
+        cut.copy(),
+        np.searchsorted(leaf_starts, s),
+        np.searchsorted(leaf_starts, s + m),
+    )
+
+
+def _data_pages(tree, vectors, oids, order, starts, sizes) -> np.ndarray:
+    """Store each leaf ``order[start:start + size]`` as a data page, left
+    to right, and their live boxes in one ELS update.  Returns the ids."""
+    dims, cap = tree.dims, tree.data_capacity
+    ids = np.empty(len(starts), dtype=np.int64)
+    lows = np.empty((len(starts), dims))
+    highs = np.empty((len(starts), dims))
+    ends = starts + sizes
+    per_block = max(1, _LEAF_BLOCK_ELEMS // (cap * dims))
+    for b in range(0, len(starts), per_block):
+        leaves = slice(b, b + per_block)
+        first, stop = int(starts[b]), int(ends[leaves][-1])
+        rows = vectors.take(order[first:stop], axis=0)
+        block_oids = oids.take(order[first:stop])
+        # Each leaf's rows padded to capacity by repeating its last row.
+        row = np.minimum(starts[leaves, None] + np.arange(cap), ends[leaves, None] - 1)
+        padded = rows[row - first]
+        lows[leaves] = padded.min(axis=1)
+        highs[leaves] = padded.max(axis=1)
+        bounds = zip((starts[leaves] - first).tolist(), (ends[leaves] - first).tolist())
+        # A min or max over both -0.0 and 0.0 keeps whichever its reduction
+        # order meets first: with both present, take each box as a node's
+        # live rect does (DataNode.live_rect), so the ELS bytes match.
+        signed_zero = np.signbit(rows[rows == 0]).any()
+        for i, (lo, hi) in enumerate(bounds, start=b):
+            if signed_zero:
+                live = rows[lo:hi].astype(np.float64)
+                lows[i], highs[i] = live.min(axis=0), live.max(axis=0)
+            node = DataNode(dims, cap)
+            node.vectors[: hi - lo] = rows[lo:hi]
+            node.oids[: hi - lo] = block_oids[lo:hi]
+            node.count = hi - lo
+            ids[i] = tree.nm.allocate()
+            tree.nm.put(int(ids[i]), node, charge=False)
+    tree.els.set_many(ids, lows, highs)
+    return ids
 
 
 def _collect_and_free(tree, node_id: int, deferred: list) -> None:

@@ -158,7 +158,13 @@ class ELSTable:
 
     def _reserve(self, size: int) -> None:
         if size > len(self._known):
-            grow = max(size, 2 * len(self._known), 64) - len(self._known)
+            # An empty table takes what it is asked for (a bulk fill needs
+            # no more); a filled one grows to the next power of two, so it
+            # ends as large as one filled an entry at a time.
+            target = max(size, 64)
+            if len(self._known):
+                target = 1 << (target - 1).bit_length()
+            grow = target - len(self._known)
             pad = np.zeros((grow, self.dims))
             # New arrays are built whole and then published: a reader
             # holding the old ones sees them unchanged.

@@ -35,11 +35,10 @@ from repro.core.els import ELSTable
 from repro.core.nodes import MAX_OID, ChildBoxes, DataNode, IndexNode, OidRangeError
 from repro.core.splits import (
     POLICY_EDA,
-    POLICY_RR,
     POSITION_MIDDLE,
+    RoundRobin,
     choose_data_split,
     choose_index_split,
-    reset_round_robin,
 )
 from repro.distances import L2, Metric
 from repro.engine.query import (
@@ -103,7 +102,8 @@ class HybridTree:
         Utilization guarantee as a fraction of capacity (default 0.4).
     split_policy:
         ``"eda"`` for the paper's EDA-optimal splits, ``"vam"`` for the
-        VAMSplit baseline of Figure 5(a,b).
+        VAMSplit baseline of Figure 5(a,b), ``"rr"`` for round-robin split
+        dimensions, cycled per tree.
     split_position:
         ``"middle"`` (paper, more cubic regions) or ``"median"`` ablation.
     els_bits:
@@ -155,8 +155,6 @@ class HybridTree:
         self.bounds = bounds if bounds is not None else Rect.unit(dims)
         if self.bounds.dims != dims:
             raise ValueError("bounds dimensionality mismatch")
-        if split_policy == POLICY_RR:
-            reset_round_robin()
         if on_corruption not in ON_CORRUPTION_POLICIES:
             raise ValueError(f"on_corruption must be one of {ON_CORRUPTION_POLICIES}")
         self.on_corruption = on_corruption
@@ -166,6 +164,7 @@ class HybridTree:
         self.modified_since_save = False
         self.nm = NodeManager(store=store, stats=stats)
         self.els = ELSTable(dims, els_bits)
+        self._rr = RoundRobin()
         self._root_id = self.nm.allocate()
         self.nm.put(self._root_id, DataNode(dims, self.data_capacity), charge=False)
         self._height = 1
@@ -572,7 +571,7 @@ class HybridTree:
         points = np.vstack([node.points(), np.asarray(vector, dtype=np.float32)])
         oids = np.append(node.live_oids(), np.uint32(oid))
         split = choose_data_split(
-            points, self.min_fill, self.split_policy, self.split_position
+            points, self.min_fill, self.split_policy, self.split_position, self._rr
         )
         left = DataNode(self.dims, self.data_capacity)
         right = DataNode(self.dims, self.data_capacity)
@@ -592,7 +591,7 @@ class HybridTree:
         node_id, node, region = path.pop()
         children = node.children_with_regions(region)
         split = choose_index_split(
-            children, self.min_fill, self.expected_query_side, self.split_policy
+            children, self.min_fill, self.expected_query_side, self.split_policy, self._rr
         )
         left_node = IndexNode(kdnodes.prune(node.table, split.left_ids), node.level)
         right_node = IndexNode(kdnodes.prune(node.table, split.right_ids), node.level)
@@ -1459,6 +1458,7 @@ class HybridTree:
         tree.split_policy = manifest["split_policy"]
         tree.split_position = manifest["split_position"]
         tree.expected_query_side = manifest["expected_query_side"]
+        tree._rr = RoundRobin()
         tree.bounds = Rect(blob["bounds_low"], blob["bounds_high"])
         if on_corruption not in ON_CORRUPTION_POLICIES:
             raise ValueError(f"on_corruption must be one of {ON_CORRUPTION_POLICIES}")

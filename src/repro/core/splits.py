@@ -2,10 +2,13 @@
 
 Three pieces:
 
-- :func:`choose_data_split` — data-node splits: EDA-optimal dimension choice
+- :func:`split_segments` — data-node splits: EDA-optimal dimension choice
   (maximum live extent; Section 3.2 proves optimality independent of query
   size and data distribution), split position as close to the middle as the
-  utilization constraint allows, always *clean* (``lsp == rsp``).
+  utilization constraint allows, always *clean* (``lsp == rsp``), applied to
+  every segment of a dims-major array at once (bulk load splits a whole
+  split-tree level per call); :func:`choose_data_split` is its one-segment
+  case.
 - :func:`bipartition_intervals` — the 1-d interval bipartitioning that plays
   the role of R-tree bipartitioning for index-node splits: alternately drain
   the by-left-boundary and by-right-boundary sorted lists until utilization
@@ -19,12 +22,14 @@ Split choosers accept ``policy="eda"`` (the paper's algorithm),
 ``policy="vam"`` (the VAMSplit baseline of Figure 5(a,b): maximum-variance
 dimension, median position) or ``policy="rr"`` (round-robin dimension choice,
 the LSDh-tree's strategy [Henrich 1998], kept to demonstrate why Lemma 1's
-implicit dimensionality reduction needs an *informed* dimension choice).
+implicit dimensionality reduction needs an *informed* dimension choice);
+its cycle position is a :class:`RoundRobin`, one per tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,19 +40,38 @@ POLICY_VAM = "vam"
 POLICY_RR = "rr"
 _POLICIES = (POLICY_EDA, POLICY_VAM, POLICY_RR)
 
-_rr_counters: dict[int, int] = {}
+
+class RoundRobin:
+    """The ``rr`` policy's state: the dimension the next split tries first.
+
+    Every tree holds its own, so two ``rr`` trees in one process cycle
+    independently.  Calls that pass none share one per dimensionality,
+    which :func:`reset_round_robin` restarts."""
+
+    __slots__ = ("next",)
+
+    def __init__(self) -> None:
+        self.next = 0
+
+    def orders(self, count: int, dims: int) -> np.ndarray:
+        """The dimension orders of the next ``count`` splits, one row each;
+        each split starts one dimension after the one before it."""
+        first = (self.next + np.arange(count)) % dims
+        self.next = (self.next + count) % dims
+        return (first[:, None] + np.arange(dims)) % dims
 
 
-def _round_robin_order(dims: int) -> np.ndarray:
-    """Cycle through dimensions across calls (per-dimensionality counter)."""
-    start = _rr_counters.get(dims, 0)
-    _rr_counters[dims] = (start + 1) % dims
-    return np.arange(start, start + dims) % dims
+_shared_rr: dict[int, RoundRobin] = {}
+
+
+def _rr_state(rr: RoundRobin | None, dims: int) -> RoundRobin:
+    return rr if rr is not None else _shared_rr.setdefault(dims, RoundRobin())
 
 
 def reset_round_robin() -> None:
-    """Restart the round-robin cycling (for reproducible ``rr`` builds)."""
-    _rr_counters.clear()
+    """Restart the shared round-robin cycling of calls that pass no
+    :class:`RoundRobin` (for reproducible direct ``rr`` splits)."""
+    _shared_rr.clear()
 
 POSITION_MIDDLE = "middle"
 POSITION_MEDIAN = "median"
@@ -95,13 +119,200 @@ def _validate_policy(policy: str, position_rule: str) -> None:
 # ----------------------------------------------------------------------
 # Data node splitting (Section 3.2)
 # ----------------------------------------------------------------------
+class SegmentSplits(NamedTuple):
+    """Outcome of :func:`split_segments`: one clean (or rank) cut per
+    segment, and the column order that puts each low side first."""
+
+    dim: np.ndarray  # intp (S,)
+    position: np.ndarray  # float64 (S,)
+    left: np.ndarray  # intp (S,)  points on the low side
+    source: np.ndarray  # intp (n,)  split column p is input column source[p]
+
+
+# Elements in one padded block of segments: the rule's temporaries take
+# about 40 bytes per element.
+_BLOCK_ELEMS = 1 << 16
+
+
+def split_segments(
+    work: np.ndarray,
+    starts: np.ndarray,
+    sizes: np.ndarray,
+    min_fill: float,
+    policy: str = POLICY_EDA,
+    position_rule: str = POSITION_MIDDLE,
+    rr: RoundRobin | None = None,
+) -> SegmentSplits:
+    """Split every segment of ``work``'s columns in one set of array passes.
+
+    ``work`` is a dims-major ``(d, n)`` array of points (one column per
+    point); segment ``i`` is the columns ``starts[i]:starts[i] + sizes[i]``
+    (disjoint, each of at least 2 points).  Each segment is split by the
+    same rule as :func:`choose_data_split`: dimension order by decreasing
+    live extent (``eda``) or variance (``vam``), or the round-robin cycle
+    (``rr``, one step per segment in order); position at the live-box
+    middle or the median, slid to the nearest clean cut the utilization
+    bound allows; next dimension when none exists; a rank split when no
+    dimension has one.  Extents, midpoints and variances are float64 of
+    the stored values, whatever ``work``'s dtype.
+
+    ``work`` is not modified.  ``source`` orders each segment low side
+    first, keeping the input order within each side (sorted by the split
+    dimension after a rank split), and leaves other columns in place.
+    """
+    _validate_policy(policy, position_rule)
+    starts = np.asarray(starts, dtype=np.intp)
+    sizes = np.asarray(sizes, dtype=np.intp)
+    if (sizes < 2).any():
+        raise ValueError("cannot split fewer than 2 points")
+    dims, n = work.shape
+    min_count = np.maximum(np.floor(sizes * min_fill).astype(np.intp), 1)
+    min_count = np.where(2 * min_count > sizes, sizes // 2, min_count)
+    orders = _dim_orders(work, starts, sizes, policy, rr)
+
+    dim = orders[:, 0].copy()
+    position = np.empty(len(starts))
+    left = np.zeros(len(starts), dtype=np.intp)
+    source = np.arange(n)
+    # Segments without a clean cut on a dimension retry their next one.
+    todo = np.arange(len(starts))
+    for rank in range(dims):
+        if not len(todo):
+            break
+        for seg in _size_blocks(todo, sizes):
+            ok, k, pos = _clean_cuts(
+                work, starts[seg], sizes[seg], orders[seg, rank], min_count[seg],
+                position_rule, source,
+            )
+            dim[seg[ok]] = orders[seg[ok], rank]
+            left[seg[ok]] = k
+            position[seg[ok]] = pos
+        todo = todo[left[todo] == 0]
+    # Duplicates block every clean cut: rank-split on the first dimension.
+    for seg in _size_blocks(todo, sizes):
+        left[seg], position[seg] = _rank_splits(
+            work, starts[seg], sizes[seg], dim[seg], source
+        )
+    return SegmentSplits(dim, position, left, source)
+
+
+def _dim_orders(
+    work: np.ndarray, starts: np.ndarray, sizes: np.ndarray, policy: str, rr
+) -> np.ndarray:
+    """Each segment's dimensions in the order the rule tries them."""
+    dims, n = work.shape
+    if policy == POLICY_RR:  # uninformed cycling (LSDh-style)
+        return _rr_state(rr, dims).orders(len(starts), dims)
+    if policy == POLICY_EDA:  # live extents
+        # reduceat reduces from each bound to the next: bound every
+        # segment's end too, so columns between segments stay out.
+        ends = starts + sizes
+        bounds = np.unique(np.concatenate((starts, ends[ends < n])))
+        pick = np.searchsorted(bounds, starts)
+        high = np.maximum.reduceat(work, bounds, axis=1)[:, pick]
+        low = np.minimum.reduceat(work, bounds, axis=1)[:, pick]
+        scores = (high.astype(np.float64) - low.astype(np.float64)).T
+    else:  # variances, over each segment's rows in their order
+        scores = np.array([
+            np.ascontiguousarray(work[:, s : s + m].T, dtype=np.float64).var(axis=0)
+            for s, m in zip(starts.tolist(), sizes.tolist())
+        ]).reshape(len(starts), dims)
+    return np.argsort(-scores, axis=1, kind="stable")
+
+
+def _size_blocks(seg: np.ndarray, sizes: np.ndarray):
+    """Split segment ids ``seg`` into groups of similar size whose padded
+    ``(group, longest)`` blocks hold about :data:`_BLOCK_ELEMS` elements
+    (one segment at least)."""
+    seg = seg[np.argsort(sizes[seg], kind="stable")]
+    widths = sizes[seg]
+    i = 0
+    while i < len(seg):
+        rows = np.arange(1, len(seg) - i + 1)
+        j = i + max(1, int(np.searchsorted(rows * widths[i:], _BLOCK_ELEMS, side="right")))
+        yield seg[i:j]
+        i = j
+
+
+def _gather(work, starts, sizes, dim):
+    """The segments' values on ``dim`` as a padded ``(S, longest)`` block
+    (padding ``+inf``, after every value), with each entry's column."""
+    cols = starts[:, None] + np.arange(int(sizes.max()))
+    pad = cols >= (starts + sizes)[:, None]
+    np.minimum(cols, work.shape[1] - 1, out=cols)
+    raw = work[dim[:, None], cols]
+    raw[pad] = np.inf
+    return raw, cols, pad
+
+
+def _clean_cuts(work, starts, sizes, dim, min_count, position_rule, source):
+    """The nearest clean cut to each segment's target on ``dim`` that the
+    utilization bound allows.  Returns ``(ok, k, position)`` for the
+    segments that have one (``k`` points go low) and writes their low-side
+    first order into ``source``."""
+    raw, cols, pad = _gather(work, starts, sizes, dim)
+    values = np.sort(raw, axis=1)
+    rows = np.arange(len(starts))
+    lo, hi = min_count, sizes - min_count
+    if position_rule == POSITION_MIDDLE:
+        middle = (
+            values[:, 0].astype(np.float64) + values[rows, sizes - 1].astype(np.float64)
+        ) / 2.0
+        target = np.count_nonzero(values <= middle[:, None], axis=1)
+    else:
+        target = sizes // 2
+    target = np.clip(target, lo, hi)[:, None]
+    # Cut k (k points low) needs a strict gap values[k-1] < values[k].
+    cut = np.arange(1, values.shape[1])
+    gap = (values[:, 1:] > values[:, :-1]) & (cut >= lo[:, None]) & (cut <= hi[:, None])
+    below = gap & (cut <= target)
+    above = gap & (cut >= target)
+    k_below = np.where(below.any(axis=1), len(cut) - np.argmax(below[:, ::-1], axis=1), 0)
+    k_above = np.where(above.any(axis=1), 1 + np.argmax(above, axis=1), 0)
+    target = target[:, 0]
+    # Equally near: the lower cut, as the scan outward from the target finds.
+    take_below = (k_below > 0) & ((k_above == 0) | (target - k_below <= k_above - target))
+    k = np.where(take_below, k_below, k_above)
+    ok = k > 0
+    k, raw, cols, pad, values = k[ok], raw[ok], cols[ok], pad[ok], values[ok]
+    rows = np.arange(len(k))
+    cut_low = values[rows, k - 1]
+    position = (cut_low.astype(np.float64) + values[rows, k].astype(np.float64)) / 2.0
+
+    # Stable partition: each side keeps the segment's column order.
+    low = raw <= cut_low[:, None]
+    high = ~low & ~pad
+    rank = np.where(
+        low, np.cumsum(low, axis=1) - 1, np.cumsum(high, axis=1) - 1 + k[:, None]
+    )
+    live = ~pad
+    source[(starts[ok][:, None] + rank)[live]] = cols[live]
+    return ok, k, position
+
+
+def _rank_splits(work, starts, sizes, dim, source):
+    """Rank splits at each segment's median on ``dim`` (stable order, so
+    duplicates keep their column order).  Returns ``(k, position)``, the
+    position being the value of the last low point, and writes the sorted
+    order into ``source``."""
+    raw, _, pad = _gather(work, starts, sizes, dim)
+    order = np.argsort(raw, axis=1, kind="stable")
+    k = sizes // 2
+    position = raw[np.arange(len(starts)), order[np.arange(len(starts)), k - 1]]
+    live = ~pad  # padding sorts after every value
+    source[(starts[:, None] + np.arange(raw.shape[1]))[live]] = (starts[:, None] + order)[live]
+    return k, position.astype(np.float64)
+
+
 def choose_data_split(
     points: np.ndarray,
     min_fill: float,
     policy: str = POLICY_EDA,
     position_rule: str = POSITION_MIDDLE,
+    rr: RoundRobin | None = None,
 ) -> DataSplit:
-    """Split ``points`` (the overflowing node's entries) into two halves.
+    """Split ``points`` (the overflowing node's entries) into two halves:
+    :func:`split_segments` on one segment.
 
     Dimension order: by decreasing live extent (``eda``) or decreasing
     variance (``vam``).  Position: the live-box middle (``middle``) or the
@@ -111,64 +322,17 @@ def choose_data_split(
     satisfies utilization (heavy duplicates) are skipped; if every dimension
     fails, the split degrades to a rank split at the duplicated value (both
     halves then touch the cut plane, which remains correct because the plane
-    belongs to both closed regions).
+    belongs to both closed regions).  ``rr`` is the round-robin state
+    (:class:`RoundRobin`); without one, calls share a counter per
+    dimensionality.
     """
-    _validate_policy(policy, position_rule)
     points = np.asarray(points)
     n = points.shape[0]
-    if n < 2:
-        raise ValueError("cannot split fewer than 2 points")
-    min_count = max(1, int(np.floor(n * min_fill)))
-    if 2 * min_count > n:
-        min_count = n // 2
-
-    if policy == POLICY_EDA:
-        scores = points.max(axis=0) - points.min(axis=0)  # live extents
-        dim_order = np.argsort(-scores, kind="stable")
-    elif policy == POLICY_VAM:
-        scores = points.var(axis=0)
-        dim_order = np.argsort(-scores, kind="stable")
-    else:  # round-robin: uninformed cycling (LSDh-style)
-        dim_order = _round_robin_order(points.shape[1])
-
-    for dim in dim_order:
-        dim = int(dim)
-        values = np.sort(points[:, dim], kind="stable")
-        if position_rule == POSITION_MIDDLE:
-            target_pos = (values[0] + values[-1]) / 2.0
-            target_k = int(np.searchsorted(values, target_pos, side="right"))
-        else:
-            target_k = n // 2
-        split_k = _closest_clean_cut(values, target_k, min_count, n - min_count)
-        if split_k is None:
-            continue
-        position = float(values[split_k - 1] + values[split_k]) / 2.0
-        column = points[:, dim]
-        left = np.flatnonzero(column <= values[split_k - 1])
-        right = np.flatnonzero(column > values[split_k - 1])
-        return DataSplit(dim, position, left, right)
-
-    # Degenerate fallback: duplicates block every clean cut.  Rank-split on
-    # the best-scoring dimension at the duplicated value.
-    dim = int(dim_order[0])
-    order = np.argsort(points[:, dim], kind="stable")
-    k = n // 2
-    position = float(points[order[k - 1], dim])
-    return DataSplit(dim, position, order[:k], order[k:])
-
-
-def _closest_clean_cut(
-    values: np.ndarray, target_k: int, lo: int, hi: int
-) -> int | None:
-    """Smallest |k - target_k| with ``lo <= k <= hi`` and a strict value gap
-    ``values[k-1] < values[k]`` (so a clean cut can pass between them)."""
-    target_k = int(np.clip(target_k, lo, hi))
-    n = len(values)
-    for delta in range(0, max(target_k - lo, hi - target_k) + 1):
-        for k in (target_k - delta, target_k + delta):
-            if lo <= k <= hi and 0 < k < n and values[k - 1] < values[k]:
-                return k
-    return None
+    split = split_segments(points.T, [0], [n], min_fill, policy, position_rule, rr)
+    k = int(split.left[0])
+    return DataSplit(
+        int(split.dim[0]), float(split.position[0]), split.source[:k], split.source[k:]
+    )
 
 
 # ----------------------------------------------------------------------
@@ -246,6 +410,7 @@ def choose_index_split(
     min_fill: float,
     query_side: float,
     policy: str = POLICY_EDA,
+    rr: RoundRobin | None = None,
 ) -> IndexSplit:
     """Split an overflowing index node's children into two groups.
 
@@ -254,7 +419,7 @@ def choose_index_split(
     or simply the maximum-variance-of-centres dimension (``vam``).  ``s_j``
     is the extent of the hull of the children's regions, so dimensions never
     used for splits below (``w_j == s_j``) cost 1.0 and are implicitly
-    eliminated (Lemma 1).
+    eliminated (Lemma 1).  ``rr`` is as for :func:`choose_data_split`.
     """
     _validate_policy(policy, POSITION_MIDDLE)
     n = len(children)
@@ -273,7 +438,7 @@ def choose_index_split(
         centers = (lows + highs) / 2.0
         candidate_dims: list[int] = [int(np.argmax(centers.var(axis=0)))]
     elif policy == POLICY_RR:
-        candidate_dims = [int(_round_robin_order(dims)[0])]
+        candidate_dims = [int(_rr_state(rr, dims).orders(1, dims)[0, 0])]
     else:
         candidate_dims = list(range(dims))
 

@@ -36,6 +36,7 @@ the refresh a full compile.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -108,10 +109,17 @@ class SnapshotRefresher:
     """
 
     def __init__(self, tree):
-        self.tree = tree
+        # The tree owns its refresher: a strong reference back would make
+        # a cycle, and a dropped tree (its pages and snapshot) would wait
+        # for the cyclic garbage collector.
+        self._tree = weakref.ref(tree)
         self.reuse: _Reuse | None = None
         tree.nm.journal = set()
         tree.els.journal = set()
+
+    @property
+    def tree(self):
+        return self._tree()
 
     def discard(self) -> None:
         """Forget the previous snapshot: the next refresh is a full build."""

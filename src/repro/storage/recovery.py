@@ -33,6 +33,7 @@ from repro.storage.page import (
     PAGE_KIND_INDEX,
     PAGE_KIND_SUPERBLOCK,
     PageLayout,
+    VerifiedPage,
     data_node_capacity,
     unframe_page,
 )
@@ -206,13 +207,16 @@ def verify(path: str | os.PathLike) -> FsckReport:
         report.errors.append(f"els blob: {exc}")
     report.free_pages = len(free_ids)
 
-    # Per-page frame audit of the node region; holes (free pages) are
-    # zero-filled and legitimately have no frame.
+    # One sequential pass over the node region reads each page once and
+    # sweeps its CRC once, recording its frame header and what its decode
+    # gave (children, or an error).  Holes (free pages) are zero-filled
+    # and legitimately have no frame.
     page_count = report.page_count
     headers: dict[int, object] = {}
+    decoded: dict[int, object] = {}
+    codec = _node_codec(manifest, page_size)
     with open(path, "rb") as f:
         for pid in range(min(page_count, report.file_pages)):
-            f.seek(pid * page_size)
             page = f.read(page_size)
             try:
                 header, _ = unframe_page(page, pid)
@@ -228,14 +232,15 @@ def verify(path: str | os.PathLike) -> FsckReport:
                     f"page {pid}: unexpected kind "
                     f"{_KIND_NAMES.get(header.kind, header.kind)} in node region"
                 )
+            decoded[pid] = _decode_children(codec, page)
     if page_count > report.file_pages:
         report.errors.append(
             f"file truncated: manifest says {page_count} node pages, "
             f"file holds {report.file_pages}"
         )
 
-    # Reachability: walk the index from the root through the real codec.
-    reachable = _walk(path, manifest, page_size, report)
+    # Reachability: walk the recorded child ids from the root.
+    reachable = _walk(manifest, decoded, report)
     report.reachable_pages = len(reachable)
 
     for pid in sorted(reachable & free_ids):
@@ -351,38 +356,48 @@ def _verify_snapshot_section(
         report.snapshot_errors.append(f"undeserializable: {exc}")
 
 
-def _walk(path: str, manifest: dict, page_size: int, report: FsckReport) -> set[int]:
-    """Reachability sweep from the root; decode errors go into the report."""
-    from repro.core.nodes import IndexNode
+def _node_codec(manifest: dict, page_size: int):
     from repro.storage.serialization import HybridNodeCodec
 
     dims = int(manifest["dims"])
-    codec = HybridNodeCodec(
-        dims, data_node_capacity(dims, PageLayout(page_size=page_size)), page_size
-    )
+    capacity = data_node_capacity(dims, PageLayout(page_size=page_size))
+    return HybridNodeCodec(dims, capacity, page_size, copy=False)
+
+
+def _decode_children(codec, page: bytes):
+    """What decoding a page whose frame verified gives the walk: its child
+    ids (none for a data page), or the exception decoding raised."""
+    from repro.core.nodes import IndexNode
+
+    try:
+        node = codec.decode(VerifiedPage(page))
+    except (ValueError, struct.error) as exc:  # a payload too short to unpack
+        return exc
+    return node.child_ids() if isinstance(node, IndexNode) else []
+
+
+def _walk(manifest: dict, decoded: dict[int, object], report: FsckReport) -> set[int]:
+    """Reachability sweep from the root over the recorded child ids;
+    decode errors of reachable pages go into the report."""
     page_count = int(manifest["page_count"])
     reachable: set[int] = set()
     stack = [int(manifest["root_id"])]
-    with open(path, "rb") as f:
-        while stack:
-            pid = stack.pop()
-            if pid in reachable:
-                report.errors.append(f"page {pid}: referenced more than once")
-                continue
-            if not 0 <= pid < page_count:
-                report.errors.append(f"page {pid}: child id outside node region")
-                continue
-            reachable.add(pid)
-            f.seek(pid * page_size)
-            try:
-                node = codec.decode(f.read(page_size).ljust(page_size, b"\x00"))
-            except PageCorruptionError:
-                continue  # already reported by the frame audit
-            except ValueError as exc:
-                report.errors.append(f"page {pid}: undecodable ({exc})")
-                continue
-            if isinstance(node, IndexNode):
-                stack.extend(node.child_ids())
+    while stack:
+        pid = stack.pop()
+        if pid in reachable:
+            report.errors.append(f"page {pid}: referenced more than once")
+            continue
+        if not 0 <= pid < page_count:
+            report.errors.append(f"page {pid}: child id outside node region")
+            continue
+        reachable.add(pid)
+        children = decoded.get(pid)
+        if children is None:
+            continue  # no frame: already reported by the pass
+        if isinstance(children, Exception):
+            report.errors.append(f"page {pid}: undecodable ({children})")
+            continue
+        stack.extend(children)
     return reachable
 
 

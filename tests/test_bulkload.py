@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import HybridTree, compute_stats
+from repro.core import HybridTree, bulkload, compute_stats
 from repro.core.bulkload import bulk_load_into
+from repro.core.splits import choose_data_split
 from repro.datasets import clustered_dataset, uniform_dataset
 from repro.geometry.rect import Rect
+from repro.storage.page import PageLayout, data_node_capacity
+from tests import bulk_reference
 from tests.conftest import brute_force_range, random_boxes
 
 
@@ -221,3 +226,172 @@ def test_bulk_load_rejects_non_finite_vectors(bad):
     bulk_load_into(tree, data[finite])
     tree.validate()
     assert sorted(tree.range_search(Rect.unit(4))) == list(range(int(finite.sum())))
+
+
+# ----------------------------------------------------------------------
+# The level-synchronous data level against the per-node reference
+# ----------------------------------------------------------------------
+F32_MAX = float(np.finfo(np.float32).max)
+KINDS = ("grid", "constant", "signed", "uniform")
+
+
+def _dataset(kind: str, n: int, dims: int, seed: int) -> np.ndarray:
+    """Datasets whose ties and extremes stress the split rule: integer
+    grids full of duplicates, constant dimensions, signed zeros next to
+    +-float32 max, and plain uniform points."""
+    rng = np.random.default_rng(seed)
+    if kind == "grid":
+        return rng.integers(0, 4, (n, dims)).astype(np.float32)
+    if kind == "constant":
+        data = rng.integers(0, 50, (n, dims)).astype(np.float32) / 8
+        data[:, rng.random(dims) < 0.5] = 0.25
+        return data
+    if kind == "signed":
+        values = np.array([-0.0, 0.0, 1.0, -1.0, F32_MAX, -F32_MAX], dtype=np.float32)
+        return rng.choice(values, (n, dims))
+    return rng.random((n, dims), dtype=np.float32)
+
+
+def _data_level_of(loader, data: np.ndarray, **options):
+    """Run a data-level loader on a fresh tree, as ``_bulk_load_inner``
+    does; returns the split table, the leaves' bytes and the ELS bytes."""
+    tree = HybridTree(data.shape[1], **options)
+    tree.nm.free(tree._root_id)
+    n = len(data)
+    table = loader(tree, data, np.arange(n, dtype=np.uint32) * 3 + 7, n)
+    leaves = [tree.nm.get(int(pid), charge=False) for pid in table.ids]
+    return (
+        [(col.dtype.str, col.tobytes()) for col in table],
+        [(leaf.points().tobytes(), leaf.live_oids().tobytes()) for leaf in leaves],
+        [part.tobytes() for part in tree.els.arrays()],
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    dims=st.integers(1, 6),
+    pages=st.integers(1, 12),
+    delta=st.sampled_from((-1, 0, 1)),
+    seed=st.integers(0, 2**16),
+    min_fill=st.sampled_from((0.05, 0.25, 0.4, 0.5)),
+    page_size=st.sampled_from((512, 1024, 4096)),
+    policy=st.sampled_from(("eda", "vam")),
+    position=st.sampled_from(("middle", "median")),
+)
+def test_data_level_matches_the_per_node_reference(
+    kind, dims, pages, delta, seed, min_fill, page_size, policy, position
+):
+    """Split table, leaf page ids, leaf vectors and oids in order, and
+    ELS boxes are bit-equal to the per-node loader's, for ``n`` around
+    multiples of the data capacity."""
+    capacity = data_node_capacity(dims, PageLayout(page_size=page_size))
+    data = _dataset(kind, pages * capacity + delta, dims, seed)
+    options = dict(
+        page_size=page_size, min_fill=min_fill, split_policy=policy,
+        split_position=position,
+    )
+    assert _data_level_of(bulkload._data_level, data, **options) == _data_level_of(
+        bulk_reference._data_level, data, **options
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS + ("few",)),
+    n=st.integers(2, 70),
+    dims=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+    min_fill=st.sampled_from((0.05, 0.25, 0.4, 0.5)),
+    policy=st.sampled_from(("eda", "vam")),
+    position=st.sampled_from(("middle", "median")),
+    as_float64=st.booleans(),
+)
+def test_one_segment_rule_matches_the_reference_split(
+    kind, n, dims, seed, min_fill, policy, position, as_float64
+):
+    """``choose_data_split`` (the one-segment case of ``split_segments``)
+    against the per-node reference on node-sized inputs.  The rule
+    computes in float64 whatever the input dtype, as the reference does on
+    the float64 copy the loader gave it; ``few`` data (at most two values
+    per dimension) often forces the rank split."""
+    if kind == "few":
+        data = np.random.default_rng(seed).integers(0, 2, (n, dims)).astype(np.float32)
+    else:
+        data = _dataset(kind, n, dims, seed)
+    points = data.astype(np.float64) if as_float64 else data
+    got = choose_data_split(points, min_fill, policy, position)
+    want = bulk_reference.choose_data_split(
+        data.astype(np.float64), min_fill, policy, position
+    )
+    assert got.dim == want.dim
+    assert np.float64(got.position).tobytes() == np.float64(want.position).tobytes()
+    assert got.left_indices.tolist() == want.left_indices.tolist()
+    assert got.right_indices.tolist() == want.right_indices.tolist()
+
+
+def test_rank_split_when_every_dimension_is_constant():
+    points = np.zeros((9, 3))
+    points[:, 1] = -0.0
+    for policy in ("eda", "vam"):
+        got = choose_data_split(points, 0.4, policy)
+        want = bulk_reference.choose_data_split(points, 0.4, policy)
+        assert (got.dim, got.left_indices.tolist(), got.right_indices.tolist()) == (
+            want.dim, want.left_indices.tolist(), want.right_indices.tolist()
+        )
+        assert len(got.left_indices) == 4
+
+
+@pytest.mark.parametrize(
+    "generator, dims",
+    [("fourier", 16), ("colhist", 32), ("colhist", 64)],
+    ids=["fourier16", "colhist32", "colhist64"],
+)
+def test_saved_file_equals_the_reference_loaders(tmp_path, monkeypatch, generator, dims):
+    """The whole pipeline (pack levels, save) on the benchmark's
+    generators at N = 5,000: the file is byte-identical to the one the
+    per-node loader builds."""
+    import hashlib
+
+    from repro.datasets import colhist_dataset, fourier_dataset
+
+    make = fourier_dataset if generator == "fourier" else colhist_dataset
+    data = make(5000, dims, seed=0)
+    digests = []
+    for loader in (bulkload._data_level, bulk_reference._data_level):
+        monkeypatch.setattr(bulkload, "_data_level", loader)
+        path = tmp_path / f"{len(digests)}.pages"
+        HybridTree.bulk_load(data).save(path)
+        digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
+
+
+def test_rr_bulk_load_is_exact(rng):
+    """``rr`` advances its cycle once per split in level order, so its
+    trees differ from the per-node loader's; they stay valid and exact."""
+    data = uniform_dataset(3000, 5, seed=64)
+    tree = HybridTree.bulk_load(data, split_policy="rr")
+    tree.validate()
+    for query in random_boxes(rng, 5, 5):
+        assert set(tree.range_search(query)) == brute_force_range(data, query)
+
+
+# Traced peak of HybridTree.bulk_load on the dataset below, in a fresh
+# process: 19,839,372 bytes with the per-node loader (a float64 copy of
+# every partition it split, the root's whole dataset first); 15,563,408
+# with the level-synchronous loader (numpy 2.4, CPython 3.11).
+PER_NODE_LOADER_PEAK = 19_839_372
+
+
+def test_bulk_load_traced_peak_is_at_most_the_per_node_loaders():
+    import tracemalloc
+
+    data = uniform_dataset(50_000, 32, seed=7)
+    assert data.dtype == np.float32
+    tracemalloc.start()
+    try:
+        HybridTree.bulk_load(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PER_NODE_LOADER_PEAK, f"traced peak {peak / 2**20:.1f} MiB"

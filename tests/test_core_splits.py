@@ -14,6 +14,8 @@ from repro.core.splits import (
     choose_data_split,
     choose_index_split,
 )
+from repro.core.hybridtree import HybridTree
+from repro.datasets import uniform_dataset
 from repro.geometry.rect import Rect
 
 
@@ -202,3 +204,38 @@ def test_property_bipartition_invariants(n, seed):
     assert lsp >= rsp
     assert all(intervals[i, 1] <= lsp + 1e-12 for i in left)
     assert all(intervals[i, 0] >= rsp - 1e-12 for i in right)
+
+
+def test_round_robin_trees_cycle_independently():
+    """Each ``rr`` tree cycles its own split dimensions: inserts into a
+    second ``rr`` tree, interleaved, leave the first tree's splits (and so
+    its live boxes) as they are when it is built alone."""
+    data = uniform_dataset(3000, 6, seed=70)
+    other = uniform_dataset(3000, 6, seed=71)
+    alone = HybridTree(6, split_policy="rr")
+    for oid, v in enumerate(data):
+        alone.insert(v, oid)
+    first = HybridTree(6, split_policy="rr")
+    second = HybridTree(6, split_policy="rr")
+    for oid, (v, w) in enumerate(zip(data, other)):
+        first.insert(v, oid)
+        second.insert(w, oid)
+    for want, got in zip(alone.els.arrays(), first.els.arrays()):
+        assert want.tobytes() == got.tobytes()
+
+
+def test_inserts_near_float32_max_keep_points_inside_their_regions():
+    """Inserts split float32 points: the rule adds the two values around a
+    cut in float64.  A float32 sum of two values near float32 max
+    overflowed to an infinite split position, and points escaped their
+    node's region."""
+    top = float(np.finfo(np.float32).max)
+    rng = np.random.default_rng(1)
+    values = np.array([top, top / 2, top / 4, top * 0.75, top * 0.9], dtype=np.float32)
+    data = np.column_stack([rng.choice(values, 300), rng.random(300)]).astype(np.float32)
+    tree = HybridTree(2, page_size=512)
+    for oid, v in enumerate(data):
+        tree.insert(v, oid)
+    tree.validate()
+    query = Rect([top * 0.8, 0.0], [top, 1.0])
+    assert sorted(tree.range_search(query)) == np.flatnonzero(data[:, 0] >= top * 0.8).tolist()

@@ -141,6 +141,75 @@ class TestFsck:
         report = verify(path)
         assert not report.ok
 
+    def test_reports_a_framed_payload_too_short_to_unpack(self, saved):
+        """A page whose frame verifies but whose payload is shorter than
+        its own header is undecodable, not a crash of the audit."""
+        from repro.storage.page import frame_page
+
+        path, _, _ = saved
+        pid = next(pid for pid, kind in _node_pages(path) if kind == PAGE_KIND_DATA)
+        with open(path, "r+b") as f:
+            f.seek(pid * PAGE)
+            f.write(frame_page(b"\x01\x00", PAGE, PAGE_KIND_DATA))
+        report = verify(path)
+        assert any(e.startswith(f"page {pid}: undecodable (") for e in report.errors)
+
+    def test_reads_and_sweeps_each_node_page_once(self, saved, monkeypatch):
+        """One sequential pass: every node page is read once and its CRC
+        swept once; the walk works from what that pass recorded."""
+        import zlib
+        from collections import Counter
+        from types import SimpleNamespace
+
+        from repro.storage import page as page_mod
+        from repro.storage import recovery
+        from repro.storage.superblock import read_blob
+
+        path, _, _ = saved
+        manifest, page_size = read_superblock(path)
+        sweeps = Counter()
+
+        def crc32(data, value=0):
+            # The last call of a page's sweep runs over everything after
+            # the header.
+            if len(data) == page_size - 32:
+                sweeps["pages"] += 1
+            return zlib.crc32(data, value)
+
+        monkeypatch.setattr(page_mod, "zlib", SimpleNamespace(crc32=crc32))
+        read_superblock(path)
+        read_blob(path, manifest, "els", page_size)
+        manifest_sweeps = sweeps["pages"]
+
+        reads = Counter()
+
+        class CountedFile:
+            def __init__(self, file):
+                self.file = file
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+            def seek(self, offset, whence=0):
+                return self.file.seek(offset, whence)
+
+            def read(self, size=-1):
+                reads[self.file.tell()] += 1
+                return self.file.read(size)
+
+        monkeypatch.setattr(
+            recovery, "open", lambda *a, **k: CountedFile(open(*a, **k)), raising=False
+        )
+        sweeps.clear()
+        report = verify(path)
+        assert report.ok, report.errors
+        node_offsets = [pid * page_size for pid in range(manifest["page_count"])]
+        assert [reads[offset] for offset in node_offsets] == [1] * len(node_offsets)
+        assert sweeps["pages"] == manifest_sweeps + len(_node_pages(path))
+
 
 class TestSalvage:
     def test_recovers_everything_from_intact_file(self, saved, tmp_path):
