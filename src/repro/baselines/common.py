@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.distances import L2, Metric
 from repro.engine.batch import dispatch
+from repro.engine.kernel import Children, EdgeBlock, RectBlock
 from repro.engine.query import DISTANCE, RANGE, BatchQueries, QueryBatch, check_on_timeout
 from repro.geometry.rect import Rect
 from repro.resilience import Deadline, PartialResult, QueryTimeoutError
@@ -256,6 +257,34 @@ class KernelQueryMixin(BatchQueries, LoopQueryMixin):
         approximation_factor: float = 0.0,
     ) -> list[tuple[int, float]]:
         return self.knn_many([query], k, metric, approximation_factor)[0]
+
+
+def rect_children(entries, dims: int) -> Children:
+    """``trav_children`` of an index node whose entries are ``(child_id,
+    Rect)`` pairs (the R-, X- and KDB-trees): the rects stacked into one
+    :class:`~repro.engine.kernel.RectBlock`."""
+    if not entries:
+        empty = np.empty((0, dims))
+        return Children([], [], RectBlock(empty, empty))
+    return Children(
+        [child_id for child_id, _ in entries],
+        [None] * len(entries),
+        RectBlock(
+            np.stack([rect.low for _, rect in entries]),
+            np.stack([rect.high for _, rect in entries]),
+        ),
+    )
+
+
+def edge_children(entries, bound) -> Children:
+    """``trav_children`` of an index node whose entries carry a
+    ``child_id`` and a region with no batched form: ``bound(entry)`` is
+    each child's :class:`~repro.engine.kernel.ChildBound`."""
+    return Children(
+        [entry.child_id for entry in entries],
+        [None] * len(entries),
+        EdgeBlock([bound(entry) for entry in entries]),
+    )
 
 
 class EntryLeaf:

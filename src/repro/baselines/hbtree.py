@@ -41,8 +41,7 @@ import numpy as np
 
 from repro.baselines.common import EntryLeaf, KernelQueryMixin, check_vector
 from repro.core.splits import choose_data_split
-from repro.distances import Metric
-from repro.engine.kernel import ChildBound
+from repro.engine.kernel import Children, RectBlock
 from repro.geometry.rect import Rect
 from repro.storage.iostats import IOStats
 from repro.storage.nodemanager import NodeManager
@@ -131,29 +130,6 @@ class HBIndexNode:
     @property
     def fanout(self) -> int:
         return len(set(child_ids(self.kd_root)))
-
-
-class _HBBound(ChildBound):
-    """Kernel pruning bound for one kd-leaf fragment of an hB index node.
-
-    Box queries test the *path-constraint rect* (±inf outside the kd path's
-    clipped dims): the scalar walk never tested the query against the node's
-    own region, only against the kd split planes, and a query box outside
-    the tree bounds must still traverse.  Distance queries use the true
-    clipped region, whose mindist subsumes every internal-edge test.
-    """
-
-    __slots__ = ("path_rect", "region")
-
-    def __init__(self, path_rect: Rect, region: Rect):
-        self.path_rect = path_rect
-        self.region = region
-
-    def box_mask(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        return self.path_rect.intersects_boxes_mask(lows, highs)
-
-    def mindist(self, qs: np.ndarray, metric: Metric) -> np.ndarray:
-        return metric.pair_mindist(qs, self.region.low, self.region.high)
 
 
 class HBTree(KernelQueryMixin):
@@ -359,12 +335,16 @@ class HBTree(KernelQueryMixin):
         return node.points(), node.live_oids()
 
     def trav_children(self, node, region):
-        out = []
+        refs: list[int] = []
+        regions: list[Rect] = []
+        paths: list[Rect] = []
         path0 = Rect(np.full(self.dims, -np.inf), np.full(self.dims, np.inf))
 
         def walk(kd: KDNode, reg: Rect, path: Rect) -> None:
             if isinstance(kd, KDLeaf):
-                out.append((kd.child_id, reg, _HBBound(path, reg)))
+                refs.append(kd.child_id)
+                regions.append(reg)
+                paths.append(path)
                 return
             walk(
                 kd.left,
@@ -378,7 +358,16 @@ class HBTree(KernelQueryMixin):
             )
 
         walk(node.kd_root, region, path0)
-        return out
+        # Box queries test each kd leaf's *path-constraint rect* (±inf
+        # outside the kd path's clipped dims): the hB-tree's kd walk tests a
+        # query against its split planes only, never against the node's own
+        # region, so a query box outside the tree bounds must still
+        # traverse.  Distance queries use the true clipped region, whose
+        # mindist subsumes every internal-edge test.
+        return Children(refs, regions, RectBlock(
+            np.stack([p.low for p in paths]), np.stack([p.high for p in paths]),
+            np.stack([r.low for r in regions]), np.stack([r.high for r in regions]),
+        ))
 
     # ------------------------------------------------------------------
     # Structural measurements

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.common import EntryLeaf, KernelQueryMixin, check_vector
-from repro.engine.kernel import RectBound
+from repro.baselines.common import EntryLeaf, KernelQueryMixin, check_vector, rect_children
 from repro.geometry.rect import Rect
 from repro.storage.iostats import IOStats
 from repro.storage.nodemanager import NodeManager
@@ -268,7 +267,7 @@ class KDBTree(KernelQueryMixin):
         return node.points(), node.live_oids()
 
     def trav_children(self, node, ctx):
-        return [(child_id, None, RectBound(rect)) for child_id, rect in node.entries]
+        return rect_children(node.entries, self.dims)
 
     # ------------------------------------------------------------------
     # Structural measurements (Table 1 evidence)

@@ -28,7 +28,7 @@ import itertools
 
 import numpy as np
 
-from repro.baselines.common import EntryLeaf, KernelQueryMixin, check_vector
+from repro.baselines.common import EntryLeaf, KernelQueryMixin, check_vector, edge_children
 from repro.distances import L2, Metric
 from repro.engine.kernel import ChildBound
 from repro.storage.iostats import IOStats
@@ -341,4 +341,4 @@ class MTree(KernelQueryMixin):
         return node.points(), node.live_oids()
 
     def trav_children(self, node, ctx):
-        return [(entry.child_id, None, _RouterBound(entry)) for entry in node.entries]
+        return edge_children(node.entries, _RouterBound)

@@ -17,8 +17,8 @@ from repro.baselines.common import (
     KernelQueryMixin,
     check_vector,
     quadratic_partition,
+    rect_children,
 )
-from repro.engine.kernel import RectBound
 from repro.geometry.rect import Rect
 from repro.storage.iostats import IOStats
 from repro.storage.nodemanager import NodeManager
@@ -342,4 +342,4 @@ class RTree(KernelQueryMixin):
         return node.points(), node.live_oids()
 
     def trav_children(self, node, ctx):
-        return [(child_id, None, RectBound(rect)) for child_id, rect in node.entries]
+        return rect_children(node.entries, self.dims)

@@ -34,6 +34,7 @@ from repro.baselines.common import (
     EntryLeaf,
     KernelQueryMixin,
     check_vector,
+    edge_children,
     quadratic_partition,
 )
 from repro.baselines.sstree import _is_euclidean
@@ -308,4 +309,4 @@ class SRTree(KernelQueryMixin):
         return node.points(), node.live_oids()
 
     def trav_children(self, node, ctx):
-        return [(entry.child_id, None, _SRBound(entry)) for entry in node.entries]
+        return edge_children(node.entries, _SRBound)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.common import EntryLeaf, KernelQueryMixin, check_vector
+from repro.baselines.common import EntryLeaf, KernelQueryMixin, check_vector, edge_children
 from repro.distances import LpMetric, Metric
 from repro.engine.kernel import ChildBound
 from repro.geometry.rect import Rect
@@ -267,7 +267,4 @@ class SSTree(KernelQueryMixin):
         return node.points(), node.live_oids()
 
     def trav_children(self, node, ctx):
-        return [
-            (entry.child_id, None, _SphereBound(entry.sphere))
-            for entry in node.entries
-        ]
+        return edge_children(node.entries, lambda entry: _SphereBound(entry.sphere))

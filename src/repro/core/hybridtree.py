@@ -41,13 +41,13 @@ from repro.core.splits import (
     choose_index_split,
 )
 from repro.distances import L2, Metric
+from repro.engine.kernel import Children, RectBlock
 from repro.engine.query import (
     BatchQueries,
+    QueryBatch,
     check_approximation,
-    check_box,
     check_k,
     check_metric,
-    check_radii,
 )
 from repro.geometry.rect import Rect
 from repro.storage import superblock as superblock_io
@@ -86,6 +86,22 @@ def _volume(row: tuple[int, list, list]) -> float:
 def _f32(x: float) -> float:
     """Round a split position to float32, the precision pages store."""
     return float(np.float32(x))
+
+
+class _Regions:
+    """The traversal contexts of a node's children: item ``i`` is child
+    ``i``'s kd region ``(low, high)``, made only when the kernel asks."""
+
+    __slots__ = ("low", "high")
+
+    def __init__(self, low: np.ndarray, high: np.ndarray):
+        self.low, self.high = low, high
+
+    def __len__(self) -> int:
+        return len(self.low)
+
+    def __getitem__(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        return self.low[i], self.high[i]
 
 
 class HybridTree:
@@ -818,32 +834,9 @@ class HybridTree:
     # Queries
     # ------------------------------------------------------------------
     def range_search(self, query: Rect) -> list[int]:
-        """Object ids of all points inside the closed box ``query``."""
-        if query.dims != self.dims:
-            raise ValueError("query dimensionality mismatch")
-        check_box(query.low, query.high)
-        qlow, qhigh = query.low, query.high
-        results: list[np.ndarray] = []
-
-        def visit(node_id: int, low: np.ndarray, high: np.ndarray) -> None:
-            node = self.nm.get(node_id)
-            if isinstance(node, DataNode):
-                if node.count:
-                    mask = query.contains_points_mask(node.points())
-                    if mask.any():
-                        results.append(node.live_oids()[mask])
-                return
-            kids = self._child_boxes(node, low, high)
-            hit = np.all((kids.box_low <= qhigh) & (qlow <= kids.box_high), axis=1)
-            for i in np.flatnonzero(hit).tolist():
-                visit(int(kids.ids[i]), kids.low[i], kids.high[i])
-
-        try:
-            visit(self._root_id, self.bounds.low, self.bounds.high)
-        except PageCorruptionError as exc:
-            vectors, oids = self._degrade(exc)
-            return [int(o) for o in oids[query.contains_points_mask(vectors)]]
-        return [int(o) for arr in results for o in arr]
+        """Object ids of all points inside the closed box ``query``: the
+        traversal kernel's batch of one (:meth:`execute`)."""
+        return self.execute(QueryBatch.range([query], self.dims))[0]
 
     def point_search(self, vector: np.ndarray) -> list[int]:
         """Object ids stored at exactly ``vector`` (float32 equality)."""
@@ -855,35 +848,10 @@ class HybridTree:
     ) -> list[tuple[int, float]]:
         """All ``(oid, distance)`` with ``distance <= radius`` under
         ``metric`` — the paper's distance-based range query, usable with a
-        different metric on every call."""
+        different metric on every call; a batch of one, like
+        :meth:`range_search`."""
         q = self._check_vector(query)
-        check_metric(metric, self.dims)
-        radius = float(check_radii(radius, 1)[0])
-        out: list[tuple[int, float]] = []
-
-        def visit(node_id: int, low: np.ndarray, high: np.ndarray) -> None:
-            node = self.nm.get(node_id)
-            if isinstance(node, DataNode):
-                if node.count:
-                    dists = metric.distance_batch(node.points().astype(np.float64), q)
-                    for i in np.flatnonzero(dists <= radius):
-                        out.append((int(node.live_oids()[i]), float(dists[i])))
-                return
-            kids = self._child_boxes(node, low, high)
-            near = metric.pair_mindist(q, kids.box_low, kids.box_high) <= radius
-            for i in np.flatnonzero(near).tolist():
-                visit(int(kids.ids[i]), kids.low[i], kids.high[i])
-
-        try:
-            visit(self._root_id, self.bounds.low, self.bounds.high)
-        except PageCorruptionError as exc:
-            vectors, oids = self._degrade(exc)
-            dists = metric.distance_batch(vectors.astype(np.float64), q)
-            return [
-                (int(oids[i]), float(dists[i]))
-                for i in np.flatnonzero(dists <= radius)
-            ]
-        return out
+        return self.execute(QueryBatch.distance(q, radius, metric, self.dims))[0]
 
     def knn(
         self,
@@ -1205,7 +1173,7 @@ class HybridTree:
     # Traversal-kernel protocol (repro.engine.kernel)
     # ------------------------------------------------------------------
     def trav_root(self):
-        return self.root_id, self.bounds
+        return self.root_id, (self.bounds.low, self.bounds.high)
 
     def trav_node(self, ref: int, charge: bool = True):
         return self.nm.get(ref, charge=charge)
@@ -1217,19 +1185,13 @@ class HybridTree:
         return node.points(), node.live_oids()
 
     def trav_children(self, node, region):
-        from repro.engine.kernel import RectBound
-
-        # The child's pruning bound is its ELS-effective box, the same box
-        # the single-query paths test (see _child_boxes).
-        kids = self._child_boxes(node, region.low, region.high)
-        return [
-            (
-                child_id,
-                Rect(kids.low[i], kids.high[i]),
-                RectBound(Rect(kids.box_low[i], kids.box_high[i])),
-            )
-            for i, child_id in enumerate(kids.ids.tolist())
-        ]
+        # The children's pruning bounds are their ELS-effective boxes, the
+        # cached arrays themselves (see _child_boxes).
+        kids = self._child_boxes(node, *region)
+        return Children(
+            kids.ids.tolist(), _Regions(kids.low, kids.high),
+            RectBlock(kids.box_low, kids.box_high),
+        )
 
     def trav_degrade(self, exc: PageCorruptionError):
         return self._degrade(exc)

@@ -26,7 +26,9 @@ share.
 from repro.engine.batch import QuerySession
 from repro.engine.kernel import (
     ChildBound,
-    RectBound,
+    Children,
+    EdgeBlock,
+    RectBlock,
     kernel_distance_range_many,
     kernel_knn_many,
     kernel_range_search_many,
@@ -46,11 +48,13 @@ from repro.engine.soa import (
 __all__ = [
     "BatchMetrics",
     "ChildBound",
+    "Children",
+    "EdgeBlock",
     "LoopRecorder",
     "ParallelQueryEngine",
     "QueryBatch",
     "QuerySession",
-    "RectBound",
+    "RectBlock",
     "SOASnapshot",
     "WORKER_MODES",
     "active_snapshot",

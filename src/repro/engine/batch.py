@@ -1,17 +1,16 @@
 """Shared-traversal batch execution of many queries over one hybrid tree.
 
-The single-query methods in :class:`~repro.core.hybridtree.HybridTree`
-re-descend from the root for every query, re-charging the same directory
-pages each time.  For a serving workload of hundreds of queries that
-redundancy dominates: the upper levels are fetched once *per query* instead
-of once *per batch*.  This module executes a whole batch in one traversal
+A single query re-descends from the root for every call, re-charging the
+same directory pages each time.  For a serving workload of hundreds of
+queries that redundancy dominates: the upper levels are fetched once *per
+query* instead of once *per batch*.  This module executes a whole batch in one traversal
 through the structure-agnostic :mod:`repro.engine.kernel`, which the hybrid
 tree and the paged baselines join via their ``trav_*`` protocol methods:
 
 - queries descend together as an *alive set* (a numpy index array);
 - each tree node is fetched from the :class:`NodeManager` once per batch —
   one charged page read — and tested against all alive queries with the
-  vectorized ``Rect`` / metric batch predicates;
+  node's bound block (one ``(queries x children)`` mask per node);
 - a query leaves the alive set as soon as the node's quantized live-space
   box can no longer contribute to it, exactly the single-query pruning
   rule evaluated row-wise.
@@ -159,7 +158,6 @@ class QuerySession:
         self,
         tree,
         pin_levels: int = 2,
-        charge_pins: bool = True,
         workers: int = 1,
         mode: str = "thread",
         timeout=None,
@@ -209,7 +207,7 @@ class QuerySession:
         for _ in range(min(pin_levels, tree.height)):
             next_frontier: list[int] = []
             for node_id in frontier:
-                node = tree.nm.pin(node_id, charge=charge_pins)
+                node = tree.nm.pin(node_id)
                 self._pinned.append(node_id)
                 if isinstance(node, IndexNode):
                     next_frontier.extend(node.child_ids())

@@ -58,22 +58,6 @@ def concat_ranges(counts: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
 
 
-def per_edge_eval(edges: np.ndarray, fill, fn) -> np.ndarray:
-    """Evaluate ``fn(edge_id, row_positions)`` once per distinct edge.
-
-    Rows are regrouped with a stable sort, so each edge sees its queries in
-    the original (ascending) order — the exact rows the object kernel
-    passes that edge's ``ChildBound``.
-    """
-    out = np.empty(len(edges), dtype=fill)
-    order = np.argsort(edges, kind="stable")
-    sorted_edges = edges[order]
-    starts = np.flatnonzero(np.diff(sorted_edges)) + 1
-    for seg in np.split(order, starts):
-        out[seg] = fn(int(edges[seg[0]]), seg)
-    return out
-
-
 class Growing:
     """An append-only array (rows of fixed shape) with amortized doubling.
 

@@ -1,14 +1,11 @@
 """Structure-agnostic traversal kernel: one batch engine for every index.
 
-The shared-traversal batch engine used to be hard-wired to the hybrid tree
-(:mod:`repro.engine.batch`), while every baseline answered batched and
-parallel workloads through a measured per-query loop — so cross-structure
-benchmarks compared an optimized engine against an unoptimized one.  This
-module extracts the traversal into three generic functions written against a
-small **traversable-index protocol**; the hybrid tree and all paged
-baselines implement it, and single-query, batched, and N-worker parallel
-execution flow through this one code path with the same ``IOStats`` /
-``BatchMetrics`` accounting.
+Every query method of every paged index — the hybrid tree's single range
+and distance queries included, as batches of one — runs through three
+generic functions written against a small **traversable-index protocol**;
+the hybrid tree and all paged baselines implement it, and single-query,
+batched, and N-worker parallel execution flow through this one code path
+with the same ``IOStats`` / ``BatchMetrics`` accounting.
 
 The protocol (duck-typed; see INTERNALS section 9 for the contract):
 
@@ -25,9 +22,12 @@ The protocol (duck-typed; see INTERNALS section 9 for the contract):
 ``index.trav_is_leaf(node) -> bool``
 ``index.trav_leaf_points(node) -> (points_f32, oids)``
     The data page's live entries (row-aligned arrays).
-``index.trav_children(node, ctx) -> [(child_ref, child_ctx, bound)]``
-    Child enumeration in the structure's canonical visit order; ``bound``
-    is a :class:`ChildBound` for vectorized pruning.
+``index.trav_children(node, ctx) -> Children``
+    All of a node's children in the structure's canonical visit order, as
+    one value: their refs, their contexts, and one *bound block* that
+    tests every child against many queries at once (a :class:`RectBlock`
+    of box rows, or an :class:`EdgeBlock` of per-child
+    :class:`ChildBound` objects).
 
 Optional protocol members:
 
@@ -48,10 +48,15 @@ Optional protocol members:
     (hybrid tree ``on_corruption="scan"``).  Absent, page corruption
     propagates.
 
-Results are **bit-identical** to the structures' pre-kernel recursive query
-methods: leaves are scanned with the same per-query numpy kernels in the
-same visit order, the batch bound predicates perform the same float
-operations row-wise as their scalar forms, and k-NN selection uses the
+Range and distance batches descend depth-first as *alive sets*: at an
+inner node one block mask, ``(alive queries x children)``, decides every
+child for every alive query, and each child with a hit is visited, in
+order, with the queries that hit it.  A batch of one is the single query:
+its visits, the pages it fetches (in the same order) and its result are
+what a dedicated recursion would give.  Batch results are **bit-identical**
+to looping the single queries: leaves are scanned with the same per-query
+numpy kernels in the same visit order, a block's rows are the same float
+operations whatever else shares the call, and k-NN selection uses the
 deterministic ``(distance, oid)`` total order everywhere.
 
 Every kernel accepts a :class:`repro.resilience.Deadline` and checks it at
@@ -70,14 +75,14 @@ same budget.
 from __future__ import annotations
 
 import time
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from repro.distances import Metric
-from repro.engine.bestfirst import Growing, TopK, best_first_knn, per_edge_eval
+from repro.engine.bestfirst import Growing, TopK, best_first_knn
 from repro.engine.metrics import BatchMetrics
 from repro.engine.query import QueryBatch
-from repro.geometry.rect import Rect
 from repro.resilience import (
     Deadline,
     PartialResult,
@@ -88,7 +93,9 @@ from repro.storage.errors import PageCorruptionError
 
 __all__ = [
     "ChildBound",
-    "RectBound",
+    "Children",
+    "EdgeBlock",
+    "RectBlock",
     "kernel_range_search_many",
     "kernel_distance_range_many",
     "kernel_knn_many",
@@ -96,14 +103,15 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# Child bounds: the pruning predicates, one object per child edge
+# Bound blocks: a node's pruning predicates, one block per node
 # ----------------------------------------------------------------------
 class ChildBound:
-    """Vectorized pruning predicates for one child of an index node.
+    """Pruning predicates for one child whose region has no batched form
+    (spheres, SR-tree rect-spheres, M-tree routers); an
+    :class:`EdgeBlock` evaluates a node's bounds column by column.
 
-    Structures provide a subclass per region geometry; the kernel evaluates
-    the predicate for all alive queries at once.  Each row of the inputs is
-    one query; each method returns one value per row.
+    Each row of the inputs is one query; each method returns one value per
+    row.
     """
 
     __slots__ = ()
@@ -124,19 +132,129 @@ class ChildBound:
         return self.mindist(qs, metric) <= radii
 
 
-class RectBound(ChildBound):
-    """The common case: a child bounded by an axis-aligned rectangle."""
+class RectBlock:
+    """Children bounded by axis-aligned boxes, row ``i`` for child ``i``.
 
-    __slots__ = ("rect",)
+    Box queries test ``low``/``high``; metric bounds are taken from the
+    distance boxes, which are the same rows unless the structure keeps a
+    second set (the hB-tree tests box queries against each kd path's
+    constraint rect but takes distances to the clipped region).  The rows
+    are read, never copied: the hybrid tree passes its cached
+    ``ChildBoxes`` arrays as they are.
 
-    def __init__(self, rect: Rect):
-        self.rect = rect
+    Every method broadcasts ``(queries, 1, d)`` against ``(children, d)``
+    and reduces the last axis, so each entry is the same float operations
+    as the scalar test of that query and child.
+    """
+
+    __slots__ = ("low", "high", "dist")
+
+    def __init__(self, low, high, dist_low=None, dist_high=None):
+        self.low, self.high = low, high
+        self.dist = None if dist_low is None else (dist_low, dist_high)
+
+    def parts(self) -> tuple[np.ndarray, ...]:
+        """The row arrays, for :class:`BlockRows`; ``RectBlock(*parts)``
+        rebuilds the block."""
+        return (self.low, self.high) + (self.dist or ())
+
+    def dist_boxes(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.dist or (self.low, self.high)
 
     def box_mask(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        return self.rect.intersects_boxes_mask(lows, highs)
+        return np.logical_and.reduce(
+            (lows[:, None] <= self.high) & (self.low <= highs[:, None]), axis=-1
+        )
 
     def mindist(self, qs: np.ndarray, metric: Metric) -> np.ndarray:
-        return metric.pair_mindist(qs, self.rect.low, self.rect.high)
+        low, high = self.dist_boxes()
+        if len(qs) == 1:  # the same rows, without broadcasting a third axis
+            return metric.pair_mindist(qs[0], low, high)[None]
+        return metric.pair_mindist(qs[:, None], low, high)
+
+    def distance_mask(self, qs: np.ndarray, radii: np.ndarray, metric: Metric) -> np.ndarray:
+        return self.mindist(qs, metric) <= radii[:, None]
+
+    def pair_mindist(self, e: np.ndarray, qs: np.ndarray, metric: Metric) -> np.ndarray:
+        """Per pair ``j``: the bound from ``qs[j]`` to the child of row
+        ``e[j]`` (best-first k-NN's rounds mix children freely)."""
+        low, high = self.dist_boxes()
+        return metric.pair_mindist(qs, low[e], high[e])
+
+
+class EdgeBlock:
+    """Children whose bounds have no batched form: one :class:`ChildBound`
+    per child (``bounds``, an object array), each called once with all
+    the rows."""
+
+    __slots__ = ("bounds",)
+
+    def __init__(self, bounds):
+        self.bounds = np.asarray(bounds, dtype=object)
+
+    def parts(self) -> tuple[np.ndarray, ...]:
+        return (self.bounds,)
+
+    def _columns(self, rows: int, dtype, fn) -> np.ndarray:
+        out = np.empty((rows, len(self.bounds)), dtype=dtype)
+        for i, bound in enumerate(self.bounds):
+            out[:, i] = fn(bound)
+        return out
+
+    def box_mask(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+        return self._columns(len(lows), bool, lambda b: b.box_mask(lows, highs))
+
+    def mindist(self, qs: np.ndarray, metric: Metric) -> np.ndarray:
+        return self._columns(len(qs), np.float64, lambda b: b.mindist(qs, metric))
+
+    def distance_mask(self, qs: np.ndarray, radii: np.ndarray, metric: Metric) -> np.ndarray:
+        return self._columns(len(qs), bool, lambda b: b.distance_mask(qs, radii, metric))
+
+    def pair_mindist(self, e: np.ndarray, qs: np.ndarray, metric: Metric) -> np.ndarray:
+        # Each edge's bound is called once, with its pairs' rows in order.
+        out = np.empty(len(e), dtype=np.float64)
+        order = np.argsort(e, kind="stable")
+        for seg in np.split(order, np.flatnonzero(np.diff(e[order])) + 1):
+            out[seg] = self.bounds[e[seg[0]]].mindist(qs[seg], metric)
+        return out
+
+
+class Children(NamedTuple):
+    """What ``trav_children`` returns: a node's children in visit order."""
+
+    refs: list  # child refs, for ``trav_node``
+    ctxs: Sequence  # each child's traversal context, for ``trav_children``
+    bounds: RectBlock | EdgeBlock  # their pruning predicates
+
+
+class BlockRows:
+    """Blocks of one form appended into one block, each append amortized
+    over its own rows: the edge table of a k-NN batch's reached tree and
+    of a compiled snapshot."""
+
+    def __init__(self):
+        self._form = None
+        self._bufs: list[Growing] = []
+
+    def extend(self, block) -> None:
+        parts = block.parts()
+        if self._form is None:
+            self._form = type(block)
+            self._bufs = [Growing(p.dtype, *p.shape[1:]) for p in parts]
+        elif type(block) is not self._form or len(parts) != len(self._bufs):
+            raise TypeError(
+                f"mixed bound blocks in one index: {self._form.__name__} "
+                f"vs {type(block).__name__}"
+            )
+        for buf, rows in zip(self._bufs, parts):
+            buf.extend(rows)
+
+    def block(self):
+        """Every row appended so far, as one block (views of the buffers);
+        None before the first append."""
+        if self._form is None:
+            return None
+        return self._form(*(buf.data[: buf.size] for buf in self._bufs))
 
 
 # ----------------------------------------------------------------------
@@ -184,19 +302,6 @@ def _make_fetch(index, charged: set):
     return fetch
 
 
-def _dedup_filter(index, scanned: dict, ref, alive: np.ndarray, n: int) -> np.ndarray:
-    """For dedup structures: drop queries that already scanned this leaf."""
-    if not getattr(index, "trav_dedup", False):
-        return alive
-    done = scanned.get(ref)
-    if done is None:
-        done = np.zeros(n, dtype=bool)
-        scanned[ref] = done
-    alive = alive[~done[alive]]
-    done[alive] = True
-    return alive
-
-
 def _walk(index, visit, n: int, deadline, on_timeout: str, from_scan):
     """Run ``visit`` from the root for all ``n`` queries under ``deadline``.
 
@@ -224,6 +329,61 @@ def _walk(index, visit, n: int, deadline, on_timeout: str, from_scan):
     return None, None
 
 
+def _descend(index, n: int, mask, scan, deadline, on_timeout: str, from_scan):
+    """The depth-first alive-set walk of the range and distance kernels.
+
+    ``mask(block, rows)`` is the ``(alive, children)`` bound mask of an
+    inner node, for the batch rows ``rows``: the alive set, or a full
+    slice while every query is alive (the root, and a single query
+    throughout), which indexes without a copy.  ``scan(node, alive)``
+    scans a leaf for its alive queries.
+    A child is visited, in order, with the queries whose entry is set (a
+    lone alive query is passed on as it is, with no gather).  Dedup
+    structures scan each ``(page, query)`` pair once.
+    Returns ``(scan_out, err, walked)`` (see :func:`_walk`); ``walked``
+    holds the alive set of every visit (:func:`_visit_counts`).
+    """
+    fetch = _make_fetch(index, set())
+    is_leaf, children = index.trav_is_leaf, index.trav_children
+    scanned = {} if getattr(index, "trav_dedup", False) else None
+    walked: list[np.ndarray] = []
+
+    def visit(ref, ctx, alive: np.ndarray) -> None:
+        if deadline is not None:
+            deadline.check()
+        node = fetch(ref)
+        walked.append(alive)
+        if is_leaf(node):
+            if scanned is not None:
+                done = scanned.get(ref)
+                if done is None:
+                    done = scanned[ref] = np.zeros(n, dtype=bool)
+                alive = alive[~done[alive]]
+                done[alive] = True
+            if alive.size:
+                scan(node, alive)
+            return
+        kids = children(node, ctx)
+        refs, ctxs = kids.refs, kids.ctxs
+        hit = mask(kids.bounds, alive if len(alive) < n else slice(None))
+        if len(alive) == 1:  # a single query: the children it hits get it
+            for i in np.flatnonzero(hit).tolist():
+                visit(refs[i], ctxs[i], alive)
+            return
+        for i in np.flatnonzero(np.logical_or.reduce(hit, axis=0)).tolist():
+            visit(refs[i], ctxs[i], alive[hit[:, i]])
+
+    scan_out, err = _walk(index, visit, n, deadline, on_timeout, from_scan)
+    return scan_out, err, walked
+
+
+def _visit_counts(walked: list[np.ndarray], n: int) -> np.ndarray:
+    """Each query's node visits, from :func:`_descend`'s alive sets."""
+    if not walked:
+        return np.zeros(n, dtype=np.int64)
+    return np.bincount(np.concatenate(walked), minlength=n)
+
+
 # ----------------------------------------------------------------------
 # Box range queries
 # ----------------------------------------------------------------------
@@ -237,7 +397,7 @@ def kernel_range_search_many(
     """Execute a non-empty range :class:`QueryBatch` in one
     structure-agnostic traversal.
 
-    Returns one oid list per query (bit-identical to looping the index's
+    Returns one oid list per query (a batch of one is the index's
     single-query ``range_search``); with ``return_metrics=True`` also a
     :class:`BatchMetrics`.  ``deadline`` bounds the traversal; on expiry
     the call raises :class:`QueryTimeoutError` or — under
@@ -247,44 +407,30 @@ def kernel_range_search_many(
     reads0 = _reads(index.io)
     lows, highs = batch.lows, batch.highs
     n = len(batch)
-    results: list[list[np.ndarray]] = [[] for _ in range(n)]
-    visits = np.zeros(n, dtype=np.int64)
-    charged: set = set()
-    scanned: dict = {}
-    fetch = _make_fetch(index, charged)
+    out: list[list[int]] = [[] for _ in range(n)]
+    leaf_points = index.trav_leaf_points
+    low_rows, high_rows = list(lows), list(highs)
+    all_of = np.logical_and.reduce
 
-    def visit(ref, ctx, alive: np.ndarray) -> None:
-        if deadline is not None:
-            deadline.check()
-        node = fetch(ref)
-        visits[alive] += 1
-        if index.trav_is_leaf(node):
-            alive = _dedup_filter(index, scanned, ref, alive, n)
-            if not alive.size:
-                return
-            pts, oids = index.trav_leaf_points(node)
-            if len(pts):
-                inside = Rect.boxes_contain_points_mask(
-                    lows[alive], highs[alive], pts
-                )
-                for row, qi in zip(inside, alive):
-                    if row.any():
-                        results[qi].append(oids[row])
-            return
-        for child_ref, child_ctx, bound in index.trav_children(node, ctx):
-            sub = alive[bound.box_mask(lows[alive], highs[alive])]
-            if sub.size:
-                visit(child_ref, child_ctx, sub)
+    def hits(pts, oids, qi: int) -> list[int]:
+        return oids[all_of((pts >= low_rows[qi]) & (pts <= high_rows[qi]), axis=1)].tolist()
+
+    def scan(node, alive: np.ndarray) -> None:
+        pts, oids = leaf_points(node)
+        if len(pts):
+            for qi in alive.tolist():
+                out[qi].extend(hits(pts, oids, qi))
 
     def from_scan(vectors, oids):
-        inside = Rect.boxes_contain_points_mask(lows, highs, vectors)
-        return [[int(o) for o in oids[row]] for row in inside]
+        return [hits(vectors, oids, qi) for qi in range(n)]
 
-    scan_out, err = _walk(index, visit, n, deadline, on_timeout, from_scan)
+    scan_out, err, walked = _descend(
+        index, n, lambda block, rows: block.box_mask(lows[rows], highs[rows]),
+        scan, deadline, on_timeout, from_scan,
+    )
     if scan_out is not None:
         out = scan_out
-    else:
-        out = [[int(o) for arr in per_query for o in arr] for per_query in results]
+    visits = _visit_counts(walked, n) if return_metrics else None
     return _finish(
         _wrap_partial(out, err, n), visits, index, start, reads0, return_metrics, batch.label
     )
@@ -303,7 +449,7 @@ def kernel_distance_range_many(
     """Execute a non-empty distance :class:`QueryBatch` (one shared metric)
     in one pass.
 
-    Bit-identical to looping the index's single-query ``distance_range``.
+    A batch of one is the index's single-query ``distance_range``.
     ``deadline`` / ``on_timeout`` behave as in
     :func:`kernel_range_search_many`.
     """
@@ -312,45 +458,35 @@ def kernel_distance_range_many(
     qs, radii, metric = batch.centers, batch.radii, batch.metric
     n = len(batch)
     out: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    visits = np.zeros(n, dtype=np.int64)
-    charged: set = set()
-    scanned: dict = {}
-    fetch = _make_fetch(index, charged)
+    leaf_points = index.trav_leaf_points
+    q_rows, radius_of = list(qs), radii.tolist()
 
-    def visit(ref, ctx, alive: np.ndarray) -> None:
-        if deadline is not None:
-            deadline.check()
-        node = fetch(ref)
-        visits[alive] += 1
-        if index.trav_is_leaf(node):
-            alive = _dedup_filter(index, scanned, ref, alive, n)
-            if not alive.size:
-                return
-            pts, oids = index.trav_leaf_points(node)
-            if len(pts):
-                points64 = pts.astype(np.float64)
-                for qi in alive:
-                    dists = metric.distance_batch(points64, qs[qi])
-                    for i in np.flatnonzero(dists <= radii[qi]):
-                        out[qi].append((int(oids[i]), float(dists[i])))
-            return
-        for child_ref, child_ctx, bound in index.trav_children(node, ctx):
-            sub = alive[bound.distance_mask(qs[alive], radii[alive], metric)]
-            if sub.size:
-                visit(child_ref, child_ctx, sub)
+    def hits(points64, oids, qi: int) -> list[tuple[int, float]]:
+        dists = metric.distance_batch(points64, q_rows[qi])
+        near = np.flatnonzero(dists <= radius_of[qi])
+        if not near.size:
+            return []
+        return list(zip(oids[near].tolist(), dists[near].tolist()))
+
+    def scan(node, alive: np.ndarray) -> None:
+        pts, oids = leaf_points(node)
+        if len(pts):
+            points64 = pts.astype(np.float64)
+            for qi in alive.tolist():
+                out[qi].extend(hits(points64, oids, qi))
 
     def from_scan(vectors, oids):
         points64 = vectors.astype(np.float64)
-        scan_out = []
-        for qi in range(n):
-            dists = metric.distance_batch(points64, qs[qi])
-            hits = np.flatnonzero(dists <= radii[qi])
-            scan_out.append([(int(oids[i]), float(dists[i])) for i in hits])
-        return scan_out
+        return [hits(points64, oids, qi) for qi in range(n)]
 
-    scan_out, err = _walk(index, visit, n, deadline, on_timeout, from_scan)
+    scan_out, err, walked = _descend(
+        index, n,
+        lambda block, rows: block.distance_mask(qs[rows], radii[rows], metric),
+        scan, deadline, on_timeout, from_scan,
+    )
     if scan_out is not None:
         out = scan_out
+    visits = _visit_counts(walked, n) if return_metrics else None
     return _finish(
         _wrap_partial(out, err, n), visits, index, start, reads0, return_metrics, batch.label
     )
@@ -365,12 +501,11 @@ class _ReachedTree:
     pop each occurrence.
 
     Loading an occurrence fetches its page once per batch through
-    ``fetch``; an inner node stacks its children's boxes into the edge
-    arrays, so each round's child bounds are one array op over
-    ``(edge, query)`` pairs, while a leaf appends its points (one float64
-    copy per page) to the shared row buffer.  Bounds that are not plain
-    :class:`RectBound` rectangles are evaluated per edge through their own
-    :class:`ChildBound`.  Occurrence ``i > 0`` is the child of edge
+    ``fetch``; an inner node appends its children's bound block to the
+    edge table (:class:`BlockRows`), so each round's child bounds are one
+    :meth:`~RectBlock.pair_mindist` call over ``(edge, query)`` pairs,
+    while a leaf appends its points (one float64 copy per page) to the
+    shared row buffer.  Occurrence ``i > 0`` is the child of edge
     ``i - 1``.
     """
 
@@ -381,8 +516,7 @@ class _ReachedTree:
         dims = qs.shape[1]
         self._refs: list = [root_ref]
         self._ctxs: list = [root_ctx]
-        self._bounds: list[ChildBound] = []
-        self._all_rect = True
+        self._edges = BlockRows()
         self._slices: dict = {}  # leaf page -> its rows
         self._loaded = Growing(bool)
         self._leaf = Growing(bool)
@@ -392,8 +526,6 @@ class _ReachedTree:
         self._end = Growing(np.int64)
         self._ref = Growing(np.int64)
         self._child = Growing(np.int64)
-        self._low = Growing(np.float64, dims)
-        self._high = Growing(np.float64, dims)
         self._points = Growing(np.float64, dims)
         self._oids = Growing(np.int64)
         self._add_nodes([root_ref])
@@ -430,34 +562,21 @@ class _ReachedTree:
                     self._slices[ref] = span
                 self._start.data[occ], self._end.data[occ] = span
                 continue
-            children = self.index.trav_children(node, self._ctxs[occ])
-            first = len(self._bounds)
-            self._first.data[occ], self._count.data[occ] = first, len(children)
-            if not children:
+            kids = self.index.trav_children(node, self._ctxs[occ])
+            first, m = len(self._refs) - 1, len(kids.refs)
+            self._first.data[occ], self._count.data[occ] = first, m
+            if not m:
                 continue
-            refs = [child_ref for child_ref, _, _ in children]
-            bounds = [bound for _, _, bound in children]
-            self._refs.extend(refs)
-            self._ctxs.extend(child_ctx for _, child_ctx, _ in children)
-            self._bounds.extend(bounds)
-            self._child.extend(np.arange(first + 1, first + 1 + len(children)))
-            self._add_nodes(refs)
-            self._all_rect = self._all_rect and all(type(b) is RectBound for b in bounds)
-            if self._all_rect:
-                self._low.extend(np.stack([b.rect.low for b in bounds]))
-                self._high.extend(np.stack([b.rect.high for b in bounds]))
+            self._refs.extend(kids.refs)
+            self._ctxs.extend(kids.ctxs)
+            self._edges.extend(kids.bounds)
+            self._child.extend(np.arange(first + 1, first + 1 + m))
+            self._add_nodes(kids.refs)
         self._publish()
 
     def mindist(self, e: np.ndarray, q: np.ndarray) -> np.ndarray:
-        qs, metric = self._qs, self._metric
-        if self._all_rect:
-            # Row-wise RectBound.mindist: a metric's rows do not depend on
-            # which other rows share the call.
-            return metric.pair_mindist(qs[q], self._low.data[e], self._high.data[e])
-        bounds = self._bounds
-        return per_edge_eval(
-            e, np.float64, lambda eid, seg: bounds[eid].mindist(qs[q[seg]], metric)
-        )
+        # A metric's rows do not depend on which other rows share the call.
+        return self._edges.block().pair_mindist(e, self._qs[q], self._metric)
 
 
 def kernel_knn_many(

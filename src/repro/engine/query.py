@@ -152,8 +152,8 @@ class QueryBatch:
         if not queries:
             empty = np.empty((0, dims))
             return cls(RANGE, lows=empty, highs=empty)
-        lows = np.stack([q.low for q in queries])
-        highs = np.stack([q.high for q in queries])
+        lows = np.array([q.low for q in queries])
+        highs = np.array([q.high for q in queries])
         check_box(lows, highs)
         return cls(RANGE, lows=lows, highs=highs)
 

@@ -1,8 +1,8 @@
 """Struct-of-arrays snapshots: compile a ``trav_*`` index, vectorize the walk.
 
 The object-walk kernel (:mod:`repro.engine.kernel`) pays interpreter costs
-per node per batch: a Python ``trav_children`` call, one ``ChildBound``
-object per child edge, one predicate call per edge.  For a compiled
+per node per batch: a Python ``trav_children`` call and one bound-block
+mask per visit, recursing one child at a time.  For a compiled
 snapshot all of that happens once: :func:`compile_snapshot` walks the index
 in DFS pre-order and packs the directory into contiguous numpy arrays
 (CSR child offsets, per-edge bound rows, concatenated leaf vectors and

@@ -66,8 +66,7 @@ import numpy as np
 from repro.distances import Metric, round_out_f32
 from repro.engine.bestfirst import TopK, best_first_knn
 from repro.engine.bestfirst import concat_ranges as _concat_ranges
-from repro.engine.bestfirst import per_edge_eval as _per_edge_eval
-from repro.engine.kernel import _finish, _reads, _wrap_partial
+from repro.engine.kernel import EdgeBlock, _finish, _reads, _wrap_partial
 from repro.engine.query import QueryBatch
 from repro.resilience import Deadline, QueryTimeoutError
 from repro.storage.iostats import AccessKind
@@ -194,6 +193,7 @@ class _PairBounds:
     def __init__(self, snap, metric: Metric | None = None):
         self.snap = snap
         self.metric = metric
+        self._block = snap.bound_block()
         self._rectlike = snap.kind in ("rect", "rect2")
         empty = np.empty((0, snap.dims), dtype=np.float32)
         self._certified = (
@@ -211,13 +211,9 @@ class _PairBounds:
             return fn(live)
         return np.concatenate([fn(live[b]) for b in blocks], axis=1)
 
-    def _per_edge(self, first_edge: int, n_edges: int, n_live: int, fn) -> np.ndarray:
-        """Row ``i``: ``fn(bound)`` of edge ``first_edge + i``'s bound."""
-        bounds = self.snap.edge_bounds
-        out = np.empty((n_edges, n_live), dtype=bool)
-        for i in range(n_edges):
-            out[i] = fn(bounds[first_edge + i])
-        return out
+    def _edges(self, first_edge: int, n_edges: int) -> EdgeBlock:
+        """The parent's children as the object kernel's bound block."""
+        return EdgeBlock(self.snap.edge_bounds[first_edge : first_edge + n_edges])
 
     # -- box intersection ----------------------------------------------
     def box_mask(
@@ -241,19 +237,12 @@ class _PairBounds:
                 n_edges,
                 live,
             )
-        lo, hi = lows[live], highs[live]
-        return self._per_edge(first_edge, n_edges, len(live), lambda b: b.box_mask(lo, hi))
+        return self._edges(first_edge, n_edges).box_mask(lows[live], highs[live]).T
 
     # -- metric lower bounds -------------------------------------------
     def mindist(self, e: np.ndarray, q: np.ndarray, qs: np.ndarray) -> np.ndarray:
         """Per ``(edge, query)`` pair: the metric's lower bound."""
-        if self._rectlike:
-            low, high = self.snap.dist_boxes()
-            return self.metric.pair_mindist(qs[q], low[e], high[e])
-        bounds, metric = self.snap.edge_bounds, self.metric
-        return _per_edge_eval(
-            e, np.float64, lambda eid, seg: bounds[eid].mindist(qs[q[seg]], metric)
-        )
+        return self._block.pair_mindist(e, qs[q], self.metric)
 
     def distance_mask(
         self,
@@ -265,12 +254,11 @@ class _PairBounds:
     ) -> np.ndarray:
         metric = self.metric
         if not self._rectlike:
-            qrows, r = qs[live], radii[live]
-            return self._per_edge(
-                first_edge, n_edges, len(live), lambda b: b.distance_mask(qrows, r, metric)
-            )
+            return self._edges(first_edge, n_edges).distance_mask(
+                qs[live], radii[live], metric
+            ).T
         rows = slice(first_edge, first_edge + n_edges)
-        low, high = (a[rows] for a in self.snap.dist_boxes())
+        low, high = (a[rows] for a in self._block.dist_boxes())
         if not self._certified:
             return self._by_query(
                 lambda q: metric.pair_mindist(qs[q][None], low[:, None], high[:, None])
@@ -448,7 +436,7 @@ def soa_range_search_many(
             deadline.check()
         # Leaf scan in three exact stages (containment is pure comparison, so
         # any evaluation order yields the same hit set as the object kernel's
-        # per-leaf ``Rect.boxes_contain_points_mask``):
+        # per-query leaf test):
         #  1. dim 0 by rank: each leaf keeps its points presorted on the first
         #     coordinate, so a query's window is two binary searches — most
         #     points are never touched;

@@ -24,7 +24,7 @@ deserializing (a mismatch degrades to the object-walk kernel rather than
 failing the open).
 
 Only ``array_only`` snapshots (rect-bounded kinds) can be persisted: the
-sphere-bounded kinds evaluate pruning through live ``ChildBound`` objects,
+``edges`` kind evaluates pruning through live ``ChildBound`` objects,
 which have no array form (see :mod:`repro.engine.soa.snapshot`).
 """
 

@@ -9,9 +9,11 @@ protocol (:mod:`repro.engine.kernel`) and emits a :class:`SOASnapshot`:
 - **CSR child offsets**: the edges of occurrence ``i`` are rows
   ``child_start[i] : child_start[i + 1]`` of the edge arrays, in the
   structure's canonical ``trav_children`` order;
-- **per-edge bound rows** packed by geometry kind (rectangles for the
-  hybrid/R/X/kd-B trees, path-rect + region pairs for the hB-tree,
-  center + radius for the sphere-bounded SS/SR/M-trees);
+- **per-edge bound rows**: the concatenation of every node's
+  ``trav_children`` bound block (:mod:`repro.engine.kernel`) — box rows
+  for the hybrid/R/X/kd-B trees (kind ``rect``), path-rect plus region
+  rows for the hB-tree (``rect2``), and the ``ChildBound`` objects of the
+  sphere-bounded SS/SR/M-trees (``edges``);
 - **concatenated leaf data**: all live leaf vectors in one ``float32``
   array and their oids beside it, each leaf occurrence holding a slice
   ``leaf_start[i] : leaf_end[i]`` (occurrences of the same page share one
@@ -22,14 +24,12 @@ id reproduces the object-walk kernel's output order exactly — that is what
 lets the vectorized kernel return bit-identical results without actually
 recursing.
 
-For the sphere-bounded structures the snapshot *also* keeps the original
+For the sphere-bounded structures the snapshot keeps the original
 :class:`~repro.engine.kernel.ChildBound` objects (``edge_bounds``): their
 scalar sphere tests reduce a 1-d vector through BLAS ``dot``
 (``np.linalg.norm``), whose summation order differs from an axis
 reduction, so the kernel evaluates those bounds through the original
 objects — grouped per edge — to stay bitwise identical to the object walk.
-The packed center/radius arrays are still emitted for tooling and future
-vectorized-lower-bound work.
 """
 
 from __future__ import annotations
@@ -39,15 +39,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.distances import round_out_f32
+from repro.engine.kernel import BlockRows, EdgeBlock, RectBlock
 
 __all__ = ["SOASnapshot", "active_snapshot", "compile_snapshot"]
 
 #: Geometry kinds a snapshot's edges can carry.
-BOUND_KINDS = ("rect", "rect2", "sphere", "rect_sphere", "router")
+BOUND_KINDS = ("rect", "rect2", "edges")
 
 #: Kinds whose pruning predicates are pure array math over the packed
 #: arrays — these snapshots can be persisted and reloaded without the
-#: original index objects.  The sphere kinds need ``edge_bounds``.
+#: original index objects.  ``edges`` needs ``edge_bounds``.
 ARRAY_ONLY_KINDS = ("rect", "rect2")
 
 
@@ -72,14 +73,12 @@ class SOASnapshot:
     box_high: np.ndarray | None = None  # float64 (E, d)
     dist_low: np.ndarray | None = None  # float64 (E, d)  rect2: region for mindist
     dist_high: np.ndarray | None = None  # float64 (E, d)
-    center: np.ndarray | None = None  # float64 (E, d)  sphere / router centers
-    radius: np.ndarray | None = None  # float64 (E,)
     # Concatenated leaf data.
     points: np.ndarray = field(default_factory=lambda: np.empty((0, 0), np.float32))
     oids: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    # Original ChildBound objects, required by the sphere kinds (see module
-    # docstring); never persisted.
-    edge_bounds: list | None = None
+    # Original ChildBound objects, required by the ``edges`` kind (see
+    # module docstring); never persisted.
+    edge_bounds: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in BOUND_KINDS:
@@ -103,21 +102,23 @@ class SOASnapshot:
         precondition for persisting the snapshot."""
         return self.kind in ARRAY_ONLY_KINDS
 
-    def dist_boxes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The edge boxes metric bounds are taken from: the region rows of
-        a ``rect2`` snapshot, the box rows otherwise."""
-        if self.kind == "rect2":
-            return self.dist_low, self.dist_high
-        return self.box_low, self.box_high
+    def bound_block(self) -> RectBlock | EdgeBlock:
+        """Every edge's bound as one bound block of the object kernel
+        (:mod:`repro.engine.kernel`): the same rows, the same float
+        operations."""
+        if self.kind == "edges":
+            return EdgeBlock(self.edge_bounds)
+        return RectBlock(self.box_low, self.box_high, self.dist_low, self.dist_high)
 
     def dist_boxes32(self) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`dist_boxes` rounded outward to float32
+        """The boxes metric bounds are taken from (the region rows of a
+        ``rect2`` snapshot, the box rows otherwise) rounded outward to float32
         (:func:`~repro.distances.round_out_f32`), built lazily on the first
         distance batch and cached: the operands of the frontier's float32
         stage.  A refresh builds a new snapshot, which rebuilds them."""
         cached = getattr(self, "_dist_boxes32", None)
         if cached is None:
-            cached = self._dist_boxes32 = round_out_f32(*self.dist_boxes())
+            cached = self._dist_boxes32 = round_out_f32(*self.bound_block().dist_boxes())
         return cached
 
     def leaf_sort0(self) -> tuple[np.ndarray, np.ndarray]:
@@ -158,26 +159,6 @@ def active_snapshot(index) -> SOASnapshot | None:
     return getattr(index, "_soa_snapshot", None)
 
 
-def _classify_bound(bound) -> str:
-    from repro.engine.kernel import RectBound
-
-    if isinstance(bound, RectBound):
-        return "rect"
-    if hasattr(bound, "path_rect") and hasattr(bound, "region"):
-        return "rect2"
-    if hasattr(bound, "sphere"):
-        return "sphere"
-    entry = getattr(bound, "entry", None)
-    if entry is not None and hasattr(entry, "router"):
-        return "router"
-    if entry is not None and hasattr(entry, "sphere") and hasattr(entry, "rect"):
-        return "rect_sphere"
-    raise TypeError(
-        f"cannot compile {type(bound).__name__} into a struct-of-arrays "
-        "snapshot: unknown bound geometry"
-    )
-
-
 def compile_snapshot(index) -> SOASnapshot:
     """Walk ``index`` through the ``trav_*`` protocol and pack it flat.
 
@@ -203,8 +184,7 @@ def compile_snapshot(index) -> SOASnapshot:
     leaf_start: list[int] = []
     leaf_end: list[int] = []
     edge_child: list[int] = []
-    edge_bounds: list = []
-    kind: str | None = None
+    edges = BlockRows()
 
     # Leaf slices are shared between occurrences of the same page.
     leaf_slices: dict[int, tuple[int, int]] = {}
@@ -242,68 +222,30 @@ def compile_snapshot(index) -> SOASnapshot:
         node_is_leaf.append(False)
         leaf_start.append(0)
         leaf_end.append(0)
-        children = index.trav_children(node, ctx)
+        kids = index.trav_children(node, ctx)
         first_edge = len(edge_child)
-        for _child_ref, _child_ctx, bound in children:
-            bkind = _classify_bound(bound)
-            if kind is None:
-                kind = bkind
-            elif kind != bkind:
-                raise TypeError(
-                    f"mixed bound kinds in one index: {kind} vs {bkind}"
-                )
-            edge_child.append(-1)
-            edge_bounds.append(bound)
+        edges.extend(kids.bounds)
+        edge_child.extend([-1] * len(kids.refs))
         child_start.append(len(edge_child))
         # Push in reverse so pops happen in trav_children order (DFS
         # pre-order, the object kernel's visit order).
-        for offset in range(len(children) - 1, -1, -1):
-            child_ref, child_ctx, _bound = children[offset]
-            stack.append((child_ref, child_ctx, first_edge + offset))
+        for offset in range(len(kids.refs) - 1, -1, -1):
+            stack.append((kids.refs[offset], kids.ctxs[offset], first_edge + offset))
 
-    if kind is None:
-        kind = "rect"  # a single-leaf tree has no edges; any kind fits
-
-    box_low = box_high = dist_low = dist_high = center = radius = None
-    n_edges = len(edge_child)
-    if kind == "rect":
-        box_low = np.empty((n_edges, dims))
-        box_high = np.empty((n_edges, dims))
-        for i, bound in enumerate(edge_bounds):
-            box_low[i] = bound.rect.low
-            box_high[i] = bound.rect.high
-    elif kind == "rect2":
-        box_low = np.empty((n_edges, dims))
-        box_high = np.empty((n_edges, dims))
-        dist_low = np.empty((n_edges, dims))
-        dist_high = np.empty((n_edges, dims))
-        for i, bound in enumerate(edge_bounds):
-            box_low[i] = bound.path_rect.low
-            box_high[i] = bound.path_rect.high
-            dist_low[i] = bound.region.low
-            dist_high[i] = bound.region.high
+    block = edges.block()
+    if block is None:  # a single-leaf tree has no edges; any kind fits
+        empty = np.empty((0, dims))
+        block = RectBlock(empty, empty)
+    # The table's buffers grow by doubling: keep copies sized to the rows.
+    block = type(block)(*(part.copy() for part in block.parts()))
+    box_low = box_high = dist_low = dist_high = edge_bounds = None
+    if isinstance(block, RectBlock):
+        box_low, box_high = block.low, block.high
+        kind = "rect" if block.dist is None else "rect2"
+        if block.dist is not None:
+            dist_low, dist_high = block.dist
     else:
-        center = np.empty((n_edges, dims))
-        radius = np.empty(n_edges)
-        for i, bound in enumerate(edge_bounds):
-            if kind == "sphere":
-                sphere = bound.sphere
-            elif kind == "rect_sphere":
-                sphere = bound.entry.sphere
-            else:  # router
-                sphere = None
-            if sphere is not None:
-                center[i] = sphere.center
-                radius[i] = sphere.radius
-            else:
-                center[i] = bound.entry.router
-                radius[i] = bound.entry.radius
-        if kind == "rect_sphere":
-            box_low = np.empty((n_edges, dims))
-            box_high = np.empty((n_edges, dims))
-            for i, bound in enumerate(edge_bounds):
-                box_low[i] = bound.entry.rect.low
-                box_high[i] = bound.entry.rect.high
+        kind, edge_bounds = "edges", block.bounds
 
     if vec_parts:
         points = np.concatenate(vec_parts, axis=0)
@@ -328,9 +270,7 @@ def compile_snapshot(index) -> SOASnapshot:
         box_high=box_high,
         dist_low=dist_low,
         dist_high=dist_high,
-        center=center,
-        radius=radius,
         points=points,
         oids=oids,
-        edge_bounds=edge_bounds if kind not in ARRAY_ONLY_KINDS else None,
+        edge_bounds=edge_bounds,
     )

@@ -169,24 +169,6 @@ class Rect:
         """
         return np.all((lows <= self.high) & (self.low <= highs), axis=1)
 
-    @staticmethod
-    def boxes_contain_points_mask(
-        lows: np.ndarray, highs: np.ndarray, points: np.ndarray
-    ) -> np.ndarray:
-        """``(q, m)`` mask: does query box ``i`` contain point ``j``?
-
-        Row ``i`` is exactly ``Rect(lows[i], highs[i]).contains_points_mask
-        (points)`` — the same comparisons, evaluated for every query box in
-        one broadcast, which is how a data node is scanned against a whole
-        batch of range queries.
-        """
-        points = np.asarray(points)
-        return np.all(
-            (points[None, :, :] >= lows[:, None, :])
-            & (points[None, :, :] <= highs[:, None, :]),
-            axis=2,
-        )
-
     # ------------------------------------------------------------------
     # Dunder
     # ------------------------------------------------------------------

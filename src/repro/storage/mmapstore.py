@@ -10,9 +10,6 @@ integrity contract moves from *per read* to *once at open*:
   :func:`repro.storage.recovery.verify`) audits the entire file — page
   CRCs, reachability, free list, checksum-of-checksums — before the first
   query, so steady-state reads can skip ``unframe_page``'s CRC entirely;
-- ``verify="sweep"`` runs a standalone CRC sweep over the mapped pages
-  (free pages, legitimately zero-filled holes, are exempt) for raw page
-  files that carry no superblock;
 - ``verify="none"`` trusts the caller (e.g. the file was fsck'd moments
   ago by other means).
 
@@ -36,10 +33,10 @@ import os
 
 from repro.storage.errors import PageCorruptionError, ReadOnlyStoreError
 from repro.storage.iostats import AccessKind, IOStats
-from repro.storage.page import DEFAULT_PAGE_SIZE, unframe_page
+from repro.storage.page import DEFAULT_PAGE_SIZE
 from repro.storage.pagestore import PageStore
 
-VERIFY_MODES = ("fsck", "sweep", "none")
+VERIFY_MODES = ("fsck", "none")
 
 _ZERO_PAGE_CACHE: dict[int, bytes] = {}
 
@@ -66,10 +63,8 @@ class MmapPageStore(PageStore):
         :class:`~repro.storage.pagestore.FilePageStore` reads, so the
         paper's access accounting is unchanged by the faster transport.
     verify:
-        ``"fsck"`` | ``"sweep"`` | ``"none"`` — the at-open integrity
-        policy described in the module docstring.
-    free_ids:
-        Pages exempt from the ``"sweep"`` audit (zero-filled holes).
+        ``"fsck"`` | ``"none"`` — the at-open integrity policy described
+        in the module docstring.
     """
 
     def __init__(
@@ -78,7 +73,6 @@ class MmapPageStore(PageStore):
         page_size: int = DEFAULT_PAGE_SIZE,
         stats: IOStats | None = None,
         verify: str = "none",
-        free_ids: tuple[int, ...] = (),
     ):
         super().__init__(page_size, stats)
         if verify not in VERIFY_MODES:
@@ -98,8 +92,6 @@ class MmapPageStore(PageStore):
         self.verified = False
         if verify == "fsck":
             self._verify_fsck()
-        elif verify == "sweep":
-            self._verify_sweep(frozenset(free_ids))
 
     # ------------------------------------------------------------------
     # At-open verification
@@ -115,19 +107,6 @@ class MmapPageStore(PageStore):
                 f"{self.path}: mmap open refused, fsck found "
                 f"{len(report.errors)} problem(s): " + "; ".join(report.errors[:5])
             )
-        self.verified = True
-
-    def _verify_sweep(self, free_ids: frozenset[int]) -> None:
-        """CRC-check every mapped page frame once (holes exempt)."""
-        for page_id in range(self._next_id):
-            if page_id in free_ids:
-                continue
-            page = self._slice(page_id)
-            try:
-                unframe_page(page, page_id)
-            except PageCorruptionError:
-                self.close()
-                raise
         self.verified = True
 
     # ------------------------------------------------------------------

@@ -51,8 +51,6 @@ _KIND_NAMES = {
     PAGE_KIND_SUPERBLOCK: "superblock",
 }
 
-_DATA_DIMS = struct.Struct("<BHH")  # node payload prefix: kind, count, dims
-
 
 @dataclass
 class FsckReport:
@@ -422,25 +420,21 @@ def _wal_salvage_state(path: str, page_size: int, manifest: dict):
     scan = wal_io.usable_scan(path, int(manifest.get("generation", 0)))
     if scan is None or not scan.transactions:
         return overrides, excluded, 0
+    codec = _node_codec(manifest, page_size)
     last_free: list[int] = []
     for pages, commit in wal_io.committed_transactions(scan):
         for record in pages:
             try:
-                header, payload = unframe_page(record.payload, record.page_id)
+                header, _ = unframe_page(record.payload, record.page_id)
             except PageCorruptionError:
                 continue
+            entries = None
             if header.kind == PAGE_KIND_DATA:
-                _, count, dims = _DATA_DIMS.unpack_from(payload, 0)
-                offset = _DATA_DIMS.size
-                vectors = np.frombuffer(
-                    payload, dtype="<f4", count=count * dims, offset=offset
-                ).reshape(count, dims)
-                oids = np.frombuffer(
-                    payload, dtype="<u4", count=count, offset=offset + count * dims * 4
-                )
-                overrides[record.page_id] = (vectors, oids)
+                entries = _data_entries(codec, record.payload)
+            if entries is not None:
+                overrides[record.page_id] = entries
                 excluded.discard(record.page_id)
-            else:
+            else:  # an index page, or a data page the codec rejects (lost)
                 overrides.pop(record.page_id, None)
                 excluded.add(record.page_id)
         try:
@@ -453,30 +447,44 @@ def _wal_salvage_state(path: str, page_size: int, manifest: dict):
     return overrides, excluded, scan.transactions
 
 
-def iter_intact_data_pages(path: str | os.PathLike, page_size: int):
+def _data_entries(codec, page: bytes):
+    """``(vectors, oids)`` of a data page whose frame verified, decoded by
+    the node codec (views into ``page``), or None when the codec rejects
+    its payload: a count beyond the capacity, a length that does not
+    match it, or dims other than the codec's."""
+    try:
+        node = codec.decode(VerifiedPage(page))
+    except (ValueError, struct.error):
+        return None
+    return node.points(), node.live_oids()
+
+
+def iter_intact_data_pages(
+    path: str | os.PathLike, page_size: int, dims: int | None = None
+):
     """Yield ``(page_id, vectors, oids)`` for every page of the file whose
-    frame verifies and whose kind is *data* — regardless of whether the
-    index above it survived."""
+    frame verifies, whose kind is *data* and whose payload the node codec
+    for ``dims`` decodes — regardless of whether the index above it
+    survived.  With ``dims=None`` each page is decoded for the dims its own
+    payload declares."""
+    from repro.storage.serialization import HybridNodeCodec
+
     path = os.fspath(path)
     size = os.path.getsize(path)
     with open(path, "rb") as f:
         for pid in range(size // page_size):
             f.seek(pid * page_size)
+            page = f.read(page_size)
             try:
-                header, payload = unframe_page(f.read(page_size), pid)
-            except PageCorruptionError:
+                header, payload = unframe_page(page, pid)
+                if header.kind != PAGE_KIND_DATA:
+                    continue
+                page_dims = HybridNodeCodec.declared_dims(payload) if dims is None else dims
+                entries = _data_entries(_node_codec({"dims": page_dims}, page_size), page)
+            except (PageCorruptionError, ValueError, struct.error):
                 continue
-            if header.kind != PAGE_KIND_DATA:
-                continue
-            _, count, dims = _DATA_DIMS.unpack_from(payload, 0)
-            offset = _DATA_DIMS.size
-            vectors = np.frombuffer(
-                payload, dtype="<f4", count=count * dims, offset=offset
-            ).reshape(count, dims)
-            oids = np.frombuffer(
-                payload, dtype="<u4", count=count, offset=offset + count * dims * 4
-            )
-            yield pid, vectors, oids
+            if entries is not None:
+                yield (pid, *entries)
 
 
 def _probe_page_size(path: str) -> int:
@@ -541,7 +549,7 @@ def salvage(
     oid_parts: list[np.ndarray] = []
     dims: int | None = int(manifest["dims"]) if "dims" in manifest else None
     data_pages = 0
-    for pid, vectors, oids in iter_intact_data_pages(path, page_size):
+    for pid, vectors, oids in iter_intact_data_pages(path, page_size, dims):
         if pid in wal_overrides or pid in wal_freed:
             continue
         if dims is None:

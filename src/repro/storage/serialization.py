@@ -181,6 +181,14 @@ class HybridNodeCodec:
         oids = np.ascontiguousarray(node.live_oids(), dtype="<u4").tobytes()
         return header + vectors + oids
 
+    @staticmethod
+    def declared_dims(payload: bytes | memoryview) -> int:
+        """The dimensionality a data-node payload's header declares: what
+        to build a codec for when nothing else says (a salvage without a
+        readable superblock).  ``struct.error`` if the payload is shorter
+        than its header."""
+        return _DATA_HEADER.unpack_from(payload, 0)[2]
+
     def _decode_data(self, data: bytes | memoryview) -> DataNode:
         _, count, dims = _DATA_HEADER.unpack_from(data, 0)
         if dims != self.dims:

@@ -65,6 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.storage.errors import PageCorruptionError
+from repro.storage.page import unframe_page
 
 WAL_MAGIC = 0x4C415748  # "HWAL"
 WAL_FORMAT = 2
@@ -455,7 +456,7 @@ def usable_scan(tree_path: str | os.PathLike, generation: int) -> WalScan | None
     return scan
 
 
-def apply_scan(scan: WalScan, store, page_size: int, verify_pages: bool = True) -> dict:
+def apply_scan(scan: WalScan, store, page_size: int) -> dict:
     """Replay a scan's complete transactions into ``store`` (uncharged
     writes), returning the final merged commit metadata.
 
@@ -474,10 +475,7 @@ def apply_scan(scan: WalScan, store, page_size: int, verify_pages: bool = True) 
                     f"(page size {page_size})",
                     record.page_id,
                 )
-            if verify_pages:
-                from repro.storage.page import unframe_page
-
-                unframe_page(record.payload, record.page_id)
+            unframe_page(record.payload, record.page_id)
             store.ensure_allocated(record.page_id)
             store.write(record.page_id, record.payload, charge=False)
         meta = decode_commit(commit.payload)

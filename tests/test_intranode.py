@@ -1,9 +1,11 @@
-"""The intranode step of the single-query methods.
+"""The intranode step of the single-query methods, and their page bills.
 
-``HybridTree.range_search``, ``distance_range``, ``knn`` and
-``nearest_iter`` test all children of an index node in one array step,
-over the children's ids, kd regions and ELS boxes that the decoded node
-caches (``HybridTree._child_boxes``).  These tests pin:
+``HybridTree.range_search`` and ``distance_range`` are the traversal
+kernel's batch of one, whose ``trav_children`` block is the node's cached
+arrays; ``knn`` and ``nearest_iter`` run their own best-first search.
+Each tests all children of an index node in one array step, over the
+children's ids, kd regions and ELS boxes that the decoded node caches
+(``HybridTree._child_boxes``).  These tests pin:
 
 - both array helpers (``kdnodes.leaf_region_arrays`` and
   ``ELSTable.effective_boxes``) equal their scalar forms bit for bit on
@@ -12,6 +14,12 @@ caches (``HybridTree._child_boxes``).  These tests pin:
   kernel's batch of one, with equal charged reads per query: in memory,
   through an 8-page buffer (which evicts nodes, so caches are rebuilt)
   and over mmap;
+- the single-query bills: each range, distance (L1, L2, weighted) and
+  point query's result, order included, equals the depth-first recursion
+  those methods once ran, and its charged reads over a fixed query
+  stream equal constants measured with that recursion, through an 8-page
+  buffer and through the default cache; a single query equals the batch
+  of one with and without an attached snapshot;
 - a cached entry never outlives what it was derived from: after a leaf
   split, root growth, an insert outside the data space, a delete down to
   underflow-and-reinsert, a failed insert and a WAL-replayed open, every
@@ -605,3 +613,155 @@ def test_cached_boxes_after_a_wal_replayed_open(tmp_path):
     model[0] = points[0]
     _check_after_write(replayed, model, "a write after the replayed open")
     replayed.close()
+
+
+# ----------------------------------------------------------------------
+# Single-query bills, pinned
+# ----------------------------------------------------------------------
+BILL_METRICS = {"L1": L1, "L2": L2, "weighted": METRICS["weighted"]}
+
+# Each query's charged reads over the stream of :func:`_bill_stream`, as
+# the depth-first recursion below charges them: a single query must fetch
+# the same pages in the same order, so that a bounded buffer also evicts
+# the same pages.
+PINNED_READS = {
+    "buffer8": {
+        "range": [7, 3, 23, 22, 14, 41, 6, 7, 4, 0, 68, 0],
+        "L1": [15, 12, 12, 14, 15, 19],
+        "L2": [10, 10, 10, 10, 14, 18],
+        "weighted": [9, 9, 10, 11, 12, 14],
+        "point": [1, 2, 1, 1, 1, 2],
+    },
+    "default": {
+        "range": [7, 8, 25, 25, 18, 42, 8, 10, 7, 2, 71, 1],
+        "L1": [17, 13, 13, 16, 18, 22],
+        "L2": [12, 13, 11, 12, 16, 21],
+        "weighted": [11, 12, 11, 12, 14, 17],
+        "point": [3, 3, 3, 3, 3, 3],
+    },
+}
+
+
+def _bill_queries(data):
+    rows = data.astype(np.float64)
+    boxes, centers = _queries(np.random.default_rng(3), rows, n_boxes=10, n_centers=5)
+    radii = {
+        name: [float(np.sort(metric.distance_batch(rows, q))[20]) for q in centers]
+        for name, metric in BILL_METRICS.items()
+    }
+    points = np.vstack([rows[::601], np.full((1, DIMS), 0.5)])  # five stored, one not
+    return boxes, centers, radii, points
+
+
+def _bill_stream(tree, boxes, centers, radii, points, range_search, distance_range):
+    """Every pinned query, in order, on one tree: ``{kind: [(result,
+    charged reads), ...]}``.  The buffer carries over from query to query,
+    as in a serving process."""
+
+    def run(call):
+        before = _reads(tree)
+        out = call()
+        return out, _reads(tree) - before
+
+    bills = {"range": [run(lambda: range_search(tree, box)) for box in boxes]}
+    for name, metric in BILL_METRICS.items():
+        bills[name] = [
+            run(lambda: distance_range(tree, q, r, metric))
+            for q, r in zip(centers, radii[name])
+        ]
+    bills["point"] = [
+        run(lambda: range_search(tree, Rect(p.astype(np.float32), p.astype(np.float32))))
+        for p in points
+    ]
+    return bills
+
+
+def _recursive_range(tree, query):
+    """The depth-first recursion ``range_search`` once ran beside the
+    kernel: the reference for results and fetch order."""
+    out = []
+
+    def visit(node_id, low, high):
+        node = tree.nm.get(node_id)
+        if not isinstance(node, IndexNode):
+            if node.count:
+                out.extend(node.live_oids()[query.contains_points_mask(node.points())].tolist())
+            return
+        kids = tree._child_boxes(node, low, high)
+        hit = np.all((kids.box_low <= query.high) & (query.low <= kids.box_high), axis=1)
+        for i in np.flatnonzero(hit).tolist():
+            visit(int(kids.ids[i]), kids.low[i], kids.high[i])
+
+    visit(tree.root_id, tree.bounds.low, tree.bounds.high)
+    return out
+
+
+def _recursive_distance(tree, q, radius, metric):
+    q = np.asarray(q, dtype=np.float32).astype(np.float64)
+    out = []
+
+    def visit(node_id, low, high):
+        node = tree.nm.get(node_id)
+        if not isinstance(node, IndexNode):
+            if node.count:
+                dists = metric.distance_batch(node.points().astype(np.float64), q)
+                hits = np.flatnonzero(dists <= radius)
+                out.extend(zip(node.live_oids()[hits].tolist(), dists[hits].tolist()))
+            return
+        kids = tree._child_boxes(node, low, high)
+        near = metric.pair_mindist(q, kids.box_low, kids.box_high) <= radius
+        for i in np.flatnonzero(near).tolist():
+            visit(int(kids.ids[i]), kids.low[i], kids.high[i])
+
+    visit(tree.root_id, tree.bounds.low, tree.bounds.high)
+    return out
+
+
+def _open_for_bills(saved, cache):
+    return HybridTree.open(saved, buffer_pages=8 if cache == "buffer8" else None)
+
+
+@pytest.mark.parametrize("cache", ["buffer8", "default"])
+def test_single_query_bills_are_pinned(cache, data, saved):
+    """``range_search``, ``distance_range`` (L1, L2, weighted) and
+    ``point_search`` answer each query as the recursion did, order
+    included, and charge exactly the reads measured for it: through an
+    8-page buffer, which evicts, and through the default cache."""
+    queries = _bill_queries(data)
+    tree = _open_for_bills(saved, cache)
+    got = _bill_stream(
+        tree, *queries,
+        lambda t, box: t.range_search(box),
+        lambda t, q, r, m: t.distance_range(q, r, m),
+    )
+    reference = _open_for_bills(saved, cache)
+    want = _bill_stream(reference, *queries, _recursive_range, _recursive_distance)
+    for kind, calls in got.items():
+        assert [out for out, _ in calls] == [out for out, _ in want[kind]], kind
+        assert [reads for _, reads in calls] == [reads for _, reads in want[kind]], kind
+        assert [reads for _, reads in calls] == PINNED_READS[cache][kind], kind
+    assert [tree.point_search(p) for p in queries[3]] == [out for out, _ in got["point"]]
+    assert sum(len(out) for out, _ in got["point"]) >= 5
+    tree.close()
+    reference.close()
+
+
+@pytest.mark.parametrize("snapshot", [False, True])
+def test_single_query_is_the_batch_of_one(snapshot, data, saved):
+    """With or without an attached snapshot, a single query answers and
+    bills exactly as the same query in a batch of one (with a snapshot
+    both run on the SOA kernel)."""
+    boxes, centers, radii, points = _bill_queries(data)
+    tree = HybridTree.open(saved, buffer_pages=8)
+    if snapshot:
+        tree.compile_snapshot()
+    assert (tree.soa_snapshot is not None) == snapshot
+    for box in boxes + [Rect(p, p) for p in points]:
+        single = _measured(tree, lambda: tree.range_search(box))
+        assert single == _measured(tree, lambda: tree.range_search_many([box])[0])
+    for name, metric in BILL_METRICS.items():
+        for q, r in zip(centers, radii[name]):
+            single = _measured(tree, lambda: tree.distance_range(q, r, metric))
+            batch = _measured(tree, lambda: tree.distance_range_many([q], r, metric)[0])
+            assert single == batch, name
+    tree.close()

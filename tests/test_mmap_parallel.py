@@ -137,12 +137,12 @@ class TestMmapPageStore:
             with pytest.raises(ReadOnlyStoreError):
                 store.free(0)
 
-    def test_sweep_detects_corruption(self, saved_tree_path, tmp_path):
+    def test_fsck_mode_refuses_a_corrupt_file(self, saved_tree_path, tmp_path):
         bad = _corrupt_copy(saved_tree_path, tmp_path)
         with pytest.raises(PageCorruptionError):
-            MmapPageStore(bad, verify="sweep")
-        # The intact file passes the same sweep.
-        store = MmapPageStore(saved_tree_path, verify="sweep")
+            MmapPageStore(bad, verify="fsck")
+        # The intact file passes the same audit.
+        store = MmapPageStore(saved_tree_path, verify="fsck")
         assert store.verified
         store.close()
 

@@ -17,7 +17,9 @@ duplicate-heavy data, for every registered index kind:
   (regression — it used to checkpoint only random reads, reporting zero
   for the scan structures);
 - metric preconditions: the SS-tree and the M-tree reject metrics their
-  geometry cannot bound, in both single and batched form.
+  geometry cannot bound, in both single and batched form;
+- ``trav_children``'s bound block: each entry of its ``(queries x
+  children)`` masks and bounds equals that child's test of that one query.
 """
 
 import numpy as np
@@ -25,6 +27,7 @@ import pytest
 
 from repro.baselines import SequentialScan
 from repro.distances import L1, L2
+from repro.engine.kernel import RectBlock
 from repro.eval.harness import build_index
 from repro.geometry.rect import Rect
 from tests.conftest import brute_force_range, random_boxes
@@ -265,3 +268,71 @@ def test_mtree_rejects_box_queries(built, boxes):
         built["mtree"].range_search(boxes[0])
     with pytest.raises(TypeError, match="bounding-box"):
         built["mtree"].range_search_many(boxes)
+
+
+# ----------------------------------------------------------------------
+# The trav_children bound block against per-query bounds
+# ----------------------------------------------------------------------
+TRAVERSABLE = ["hybrid", "rtree", "xtree", "kdbtree", "sstree", "srtree", "mtree", "hbtree"]
+
+
+def _inner_blocks(index):
+    """The ``trav_children`` value of every inner node, walked uncharged."""
+    stack = [index.trav_root()]
+    while stack:
+        ref, ctx = stack.pop()
+        node = index.trav_node(ref, charge=False)
+        if index.trav_is_leaf(node):
+            continue
+        kids = index.trav_children(node, ctx)
+        assert len(kids.refs) == len(kids.ctxs)
+        yield kids
+        stack.extend(zip(kids.refs, kids.ctxs))
+
+
+def _one_query(block, i, j, lows, highs, qs, radii, metric):
+    """Child ``i``'s tests of query ``j`` alone: a box ``Rect`` and the
+    scalar ``mindist_rect`` for box rows, else the child's own
+    ``ChildBound`` called with one row."""
+    if isinstance(block, RectBlock):
+        dist_low, dist_high = block.dist_boxes()
+        box = None
+        if lows is not None:
+            box = Rect(block.low[i], block.high[i]).intersects(Rect(lows[j], highs[j]))
+        bound = metric.mindist_rect(qs[j], dist_low[i], dist_high[i])
+        return box, bound, bound <= radii[j]
+    child = block.bounds[i]
+    box = None
+    if lows is not None:
+        box = bool(child.box_mask(lows[j : j + 1], highs[j : j + 1])[0])
+    bound = float(child.mindist(qs[j : j + 1], metric)[0])
+    near = bool(child.distance_mask(qs[j : j + 1], radii[j : j + 1], metric)[0])
+    return box, bound, near
+
+
+@pytest.mark.parametrize("kind", TRAVERSABLE)
+def test_child_blocks_match_per_query_bounds(kind, built, boxes, centers):
+    index = built[kind]
+    supports_box = getattr(index, "trav_supports_box", True)
+    lows = np.stack([b.low for b in boxes]) if supports_box else None
+    highs = np.stack([b.high for b in boxes]) if supports_box else None
+    qs = centers[: len(boxes)]
+    radii = np.linspace(0.05, 0.6, len(qs))
+    metric = L2
+    checked = 0
+    for kids in _inner_blocks(index):
+        block = kids.bounds
+        m = len(kids.refs)
+        box = block.box_mask(lows, highs) if supports_box else None
+        bound = block.mindist(qs, metric)
+        near = block.distance_mask(qs, radii, metric)
+        assert bound.shape == near.shape == (len(qs), m)
+        for i in range(m):
+            for j in range(len(qs)):
+                want = _one_query(block, i, j, lows, highs, qs, radii, metric)
+                if supports_box:
+                    assert bool(box[j, i]) == want[0], (kind, i, j)
+                assert float(bound[j, i]) == want[1], (kind, i, j)
+                assert bool(near[j, i]) == want[2], (kind, i, j)
+        checked += 1
+    assert checked, kind

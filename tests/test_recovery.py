@@ -252,6 +252,39 @@ class TestSalvage:
         assert report.objects_recovered == len(tree) - lost
         assert report.expected_objects == len(tree)
 
+    @pytest.mark.parametrize("superblock", ["intact", "destroyed"])
+    def test_skips_a_framed_data_page_the_codec_rejects(self, tmp_path, superblock):
+        """A data page whose frame verifies but whose payload claims 300
+        entries in 21 bytes is lost, like a corrupt one: fsck calls it
+        undecodable, and salvage rebuilds from the other pages instead of
+        crashing."""
+        import struct
+
+        from repro.storage.page import frame_page
+
+        data = uniform_dataset(1500, 8, seed=3)
+        tree = HybridTree.bulk_load(data)
+        path = str(tmp_path / "t.pages")
+        tree.save(path)
+        victim = next(p for p, k in _node_pages(path) if k == PAGE_KIND_DATA)
+        lost = next(len(o) for p, _, o in iter_intact_data_pages(path, PAGE) if p == victim)
+        forged = struct.pack("<BHH", 1, 300, 8) + bytes(16)
+        with open(path, "r+b") as f:
+            f.seek(victim * PAGE)
+            f.write(frame_page(forged, PAGE, PAGE_KIND_DATA))
+            if superblock == "destroyed":
+                f.seek(os.path.getsize(path) - PAGE)
+                f.write(os.urandom(PAGE))
+        if superblock == "intact":
+            assert any(
+                e.startswith(f"page {victim}: undecodable (data page holds 300 entries")
+                for e in verify(path).errors
+            )
+        assert victim not in [p for p, _, _ in iter_intact_data_pages(path, PAGE)]
+        report = salvage(path)
+        assert report.objects_recovered == len(tree) - lost
+        assert report.dims == 8
+
 
 class TestRetry:
     def test_transient_faults_retried_without_double_charge(self, saved):

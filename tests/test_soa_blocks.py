@@ -287,7 +287,7 @@ def _band_radii(snap, metric, centers, rng):
     (of any edge where the query is inside every root child), in thirds:
     the bound itself, one ulp below it and one ulp above it, so pairs fall
     inside the float32 stage's recheck band on both sides of the radius."""
-    low, high = snap.dist_boxes()
+    low, high = snap.bound_block().dist_boxes()
     qs = centers.astype(np.float64)
     bounds = metric.pair_mindist(qs[None], low[:, None], high[:, None])
     root = slice(snap.child_start[0], snap.child_start[1])
@@ -314,7 +314,7 @@ def test_float32_stage_masks_equal_exact_masks(kind, page_size, block_elems, mon
     monkeypatch.setattr(soa_kernel, "_BLOCK_ELEMS", block_elems)
     groups, _ = _record_groups(monkeypatch)
     stages = _record_refines(monkeypatch)
-    low, high = snap.dist_boxes()
+    low, high = snap.bound_block().dist_boxes()
     for metric in ALL_METRICS:
         radii = _band_radii(snap, metric, centers, rng)
         batch = QueryBatch.distance(centers, radii, metric, DIMS)
