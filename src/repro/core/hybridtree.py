@@ -1087,7 +1087,7 @@ class HybridTree:
     @property
     def soa_snapshot(self):
         """The attached, current SOA snapshot, or None (none attached, or
-        stale until the next batch refreshes it; see
+        stale until the next batch of two or more refreshes it; see
         :mod:`repro.engine.soa`)."""
         return self._soa_snapshot
 
@@ -1098,9 +1098,11 @@ class HybridTree:
         kernel (bit-identical results); ``save()`` persists it as a
         checksummed section and ``open()`` re-attaches it.  The snapshot
         survives writes: an insert or delete marks it stale, and the next
-        batch (or this method, or ``save()``) refreshes it, re-deriving only
-        what the writes changed (:mod:`repro.engine.soa.refresh`).  Cached
-        until :meth:`invalidate_snapshot`; ``force=True`` recompiles from
+        batch of two or more (or this method, or ``save()``) refreshes it;
+        single queries run on the object walk meanwhile.  A refresh
+        re-derives only what the writes changed
+        (:mod:`repro.engine.soa.refresh`).  Cached until
+        :meth:`invalidate_snapshot`; ``force=True`` recompiles from
         scratch."""
         from repro.engine.soa.refresh import SnapshotRefresher
 

@@ -15,8 +15,9 @@ total order, same hB-tree de-duplication semantics — which the conformance
 suite (``tests/test_soa_conformance.py``) asserts with ``==``.
 
 Snapshots are derived data.  A hybrid tree keeps its snapshot through
-writes: an insert or delete marks it stale, and the next batch refreshes
-it, re-deriving only the rows the writes changed
+writes: an insert or delete marks it stale, and the next batch of two or
+more refreshes it (a batch of one runs on the object walk meanwhile),
+re-deriving only the rows the writes changed
 (:mod:`repro.engine.soa.refresh`).  The baselines drop theirs on every
 mutation and fall back to the object walk until re-compiled, and
 ``invalidate_snapshot`` is that opt-out for any index.  For the hybrid tree,

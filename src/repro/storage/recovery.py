@@ -459,18 +459,16 @@ def _data_entries(codec, page: bytes):
     return node.points(), node.live_oids()
 
 
-def iter_intact_data_pages(
-    path: str | os.PathLike, page_size: int, dims: int | None = None
-):
+def iter_intact_data_pages(path: str | os.PathLike, page_size: int):
     """Yield ``(page_id, vectors, oids)`` for every page of the file whose
     frame verifies, whose kind is *data* and whose payload the node codec
-    for ``dims`` decodes — regardless of whether the index above it
-    survived.  With ``dims=None`` each page is decoded for the dims its own
-    payload declares."""
+    for the dims it declares decodes — regardless of whether the index
+    above it survived."""
     from repro.storage.serialization import HybridNodeCodec
 
     path = os.fspath(path)
     size = os.path.getsize(path)
+    codecs: dict[int, object] = {}
     with open(path, "rb") as f:
         for pid in range(size // page_size):
             f.seek(pid * page_size)
@@ -479,8 +477,10 @@ def iter_intact_data_pages(
                 header, payload = unframe_page(page, pid)
                 if header.kind != PAGE_KIND_DATA:
                     continue
-                page_dims = HybridNodeCodec.declared_dims(payload) if dims is None else dims
-                entries = _data_entries(_node_codec({"dims": page_dims}, page_size), page)
+                dims = HybridNodeCodec.declared_dims(payload)
+                if dims not in codecs:
+                    codecs[dims] = _node_codec({"dims": dims}, page_size)
+                entries = _data_entries(codecs[dims], page)
             except (PageCorruptionError, ValueError, struct.error):
                 continue
             if entries is not None:
@@ -549,7 +549,7 @@ def salvage(
     oid_parts: list[np.ndarray] = []
     dims: int | None = int(manifest["dims"]) if "dims" in manifest else None
     data_pages = 0
-    for pid, vectors, oids in iter_intact_data_pages(path, page_size, dims):
+    for pid, vectors, oids in iter_intact_data_pages(path, page_size):
         if pid in wal_overrides or pid in wal_freed:
             continue
         if dims is None:

@@ -1,9 +1,9 @@
 """SOA snapshots that survive writes: the refresh is a compile, only cheaper.
 
 A hybrid tree keeps its struct-of-arrays snapshot through inserts and
-deletes: a mutation marks it stale and the next batch refreshes it from
-the previous snapshot plus the pages and ELS entries the writes touched
-(:mod:`repro.engine.soa.refresh`).  These tests pin that:
+deletes: a mutation marks it stale and the next batch of two or more
+refreshes it from the previous snapshot plus the pages and ELS entries the
+writes touched (:mod:`repro.engine.soa.refresh`).  These tests pin that:
 
 - after every step of a mutation sequence (leaf and index splits, root
   growth, an insert outside the data space, deletes down to
@@ -14,6 +14,8 @@ the previous snapshot plus the pages and ELS entries the writes touched
 - one insert into a non-full leaf costs the refresh at most ``height``
   edge boxes and one leaf read;
 - a mutation that raised falls back to a full compile;
+- a single query (a batch of one) does not refresh a stale snapshot: it
+  runs on the object walk until a larger batch refreshes, then on SOA;
 - ``invalidate_snapshot()`` still means the object walk, through writes.
 """
 
@@ -337,3 +339,40 @@ def test_invalidate_means_object_walk_through_writes(monkeypatch):
     tree.distance_range_many(centers, 0.3, L1)
     tree.knn_many(centers, 5, L2)
     assert tree.soa_snapshot is None
+
+
+def test_single_query_leaves_a_stale_snapshot_for_the_next_batch(monkeypatch):
+    rng = np.random.default_rng(4)
+    data = rng.random((400, DIMS)).astype(np.float32)
+    tree = HybridTree.bulk_load(data[:300], page_size=PAGE)
+    tree.compile_snapshot()
+    for oid in range(300, 340):
+        tree.insert(data[oid], oid)
+    centers, boxes = _queries()
+    expect_range = kernel_range_search_many(tree, QueryBatch.range(boxes, DIMS))
+    expect_dist = kernel_distance_range_many(
+        tree, QueryBatch.distance(centers, 0.3, L1, DIMS)
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a single query ran on a stale snapshot")
+
+    for name in ("soa_range_search_many", "soa_distance_range_many"):
+        monkeypatch.setattr(soa_kernel, name, refuse)
+    assert [tree.range_search(b) for b in boxes] == expect_range
+    assert [tree.distance_range(c, 0.3, L1) for c in centers] == expect_dist
+    assert tree.range_search_many(boxes[:1]) == expect_range[:1]
+    assert tree.soa_snapshot is None  # no single query refreshed it
+    monkeypatch.undo()
+
+    assert tree.range_search_many(boxes) == expect_range
+    snap = tree.soa_snapshot
+    assert snap is not None
+    _assert_arrays_equal(snap, compile_snapshot(tree), "refreshed by a batch")
+    ran = []
+    monkeypatch.setattr(
+        soa_kernel, "soa_range_search_many",
+        lambda *a, _run=soa_kernel.soa_range_search_many: ran.append(1) or _run(*a),
+    )
+    assert [tree.range_search(b) for b in boxes] == expect_range
+    assert len(ran) == len(boxes)  # a current snapshot serves single queries
