@@ -187,7 +187,17 @@ class LoopQueryMixin:
         return run_loop(self, batch, return_metrics, timeout, on_timeout)
 
 
-class BatchQueryMixin(BatchQueries, LoopQueryMixin):
+class _QueryMixin(BatchQueries, LoopQueryMixin):
+    """What both query mixins share: the batch helpers, the measured loop
+    and ``point_search``."""
+
+    def point_search(self, vector: np.ndarray) -> list[int]:
+        """Object ids stored at exactly ``vector`` (float32 equality)."""
+        v32 = np.asarray(vector, dtype=np.float32).astype(np.float64)
+        return self.range_search(Rect(v32, v32))
+
+
+class BatchQueryMixin(_QueryMixin):
     """Batch-query API served by the measured loop.
 
     For structures with no traversable directory (sequential scan, VA-file)
@@ -199,7 +209,7 @@ class BatchQueryMixin(BatchQueries, LoopQueryMixin):
     execute = run_loop
 
 
-class KernelQueryMixin(BatchQueries, LoopQueryMixin):
+class KernelQueryMixin(_QueryMixin):
     """Batch *and* single-query API served by the traversal kernel.
 
     Structures implementing the ``trav_*`` protocol (see

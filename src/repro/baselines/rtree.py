@@ -325,10 +325,6 @@ class RTree(KernelQueryMixin):
     # ------------------------------------------------------------------
     # Queries: the traversal kernel (KernelQueryMixin) over the protocol
     # ------------------------------------------------------------------
-    def point_search(self, vector: np.ndarray) -> list[int]:
-        v32 = np.asarray(vector, dtype=np.float32).astype(np.float64)
-        return self.range_search(Rect(v32, v32))
-
     def trav_root(self):
         return self._root_id, None
 

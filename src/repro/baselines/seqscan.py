@@ -95,10 +95,6 @@ class SequentialScan(BatchQueryMixin):
         mask = query.contains_points_mask(self._vectors[: self._count])
         return [int(o) for o in self._oids[: self._count][mask]]
 
-    def point_search(self, vector: np.ndarray) -> list[int]:
-        v32 = np.asarray(vector, dtype=np.float32).astype(np.float64)
-        return self.range_search(Rect(v32, v32))
-
     def distance_range(
         self, query: np.ndarray, radius: float, metric: Metric = L2
     ) -> list[tuple[int, float]]:

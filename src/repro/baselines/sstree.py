@@ -238,11 +238,6 @@ class SSTree(KernelQueryMixin):
     # ------------------------------------------------------------------
     # Queries: the traversal kernel (KernelQueryMixin) over the protocol
     # ------------------------------------------------------------------
-    def point_search(self, vector: np.ndarray) -> list[int]:
-        """Object ids stored at exactly ``vector`` (float32 equality)."""
-        v32 = np.asarray(vector, dtype=np.float32).astype(np.float64)
-        return self.range_search(Rect(v32, v32))
-
     def _require_euclidean(self, metric: Metric) -> None:
         if not _is_euclidean(metric):
             raise ValueError(

@@ -160,10 +160,6 @@ class VAFile(BatchQueryMixin):
         inside = np.all((vectors >= query.low) & (vectors <= query.high), axis=1)
         return [int(self._oids[i]) for i in candidates[inside]]
 
-    def point_search(self, vector: np.ndarray) -> list[int]:
-        v32 = np.asarray(vector, dtype=np.float32).astype(np.float64)
-        return self.range_search(Rect(v32, v32))
-
     def distance_range(
         self, query: np.ndarray, radius: float, metric: Metric = L2
     ) -> list[tuple[int, float]]:

@@ -45,8 +45,6 @@ from repro.engine.kernel import Children, RectBlock
 from repro.engine.query import (
     BatchQueries,
     QueryBatch,
-    check_approximation,
-    check_k,
     check_metric,
 )
 from repro.geometry.rect import Rect
@@ -860,74 +858,15 @@ class HybridTree:
         metric: Metric = L2,
         approximation_factor: float = 0.0,
     ) -> list[tuple[int, float]]:
-        """The ``k`` nearest neighbours of ``query`` under ``metric``.
-
-        Best-first branch-and-bound (Hjaltason & Samet style) over live-space
-        boxes.  With ``approximation_factor = eps > 0`` the search prunes
-        nodes whose lower bound exceeds ``best_k / (1 + eps)``, returning
-        neighbours within a ``(1 + eps)`` factor of optimal — the paper's
-        future-work approximate-NN mode.
+        """The ``k`` nearest neighbours of ``query`` under ``metric``: a
+        batch of one, like :meth:`range_search`, searched best-first.  With
+        ``approximation_factor = eps > 0`` the search prunes nodes whose
+        lower bound exceeds ``best_k / (1 + eps)``, returning neighbours
+        within a ``(1 + eps)`` factor of optimal — the paper's future-work
+        approximate-NN mode.
         """
         q = self._check_vector(query)
-        check_metric(metric, self.dims)
-        k = check_k(k)
-        shrink = 1.0 / (1.0 + check_approximation(approximation_factor))
-        counter = itertools.count()
-        # Entries: (bound, push order, page id, region low, region high).
-        frontier: list[tuple[float, int, int, np.ndarray, np.ndarray]] = [
-            (0.0, next(counter), self._root_id, self.bounds.low, self.bounds.high)
-        ]
-        # Max-heap of the best k, keyed by (distance, oid) with both parts
-        # negated so the root is the *worst* retained neighbour.  The oid
-        # component breaks kth-distance ties deterministically (smallest oid
-        # wins), so repeated runs — and the batch engine — agree exactly.
-        best: list[tuple[float, int]] = []
-
-        def kth() -> float:
-            return -best[0][0] if len(best) >= k else np.inf
-
-        try:
-            while frontier:
-                bound, _, node_id, low, high = heapq.heappop(frontier)
-                if bound > kth() * shrink:
-                    break
-                node = self.nm.get(node_id)
-                if isinstance(node, DataNode):
-                    if not node.count:
-                        continue
-                    dists = metric.distance_batch(node.points().astype(np.float64), q)
-                    oids = node.live_oids()
-                    if len(best) >= k:
-                        # kth only falls while the leaf is scanned: a point
-                        # beyond it now can never enter the heap.
-                        near = np.flatnonzero(dists <= -best[0][0])
-                        dists, oids = dists[near], oids[near]
-                    for dist, oid in zip(dists.tolist(), oids.tolist()):
-                        if len(best) < k:
-                            heapq.heappush(best, (-dist, -oid))
-                        elif (dist, oid) < (-best[0][0], -best[0][1]):
-                            heapq.heapreplace(best, (-dist, -oid))
-                    continue
-                kids = self._child_boxes(node, low, high)
-                bounds = metric.pair_mindist(q, kids.box_low, kids.box_high)
-                # Children are pushed in kd order, so the push counter
-                # breaks bound ties as the kd walk did.
-                for i in np.flatnonzero(bounds <= kth() * shrink).tolist():
-                    heapq.heappush(
-                        frontier,
-                        (float(bounds[i]), next(counter), int(kids.ids[i]),
-                         kids.low[i], kids.high[i]),
-                    )
-        except PageCorruptionError as exc:
-            vectors, oids = self._degrade(exc)
-            dists = metric.distance_batch(vectors.astype(np.float64), q)
-            # Same deterministic (distance, oid) order the traversal returns.
-            order = np.lexsort((oids, dists))[:k]
-            return [(int(oids[i]), float(dists[i])) for i in order]
-        return sorted(
-            ((-neg_oid, -neg_dist) for neg_dist, neg_oid in best),
-            key=lambda t: (t[1], t[0]),
-        )
+        return self.execute(QueryBatch.knn(q, k, metric, approximation_factor, self.dims))[0]
 
     def nearest_iter(self, query: np.ndarray, metric: Metric = L2):
         """Yield ``(oid, distance)`` in non-decreasing distance order.
@@ -1009,19 +948,6 @@ class HybridTree:
     # ------------------------------------------------------------------
     # Graceful degradation (``on_corruption="scan"``)
     # ------------------------------------------------------------------
-    def _degrade(self, exc: PageCorruptionError) -> tuple[np.ndarray, np.ndarray]:
-        """Handle a corrupt page hit mid-query per ``self.on_corruption``.
-
-        Policy ``"raise"`` re-raises the typed error; ``"scan"`` abandons
-        the index traversal and answers from a sequential scan of the
-        intact data pages (see :meth:`_scan_entries`), trading the index's
-        pruning for availability.
-        """
-        if self.on_corruption != "scan" or self.nm.codec is None:
-            raise exc
-        self.degraded_queries += 1
-        return self._scan_entries()
-
     def _scan_entries(self) -> tuple[np.ndarray, np.ndarray]:
         """Sequentially scan every allocated page, collecting the entries of
         all data pages that still verify; corrupt or non-data pages are
@@ -1195,8 +1121,18 @@ class HybridTree:
             RectBlock(kids.box_low, kids.box_high),
         )
 
-    def trav_degrade(self, exc: PageCorruptionError):
-        return self._degrade(exc)
+    def trav_degrade(self, exc: PageCorruptionError) -> tuple[np.ndarray, np.ndarray]:
+        """Handle a corrupt page hit mid-query per ``self.on_corruption``.
+
+        Policy ``"raise"`` re-raises the typed error; ``"scan"`` abandons
+        the index traversal and answers from a sequential scan of the
+        intact data pages (see :meth:`_scan_entries`), trading the index's
+        pruning for availability.
+        """
+        if self.on_corruption != "scan" or self.nm.codec is None:
+            raise exc
+        self.degraded_queries += 1
+        return self._scan_entries()
 
     # ------------------------------------------------------------------
     # Persistence

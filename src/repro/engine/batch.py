@@ -22,19 +22,20 @@ float operations as their scalar forms, and k-NN selection uses the same
 deterministic ``(distance, oid)`` total order.  k-NN is the one kind that
 does not descend as an alive set: each query runs its own best-first search
 (:mod:`repro.engine.bestfirst`), the batch advancing all of them in
-lockstep rounds, so approximate k-NN (``approximation_factor > 0``), whose
-answer depends on the visit order, matches the single-query method too.
+lockstep rounds that pop what the single query's heap pops, so approximate
+k-NN (``approximation_factor > 0``), whose answer depends on the visit
+order, matches the single-query method too.
 
 :func:`dispatch` is the one place that picks the engine for a checked
 :class:`~repro.engine.query.QueryBatch`: the vectorized SOA kernel when a
 snapshot is attached (:mod:`repro.engine.soa`; a hybrid tree's snapshot
 survives writes and is refreshed here, by the first batch after them),
-the object-walk kernel otherwise — results are identical either way.  It
-also validates ``on_timeout`` and the index's capabilities (box
-geometry, metric) once, answers an empty batch without touching the
-tree, and turns ``timeout=``
-(seconds, or a :class:`~repro.resilience.Deadline` carrying a
-:class:`CancelToken`) into the deadline the kernels check: ``"raise"``
+the object-walk kernel otherwise (and always for a k-NN batch of one) —
+results are identical either way.  It also validates ``on_timeout`` and
+the index's capabilities (box geometry, metric) once, answers an empty
+batch without touching the tree, and turns ``timeout=`` (seconds, or a
+:class:`~repro.resilience.Deadline` carrying a :class:`CancelToken`)
+into the deadline the kernels check: ``"raise"``
 surfaces a typed :class:`~repro.resilience.QueryTimeoutError`,
 ``"partial"`` returns a :class:`~repro.resilience.PartialResult` envelope
 with the hits gathered before the budget expired and a per-query
@@ -76,8 +77,10 @@ def dispatch(
 ):
     """Run a checked batch on the SOA kernel if ``index`` keeps a snapshot
     (refreshing it first if writes left it stale), else on the object-walk
-    kernel.  A batch of one (every single query) does not refresh: it runs
-    on the snapshot only while that is current, else on the object walk.
+    kernel.  A batch of one (every single query) does not refresh: a range
+    or distance query runs on the snapshot only while that is current,
+    else on the object walk, and a k-NN query always runs on the object
+    kernel's heap search.
 
     Returns one result list per query; with ``return_metrics=True`` also a
     :class:`~repro.engine.metrics.BatchMetrics` labelled ``batch.label``.
@@ -104,8 +107,13 @@ def dispatch(
     # needs it: after one insert into a 100,000-point 16-d tree the refresh
     # takes about 8.5 ms, several single queries, so a batch of one leaves
     # it to the next larger batch.
+    # A k-NN batch of one runs the object kernel's heap search even on a
+    # current snapshot: the lockstep rounds cost a single query 3.0-3.7x
+    # as much (FOURIER 16-d and COLHIST 64-d, mmap + snapshot, 2 cores).
     refresh = getattr(index, "refresh_snapshot", None)
-    if refresh is not None and len(batch) > 1:
+    if len(batch) == 1 and batch.kind == KNN:
+        snap = None
+    elif refresh is not None and len(batch) > 1:
         snap = refresh()
     else:
         snap = active_snapshot(index)
@@ -210,15 +218,19 @@ class QuerySession:
                 admission=admission,
             )
         self._pinned: list[int] = []
-        frontier = [tree.root_id]
-        for _ in range(min(pin_levels, tree.height)):
-            next_frontier: list[int] = []
-            for node_id in frontier:
-                node = tree.nm.pin(node_id)
-                self._pinned.append(node_id)
-                if isinstance(node, IndexNode):
-                    next_frontier.extend(node.child_ids())
-            frontier = next_frontier
+        try:
+            frontier = [tree.root_id]
+            for _ in range(min(pin_levels, tree.height)):
+                next_frontier: list[int] = []
+                for node_id in frontier:
+                    node = tree.nm.pin(node_id)
+                    self._pinned.append(node_id)
+                    if isinstance(node, IndexNode):
+                        next_frontier.extend(node.child_ids())
+                frontier = next_frontier
+        except BaseException:  # a corrupt page: release what was taken
+            self.close()
+            raise
 
     # -- lifecycle -----------------------------------------------------
     @property

@@ -1,12 +1,13 @@
 """Per-query best-first k-NN, run for a whole batch in lockstep rounds.
 
-Both batch kernels answer k-NN with this one driver.  Every query keeps its
-own Hjaltason–Samet frontier, exactly as ``HybridTree.knn`` does: it pops
-its smallest ``(bound, push order)`` entry, stops once that bound exceeds
-``kth / (1 + eps)``, and pushes a child only while its bound is within
-``kth / (1 + eps)``.  A query's visits — and so its result, also for
-``eps > 0`` — are therefore the single-query recursion's, whatever other
-queries share its batch or partition.
+Both batch kernels answer k-NN batches of two or more with this one
+driver.  Every query keeps its own Hjaltason–Samet frontier, exactly as
+the object kernel's heap search for a batch of one (the single-query
+``knn``) does: it pops its smallest ``(bound, push order)`` entry, stops
+once that bound exceeds ``kth / (1 + eps)``, and pushes a child only while
+its bound is within ``kth / (1 + eps)``.  A query's visits — and so its
+result, also for ``eps > 0`` — are therefore the single query's, whatever
+other queries share its batch or partition.
 
 The batch advances in *rounds*: in each round every live query pops one
 entry, and the popped ``(node, query)`` pairs are processed together —

@@ -1,7 +1,7 @@
 """Structure-agnostic traversal kernel: one batch engine for every index.
 
-Every query method of every paged index — the hybrid tree's single range
-and distance queries included, as batches of one — runs through three
+Every query method of every paged index — the hybrid tree's single range,
+distance and k-NN queries included, as batches of one — runs through three
 generic functions written against a small **traversable-index protocol**;
 the hybrid tree and all paged baselines implement it, and single-query,
 batched, and N-worker parallel execution flow through this one code path
@@ -57,12 +57,13 @@ what a dedicated recursion would give.  Batch results are **bit-identical**
 to looping the single queries: leaves are scanned with the same per-query
 numpy kernels in the same visit order, a block's rows are the same float
 operations whatever else shares the call, and k-NN selection uses the
-deterministic ``(distance, oid)`` total order everywhere.
+deterministic ``(distance, oid)`` total order everywhere.  k-NN is
+best-first, a batch of one on one heap and a larger batch in lockstep
+rounds (:mod:`repro.engine.bestfirst`) that pop the same entries per query.
 
 Every kernel accepts a :class:`repro.resilience.Deadline` and checks it at
-node-visit granularity (k-NN: once per best-first round, see
-:mod:`repro.engine.bestfirst`): an expired budget raises
-:class:`~repro.resilience.QueryTimeoutError` (or, under
+node-visit granularity (k-NN: once per pop, or per round): an expired
+budget raises :class:`~repro.resilience.QueryTimeoutError` (or, under
 ``on_timeout="partial"``, returns a
 :class:`~repro.resilience.PartialResult` carrying the hits accumulated
 before the deadline fired, with honest metrics for the work actually
@@ -74,6 +75,8 @@ same budget.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import time
 from typing import NamedTuple, Sequence
 
@@ -579,6 +582,50 @@ class _ReachedTree:
         return self._edges.block().pair_mindist(e, self._qs[q], self._metric)
 
 
+def _heap_visit(index, fetch, q, k: int, metric: Metric, shrink: float, deadline,
+                best: list, visits: list):
+    """The :func:`_walk` visit of a k-NN batch of one: its best-first search
+    on one heap, popping what :func:`best_first_knn`'s rounds pop for the
+    query.  ``best`` holds the best k ``(distance, oid)`` so far, sorted,
+    and ``visits[0]`` counts pops; both keep the work done if the deadline
+    (checked per pop) fires.
+    """
+    scanned = set() if getattr(index, "trav_dedup", False) else None
+    push_order = itertools.count(1)
+
+    def visit(ref, ctx, alive) -> None:
+        # Entries are (bound, push order, refs, ctxs, i): child i of a node
+        # whose refs and contexts are looked up only if it is popped.
+        frontier = [(0.0, 0, [ref], [ctx], 0)]
+        while frontier:
+            if deadline is not None:
+                deadline.check()
+            bound, _, refs, ctxs, i = heapq.heappop(frontier)
+            kth = best[-1][0] if len(best) >= k else np.inf
+            if bound > kth * shrink:
+                return
+            node = fetch(refs[i])
+            visits[0] += 1
+            if not index.trav_is_leaf(node):
+                kids = index.trav_children(node, ctxs[i])
+                bounds = kids.bounds.mindist(q[None], metric)[0]
+                near = np.flatnonzero(bounds <= kth * shrink)
+                for b, j in zip(bounds[near].tolist(), near.tolist()):
+                    heapq.heappush(frontier, (b, next(push_order), kids.refs, kids.ctxs, j))
+            elif scanned is None or refs[i] not in scanned:
+                if scanned is not None:
+                    scanned.add(refs[i])
+                pts, oids = index.trav_leaf_points(node)
+                dists = metric.distance_batch(pts.astype(np.float64), q)
+                # A point beyond the kth can never enter the best k.
+                near = np.flatnonzero(dists <= kth)
+                if near.size:
+                    found = zip(dists[near].tolist(), oids[near].tolist())
+                    best[:] = sorted(best + list(found))[:k]
+
+    return visit
+
+
 def kernel_knn_many(
     index,
     batch: QueryBatch,
@@ -587,15 +634,16 @@ def kernel_knn_many(
     on_timeout: str = "raise",
 ):
     """Execute a non-empty k-NN :class:`QueryBatch` as per-query best-first
-    searches run in lockstep rounds (:mod:`repro.engine.bestfirst`).
+    searches.
 
     Each query pops its own smallest ``(bound, push order)`` entry and
-    stops once that bound exceeds ``kth / (1 + eps)`` — the rule and tie
-    order of ``HybridTree.knn`` — so a query's visits, and its result under
-    the deterministic ``(distance, oid)`` order (also for
-    ``approximation_factor > 0``), equal the single-query search's whatever
-    else shares the batch.  Every page is fetched once per batch.
-    ``deadline`` / ``on_timeout`` behave as in
+    stops once that bound exceeds ``kth / (1 + eps)``, so a query's
+    visits, and its result under the deterministic ``(distance, oid)``
+    order (also for ``approximation_factor > 0``), are the same whatever
+    else shares the batch.  A batch of one (the index's single-query
+    ``knn``) runs one heap (:func:`_heap_visit`); a larger batch runs the
+    searches in lockstep rounds (:mod:`repro.engine.bestfirst`), fetching
+    every page once per batch.  ``deadline`` / ``on_timeout`` behave as in
     :func:`kernel_range_search_many`; a partial k-NN result holds each
     query's best candidates found so far.
     """
@@ -603,15 +651,25 @@ def kernel_knn_many(
     reads0 = _reads(index.io)
     qs, k, metric = batch.centers, batch.k, batch.metric
     n = len(batch)
-    topk = TopK(n, k)
-    visits = np.zeros(n, dtype=np.int64)
+    shrink = 1.0 / (1.0 + batch.approximation_factor)
     fetch = _make_fetch(index, set())
+    if n == 1:
+        best: list[tuple[float, int]] = []
+        visits = [0]
+        visit = _heap_visit(index, fetch, qs[0], k, metric, shrink, deadline, best, visits)
 
-    def visit(ref, ctx, alive: np.ndarray) -> None:
-        best_first_knn(
-            _ReachedTree(index, fetch, ref, ctx, qs, metric), qs, metric,
-            1.0 / (1.0 + batch.approximation_factor), topk, visits, deadline,
-        )
+        def results():
+            return [[(oid, dist) for dist, oid in best]]
+    else:
+        topk = TopK(n, k)
+        visits = np.zeros(n, dtype=np.int64)
+        results = topk.results
+
+        def visit(ref, ctx, alive: np.ndarray) -> None:
+            best_first_knn(
+                _ReachedTree(index, fetch, ref, ctx, qs, metric), qs, metric,
+                shrink, topk, visits, deadline,
+            )
 
     def from_scan(vectors, oids):
         points64 = vectors.astype(np.float64)
@@ -623,7 +681,8 @@ def kernel_knn_many(
         return scan_out
 
     scan_out, err = _walk(index, visit, n, deadline, on_timeout, from_scan)
-    out = scan_out if scan_out is not None else topk.results()
+    out = scan_out if scan_out is not None else results()
     return _finish(
-        _wrap_partial(out, err, n), visits, index, start, reads0, return_metrics, batch.label
+        _wrap_partial(out, err, n), visits, index, start, reads0, return_metrics,
+        batch.label,
     )

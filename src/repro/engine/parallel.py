@@ -88,8 +88,8 @@ Determinism contract (tested in ``tests/test_mmap_parallel.py``):
 - per-query node-visit counts are partition-independent for every kind:
   range and distance because the alive-set predicates are evaluated
   row-wise, k-NN because every query runs its own best-first search
-  (:mod:`repro.engine.bestfirst`), so its visits equal the single-query
-  ``knn``'s whatever batch companions it has;
+  (:mod:`repro.engine.bestfirst`), which pops what the single-query
+  ``knn``'s heap pops whatever batch companions it has;
 - ``charged_reads`` is the sum over workers.  It exceeds the serial batch
   figure because every worker re-reads the directory levels for itself:
   parallelism buys wall time with duplicated (cheap, cached) page reads,
@@ -391,6 +391,10 @@ class ParallelQueryEngine:
         self._source = None
         self._pool = None
         self._ctx = None
+        if mode == "thread":
+            self._pool = ThreadPoolExecutor(
+                max_workers=workers, thread_name_prefix="repro-query"
+            )
         if isinstance(source, (str, os.PathLike)):
             from repro.storage import superblock as superblock_io
 
@@ -398,15 +402,17 @@ class ParallelQueryEngine:
             self._owns_trees = True
             manifest, _ = superblock_io.read_superblock(self.path)
             self.dims = int(manifest["dims"])
-            if mode == "thread":
-                self._trees = [
-                    _open_worker_tree(self.path, mmap) for _ in range(workers)
-                ]
-            else:
+            if mode != "thread":
                 self._ctx = multiprocessing.get_context(mode)
-                self._procs = [
-                    _ProcWorker(self._ctx, self.path, mmap) for _ in range(workers)
-                ]
+            try:
+                for _ in range(workers):
+                    if self._ctx is None:
+                        self._trees.append(_open_worker_tree(self.path, mmap))
+                    else:
+                        self._procs.append(_ProcWorker(self._ctx, self.path, mmap))
+            except BaseException:
+                self.close()  # close the workers that did start
+                raise
         else:
             if mode != "thread":
                 raise ValueError(
@@ -418,10 +424,6 @@ class ParallelQueryEngine:
             self._source = source
             self.dims = int(source.dims)
             self._trees = [_index_view(source) for _ in range(workers)]
-        if mode == "thread":
-            self._pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-query"
-            )
 
     # ------------------------------------------------------------------
     # Chaos hooks

@@ -16,9 +16,11 @@ same results, same accounting:
   the object walk's output order exactly.
 - ``soa_knn_many`` runs the object kernel's per-query best-first rounds
   (:mod:`repro.engine.bestfirst`) — k-NN pruning depends on the order
-  leaves are scanned in, so every query keeps ``HybridTree.knn``'s own
-  visit order — over the snapshot's CSR edges: each round's child bounds
-  are one :meth:`_PairBounds.mindist` call over ``(edge, query)`` pairs.
+  leaves are scanned in, so every query keeps the single-query heap
+  search's visit order — over the snapshot's CSR edges: each round's
+  child bounds are one :meth:`_PairBounds.mindist` call over ``(edge,
+  query)`` pairs.  ``dispatch`` sends a k-NN batch of one to the object
+  kernel's heap search instead.
 
 Bit-identity rules (asserted by ``tests/test_soa_conformance.py``):
 

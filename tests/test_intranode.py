@@ -1,8 +1,8 @@
 """The intranode step of the single-query methods, and their page bills.
 
-``HybridTree.range_search`` and ``distance_range`` are the traversal
-kernel's batch of one, whose ``trav_children`` block is the node's cached
-arrays; ``knn`` and ``nearest_iter`` run their own best-first search.
+``HybridTree.range_search``, ``distance_range`` and ``knn`` are the
+traversal kernel's batch of one, whose ``trav_children`` block is the
+node's cached arrays; ``nearest_iter`` runs its own best-first search.
 Each tests all children of an index node in one array step, over the
 children's ids, kd regions and ELS boxes that the decoded node caches
 (``HybridTree._child_boxes``).  These tests pin:
@@ -14,12 +14,16 @@ children's ids, kd regions and ELS boxes that the decoded node caches
   kernel's batch of one, with equal charged reads per query: in memory,
   through an 8-page buffer (which evicts nodes, so caches are rebuilt)
   and over mmap;
-- the single-query bills: each range, distance (L1, L2, weighted) and
-  point query's result, order included, equals the depth-first recursion
-  those methods once ran, and its charged reads over a fixed query
-  stream equal constants measured with that recursion, through an 8-page
-  buffer and through the default cache; a single query equals the batch
-  of one with and without an attached snapshot;
+- the single-query bills: each range, distance (L1, L2, weighted),
+  point and k-NN (L1, L2, weighted; exact and ``eps = 0.5``) query's
+  result, order included, equals the recursion those methods once ran
+  (depth-first, and best-first for k-NN), and its charged reads over a
+  fixed query stream equal constants measured with that recursion,
+  through an 8-page buffer and through the default cache; a single query
+  equals the batch of one with and without an attached snapshot, and a
+  k-NN batch of one runs the object kernel's heap search even on a
+  snapshot, on the hB-tree's shared pages too, and returns the best k so
+  far when its deadline fires;
 - a cached entry never outlives what it was derived from: after a leaf
   split, root growth, an insert outside the data space, a delete down to
   underflow-and-reinsert, a failed insert and a WAL-replayed open, every
@@ -36,6 +40,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.baselines.hbtree import HBTree
 from repro.core import HybridTree, kdnodes
 from repro.core.els import ELSTable
 from repro.core.nodes import IndexNode
@@ -54,7 +59,9 @@ from repro.engine.kernel import (
     kernel_range_search_many,
 )
 from repro.engine.query import QueryBatch
+from repro.engine.soa import kernel as soa_kernel
 from repro.geometry.rect import Rect
+from repro.resilience import Deadline, PartialResult, QueryTimeoutError
 from tests import kd_reference as ref
 from tests.kd_reference import KDInternal, KDLeaf
 
@@ -619,9 +626,10 @@ def test_cached_boxes_after_a_wal_replayed_open(tmp_path):
 # Single-query bills, pinned
 # ----------------------------------------------------------------------
 BILL_METRICS = {"L1": L1, "L2": L2, "weighted": METRICS["weighted"]}
+BILL_EPS = (0.0, 0.5)
 
 # Each query's charged reads over the stream of :func:`_bill_stream`, as
-# the depth-first recursion below charges them: a single query must fetch
+# the recursions below charge them: a single query must fetch
 # the same pages in the same order, so that a bounded buffer also evicts
 # the same pages.
 PINNED_READS = {
@@ -631,6 +639,12 @@ PINNED_READS = {
         "L2": [10, 10, 10, 10, 14, 18],
         "weighted": [9, 9, 10, 11, 12, 14],
         "point": [1, 2, 1, 1, 1, 2],
+        "knn L1 eps=0.0": [8, 10, 7, 11, 14, 15],
+        "knn L1 eps=0.5": [5, 7, 5, 7, 9, 2],
+        "knn L2 eps=0.0": [5, 10, 6, 7, 10, 12],
+        "knn L2 eps=0.5": [3, 6, 2, 4, 4, 1],
+        "knn weighted eps=0.0": [4, 10, 5, 8, 7, 12],
+        "knn weighted eps=0.5": [5, 6, 5, 6, 7, 2],
     },
     "default": {
         "range": [7, 8, 25, 25, 18, 42, 8, 10, 7, 2, 71, 1],
@@ -638,6 +652,12 @@ PINNED_READS = {
         "L2": [12, 13, 11, 12, 16, 21],
         "weighted": [11, 12, 11, 12, 14, 17],
         "point": [3, 3, 3, 3, 3, 3],
+        "knn L1 eps=0.0": [10, 13, 9, 13, 16, 18],
+        "knn L1 eps=0.5": [7, 10, 7, 8, 11, 3],
+        "knn L2 eps=0.0": [6, 11, 7, 8, 12, 13],
+        "knn L2 eps=0.5": [4, 7, 4, 6, 6, 3],
+        "knn weighted eps=0.0": [6, 12, 7, 9, 10, 15],
+        "knn weighted eps=0.5": [6, 9, 6, 7, 9, 3],
     },
 }
 
@@ -653,7 +673,7 @@ def _bill_queries(data):
     return boxes, centers, radii, points
 
 
-def _bill_stream(tree, boxes, centers, radii, points, range_search, distance_range):
+def _bill_stream(tree, boxes, centers, radii, points, range_search, distance_range, knn):
     """Every pinned query, in order, on one tree: ``{kind: [(result,
     charged reads), ...]}``.  The buffer carries over from query to query,
     as in a serving process."""
@@ -673,6 +693,11 @@ def _bill_stream(tree, boxes, centers, radii, points, range_search, distance_ran
         run(lambda: range_search(tree, Rect(p.astype(np.float32), p.astype(np.float32))))
         for p in points
     ]
+    for name, metric in BILL_METRICS.items():
+        for eps in BILL_EPS:
+            bills[f"knn {name} eps={eps}"] = [
+                run(lambda: knn(tree, q, K, metric, eps)) for q in centers
+            ]
     return bills
 
 
@@ -717,25 +742,72 @@ def _recursive_distance(tree, q, radius, metric):
     return out
 
 
+def _recursive_knn(tree, q, k, metric, eps=0.0):
+    """The best-first recursion ``knn`` once ran beside the kernel: pop
+    the smallest ``(bound, push order)`` entry, stop once it exceeds
+    ``kth / (1 + eps)``, keep the best k in a ``(distance, oid)`` max-heap.
+    The reference for results and fetch order."""
+    q = np.asarray(q, dtype=np.float32).astype(np.float64)
+    shrink = 1.0 / (1.0 + eps)
+    counter = itertools.count()
+    frontier = [(0.0, next(counter), tree.root_id, tree.bounds.low, tree.bounds.high)]
+    best: list[tuple[float, int]] = []  # (-distance, -oid): the root is the worst
+
+    def kth() -> float:
+        return -best[0][0] if len(best) >= k else np.inf
+
+    while frontier:
+        bound, _, node_id, low, high = heapq.heappop(frontier)
+        if bound > kth() * shrink:
+            break
+        node = tree.nm.get(node_id)
+        if not isinstance(node, IndexNode):
+            if not node.count:
+                continue
+            dists = metric.distance_batch(node.points().astype(np.float64), q)
+            oids = node.live_oids()
+            if len(best) >= k:
+                near = np.flatnonzero(dists <= -best[0][0])
+                dists, oids = dists[near], oids[near]
+            for dist, oid in zip(dists.tolist(), oids.tolist()):
+                if len(best) < k:
+                    heapq.heappush(best, (-dist, -oid))
+                elif (dist, oid) < (-best[0][0], -best[0][1]):
+                    heapq.heapreplace(best, (-dist, -oid))
+            continue
+        kids = tree._child_boxes(node, low, high)
+        bounds = metric.pair_mindist(q, kids.box_low, kids.box_high)
+        for i in np.flatnonzero(bounds <= kth() * shrink).tolist():
+            heapq.heappush(
+                frontier,
+                (float(bounds[i]), next(counter), int(kids.ids[i]), kids.low[i], kids.high[i]),
+            )
+    return sorted(((-o, -d) for d, o in best), key=lambda t: (t[1], t[0]))
+
+
 def _open_for_bills(saved, cache):
     return HybridTree.open(saved, buffer_pages=8 if cache == "buffer8" else None)
 
 
 @pytest.mark.parametrize("cache", ["buffer8", "default"])
 def test_single_query_bills_are_pinned(cache, data, saved):
-    """``range_search``, ``distance_range`` (L1, L2, weighted) and
-    ``point_search`` answer each query as the recursion did, order
-    included, and charge exactly the reads measured for it: through an
-    8-page buffer, which evicts, and through the default cache."""
+    """``range_search``, ``distance_range`` (L1, L2, weighted),
+    ``point_search`` and ``knn`` (L1, L2, weighted, with ``eps`` 0 and
+    0.5) answer each query as the recursion did, order included, and
+    charge exactly the reads measured for it: through an 8-page buffer,
+    which evicts, and through the default cache."""
     queries = _bill_queries(data)
     tree = _open_for_bills(saved, cache)
     got = _bill_stream(
         tree, *queries,
         lambda t, box: t.range_search(box),
         lambda t, q, r, m: t.distance_range(q, r, m),
+        lambda t, q, k, m, eps: t.knn(q, k, m, eps),
     )
     reference = _open_for_bills(saved, cache)
-    want = _bill_stream(reference, *queries, _recursive_range, _recursive_distance)
+    want = _bill_stream(
+        reference, *queries, _recursive_range, _recursive_distance, _recursive_knn
+    )
     for kind, calls in got.items():
         assert [out for out, _ in calls] == [out for out, _ in want[kind]], kind
         assert [reads for _, reads in calls] == [reads for _, reads in want[kind]], kind
@@ -750,7 +822,8 @@ def test_single_query_bills_are_pinned(cache, data, saved):
 def test_single_query_is_the_batch_of_one(snapshot, data, saved):
     """With or without an attached snapshot, a single query answers and
     bills exactly as the same query in a batch of one (with a snapshot
-    both run on the SOA kernel)."""
+    range and distance both run on the SOA kernel, k-NN on the object
+    kernel's heap search)."""
     boxes, centers, radii, points = _bill_queries(data)
     tree = HybridTree.open(saved, buffer_pages=8)
     if snapshot:
@@ -764,4 +837,117 @@ def test_single_query_is_the_batch_of_one(snapshot, data, saved):
             single = _measured(tree, lambda: tree.distance_range(q, r, metric))
             batch = _measured(tree, lambda: tree.distance_range_many([q], r, metric)[0])
             assert single == batch, name
+        for eps in BILL_EPS:
+            for q in centers:
+                single = _measured(tree, lambda: tree.knn(q, K, metric, eps))
+                batch = _measured(tree, lambda: tree.knn_many([q], K, metric, eps)[0])
+                assert single == batch, (name, eps)
     tree.close()
+
+
+def _brute_knn(oids, rows, q, metric):
+    d = metric.distance_batch(rows, q)
+    return [(int(oids[i]), float(d[i])) for i in np.lexsort((oids, d))[:K]]
+
+
+def test_knn_batch_of_one_leaves_the_snapshot_alone(data, saved, monkeypatch):
+    """With a current snapshot, a single k-NN query and a k-NN batch of one
+    run the object kernel's heap search; a batch of two runs on SOA."""
+    tree = HybridTree.open(saved, mmap=True)
+    tree.compile_snapshot()
+    calls = []
+    soa_knn_many = soa_kernel.soa_knn_many
+
+    def counted(index, snap, batch, *args):
+        calls.append(len(batch))
+        return soa_knn_many(index, snap, batch, *args)
+
+    monkeypatch.setattr(soa_kernel, "soa_knn_many", counted)
+    oids, rows = _model_arrays(dict(enumerate(data)))
+    _, centers = _queries(np.random.default_rng(17), rows)
+    for q in centers:
+        want = _brute_knn(oids, rows, q, L2)
+        assert tree.knn(q, K, L2) == want
+        assert tree.knn_many([q], K, L2) == [want]
+    assert calls == []
+    assert tree.knn_many(centers[:2], K, L2) == [
+        _brute_knn(oids, rows, q, L2) for q in centers[:2]
+    ]
+    assert calls == [2]
+    tree.close()
+
+
+def test_hbtree_single_knn_pays_each_page_once(data):
+    """The hB-tree reaches some pages from several places (``trav_dedup``):
+    its single k-NN query charges and scans each page once, answers like a
+    brute force and bills like a batch of one, and visits what the
+    lockstep rounds visit for the same query."""
+    tree = HBTree.from_points(data, page_size=PAGE)
+    oids, rows = _model_arrays(dict(enumerate(data)))
+    _, centers = _queries(np.random.default_rng(19), rows, n_centers=8)
+    fetched = []
+    trav_node = tree.trav_node
+
+    def counted(ref, charge=True):
+        fetched.append(ref)
+        return trav_node(ref, charge)
+
+    tree.trav_node = counted
+    popped_twice = 0
+    for metric in (L1, L2):
+        for q in centers:
+            fetched.clear()
+            single, reads = _measured(tree, lambda: tree.knn(q, K, metric))
+            visits, pages = len(fetched), len(set(fetched))
+            popped_twice += visits - pages
+            assert single == _brute_knn(oids, rows, q, metric)
+            (batch,), batch_reads = _measured(tree, lambda: tree.knn_many([q], K, metric))
+            assert single == batch and reads == batch_reads == pages
+            _, one = tree.knn_many([q], K, metric, return_metrics=True)
+            pair, two = tree.knn_many([q, q], K, metric, return_metrics=True)
+            assert pair == [single, single]
+            assert one.pages.tolist() == [visits] and two.pages.tolist() == [visits] * 2
+    assert popped_twice  # the shared pages were reached
+
+
+class _ExpiresAfter(Deadline):
+    """A budget of ``limit`` deadline checks."""
+
+    __slots__ = ("limit",)
+
+    def __init__(self, limit: int):
+        super().__init__()
+        self.limit = limit
+
+    def check(self) -> None:
+        super().check()
+        if self.checks > self.limit:
+            raise QueryTimeoutError(f"expired after {self.limit} checks")
+
+
+def test_partial_knn_batch_of_one_holds_the_best_so_far(data):
+    """A k-NN batch of one checks its deadline once per pop.  Cut after m
+    pops, it returns the best k of the leaves scanned so far: what the
+    lockstep rounds, one pop per round, hold after m rounds."""
+    tree = HybridTree.bulk_load(data, page_size=PAGE)
+    snap = tree.compile_snapshot()
+    oids, rows = _model_arrays(dict(enumerate(data)))
+    _, centers = _queries(np.random.default_rng(23), rows)
+    for q in centers:
+        batch = QueryBatch.knn([q], K, L2, 0.0, DIMS)
+        full = kernel_knn_many(tree, batch)
+        assert full == [_brute_knn(oids, rows, q, L2)]
+        pops = 0
+        while True:
+            got = kernel_knn_many(tree, batch, False, _ExpiresAfter(pops), "partial")
+            rounds = soa_kernel.soa_knn_many(
+                tree, snap, batch, False, _ExpiresAfter(pops), "partial"
+            )
+            if not isinstance(got, PartialResult):
+                assert got == full and rounds == full
+                break
+            assert isinstance(rounds, PartialResult) and not got.completed.any()
+            assert got.results == rounds.results
+            assert got[0] == sorted(got[0], key=lambda t: (t[1], t[0]))
+            pops += 1
+        assert pops > 2

@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro.core import HybridTree
-from repro.engine import ParallelQueryEngine
+from repro.engine import ParallelQueryEngine, QuerySession
 from repro.geometry.rect import Rect
 from repro.resilience import (
     AdmissionError,
@@ -43,7 +43,11 @@ from repro.resilience import (
     active_deadline,
     deadline_scope,
 )
-from repro.storage.errors import TransientIOError, TransientStorageError
+from repro.storage.errors import (
+    PageCorruptionError,
+    TransientIOError,
+    TransientStorageError,
+)
 from repro.storage.faults import (
     FaultInjectingPageStore,
     SimulatedWorkerDeath,
@@ -543,6 +547,81 @@ def test_thread_mode_snapshot_pins_released_on_failure(tmp_path, data):
         assert store.pinned_snapshots == 0
     finally:
         tree.close()
+
+
+def _flip_page_byte(path, page_id, page_size):
+    with open(path, "r+b") as f:
+        f.seek(page_id * page_size + 100)
+        byte = f.read(1)[0]
+        f.seek(page_id * page_size + 100)
+        f.write(bytes([byte ^ 0xFF]))
+
+
+def _assert_unpinned(tree):
+    """No page stays pinned, and a root visit is charged again."""
+    assert tree.nm.pinned_nodes == 0
+    before = tree.io.random_reads
+    tree.nm.get(tree.root_id)
+    assert tree.io.random_reads == before + 1
+
+
+def test_session_that_cannot_pin_releases_its_pins(tmp_path, data):
+    """A corrupt directory page met while pinning: the pages pinned before
+    it are released, so later bills on the tree stay honest."""
+    path = tmp_path / "tree.pages"
+    HybridTree.bulk_load(data).save(path)
+    tree = HybridTree.open(path)
+    victim = tree.nm.get(tree.root_id, charge=False).child_ids()[1]
+    _flip_page_byte(path, victim, tree.layout.page_size)
+    try:
+        with pytest.raises(PageCorruptionError):
+            QuerySession(tree, pin_levels=2)
+        _assert_unpinned(tree)
+    finally:
+        tree.close()
+
+
+@pytest.mark.parametrize("mode", PROCESS_MODES)
+def test_session_that_cannot_pin_stops_its_workers(saved_path, mode, monkeypatch):
+    tree = HybridTree.open(saved_path)
+    pin = tree.nm.pin
+    calls = []
+
+    def failing_pin(page_id, charge=True):
+        calls.append(page_id)
+        if len(calls) == 2:
+            raise TransientIOError("injected pin failure")
+        return pin(page_id, charge)
+
+    monkeypatch.setattr(tree.nm, "pin", failing_pin)
+    try:
+        with pytest.raises(TransientIOError):
+            QuerySession(tree, pin_levels=2, workers=2, mode=mode)
+        assert_no_child_procs()
+        _assert_unpinned(tree)
+    finally:
+        tree.close()
+
+
+def test_engine_that_cannot_open_a_worker_closes_the_others(saved_path, monkeypatch):
+    import repro.engine.parallel as parallel
+
+    opened, closed = [], []
+    real_open = parallel._open_worker_tree
+
+    def open_worker(path, mmap):
+        if len(opened) == 2:
+            raise TransientIOError("injected open failure")
+        tree = real_open(path, mmap)
+        real_close = tree.close
+        tree.close = lambda: (closed.append(tree), real_close())
+        opened.append(tree)
+        return tree
+
+    monkeypatch.setattr(parallel, "_open_worker_tree", open_worker)
+    with pytest.raises(TransientIOError):
+        ParallelQueryEngine(saved_path, workers=3, mode="thread")
+    assert len(opened) == 2 and closed == opened
 
 
 def test_live_tree_thread_death_respawns_view(data):
