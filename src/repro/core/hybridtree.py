@@ -316,10 +316,17 @@ class HybridTree:
         descent.append((node_id, node, region))
         return descent
 
-    def _check_vector(self, vector: np.ndarray) -> np.ndarray:
-        v = np.asarray(vector, dtype=np.float32).astype(np.float64)
+    def _check_shape(self, vector) -> np.ndarray:
+        """``vector`` as an array of shape ``(dims,)``.  A single query
+        checks only this: its batch constructor canonicalises the values
+        and rejects non-finite ones."""
+        v = np.asarray(vector)
         if v.shape != (self.dims,):
             raise ValueError(f"expected a {self.dims}-d vector, got shape {v.shape}")
+        return v
+
+    def _check_vector(self, vector: np.ndarray) -> np.ndarray:
+        v = np.asarray(self._check_shape(vector), dtype=np.float32).astype(np.float64)
         if not np.all(np.isfinite(v)):
             raise ValueError("vector must be finite")
         return v
@@ -848,7 +855,7 @@ class HybridTree:
         ``metric`` — the paper's distance-based range query, usable with a
         different metric on every call; a batch of one, like
         :meth:`range_search`."""
-        q = self._check_vector(query)
+        q = self._check_shape(query)
         return self.execute(QueryBatch.distance(q, radius, metric, self.dims))[0]
 
     def knn(
@@ -865,7 +872,7 @@ class HybridTree:
         within a ``(1 + eps)`` factor of optimal — the paper's future-work
         approximate-NN mode.
         """
-        q = self._check_vector(query)
+        q = self._check_shape(query)
         return self.execute(QueryBatch.knn(q, k, metric, approximation_factor, self.dims))[0]
 
     def nearest_iter(self, query: np.ndarray, metric: Metric = L2):

@@ -23,56 +23,65 @@ The ``source`` can be either of:
   because a view cannot be shipped to another process without copying the
   whole structure.
 
-- ``mode="thread"``: each worker thread holds a private handle/view
-  (private :class:`IOStats`).  Python threads interleave under the GIL;
-  only the time a kernel spends inside large numpy calls, which release
-  it, overlaps.  That pays most for the SOA range frontier and less for
-  k-NN, whose per-query best-first rounds spend more of their time in the
-  interpreter: on a 2-core host (FOURIER 16-d, N = 100,000, SOA, batches
-  of 256) two threads ran range batches at ~1.9x one worker and k-NN at
-  ~1.4x, while two fork workers ran k-NN at ~1.7x — which is why the
-  process modes stay.
-- ``mode="fork"`` / ``"spawn"`` (saved-file sources only): worker
-  *processes*, each reopening the tree in its main loop.  With
-  ``mmap=True`` (the default) every worker maps the same file, so the OS
-  page cache holds **one** copy of the data no matter how many workers run
-  — resident memory does not multiply.
+One worker model, two transports.  Every worker is long-lived, owns one
+handle, reads its own task queue and runs one task loop
+(:func:`_supervised_worker_main`), tagging each reply with the call id;
+``mode`` only picks what carries a worker:
+
+- ``mode="thread"``: a thread on a handle the engine opens for it.  It
+  shares the call's :class:`~repro.resilience.Deadline` and
+  :class:`CancelToken`, and replies on one queue shared by all threads (a
+  thread only ever ends by leaving its loop, never inside a ``put``).
+  Python threads interleave under the GIL; only the time a kernel spends
+  inside large numpy calls, which release it, overlaps.  That pays most
+  for the SOA range frontier and less for k-NN, whose per-query
+  best-first rounds spend more of their time in the interpreter: on a
+  2-core host (FOURIER 16-d, N = 100,000, SOA, batches of 256) two
+  threads ran range batches at ~1.9x one worker and k-NN at ~1.4x, while
+  two fork workers ran k-NN at ~1.7x — which is why the process modes
+  stay.
+- ``mode="fork"`` / ``"spawn"`` (saved-file sources only): a process that
+  opens its handle in its main loop, gets the seconds left of the
+  deadline and replies on a private pipe.  Nothing a process writes to
+  is shared with a sibling, so one killed mid-write can only break its
+  own channel, which is replaced with it — a shared
+  ``multiprocessing.Queue`` would keep the dead writer's lock held and
+  silence every other worker for good.  With ``mmap=True`` (the default)
+  every worker maps the same file, so the OS page cache holds **one**
+  copy of the data no matter how many workers run — resident memory does
+  not multiply.
 
 Supervision (the runtime failure story; see INTERNALS "Failure
-semantics"):
+semantics") is one loop, :meth:`ParallelQueryEngine._dispatch`, for both
+transports:
 
-- every batch call takes ``timeout=`` / ``on_timeout=``.  The deadline is
-  shipped to every partition (thread workers share one
-  :class:`~repro.resilience.Deadline` + :class:`CancelToken`; process
-  workers get the remaining seconds and rebuild it), so in-worker kernels
-  cut themselves off cooperatively.  A worker that blows through the
-  deadline anyway (a wedged process, a non-cooperative stall) is caught by
-  the parent's wall-clock guard after a short grace period and — in
-  process modes — terminated and respawned.
-- process workers are supervised directly (no ``Pool.map``): each worker
-  is a long-lived process with a private task queue and a private result
-  pipe.  Nothing a worker writes to is shared with a sibling, so a worker
-  killed mid-write (terminated, or an injected ``os._exit``) can only
-  break its own channel, which is replaced with it — a shared
-  ``multiprocessing.Queue`` would keep the dead writer's lock held and
-  silence every other worker for good.  A worker found dead is respawned
-  and its partition retried up to ``worker_restarts`` times; exhaustion
+- every batch call takes ``timeout=`` / ``on_timeout=``, and in-worker
+  kernels cut themselves off cooperatively at the deadline.  A worker
+  that blows through it anyway (a wedged process, a non-cooperative
+  stall) is reclaimed by the parent's wall-clock guard after a short
+  grace period: a process is terminated, a thread — which cannot be
+  killed — is retired (it ends after its current task, whose reply is
+  discarded) and replaced on a fresh handle, so no two threads ever share
+  one.  Either way it counts in ``restarts_performed``.
+- a worker found dead (an exited process, or a thread ended by
+  :class:`~repro.storage.faults.SimulatedWorkerDeath`) is respawned and
+  its partition retried up to ``worker_restarts`` times; exhaustion
   surfaces as a typed :class:`~repro.resilience.WorkerCrashError` naming
-  the partition.  Results are tagged with a per-call id, so stragglers
-  from an abandoned call can never be mistaken for current answers.
-- the first failing partition cancels its siblings (token in thread mode,
-  terminate + respawn in process modes) and propagates with the partition
-  label attached (``exc.partition``) — no leaked workers, no swallowed
-  sibling exceptions.
+  the partition.  Replies carry the call id, so stragglers from an
+  abandoned call can never be mistaken for current answers.
+- the first failing partition cancels the call's token, reclaims its
+  siblings and propagates with the partition label attached
+  (``exc.partition``) — no leaked workers, no swallowed sibling
+  exceptions.
 - ``on_timeout="partial"``: finished partitions come back complete,
   interrupted ones contribute whatever they salvaged, and the merged
   :class:`~repro.resilience.PartialResult` carries an exact per-partition
   completion mask.
 - an optional :class:`~repro.resilience.QueryAdmissionController` bounds
   in-flight batches before any partitioning happens.
-- :meth:`close` is idempotent, and crash-safe: process workers get a
-  bounded join and are terminated (then killed) if wedged; snapshot-view
-  pins are released on every path.
+- :meth:`close` is idempotent and crash-safe: every worker gets a bounded
+  join, a process still running is then terminated (then killed), and
+  each thread closes its own handle or snapshot view as it ends.
 
 Chaos hooks: :meth:`inject_faults` arms one-shot
 :class:`~repro.storage.faults.WorkerFault` plans (hang / die / raise) that
@@ -108,9 +117,11 @@ from __future__ import annotations
 import copy
 import multiprocessing
 import os
+import queue
+import threading
 import time
+from functools import partial
 from multiprocessing.connection import wait as wait_ready
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -121,7 +132,6 @@ from repro.resilience import (
     Deadline,
     PartialResult,
     QueryAdmissionController,
-    QueryCancelledError,
     QueryTimeoutError,
     WorkerCrashError,
 )
@@ -136,8 +146,8 @@ WORKER_MODES = ("thread", "fork", "spawn")
 # off cooperatively before declaring it wedged and reclaiming it.
 _PARTITION_GRACE = 0.25
 
-# Poll tick for the supervision loops: result-queue waits and liveness
-# checks run at this cadence.
+# Poll tick of the supervision loop: reply waits and liveness checks run
+# at this cadence.
 _TICK = 0.02
 
 
@@ -160,7 +170,7 @@ def _index_view(index):
     snapshot view* instead (:meth:`HybridTree.snapshot_view`): the worker
     keeps answering from the committed state at engine-construction time,
     bit-identically, even while a writer thread mutates the source tree
-    underneath.  The engine owns these views and closes (unpins) them.
+    underneath.  The worker closes (unpins) it when it ends.
     """
     if getattr(index, "wal", None) is not None and hasattr(index, "snapshot_view"):
         return index.snapshot_view()
@@ -175,6 +185,20 @@ def _index_view(index):
     else:
         view.io = IOStats()
     return view
+
+
+def _release_handle(tree, owned: bool) -> None:
+    """Close a thread worker's handle if the engine opened it.
+
+    A view of a live index shares the source's store and stays open; a
+    pinned snapshot view is the exception — closing it releases the page
+    versions the pin kept alive without touching the shared store.
+    """
+    from repro.storage.pagestore import SnapshotPageStore
+
+    store = getattr(getattr(tree, "nm", None), "store", None)
+    if owned or isinstance(store, SnapshotPageStore):
+        tree.close()
 
 
 def _run_partition(
@@ -217,38 +241,80 @@ def _run_partition(
     return results, visits, metrics.charged_reads, delta, completed
 
 
-def _supervised_worker_main(path: str, mmap: bool, task_q, result_conn) -> None:
-    """Main loop of a supervised worker process.
+def _supervised_worker_main(tree, task_q, reply, release, in_process=False) -> None:
+    """The task loop of every supervised worker, thread or process.
 
-    Opens its own tree handle once (caches stay warm across batches), then
-    answers ``(call_id, partition, batch, remaining, on_timeout, fault)``
-    tasks until it receives ``None``.  Every reply is tagged with
-    the call id so the parent can discard stragglers from abandoned calls.
-    Failures are shipped back as exception objects; only a death (or an
-    injected ``os._exit``) leaves the parent without an answer, which is
-    exactly the condition its liveness check exists for.  Replies go out
-    synchronously on the worker's own pipe (``send`` pickles before it
-    writes), so no reply is left half-sent by a background thread.
+    Answers ``(call_id, partition, batch, deadline, on_timeout, fault)``
+    tasks on ``tree`` until it reads ``None``, then calls ``release()``.
+    ``deadline`` is the call's shared :class:`Deadline` for a thread and
+    the seconds left (or ``None``) for a process, which rebuilds it.
+    Every reply is tagged with the call id so the parent can discard
+    stragglers from abandoned calls; failures go back as exception
+    objects.  Only a death leaves the parent without an answer — an
+    injected ``os._exit`` in a process, or a thread leaving the loop on
+    :class:`SimulatedWorkerDeath` — which is exactly the condition its
+    liveness check exists for.  A process replies synchronously on its
+    own pipe (``send`` pickles before it writes), so no reply is left
+    half-sent by a background thread.
     """
-    tree = _open_worker_tree(path, mmap)
-    while True:
-        msg = task_q.get()
-        if msg is None:
-            break
-        call_id, part_idx, batch, remaining, on_timeout, fault = msg
-        try:
-            deadline = Deadline(remaining) if remaining is not None else None
-            out = _run_partition(
-                tree, batch, deadline, on_timeout, fault, in_process=True
-            )
-            result_conn.send((call_id, part_idx, True, out))
-        except BaseException as exc:  # noqa: BLE001 - transported to parent
+    try:
+        while (task := task_q.get()) is not None:
+            call_id, part_idx, batch, deadline, on_timeout, fault = task
             try:
-                result_conn.send((call_id, part_idx, False, exc))
-            except Exception:
-                result_conn.send(
-                    (call_id, part_idx, False, RuntimeError(repr(exc)))
+                out = _run_partition(
+                    tree, batch, Deadline.coerce(deadline), on_timeout, fault,
+                    in_process,
                 )
+                reply((call_id, part_idx, True, out))
+            except SimulatedWorkerDeath:
+                return
+            except BaseException as exc:  # noqa: BLE001 - transported to parent
+                try:
+                    reply((call_id, part_idx, False, exc))
+                except Exception:
+                    reply((call_id, part_idx, False, RuntimeError(repr(exc))))
+    finally:
+        release()
+
+
+def _process_worker_main(path: str, mmap: bool, task_q, result_conn) -> None:
+    """Entry point of a worker process: open a handle once (caches stay
+    warm across batches) and serve it."""
+    tree = _open_worker_tree(path, mmap)
+    _supervised_worker_main(tree, task_q, result_conn.send, tree.close, True)
+
+
+class _ThreadWorker:
+    """One supervised worker thread on a handle the engine opened for it."""
+
+    __slots__ = ("thread", "task_q")
+
+    def __init__(self, tree, owned: bool, replies):
+        self.task_q = queue.SimpleQueue()
+        self.thread = threading.Thread(
+            target=_supervised_worker_main,
+            args=(tree, self.task_q, replies.put, partial(_release_handle, tree, owned)),
+            name="repro-query",
+            daemon=True,
+        )
+        self.thread.start()
+
+    def alive(self) -> bool:
+        return self.thread.is_alive()
+
+    def send(self, call_id, part_idx, batch, fault, deadline, on_timeout) -> None:
+        self.task_q.put((call_id, part_idx, batch, deadline, on_timeout, fault))
+
+    def stop(self, join_timeout: float = 1.0) -> None:
+        """Ask the thread to end after its current task; bounded join."""
+        self.task_q.put(None)
+        self.thread.join(timeout=join_timeout)
+
+    def reclaim(self) -> bool:
+        """Retire a busy thread: it cannot be killed, so it ends after its
+        current task and releases its own handle.  True: it lingers."""
+        self.task_q.put(None)
+        return True
 
 
 class _ProcWorker:
@@ -260,7 +326,7 @@ class _ProcWorker:
         self.task_q = ctx.Queue()
         self.results, writer = ctx.Pipe(duplex=False)
         self.proc = ctx.Process(
-            target=_supervised_worker_main,
+            target=_process_worker_main,
             args=(path, mmap, self.task_q, writer),
             daemon=True,
         )
@@ -270,6 +336,11 @@ class _ProcWorker:
 
     def alive(self) -> bool:
         return self.proc.is_alive()
+
+    def send(self, call_id, part_idx, batch, fault, deadline, on_timeout) -> None:
+        # A token cannot cross processes: ship the seconds left instead.
+        remaining = None if deadline.timeout is None else deadline.remaining()
+        self.task_q.put((call_id, part_idx, batch, remaining, on_timeout, fault))
 
     def _release(self) -> None:
         """Drop the channels.  A task the worker never read is discarded
@@ -296,8 +367,9 @@ class _ProcWorker:
         finally:
             self._release()
 
-    def terminate(self) -> None:
-        """Immediate reclaim of a wedged or cancelled worker."""
+    def reclaim(self) -> bool:
+        """Terminate a busy (wedged or cancelled) worker now.  False: it is
+        gone."""
         if self.proc.is_alive():
             self.proc.terminate()
             self.proc.join(timeout=1.0)
@@ -305,11 +377,7 @@ class _ProcWorker:
             self.proc.kill()
             self.proc.join(timeout=1.0)
         self._release()
-
-    def reap(self) -> None:
-        """Release a worker that already died."""
-        self.proc.join(timeout=0.1)
-        self._release()
+        return False
 
 
 def _annotate(exc: BaseException, label: str) -> BaseException:
@@ -353,8 +421,8 @@ class ParallelQueryEngine:
         on every exit path.
     worker_restarts:
         How many times a partition lost to a dead worker is retried on a
-        respawned worker before :class:`WorkerCrashError` (process modes;
-        thread mode applies the same budget to simulated deaths).
+        respawned worker before :class:`WorkerCrashError` (a thread dies
+        by :class:`SimulatedWorkerDeath`).
     """
 
     def __init__(
@@ -383,36 +451,18 @@ class ParallelQueryEngine:
         self.worker_restarts = worker_restarts
         self.restarts_performed = 0
         self._closed = False
-        self._abandoned_threads = 0
         self._pending_faults: dict[int, WorkerFault] = {}
         self._call_counter = 0
-        self._trees: list = []
-        self._procs: list[_ProcWorker] = []
-        self._source = None
-        self._pool = None
-        self._ctx = None
-        if mode == "thread":
-            self._pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-query"
-            )
+        self._workers: list = []
+        # Retired threads still finishing a reclaimed task; close() joins them.
+        self._retired: list[_ThreadWorker] = []
         if isinstance(source, (str, os.PathLike)):
             from repro.storage import superblock as superblock_io
 
             self.path = os.fspath(source)
-            self._owns_trees = True
+            self._source = None
             manifest, _ = superblock_io.read_superblock(self.path)
             self.dims = int(manifest["dims"])
-            if mode != "thread":
-                self._ctx = multiprocessing.get_context(mode)
-            try:
-                for _ in range(workers):
-                    if self._ctx is None:
-                        self._trees.append(_open_worker_tree(self.path, mmap))
-                    else:
-                        self._procs.append(_ProcWorker(self._ctx, self.path, mmap))
-            except BaseException:
-                self.close()  # close the workers that did start
-                raise
         else:
             if mode != "thread":
                 raise ValueError(
@@ -420,10 +470,16 @@ class ParallelQueryEngine:
                     "process workers need a saved tree file to reopen"
                 )
             self.path = None
-            self._owns_trees = False
             self._source = source
             self.dims = int(source.dims)
-            self._trees = [_index_view(source) for _ in range(workers)]
+        self._replies = queue.SimpleQueue() if mode == "thread" else None
+        self._ctx = None if mode == "thread" else multiprocessing.get_context(mode)
+        try:
+            for _ in range(workers):
+                self._workers.append(self._spawn())
+        except BaseException:
+            self.close()  # close the workers that did start
+            raise
 
     # ------------------------------------------------------------------
     # Chaos hooks
@@ -453,171 +509,59 @@ class ParallelQueryEngine:
     # ------------------------------------------------------------------
     # Worker lifecycle helpers
     # ------------------------------------------------------------------
-    def _close_view(self, tree) -> None:
-        """Close a worker handle/view if (and only if) the engine owns it."""
-        if self._owns_trees:
-            tree.close()
-            return
-        # Live-index views share the source's store: never close it.
-        # Pinned snapshot views are the exception — closing them releases
-        # the page versions the pin kept alive without touching the
-        # shared store.
-        from repro.storage.pagestore import SnapshotPageStore
+    def _spawn(self):
+        """A fresh worker on a fresh handle.  Thread handles are opened
+        here, in the caller; a process opens its own."""
+        if self._ctx is not None:
+            return _ProcWorker(self._ctx, self.path, self.mmap)
+        if self._source is None:
+            return _ThreadWorker(
+                _open_worker_tree(self.path, self.mmap), True, self._replies
+            )
+        return _ThreadWorker(_index_view(self._source), False, self._replies)
 
-        store = getattr(getattr(tree, "nm", None), "store", None)
-        if isinstance(store, SnapshotPageStore):
-            tree.close()
-
-    def _respawn_thread_view(self, i: int) -> None:
-        """Replace a thread worker's handle after a (simulated) death."""
-        self._close_view(self._trees[i])
-        if self._owns_trees:
-            self._trees[i] = _open_worker_tree(self.path, self.mmap)
-        else:
-            self._trees[i] = _index_view(self._source)
-        self.restarts_performed += 1
-
-    def _respawn_proc(self, i: int, terminate: bool) -> None:
-        """Reclaim process worker ``i`` and start a fresh one.
-
-        Fresh channels come with the fresh process, so a task the dead
-        worker never consumed cannot be replayed by its successor, and a
-        reply it left half-written is never read.
-        """
-        worker = self._procs[i]
-        if terminate:
-            worker.terminate()
-        else:
-            worker.reap()
-        self._procs[i] = _ProcWorker(self._ctx, self.path, self.mmap)
+    def _respawn(self, i: int, busy: bool) -> None:
+        """Replace worker ``i``: stop it if it is dead or idle, reclaim it
+        if it is ``busy`` (wedged, or working for a failed call)."""
+        worker = self._workers[i]
+        if not busy:
+            worker.stop()
+        elif worker.reclaim():
+            self._retired = [w for w in self._retired if w.alive()] + [worker]
+        self._workers[i] = self._spawn()
         self.restarts_performed += 1
 
     # ------------------------------------------------------------------
     # Dispatch / merge
     # ------------------------------------------------------------------
-    def _label(self, kind: str, i: int, total: int) -> str:
-        return f"{kind} partition {i + 1}/{total}"
+    def _receive(self, pending) -> list:
+        """The replies ``(call_id, partition, ok, value)`` that arrive
+        within one tick."""
+        if self._replies is not None:
+            try:
+                return [self._replies.get(timeout=_TICK)]
+            except queue.Empty:
+                return []
+        replies = []
+        conns = {self._workers[i].results: i for i in pending}
+        for conn in wait_ready(list(conns), timeout=_TICK):
+            try:
+                replies.append(conn.recv())
+            except (EOFError, OSError):
+                # The worker exited: let the liveness check reap it.
+                self._workers[conns[conn]].proc.join(timeout=_TICK)
+        return replies
 
-    def _dispatch_thread(self, tasks, deadline, on_timeout):
-        """Supervised thread-mode dispatch.
+    def _dispatch(self, tasks, deadline, on_timeout):
+        """Run every ``(sub-batch, fault)`` task on its worker, supervised.
 
         Returns ``(outs, timeout_err)``: ``outs[i]`` is the partition
         tuple or ``None`` for a partition abandoned to the deadline;
-        ``timeout_err`` is the error explaining any ``None``.  First
-        failing partition cancels the siblings (shared token) and
-        propagates annotated; simulated worker deaths are retried on a
-        respawned view within the restart budget.
-        """
-        total = len(tasks)
-        outs = [None] * total
-        attempts = [1] * total
-        first_err: BaseException | None = None
-        timeout_err: QueryTimeoutError | None = None
-
-        def submit(i):
-            batch, fault = tasks[i]
-            return self._pool.submit(
-                _run_partition, self._trees[i], batch, deadline, on_timeout, fault
-            )
-
-        futures = {submit(i): i for i in range(total)}
-        pending = dict(futures)
-        abandon_at = None
-        if deadline is not None and deadline.timeout is not None:
-            abandon_at = deadline.expires_at + _PARTITION_GRACE
-        while pending:
-            done, _ = wait(list(pending), timeout=_TICK, return_when=FIRST_COMPLETED)
-            for fut in done:
-                i = pending.pop(fut)
-                batch, fault = tasks[i]
-                kind = batch.kind
-                try:
-                    outs[i] = fut.result()
-                except SimulatedWorkerDeath:
-                    if attempts[i] > self.worker_restarts:
-                        first_err = first_err or _annotate(
-                            WorkerCrashError(
-                                f"worker for {self._label(kind, i, total)} died "
-                                f"{attempts[i]} times; retry budget exhausted",
-                                partition=self._label(kind, i, total),
-                                attempts=attempts[i],
-                            ),
-                            self._label(kind, i, total),
-                        )
-                        continue
-                    attempts[i] += 1
-                    self._respawn_thread_view(i)
-                    if fault is not None and not fault.sticky:
-                        tasks[i] = (batch, None)
-                    fut2 = submit(i)
-                    pending[fut2] = i
-                except QueryCancelledError:
-                    # Unwound by the sibling-cancel below; the first error
-                    # is already captured.
-                    pass
-                except QueryTimeoutError as exc:
-                    if on_timeout == "partial":
-                        # Kernels return partial envelopes themselves; a
-                        # raise here means a pre-kernel stage (admission
-                        # of the partition, a fault) hit the deadline.
-                        timeout_err = timeout_err or exc
-                    else:
-                        first_err = first_err or _annotate(
-                            exc, self._label(kind, i, total)
-                        )
-                except Exception as exc:
-                    first_err = first_err or _annotate(
-                        exc, self._label(kind, i, total)
-                    )
-            if first_err is not None and pending:
-                # Cancel the siblings: queued futures are dropped, running
-                # ones observe the token at their next deadline check.
-                if deadline is not None and deadline.token is not None:
-                    deadline.token.cancel("sibling partition failed")
-                for fut in list(pending):
-                    fut.cancel()
-                # Bounded drain — cooperative workers unwind promptly; a
-                # truly wedged thread is abandoned to the executor.
-                drain_until = time.perf_counter() + max(_PARTITION_GRACE, 0.5)
-                while pending and time.perf_counter() < drain_until:
-                    done, _ = wait(
-                        list(pending), timeout=_TICK, return_when=FIRST_COMPLETED
-                    )
-                    for fut in done:
-                        pending.pop(fut)
-                self._abandoned_threads += len(pending)
-                pending.clear()
-                break
-            if abandon_at is not None and pending and time.perf_counter() > abandon_at:
-                # Wedged workers: past deadline + grace they are not going
-                # to cut themselves off.  Threads cannot be killed, so
-                # abandon their futures (daemonless pool threads finish in
-                # the background and their results are discarded).
-                timeout_err = timeout_err or QueryTimeoutError(
-                    f"deadline of {deadline.timeout:.6g}s exceeded; "
-                    f"{len(pending)} partition(s) abandoned past the "
-                    f"{_PARTITION_GRACE:.2g}s grace period",
-                    timeout=deadline.timeout,
-                    elapsed=deadline.elapsed(),
-                )
-                for fut in list(pending):
-                    fut.cancel()
-                self._abandoned_threads += len(pending)
-                pending.clear()
-        if first_err is not None:
-            raise first_err
-        if timeout_err is not None and on_timeout != "partial":
-            raise timeout_err
-        return outs, timeout_err
-
-    def _dispatch_proc(self, tasks, deadline, on_timeout):
-        """Supervised process-mode dispatch (fork/spawn).
-
-        Same contract as :meth:`_dispatch_thread`.  Liveness is polled on
-        every result-pipe tick: a dead worker is respawned and its
-        partition retried within the restart budget; a worker still
-        running past deadline + grace is terminated and — under
-        ``"partial"`` — its partition reported incomplete.
+        ``timeout_err`` is the error explaining any ``None``.  Liveness is
+        checked on every tick: a dead worker is respawned and its
+        partition retried within the restart budget; a worker still busy
+        past deadline + grace is reclaimed and — under ``"partial"`` —
+        its partition reported incomplete.
         """
         total = len(tasks)
         self._call_counter += 1
@@ -625,79 +569,59 @@ class ParallelQueryEngine:
         outs = [None] * total
         attempts = [1] * total
         timeout_err: QueryTimeoutError | None = None
+        pending = set(range(total))
+
+        def label(i):
+            return f"{tasks[i][0].kind} partition {i + 1}/{total}"
 
         def send(i):
-            batch, fault = tasks[i]
-            if not self._procs[i].alive():
+            if not self._workers[i].alive():
                 # Died while idle (or failed to initialise): give the
                 # partition a live worker before dispatching to it.
-                self._respawn_proc(i, terminate=False)
-            remaining = None
-            if deadline is not None and deadline.timeout is not None:
-                remaining = deadline.remaining()
-            self._procs[i].task_q.put(
-                (call_id, i, batch, remaining, on_timeout, fault)
-            )
+                self._respawn(i, busy=False)
+            batch, fault = tasks[i]
+            self._workers[i].send(call_id, i, batch, fault, deadline, on_timeout)
+
+        def fail(i, exc):
+            """First-error propagation: cancel the call, reclaim every
+            sibling still working (its work is discarded) and raise."""
+            pending.discard(i)
+            if deadline.token is not None:
+                deadline.token.cancel("sibling partition failed")
+            for j in sorted(pending):
+                self._respawn(j, busy=True)
+            raise _annotate(exc, label(i))
 
         for i in range(total):
             send(i)
-        pending = set(range(total))
         abandon_at = None
-        if deadline is not None and deadline.timeout is not None:
+        if deadline.timeout is not None:
             abandon_at = deadline.expires_at + _PARTITION_GRACE
-
-        def fail_siblings(exc):
-            """First-error propagation: reclaim every sibling partition's
-            worker (its in-flight work is discarded) and raise."""
-            for j in pending:
-                self._respawn_proc(j, terminate=True)
-            pending.clear()
-            raise exc
-
         while pending:
-            conns = {self._procs[i].results: i for i in pending}
-            for conn in wait_ready(list(conns), timeout=_TICK):
-                i = conns[conn]
-                try:
-                    msg = conn.recv()
-                except (EOFError, OSError):
-                    # The worker exited: let the liveness check reap it.
-                    self._procs[i].proc.join(timeout=_TICK)
-                    continue
-                msg_call, part_idx, ok, val = msg
-                if msg_call != call_id or part_idx != i:
+            for msg_call, i, ok, val in self._receive(pending):
+                if msg_call != call_id or i not in pending:
                     continue  # straggler from an abandoned call
-                kind = tasks[i][0].kind
+                pending.discard(i)
                 if ok:
-                    pending.discard(i)
                     outs[i] = val
                 elif isinstance(val, QueryTimeoutError) and on_timeout == "partial":
-                    pending.discard(i)
                     timeout_err = timeout_err or val
                 else:
-                    pending.discard(i)
-                    fail_siblings(_annotate(val, self._label(kind, i, total)))
+                    fail(i, val)
             # Check for dead workers ...
             for i in sorted(pending):
-                if self._procs[i].alive():
+                if self._workers[i].alive():
                     continue
-                batch, fault = tasks[i]
-                kind = batch.kind
-                self._respawn_proc(i, terminate=False)
+                self._respawn(i, busy=False)
                 if attempts[i] > self.worker_restarts:
-                    pending.discard(i)
-                    fail_siblings(
-                        _annotate(
-                            WorkerCrashError(
-                                f"worker for {self._label(kind, i, total)} died "
-                                f"{attempts[i]} times; retry budget exhausted",
-                                partition=self._label(kind, i, total),
-                                attempts=attempts[i],
-                            ),
-                            self._label(kind, i, total),
-                        )
-                    )
+                    fail(i, WorkerCrashError(
+                        f"worker for {label(i)} died {attempts[i]} times; "
+                        "retry budget exhausted",
+                        partition=label(i),
+                        attempts=attempts[i],
+                    ))
                 attempts[i] += 1
+                batch, fault = tasks[i]
                 if fault is not None and not fault.sticky:
                     tasks[i] = (batch, None)
                 send(i)
@@ -705,13 +629,13 @@ class ParallelQueryEngine:
             if abandon_at is not None and pending and time.perf_counter() > abandon_at:
                 timeout_err = timeout_err or QueryTimeoutError(
                     f"deadline of {deadline.timeout:.6g}s exceeded; "
-                    f"{len(pending)} partition(s) terminated past the "
+                    f"{len(pending)} partition(s) reclaimed past the "
                     f"{_PARTITION_GRACE:.2g}s grace period",
                     timeout=deadline.timeout,
                     elapsed=deadline.elapsed(),
                 )
-                for i in list(pending):
-                    self._respawn_proc(i, terminate=True)
+                for i in sorted(pending):
+                    self._respawn(i, busy=True)
                 pending.clear()
         if timeout_err is not None and on_timeout != "partial":
             raise timeout_err
@@ -744,12 +668,9 @@ class ParallelQueryEngine:
             else None
         )
         try:
-            if not tasks:
-                outs, timeout_err = [], None
-            elif self.mode == "thread":
-                outs, timeout_err = self._dispatch_thread(tasks, deadline, on_timeout)
-            else:
-                outs, timeout_err = self._dispatch_proc(tasks, deadline, on_timeout)
+            outs, timeout_err = (
+                self._dispatch(tasks, deadline, on_timeout) if tasks else ([], None)
+            )
         finally:
             if ticket is not None:
                 ticket.release()
@@ -788,7 +709,7 @@ class ParallelQueryEngine:
         if timeout_err is not None or not completed.all():
             err = timeout_err or QueryTimeoutError(
                 "partition(s) interrupted by the deadline",
-                timeout=deadline.timeout if deadline is not None else None,
+                timeout=deadline.timeout,
             )
             results = PartialResult(results, completed, err)
         if not return_metrics:
@@ -817,28 +738,19 @@ class ParallelQueryEngine:
     def close(self) -> None:
         """Shut the engine down; safe to call twice, safe after crashes.
 
-        Thread mode: the executor is drained (without waiting for
-        abandoned wedged workers) and every owned handle / pinned snapshot
-        view is closed.  Process modes: each worker gets a polite stop
-        with a bounded join, then termination — a wedged pool can never
-        hang ``close()``.
+        Every worker, and every retired thread still finishing a reclaimed
+        task, is asked to stop and joined for a bounded time; a process
+        still running then is terminated, then killed.  A thread closes
+        its own handle or snapshot view as it ends, so a wedged worker can
+        never hang ``close()``.
         """
         if self._closed:
             return
         self._closed = True
-        if self.mode == "thread":
-            # Abandoned (wedged) workers must not block shutdown; healthy
-            # engines drain normally so view closure below is safe.
-            self._pool.shutdown(
-                wait=self._abandoned_threads == 0, cancel_futures=True
-            )
-            trees, self._trees = self._trees, []
-            for tree in trees:
-                self._close_view(tree)
-        else:
-            procs, self._procs = self._procs, []
-            for worker in procs:
-                worker.stop()
+        workers = self._workers + self._retired
+        self._workers, self._retired = [], []
+        for worker in workers:
+            worker.stop()
 
     def __enter__(self) -> "ParallelQueryEngine":
         return self

@@ -56,6 +56,13 @@ class TestConstruction:
             tree.insert(np.zeros(3), 0)
         with pytest.raises(ValueError):
             tree.insert(np.array([np.nan, 0, 0, 0]), 0)
+        # A single query is one vector: not a batch of one, not a batch of
+        # none, and finite.
+        for bad in (np.zeros((1, 4)), [], np.array([np.nan, 0, 0, 0])):
+            with pytest.raises(ValueError):
+                tree.knn(bad, 1)
+            with pytest.raises(ValueError):
+                tree.distance_range(bad, 1.0)
 
     def test_capacities_match_page_model(self):
         tree = HybridTree(64)

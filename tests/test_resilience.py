@@ -473,6 +473,30 @@ class TestChaosMatrix:
             time.sleep(1.5)  # let the abandoned worker drain before close
         assert run_kind(engine, "knn", workload) == serial["knn"]
 
+    def test_reclaimed_hang_is_replaced_on_a_fresh_handle(
+        self, engine, workload, serial, mode
+    ):
+        """A partition reclaimed from a non-cooperative hang gets a fresh
+        worker on a fresh handle in every mode (a thread cannot be killed,
+        so it is retired).  The next call runs while the stall is still
+        going, and neither its answers nor its bill share anything with
+        the reclaimed work."""
+        _, clean = run_kind(engine, "knn", workload, return_metrics=True)
+        restarts = engine.restarts_performed
+        engine.inject_faults(
+            {0: WorkerFault("hang", seconds=1.0, cooperative=False)}
+        )
+        out = run_kind(
+            engine, "knn", workload, timeout=0.2, on_timeout="partial"
+        )
+        assert isinstance(out, PartialResult)
+        assert engine.restarts_performed == restarts + 1
+        reads = engine.io.random_reads
+        again, metrics = run_kind(engine, "knn", workload, return_metrics=True)
+        assert again == serial["knn"]
+        assert metrics.charged_reads == clean.charged_reads
+        assert engine.io.random_reads - reads == clean.charged_reads
+
 
 @pytest.mark.parametrize("mode", ALL_MODES)
 def test_no_leaked_workers_after_close(saved_path, workload, mode):
