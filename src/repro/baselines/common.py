@@ -29,9 +29,10 @@ import numpy as np
 from repro.distances import L2, Metric
 from repro.engine.batch import dispatch
 from repro.engine.kernel import Children, EdgeBlock, RectBlock
+from repro.engine.metrics import LoopRecorder
 from repro.engine.query import DISTANCE, RANGE, BatchQueries, QueryBatch, check_on_timeout
 from repro.geometry.rect import Rect
-from repro.resilience import Deadline, PartialResult, QueryTimeoutError
+from repro.resilience import Deadline, PartialResult, QueryTimeoutError, apply_on_timeout
 from repro.storage.iostats import IOStats
 
 
@@ -56,36 +57,16 @@ class FeatureIndex(Protocol):
     def __len__(self) -> int: ...
 
 
-def measured_loop(index, label: str, calls, deadline=None, on_timeout="raise"):
-    """Run ``calls`` one by one against ``index`` with exact instrumentation.
-
-    Module-level (not a mixin method) so it serves any object with an
-    ``io`` accountant — including the hybrid tree, which does not inherit
-    the mixin.  See :func:`_loop` for the deadline semantics; metrics cover
-    exactly the queries that ran.
-    """
-    from repro.engine.metrics import LoopRecorder
-
-    recorder = LoopRecorder(label, index.io)
-    # Charge both access kinds: a checkpoint of random_reads alone
-    # silently drops the sequential reads that dominate seqscan/VA-file.
-    reads0 = index.io.random_reads + index.io.sequential_reads
-    results = _loop(calls, deadline, on_timeout, recorder)
-    charged = (index.io.random_reads + index.io.sequential_reads) - reads0
-    return results, recorder.finish(charged_reads=charged)
-
-
-def _loop(calls, deadline, on_timeout, recorder=None):
+def _loop(calls, deadline, recorder=None):
     """Run ``calls`` in order, each bracketed by ``recorder`` if given.
 
     ``deadline`` bounds the loop at per-query granularity — the natural
-    grain for a loop whose unit of work is a whole query.  With
-    ``on_timeout="partial"`` the completed prefix comes back in a
+    grain for a loop whose unit of work is a whole query.  A loop it stops
+    returns the completed prefix in a
     :class:`~repro.resilience.PartialResult` (queries that ran are marked
-    complete); otherwise a :class:`QueryTimeoutError` propagates.
+    complete); every query that ran has billed its pages as it went.
     """
     results = []
-    err = None
     try:
         for call in calls:
             if deadline is not None:
@@ -96,16 +77,12 @@ def _loop(calls, deadline, on_timeout, recorder=None):
             if recorder is not None:
                 recorder.end_query()
     except QueryTimeoutError as exc:
-        if on_timeout != "partial":
-            raise
-        err = exc
-    if err is None:
-        return results
-    n = len(calls)
-    completed = np.zeros(n, dtype=bool)
-    completed[: len(results)] = True
-    results.extend([] for _ in range(n - len(results)))
-    return PartialResult(results, completed, err)
+        n = len(calls)
+        completed = np.zeros(n, dtype=bool)
+        completed[: len(results)] = True
+        results.extend([] for _ in range(n - len(results)))
+        return PartialResult(results, completed, exc)
+    return results
 
 
 def run_loop(index, batch, return_metrics=False, timeout=None, on_timeout="raise"):
@@ -114,7 +91,9 @@ def run_loop(index, batch, return_metrics=False, timeout=None, on_timeout="raise
     ``distance-loop``, ``knn-loop``).
 
     Module-level so it serves any object with the single-query API and an
-    ``io`` accountant, the hybrid tree included.
+    ``io`` accountant, the hybrid tree included.  The metrics cover
+    exactly the queries that ran; ``on_timeout`` is applied once the loop
+    has returned them (:func:`~repro.resilience.apply_on_timeout`).
     """
     check_on_timeout(on_timeout)
     deadline = Deadline.coerce(timeout)
@@ -139,9 +118,17 @@ def run_loop(index, batch, return_metrics=False, timeout=None, on_timeout="raise
             lambda c=c: index.knn(c, batch.k, batch.metric, **kwargs)
             for c in batch.centers
         ]
-    if return_metrics:
-        return measured_loop(index, f"{batch.kind}-loop", calls, deadline, on_timeout)
-    return _loop(calls, deadline, on_timeout)
+    if not return_metrics:
+        out = _loop(calls, deadline)
+    else:
+        recorder = LoopRecorder(f"{batch.kind}-loop", index.io)
+        # Charge both access kinds: a checkpoint of random_reads alone
+        # silently drops the sequential reads that dominate seqscan/VA-file.
+        reads0 = index.io.random_reads + index.io.sequential_reads
+        results = _loop(calls, deadline, recorder)
+        charged = (index.io.random_reads + index.io.sequential_reads) - reads0
+        out = results, recorder.finish(charged_reads=charged)
+    return apply_on_timeout(out, on_timeout)
 
 
 class LoopQueryMixin:
@@ -154,7 +141,7 @@ class LoopQueryMixin:
     comparison in the benchmarks and the conformance suite.
 
     ``timeout``/``on_timeout`` bound the loop at per-query granularity —
-    see :func:`_loop`.  The methods only need ``dims``, ``io`` and the
+    see :func:`run_loop`.  The methods only need ``dims``, ``io`` and the
     single-query API, so they can be called unbound on the hybrid tree
     (``LoopQueryMixin.knn_loop(tree, centers, k)``).
     """

@@ -34,6 +34,7 @@ import numpy as np
 from repro.core import HybridTree
 from repro.distances import L1, L2, LINF, LpMetric
 from repro.geometry.rect import Rect
+from repro.resilience import QueryTimeoutError
 
 _METRICS = {"l1": L1, "l2": L2, "linf": LINF}
 
@@ -635,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="deadline in seconds applied to every batch call "
-        "(typed QueryTimeoutError when it fires)",
+        "(exits with a one-line message when it fires under --on-timeout raise)",
     )
     p.add_argument(
         "--on-timeout",
@@ -651,7 +652,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except QueryTimeoutError as exc:  # bench-batch --timeout under "raise"
+        raise SystemExit(
+            f"{exc}; rerun with a larger --timeout or --on-timeout partial"
+        ) from None
 
 
 if __name__ == "__main__":

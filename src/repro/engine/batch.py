@@ -35,12 +35,14 @@ results are identical either way.  It also validates ``on_timeout`` and
 the index's capabilities (box geometry, metric) once, answers an empty
 batch without touching the tree, and turns ``timeout=`` (seconds, or a
 :class:`~repro.resilience.Deadline` carrying a :class:`CancelToken`)
-into the deadline the kernels check: ``"raise"``
-surfaces a typed :class:`~repro.resilience.QueryTimeoutError`,
-``"partial"`` returns a :class:`~repro.resilience.PartialResult` envelope
-with the hits gathered before the budget expired and a per-query
-completion mask.  Metrics stay honest either way: pages touched before the
-deadline fired are billed.
+into the deadline the kernels check.  A kernel the deadline stops
+returns a :class:`~repro.resilience.PartialResult` envelope with the hits
+gathered before the budget expired and a per-query completion mask, its
+pages already billed; ``dispatch`` then applies ``on_timeout`` once
+(:func:`~repro.resilience.apply_on_timeout`): ``"partial"`` returns the
+envelope, ``"raise"`` raises its typed
+:class:`~repro.resilience.QueryTimeoutError`.  Either way the pages
+touched before the deadline fired stay billed, the same count.
 
 :class:`QuerySession` adds buffer management on top: it pins the hot upper
 levels of the directory once (charging each page a single read), so every
@@ -51,19 +53,17 @@ cold per-query numbers.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.core.nodes import IndexNode
 from repro.distances import L2, Metric
 from repro.engine import kernel as object_kernel
-from repro.engine.kernel import _finish, _reads
+from repro.engine.metrics import BatchMetrics
 from repro.engine.query import DISTANCE, KNN, RANGE, QueryBatch, check_on_timeout
 from repro.engine.soa import kernel as soa_kernel
 from repro.engine.soa.snapshot import active_snapshot
 from repro.geometry.rect import Rect
-from repro.resilience import Deadline, QueryAdmissionController
+from repro.resilience import Deadline, QueryAdmissionController, apply_on_timeout
 
 __all__ = ["QuerySession", "dispatch"]
 
@@ -84,6 +84,8 @@ def dispatch(
 
     Returns one result list per query; with ``return_metrics=True`` also a
     :class:`~repro.engine.metrics.BatchMetrics` labelled ``batch.label``.
+    A batch ``timeout`` stops keeps its bill; ``on_timeout`` then picks
+    its error or its :class:`~repro.resilience.PartialResult`.
     """
     check_on_timeout(on_timeout)
     if batch.kind == RANGE:
@@ -96,10 +98,9 @@ def dispatch(
     elif hasattr(index, "trav_check_metric"):
         index.trav_check_metric(batch.metric)
     if not len(batch):
-        return _finish(
-            [], np.zeros(0), index, time.perf_counter(), _reads(index.io),
-            return_metrics, batch.label,
-        )
+        if not return_metrics:
+            return []
+        return [], BatchMetrics.from_batch_run(batch.label, np.zeros(0), 0, 0.0)
     deadline = Deadline.coerce(timeout)
     # The kernel tables are built per call, so a wrapper installed on a
     # kernel module's function sees every batch.  A snapshot that writes
@@ -123,13 +124,15 @@ def dispatch(
             DISTANCE: soa_kernel.soa_distance_range_many,
             KNN: soa_kernel.soa_knn_many,
         }[batch.kind]
-        return run(index, snap, batch, return_metrics, deadline, on_timeout)
-    run = {
-        RANGE: object_kernel.kernel_range_search_many,
-        DISTANCE: object_kernel.kernel_distance_range_many,
-        KNN: object_kernel.kernel_knn_many,
-    }[batch.kind]
-    return run(index, batch, return_metrics, deadline, on_timeout)
+        out = run(index, snap, batch, return_metrics, deadline)
+    else:
+        run = {
+            RANGE: object_kernel.kernel_range_search_many,
+            DISTANCE: object_kernel.kernel_distance_range_many,
+            KNN: object_kernel.kernel_knn_many,
+        }[batch.kind]
+        out = run(index, batch, return_metrics, deadline)
+    return apply_on_timeout(out, on_timeout)
 
 
 # The per-kind names of :func:`dispatch`, kept so tracers that wrap them

@@ -62,15 +62,16 @@ best-first, a batch of one on one heap and a larger batch in lockstep
 rounds (:mod:`repro.engine.bestfirst`) that pop the same entries per query.
 
 Every kernel accepts a :class:`repro.resilience.Deadline` and checks it at
-node-visit granularity (k-NN: once per pop, or per round): an expired
-budget raises :class:`~repro.resilience.QueryTimeoutError` (or, under
-``on_timeout="partial"``, returns a
-:class:`~repro.resilience.PartialResult` carrying the hits accumulated
-before the deadline fired, with honest metrics for the work actually
-done).  The deadline is also installed as the ambient
-:func:`~repro.resilience.deadline_scope`, so the layers below — the
-``NodeManager`` retry loop, the degraded sequential scan — spend from the
-same budget.
+node-visit granularity (k-NN: once per pop, or per round).  A kernel
+always returns what it finished: a batch the deadline stopped comes back
+as a :class:`~repro.resilience.PartialResult` carrying the hits
+accumulated so far and the :class:`~repro.resilience.QueryTimeoutError`,
+with every page read before it billed, and the public API decides,
+once, whether to raise that error (``on_timeout``,
+:func:`~repro.resilience.apply_on_timeout`).  The deadline is also
+installed as the ambient :func:`~repro.resilience.deadline_scope`, so the
+layers below — the ``NodeManager`` retry loop, the degraded sequential
+scan — spend from the same budget.
 """
 
 from __future__ import annotations
@@ -267,29 +268,43 @@ def _reads(io) -> int:
     return io.random_reads + io.sequential_reads
 
 
-def _wrap_partial(out, err: QueryTimeoutError | None, n: int):
-    """Under ``on_timeout="partial"``, envelope a timed-out batch's output.
+def _run(index, batch: QueryBatch, return_metrics: bool, walk, collect):
+    """Every kernel's envelope: run ``walk()``, and return what it finished.
 
-    Kernel-granularity timeouts are conservative: the traversal stopped
-    mid-flight, so *no* query can be certified complete even though the
-    accumulated hits per query are real.
+    Owns the clock and the read checkpoint.  ``collect()`` gives the
+    batch's ``(results, visits)`` from the traversal's accumulators, and
+    runs however the walk ends, so what it bills (the SOA kernels charge
+    their visited pages there) is billed whatever stopped the walk.  A
+    :class:`QueryTimeoutError` comes back as a :class:`PartialResult`
+    holding those results and the error, with no query marked complete:
+    the traversal stopped mid-flight, so no query's hits are certified
+    exhaustive.  Any other error propagates.  ``walk()`` returns None, or
+    the whole answer when a degraded scan gave it (:func:`_walk`).
+
+    Returns the results; with ``return_metrics`` also a
+    :class:`BatchMetrics` labelled ``batch.label``.
     """
-    if err is None:
-        return out
-    return PartialResult(out, np.zeros(n, dtype=bool), err)
-
-
-def _finish(results, visits, index, start, reads0, return_metrics, label):
+    start = time.perf_counter()
+    reads0 = _reads(index.io)
+    answer = err = None
+    try:
+        answer = walk()
+    except QueryTimeoutError as exc:
+        err = exc
+    finally:
+        results, visits = collect()
+    if answer is not None:
+        results = answer
+    elif err is not None:
+        results = PartialResult(results, np.zeros(len(batch), dtype=bool), err)
     if not return_metrics:
         return results
-    wall = time.perf_counter() - start
-    metrics = BatchMetrics.from_batch_run(
-        label=label,
+    return results, BatchMetrics.from_batch_run(
+        label=batch.label,
         node_visits=visits,
         charged_reads=_reads(index.io) - reads0,
-        wall_seconds=wall,
+        wall_seconds=time.perf_counter() - start,
     )
-    return results, metrics
 
 
 def _make_fetch(index, charged: set):
@@ -305,35 +320,32 @@ def _make_fetch(index, charged: set):
     return fetch
 
 
-def _walk(index, visit, n: int, deadline, on_timeout: str, from_scan):
+def _walk(index, visit, n: int, deadline, from_scan):
     """Run ``visit`` from the root for all ``n`` queries under ``deadline``.
 
-    Returns ``(scan_out, err)``.  On page corruption a structure with
-    ``trav_degrade`` answers the whole batch from one sequential scan
-    (``scan_out = from_scan(vectors, oids)``, still under the deadline —
-    the hybrid tree's ``on_corruption="scan"``); otherwise ``scan_out`` is
-    None and the caller reads the traversal's own accumulators.  ``err`` is
-    the timeout swallowed under ``on_timeout="partial"``.
+    Returns None: the caller reads the traversal's own accumulators.  On
+    page corruption a structure with ``trav_degrade`` answers the whole
+    batch from one sequential scan instead, still under the deadline (the
+    hybrid tree's ``on_corruption="scan"``), and that answer,
+    ``from_scan(vectors, oids)``, is returned.
     """
     root_ref, root_ctx = index.trav_root()
-    degrade = getattr(index, "trav_degrade", None)
-    try:
-        with deadline_scope(deadline):
-            try:
-                visit(root_ref, root_ctx, np.arange(n))
-            except PageCorruptionError as exc:
-                if degrade is None:
-                    raise
-                return from_scan(*degrade(exc)), None
-    except QueryTimeoutError as exc:
-        if on_timeout != "partial":
-            raise
-        return None, exc
-    return None, None
+    with deadline_scope(deadline):
+        try:
+            visit(root_ref, root_ctx, np.arange(n))
+        except PageCorruptionError as exc:
+            degrade = getattr(index, "trav_degrade", None)
+            if degrade is None:
+                raise
+            return from_scan(*degrade(exc))
+    return None
 
 
-def _descend(index, n: int, mask, scan, deadline, on_timeout: str, from_scan):
-    """The depth-first alive-set walk of the range and distance kernels.
+def _descend(index, batch: QueryBatch, return_metrics: bool, deadline, out: list,
+             mask, scan, from_scan):
+    """The depth-first alive-set walk of the range and distance kernels,
+    run by :func:`_run`; ``scan`` accumulates each query's hits in
+    ``out``.
 
     ``mask(block, rows)`` is the ``(alive, children)`` bound mask of an
     inner node, for the batch rows ``rows``: the alive set, or a full
@@ -343,9 +355,8 @@ def _descend(index, n: int, mask, scan, deadline, on_timeout: str, from_scan):
     A child is visited, in order, with the queries whose entry is set (a
     lone alive query is passed on as it is, with no gather).  Dedup
     structures scan each ``(page, query)`` pair once.
-    Returns ``(scan_out, err, walked)`` (see :func:`_walk`); ``walked``
-    holds the alive set of every visit (:func:`_visit_counts`).
     """
+    n = len(batch)
     fetch = _make_fetch(index, set())
     is_leaf, children = index.trav_is_leaf, index.trav_children
     scanned = {} if getattr(index, "trav_dedup", False) else None
@@ -376,8 +387,11 @@ def _descend(index, n: int, mask, scan, deadline, on_timeout: str, from_scan):
         for i in np.flatnonzero(np.logical_or.reduce(hit, axis=0)).tolist():
             visit(refs[i], ctxs[i], alive[hit[:, i]])
 
-    scan_out, err = _walk(index, visit, n, deadline, on_timeout, from_scan)
-    return scan_out, err, walked
+    return _run(
+        index, batch, return_metrics,
+        lambda: _walk(index, visit, n, deadline, from_scan),
+        lambda: (out, _visit_counts(walked, n) if return_metrics else None),
+    )
 
 
 def _visit_counts(walked: list[np.ndarray], n: int) -> np.ndarray:
@@ -395,19 +409,16 @@ def kernel_range_search_many(
     batch: QueryBatch,
     return_metrics: bool = False,
     deadline: Deadline | None = None,
-    on_timeout: str = "raise",
 ):
     """Execute a non-empty range :class:`QueryBatch` in one
     structure-agnostic traversal.
 
     Returns one oid list per query (a batch of one is the index's
     single-query ``range_search``); with ``return_metrics=True`` also a
-    :class:`BatchMetrics`.  ``deadline`` bounds the traversal; on expiry
-    the call raises :class:`QueryTimeoutError` or — under
-    ``on_timeout="partial"`` — returns a :class:`PartialResult`.
+    :class:`BatchMetrics`.  ``deadline`` bounds the traversal: a batch it
+    stops returns a :class:`PartialResult` of the hits found so far, its
+    pages billed (:func:`_run`).
     """
-    start = time.perf_counter()
-    reads0 = _reads(index.io)
     lows, highs = batch.lows, batch.highs
     n = len(batch)
     out: list[list[int]] = [[] for _ in range(n)]
@@ -427,15 +438,9 @@ def kernel_range_search_many(
     def from_scan(vectors, oids):
         return [hits(vectors, oids, qi) for qi in range(n)]
 
-    scan_out, err, walked = _descend(
-        index, n, lambda block, rows: block.box_mask(lows[rows], highs[rows]),
-        scan, deadline, on_timeout, from_scan,
-    )
-    if scan_out is not None:
-        out = scan_out
-    visits = _visit_counts(walked, n) if return_metrics else None
-    return _finish(
-        _wrap_partial(out, err, n), visits, index, start, reads0, return_metrics, batch.label
+    return _descend(
+        index, batch, return_metrics, deadline, out,
+        lambda block, rows: block.box_mask(lows[rows], highs[rows]), scan, from_scan,
     )
 
 
@@ -447,17 +452,13 @@ def kernel_distance_range_many(
     batch: QueryBatch,
     return_metrics: bool = False,
     deadline: Deadline | None = None,
-    on_timeout: str = "raise",
 ):
     """Execute a non-empty distance :class:`QueryBatch` (one shared metric)
     in one pass.
 
     A batch of one is the index's single-query ``distance_range``.
-    ``deadline`` / ``on_timeout`` behave as in
-    :func:`kernel_range_search_many`.
+    ``deadline`` behaves as in :func:`kernel_range_search_many`.
     """
-    start = time.perf_counter()
-    reads0 = _reads(index.io)
     qs, radii, metric = batch.centers, batch.radii, batch.metric
     n = len(batch)
     out: list[list[tuple[int, float]]] = [[] for _ in range(n)]
@@ -482,16 +483,10 @@ def kernel_distance_range_many(
         points64 = vectors.astype(np.float64)
         return [hits(points64, oids, qi) for qi in range(n)]
 
-    scan_out, err, walked = _descend(
-        index, n,
+    return _descend(
+        index, batch, return_metrics, deadline, out,
         lambda block, rows: block.distance_mask(qs[rows], radii[rows], metric),
-        scan, deadline, on_timeout, from_scan,
-    )
-    if scan_out is not None:
-        out = scan_out
-    visits = _visit_counts(walked, n) if return_metrics else None
-    return _finish(
-        _wrap_partial(out, err, n), visits, index, start, reads0, return_metrics, batch.label
+        scan, from_scan,
     )
 
 
@@ -631,7 +626,6 @@ def kernel_knn_many(
     batch: QueryBatch,
     return_metrics: bool = False,
     deadline: Deadline | None = None,
-    on_timeout: str = "raise",
 ):
     """Execute a non-empty k-NN :class:`QueryBatch` as per-query best-first
     searches.
@@ -643,12 +637,10 @@ def kernel_knn_many(
     else shares the batch.  A batch of one (the index's single-query
     ``knn``) runs one heap (:func:`_heap_visit`); a larger batch runs the
     searches in lockstep rounds (:mod:`repro.engine.bestfirst`), fetching
-    every page once per batch.  ``deadline`` / ``on_timeout`` behave as in
+    every page once per batch.  ``deadline`` behaves as in
     :func:`kernel_range_search_many`; a partial k-NN result holds each
     query's best candidates found so far.
     """
-    start = time.perf_counter()
-    reads0 = _reads(index.io)
     qs, k, metric = batch.centers, batch.k, batch.metric
     n = len(batch)
     shrink = 1.0 / (1.0 + batch.approximation_factor)
@@ -680,9 +672,8 @@ def kernel_knn_many(
             scan_out.append([(int(oids[i]), float(dists[i])) for i in order])
         return scan_out
 
-    scan_out, err = _walk(index, visit, n, deadline, on_timeout, from_scan)
-    out = scan_out if scan_out is not None else results()
-    return _finish(
-        _wrap_partial(out, err, n), visits, index, start, reads0, return_metrics,
-        batch.label,
+    return _run(
+        index, batch, return_metrics,
+        lambda: _walk(index, visit, n, deadline, from_scan),
+        lambda: (results(), visits),
     )

@@ -56,7 +56,8 @@ semantics") is one loop, :meth:`ParallelQueryEngine._dispatch`, for both
 transports:
 
 - every batch call takes ``timeout=`` / ``on_timeout=``, and in-worker
-  kernels cut themselves off cooperatively at the deadline.  A worker
+  kernels cut themselves off cooperatively at the deadline, replying
+  with what they finished.  A worker
   that blows through it anyway (a wedged process, a non-cooperative
   stall) is reclaimed by the parent's wall-clock guard after a short
   grace period: a process is terminated, a thread — which cannot be
@@ -73,10 +74,13 @@ transports:
   siblings and propagates with the partition label attached
   (``exc.partition``) — no leaked workers, no swallowed sibling
   exceptions.
-- ``on_timeout="partial"``: finished partitions come back complete,
-  interrupted ones contribute whatever they salvaged, and the merged
-  :class:`~repro.resilience.PartialResult` carries an exact per-partition
-  completion mask.
+- a deadline never fails a partition: finished partitions come back
+  complete, interrupted ones contribute whatever they salvaged, and
+  :meth:`ParallelQueryEngine.execute` merges every partition's results
+  and bill before it applies ``on_timeout`` once — ``"partial"`` returns
+  the merged :class:`~repro.resilience.PartialResult`, with an exact
+  per-partition completion mask, and ``"raise"`` raises its error with
+  the same pages billed to ``engine.io``.
 - an optional :class:`~repro.resilience.QueryAdmissionController` bounds
   in-flight batches before any partitioning happens.
 - :meth:`close` is idempotent and crash-safe: every worker gets a bounded
@@ -134,6 +138,7 @@ from repro.resilience import (
     QueryAdmissionController,
     QueryTimeoutError,
     WorkerCrashError,
+    apply_on_timeout,
 )
 from repro.storage.faults import SimulatedWorkerDeath, WorkerFault, apply_worker_fault
 from repro.storage.iostats import IOStats
@@ -205,16 +210,16 @@ def _run_partition(
     tree,
     batch: QueryBatch,
     deadline=None,
-    on_timeout: str = "raise",
     fault: WorkerFault | None = None,
     in_process: bool = False,
 ):
     """Run one partition's sub-batch through ``tree.execute``.
 
-    Returns ``(results, visits, charged_reads, io_delta, completed)`` —
-    everything the parent needs to merge, all picklable for the process
-    modes.  ``completed`` is the per-query completion mask (all-True
-    unless the partition timed out under ``on_timeout="partial"``).
+    Returns ``(results, visits, charged_reads, io_delta)`` — everything the
+    parent needs to merge, all picklable for the process modes.  A
+    partition the deadline stopped returns what it finished: ``results``
+    is then a :class:`PartialResult`, whose completion mask and error the
+    parent merges.
     """
     if fault is not None:
         apply_worker_fault(fault, deadline, in_process)
@@ -225,27 +230,24 @@ def _run_partition(
         io.sequential_reads,
         io.sequential_writes,
     )
-    results, metrics = tree.execute(batch, True, deadline, on_timeout)
+    # What the partition finished comes back either way; the parent
+    # applies the caller's on_timeout once every partition is merged.
+    results, metrics = tree.execute(batch, True, deadline, "partial")
     delta = (
         io.random_reads - before[0],
         io.random_writes - before[1],
         io.sequential_reads - before[2],
         io.sequential_writes - before[3],
     )
-    if isinstance(results, PartialResult):
-        completed = np.asarray(results.completed, dtype=bool)
-        results = list(results.results)
-    else:
-        completed = np.ones(len(results), dtype=bool)
     visits = np.asarray(metrics.pages, dtype=np.int64)
-    return results, visits, metrics.charged_reads, delta, completed
+    return results, visits, metrics.charged_reads, delta
 
 
 def _supervised_worker_main(tree, task_q, reply, release, in_process=False) -> None:
     """The task loop of every supervised worker, thread or process.
 
-    Answers ``(call_id, partition, batch, deadline, on_timeout, fault)``
-    tasks on ``tree`` until it reads ``None``, then calls ``release()``.
+    Answers ``(call_id, partition, batch, deadline, fault)`` tasks on
+    ``tree`` until it reads ``None``, then calls ``release()``.
     ``deadline`` is the call's shared :class:`Deadline` for a thread and
     the seconds left (or ``None``) for a process, which rebuilds it.
     Every reply is tagged with the call id so the parent can discard
@@ -259,11 +261,10 @@ def _supervised_worker_main(tree, task_q, reply, release, in_process=False) -> N
     """
     try:
         while (task := task_q.get()) is not None:
-            call_id, part_idx, batch, deadline, on_timeout, fault = task
+            call_id, part_idx, batch, deadline, fault = task
             try:
                 out = _run_partition(
-                    tree, batch, Deadline.coerce(deadline), on_timeout, fault,
-                    in_process,
+                    tree, batch, Deadline.coerce(deadline), fault, in_process
                 )
                 reply((call_id, part_idx, True, out))
             except SimulatedWorkerDeath:
@@ -302,8 +303,8 @@ class _ThreadWorker:
     def alive(self) -> bool:
         return self.thread.is_alive()
 
-    def send(self, call_id, part_idx, batch, fault, deadline, on_timeout) -> None:
-        self.task_q.put((call_id, part_idx, batch, deadline, on_timeout, fault))
+    def send(self, call_id, part_idx, batch, fault, deadline) -> None:
+        self.task_q.put((call_id, part_idx, batch, deadline, fault))
 
     def stop(self, join_timeout: float = 1.0) -> None:
         """Ask the thread to end after its current task; bounded join."""
@@ -337,10 +338,10 @@ class _ProcWorker:
     def alive(self) -> bool:
         return self.proc.is_alive()
 
-    def send(self, call_id, part_idx, batch, fault, deadline, on_timeout) -> None:
+    def send(self, call_id, part_idx, batch, fault, deadline) -> None:
         # A token cannot cross processes: ship the seconds left instead.
         remaining = None if deadline.timeout is None else deadline.remaining()
-        self.task_q.put((call_id, part_idx, batch, remaining, on_timeout, fault))
+        self.task_q.put((call_id, part_idx, batch, remaining, fault))
 
     def _release(self) -> None:
         """Drop the channels.  A task the worker never read is discarded
@@ -552,16 +553,17 @@ class ParallelQueryEngine:
                 self._workers[conns[conn]].proc.join(timeout=_TICK)
         return replies
 
-    def _dispatch(self, tasks, deadline, on_timeout):
+    def _dispatch(self, tasks, deadline):
         """Run every ``(sub-batch, fault)`` task on its worker, supervised.
 
         Returns ``(outs, timeout_err)``: ``outs[i]`` is the partition
         tuple or ``None`` for a partition abandoned to the deadline;
         ``timeout_err`` is the error explaining any ``None``.  Liveness is
         checked on every tick: a dead worker is respawned and its
-        partition retried within the restart budget; a worker still busy
-        past deadline + grace is reclaimed and — under ``"partial"`` —
-        its partition reported incomplete.
+        partition retried within the restart budget; a worker that
+        replies with a :class:`QueryTimeoutError`, or is still busy past
+        deadline + grace (and is reclaimed), leaves its partition
+        incomplete.  Any other failure propagates at once.
         """
         total = len(tasks)
         self._call_counter += 1
@@ -580,7 +582,7 @@ class ParallelQueryEngine:
                 # partition a live worker before dispatching to it.
                 self._respawn(i, busy=False)
             batch, fault = tasks[i]
-            self._workers[i].send(call_id, i, batch, fault, deadline, on_timeout)
+            self._workers[i].send(call_id, i, batch, fault, deadline)
 
         def fail(i, exc):
             """First-error propagation: cancel the call, reclaim every
@@ -604,7 +606,7 @@ class ParallelQueryEngine:
                 pending.discard(i)
                 if ok:
                     outs[i] = val
-                elif isinstance(val, QueryTimeoutError) and on_timeout == "partial":
+                elif isinstance(val, QueryTimeoutError):
                     timeout_err = timeout_err or val
                 else:
                     fail(i, val)
@@ -637,8 +639,6 @@ class ParallelQueryEngine:
                 for i in sorted(pending):
                     self._respawn(i, busy=True)
                 pending.clear()
-        if timeout_err is not None and on_timeout != "partial":
-            raise timeout_err
         return outs, timeout_err
 
     def execute(
@@ -649,7 +649,9 @@ class ParallelQueryEngine:
 
         The batch is cut into contiguous partitions (``batch.take``), each
         worker runs its partition through its handle's own ``execute``, and
-        the outputs are concatenated back in input order.
+        the outputs are concatenated back in input order.  Every finished
+        partition's pages are added to ``self.io`` before ``on_timeout`` is
+        applied, so a raised timeout bills what a partial one does.
         """
         if self._closed:
             raise RuntimeError("engine is closed")
@@ -668,9 +670,7 @@ class ParallelQueryEngine:
             else None
         )
         try:
-            outs, timeout_err = (
-                self._dispatch(tasks, deadline, on_timeout) if tasks else ([], None)
-            )
+            outs, timeout_err = self._dispatch(tasks, deadline) if tasks else ([], None)
         finally:
             if ticket is not None:
                 ticket.release()
@@ -688,10 +688,15 @@ class ParallelQueryEngine:
                 completed_parts.append(np.zeros(pn, dtype=bool))
                 visit_parts.append(np.zeros(pn, dtype=np.int64))
                 continue
-            res, vis, chg, delta, comp = part
+            res, vis, chg, delta = part
+            if isinstance(res, PartialResult):
+                timeout_err = timeout_err or res.error
+                completed_parts.append(res.completed)
+                res = res.results
+            else:
+                completed_parts.append(np.ones(len(res), dtype=bool))
             results.extend(res)
             visit_parts.append(np.asarray(vis, dtype=np.int64))
-            completed_parts.append(np.asarray(comp, dtype=bool))
             charged += chg
             dr, dw, sr, sw = delta
             self.io.random_reads += dr
@@ -701,26 +706,16 @@ class ParallelQueryEngine:
         visits = (
             np.concatenate(visit_parts) if visit_parts else np.empty(0, dtype=np.int64)
         )
-        completed = (
-            np.concatenate(completed_parts)
-            if completed_parts
-            else np.ones(0, dtype=bool)
-        )
-        if timeout_err is not None or not completed.all():
-            err = timeout_err or QueryTimeoutError(
-                "partition(s) interrupted by the deadline",
-                timeout=deadline.timeout,
+        if timeout_err is not None:
+            results = PartialResult(results, np.concatenate(completed_parts), timeout_err)
+        if return_metrics:
+            results = results, BatchMetrics.from_batch_run(
+                label=f"{batch.label}[{self.workers}x{self.mode}]",
+                node_visits=visits,
+                charged_reads=charged,
+                wall_seconds=time.perf_counter() - start,
             )
-            results = PartialResult(results, completed, err)
-        if not return_metrics:
-            return results
-        metrics = BatchMetrics.from_batch_run(
-            label=f"{batch.label}[{self.workers}x{self.mode}]",
-            node_visits=visits,
-            charged_reads=charged,
-            wall_seconds=time.perf_counter() - start,
-        )
-        return results, metrics
+        return apply_on_timeout(results, on_timeout)
 
     def _partitions(self, n: int) -> list[np.ndarray]:
         """Contiguous index partitions: concatenation restores input order."""

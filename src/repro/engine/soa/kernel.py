@@ -57,20 +57,25 @@ Bit-identity rules (asserted by ``tests/test_soa_conformance.py``):
   count), and dedup structures scan each ``(page, query)`` pair once, at
   the query's first occurrence in its visit order (DFS for range and
   distance, best-first for k-NN).
+
+The kernels run in the object kernel's envelope
+(:func:`repro.engine.kernel._run`): a batch the deadline stopped (checked
+per frontier or best-first round) returns a
+:class:`~repro.resilience.PartialResult`, and the pages visited are
+charged whatever stopped the batch, the bill the object kernel runs up
+by charging at each fetch.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
 from repro.distances import Metric, round_out_f32
 from repro.engine.bestfirst import TopK, best_first_knn
 from repro.engine.bestfirst import concat_ranges as _concat_ranges
-from repro.engine.kernel import EdgeBlock, _finish, _reads, _wrap_partial
+from repro.engine.kernel import EdgeBlock, _run
 from repro.engine.query import QueryBatch
-from repro.resilience import Deadline, QueryTimeoutError
+from repro.resilience import Deadline
 from repro.storage.iostats import AccessKind
 
 __all__ = [
@@ -285,8 +290,8 @@ class _PairBounds:
 # ----------------------------------------------------------------------
 # Level-synchronous frontier (range / distance queries)
 # ----------------------------------------------------------------------
-def _run_frontier(snap, n: int, visits: np.ndarray, group_pred, deadline=None,
-                  visited: np.ndarray | None = None):
+def _run_frontier(snap, n: int, visits: np.ndarray, visited: np.ndarray, group_pred,
+                  deadline):
     """Descend all queries at once; returns the reached leaf pairs.
 
     ``group_pred(first_edge, n_edges, live) -> (n_edges, n_live) bool
@@ -299,14 +304,12 @@ def _run_frontier(snap, n: int, visits: np.ndarray, group_pred, deadline=None,
     occurrence in DFS order — the occurrence the object kernel scans) and
     sorted by ``(occurrence, query)``.  ``deadline`` is checked once per
     frontier round — each round is one batched level of array work, the
-    natural cooperative-cancellation grain here.  The caller may supply
-    the ``visited`` page-mask so a mid-frontier timeout still bills the
-    pages actually touched.
+    natural cooperative-cancellation grain here.  Per-query visits add up
+    in ``visits`` and the occurrences reached are set in ``visited``, so
+    a batch stopped mid-frontier keeps its counts and its bill.
     """
     nodes = np.zeros(n, dtype=np.int64)
     qs_idx = np.arange(n, dtype=np.int64)
-    if visited is None:
-        visited = np.zeros(snap.n_nodes, dtype=bool)
     leaf_occ_parts: list[np.ndarray] = []
     leaf_q_parts: list[np.ndarray] = []
     cs = snap.child_start
@@ -359,7 +362,7 @@ def _run_frontier(snap, n: int, visits: np.ndarray, group_pred, deadline=None,
         first[1:] = (refs_s[1:] != refs_s[:-1]) | (lq_s[1:] != lq_s[:-1])
         occ, lq = occ[order[first]], lq[order[first]]
     order = np.lexsort((lq, occ))
-    return occ[order], lq[order], visited
+    return occ[order], lq[order]
 
 
 def _pair_point_rows(snap, occ: np.ndarray, lq: np.ndarray):
@@ -415,24 +418,20 @@ def soa_range_search_many(
     batch: QueryBatch,
     return_metrics: bool = False,
     deadline: Deadline | None = None,
-    on_timeout: str = "raise",
 ):
     """Vectorized form of :func:`repro.engine.kernel.kernel_range_search_many`."""
-    start = time.perf_counter()
-    reads0 = _reads(index.io)
     lows, highs = batch.lows, batch.highs
     n = len(batch)
     visits = np.zeros(n, dtype=np.int64)
-    pred = _PairBounds(snap)
-
-    out: list[list[int]] = [[] for _ in range(n)]
     visited = np.zeros(snap.n_nodes, dtype=bool)
-    err = None
-    try:
-        occ, lq, _ = _run_frontier(
-            snap, n, visits,
+    pred = _PairBounds(snap)
+    out: list[list[int]] = [[] for _ in range(n)]
+
+    def walk() -> None:
+        occ, lq = _run_frontier(
+            snap, n, visits, visited,
             lambda e0, n_e, live: pred.box_mask(e0, n_e, live, lows, highs),
-            deadline, visited,
+            deadline,
         )
         if deadline is not None:
             deadline.check()
@@ -451,43 +450,36 @@ def soa_range_search_many(
         s_arr, e_arr = snap.leaf_start[occ], snap.leaf_end[occ]
         nz = e_arr > s_arr
         pocc, palive, s_arr, sizes = occ[nz], lq[nz], s_arr[nz], (e_arr - s_arr)[nz]
-        if pocc.size:
-            win_lo, win_hi = _bisect_windows(
-                scol, s_arr, sizes, lows[palive, 0], highs[palive, 0]
-            )
-            m = win_hi - win_lo
-            live = np.flatnonzero(m > 0)
-            pos = np.repeat(s_arr[live] + win_lo[live], m[live]) + _concat_ranges(m[live])
-            pidx = perm[pos]
-            qrow = np.repeat(palive[live], m[live])
-            hocc = np.repeat(pocc[live], m[live])
-            rest32 = snap.points[pidx, 1:]
-            keep = np.flatnonzero(
-                np.all(
-                    (rest32 >= lo32[qrow, 1:]) & (rest32 <= hi32[qrow, 1:]), axis=1
-                )
-            )
-            pidx, qrow, hocc = pidx[keep], qrow[keep], hocc[keep]
-            rest64 = snap.points[pidx, 1:].astype(np.float64)
-            exact = np.all(
-                (rest64 >= lows[qrow, 1:]) & (rest64 <= highs[qrow, 1:]), axis=1
-            )
-            pidx, qrow, hocc = pidx[exact], qrow[exact], hocc[exact]
-            order = np.lexsort((pidx, hocc, qrow))
-            hq, ho = qrow[order], snap.oids[pidx[order]]
-            bounds = np.flatnonzero(np.diff(hq)) + 1
-            for qi, seg_o in zip(
-                np.concatenate((hq[:1], hq[bounds])), np.split(ho, bounds)
-            ):
-                out[int(qi)] = seg_o.tolist()
-    except QueryTimeoutError as exc:
-        if on_timeout != "partial":
-            raise
-        err = exc
-    _charge_visited(index, snap, visited)
-    return _finish(
-        _wrap_partial(out, err, n), visits, index, start, reads0, return_metrics, batch.label
-    )
+        if not pocc.size:
+            return
+        win_lo, win_hi = _bisect_windows(
+            scol, s_arr, sizes, lows[palive, 0], highs[palive, 0]
+        )
+        m = win_hi - win_lo
+        live = np.flatnonzero(m > 0)
+        pos = np.repeat(s_arr[live] + win_lo[live], m[live]) + _concat_ranges(m[live])
+        pidx = perm[pos]
+        qrow = np.repeat(palive[live], m[live])
+        hocc = np.repeat(pocc[live], m[live])
+        rest32 = snap.points[pidx, 1:]
+        keep = np.flatnonzero(
+            np.all((rest32 >= lo32[qrow, 1:]) & (rest32 <= hi32[qrow, 1:]), axis=1)
+        )
+        pidx, qrow, hocc = pidx[keep], qrow[keep], hocc[keep]
+        rest64 = snap.points[pidx, 1:].astype(np.float64)
+        exact = np.all((rest64 >= lows[qrow, 1:]) & (rest64 <= highs[qrow, 1:]), axis=1)
+        pidx, qrow, hocc = pidx[exact], qrow[exact], hocc[exact]
+        order = np.lexsort((pidx, hocc, qrow))
+        hq, ho = qrow[order], snap.oids[pidx[order]]
+        bounds = np.flatnonzero(np.diff(hq)) + 1
+        for qi, seg_o in zip(np.concatenate((hq[:1], hq[bounds])), np.split(ho, bounds)):
+            out[int(qi)] = seg_o.tolist()
+
+    def collect():
+        _charge_visited(index, snap, visited)
+        return out, visits
+
+    return _run(index, batch, return_metrics, walk, collect)
 
 
 # ----------------------------------------------------------------------
@@ -499,29 +491,24 @@ def soa_distance_range_many(
     batch: QueryBatch,
     return_metrics: bool = False,
     deadline: Deadline | None = None,
-    on_timeout: str = "raise",
 ):
     """Vectorized form of :func:`repro.engine.kernel.kernel_distance_range_many`."""
-    start = time.perf_counter()
-    reads0 = _reads(index.io)
     qs, radii, metric = batch.centers, batch.radii, batch.metric
     n = len(batch)
     visits = np.zeros(n, dtype=np.int64)
-    pred = _PairBounds(snap, metric)
-
-    out: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     visited = np.zeros(snap.n_nodes, dtype=bool)
-    # Hit accumulators live outside the try so a mid-scan timeout can still
-    # salvage the blocks already evaluated into the partial envelope.
+    pred = _PairBounds(snap, metric)
+    # Hits accumulate block by block, so a batch stopped mid-scan keeps
+    # the blocks already evaluated.
     hit_q: list[np.ndarray] = []
     hit_o: list[np.ndarray] = []
     hit_d: list[np.ndarray] = []
-    err = None
-    try:
-        occ, lq, _ = _run_frontier(
-            snap, n, visits,
+
+    def walk() -> None:
+        occ, lq = _run_frontier(
+            snap, n, visits, visited,
             lambda e0, n_e, live: pred.distance_mask(e0, n_e, live, qs, radii),
-            deadline, visited,
+            deadline,
         )
         # A metric's rows do not depend on which other rows ride along, so
         # every (leaf, query, point) row is scored in flat blocks,
@@ -536,20 +523,19 @@ def soa_distance_range_many(
                 hit_q.append(qrow[hits])
                 hit_o.append(snap.oids[pidx[hits]])
                 hit_d.append(dists[hits])
-    except QueryTimeoutError as exc:
-        if on_timeout != "partial":
-            raise
-        err = exc
-    if hit_q:
-        for qi, (oid_seg, d_seg) in _group_hits_by_query(
-            np.concatenate(hit_q),
-            [np.concatenate(hit_o), np.concatenate(hit_d)],
-        ):
-            out[qi] = list(zip(oid_seg.tolist(), d_seg.tolist()))
-    _charge_visited(index, snap, visited)
-    return _finish(
-        _wrap_partial(out, err, n), visits, index, start, reads0, return_metrics, batch.label
-    )
+
+    def collect():
+        _charge_visited(index, snap, visited)
+        out: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+        if hit_q:
+            for qi, (oid_seg, d_seg) in _group_hits_by_query(
+                np.concatenate(hit_q),
+                [np.concatenate(hit_o), np.concatenate(hit_d)],
+            ):
+                out[qi] = list(zip(oid_seg.tolist(), d_seg.tolist()))
+        return out, visits
+
+    return _run(index, batch, return_metrics, walk, collect)
 
 
 # ----------------------------------------------------------------------
@@ -585,7 +571,6 @@ def soa_knn_many(
     batch: QueryBatch,
     return_metrics: bool = False,
     deadline: Deadline | None = None,
-    on_timeout: str = "raise",
 ):
     """Vectorized form of :func:`repro.engine.kernel.kernel_knn_many`.
 
@@ -595,26 +580,21 @@ def soa_knn_many(
     :meth:`_PairBounds.mindist` call — so visits, results and pages equal
     the object kernel's.
     """
-    start = time.perf_counter()
-    reads0 = _reads(index.io)
     qs, metric = batch.centers, batch.metric
     n = len(batch)
     topk = TopK(n, batch.k)
     visits = np.zeros(n, dtype=np.int64)
     visited = np.zeros(snap.n_nodes, dtype=bool)
     tree = _SnapshotTree(snap, visited, _PairBounds(snap, metric), qs)
-    err = None
-    try:
+
+    def walk() -> None:
         best_first_knn(
             tree, qs, metric, 1.0 / (1.0 + batch.approximation_factor),
             topk, visits, deadline,
         )
-    except QueryTimeoutError as exc:
-        if on_timeout != "partial":
-            raise
-        err = exc
-    _charge_visited(index, snap, visited)
-    return _finish(
-        _wrap_partial(topk.results(), err, n), visits, index, start, reads0,
-        return_metrics, batch.label,
-    )
+
+    def collect():
+        _charge_visited(index, snap, visited)
+        return topk.results(), visits
+
+    return _run(index, batch, return_metrics, walk, collect)

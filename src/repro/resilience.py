@@ -17,9 +17,11 @@ module is the shared substrate all of that builds on:
   scope the kernels enter around a traversal, so layers that cannot take
   a parameter (``NodeManager`` retry backoff, the degraded sequential
   scan) still honor the caller's budget.
-- :class:`PartialResult` — the ``on_timeout="partial"`` envelope: the
+- :class:`PartialResult` — what a timed-out executor returns: the
   per-query results accumulated before the deadline fired, an honest
-  per-query completion mask, and the timeout error itself.
+  per-query completion mask, and the timeout error itself;
+  :func:`apply_on_timeout` applies the caller's ``on_timeout`` policy to
+  it, once, at the public API.
 - :class:`QueryAdmissionController` — bounds concurrent in-flight batches
   and their estimated working-set bytes, raising :class:`AdmissionError`
   for over-budget work instead of letting it degrade everyone.
@@ -56,6 +58,7 @@ __all__ = [
     "QueryTimeoutError",
     "WorkerCrashError",
     "active_deadline",
+    "apply_on_timeout",
     "deadline_scope",
 ]
 
@@ -76,10 +79,11 @@ class QueryTimeoutError(QueryExecutionError, TimeoutError):
     """The query's deadline expired before the traversal finished.
 
     Carries the budget (``timeout``) and the wall time actually spent
-    (``elapsed``), and — when the caller asked for ``on_timeout="raise"``
-    — discards the partial work.  Under ``on_timeout="partial"`` the
-    batch APIs return a :class:`PartialResult` carrying this error
-    instead of raising it.
+    (``elapsed``).  Under ``on_timeout="raise"`` the batch APIs raise it
+    and drop the partial results, but not their bill: pages read before
+    the deadline fired stay charged to the index's ``IOStats``, as under
+    ``on_timeout="partial"``, where the APIs return a
+    :class:`PartialResult` carrying this error instead.
     """
 
     def __init__(self, message: str, timeout: float | None = None,
@@ -323,6 +327,22 @@ class PartialResult:
             f"PartialResult({self.completed_queries}/{len(self.results)} "
             f"queries complete, error={self.error!r})"
         )
+
+
+def apply_on_timeout(out, on_timeout: str):
+    """Apply the caller's ``on_timeout`` policy to an executor's output.
+
+    Every executor below the public API (the kernels, the per-query loop,
+    a parallel partition) returns what it finished, already billed: its
+    results, or a :class:`PartialResult` when a deadline stopped it, and
+    either one paired with its ``BatchMetrics`` when ``out`` is a tuple.
+    Under ``"raise"`` a :class:`PartialResult` becomes its error; anything
+    else passes through unchanged.
+    """
+    results = out[0] if isinstance(out, tuple) else out
+    if on_timeout == "raise" and isinstance(results, PartialResult):
+        raise results.error
+    return out
 
 
 # ----------------------------------------------------------------------

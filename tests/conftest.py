@@ -6,6 +6,22 @@ import numpy as np
 import pytest
 
 from repro.geometry.rect import Rect
+from repro.resilience import Deadline, QueryTimeoutError
+
+
+class ExpiresAfter(Deadline):
+    """A budget of ``limit`` deadline checks: the ``limit + 1``-th raises."""
+
+    __slots__ = ("limit",)
+
+    def __init__(self, limit: int):
+        super().__init__()
+        self.limit = limit
+
+    def check(self) -> None:
+        super().check()
+        if self.checks > self.limit:
+            raise QueryTimeoutError(f"expired after {self.limit} checks")
 
 
 @pytest.fixture(scope="session")

@@ -194,3 +194,21 @@ def test_build_on_non_finite_data_exits_with_one_line(tmp_path, bulk, bad):
     finally:
         os.chdir(cwd)
     assert not (tmp_path / "t.pages").exists()
+
+
+def test_expired_bench_batch_deadline_exits_with_one_line(tmp_path):
+    """Under the default ``--on-timeout raise`` an expired deadline ends
+    ``bench-batch`` with status 1 and one line naming it, no traceback."""
+    argv = ["bench-batch", "--dataset", "uniform", "--count", "2000", "--dims", "8",
+            "--queries", "20", "--timeout", "0.000001"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert "query deadline of 1e-06s exceeded" in str(exc.value.code)
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "query deadline of 1e-06s exceeded" in proc.stderr.strip().splitlines()[-1]

@@ -61,8 +61,9 @@ from repro.engine.kernel import (
 from repro.engine.query import QueryBatch
 from repro.engine.soa import kernel as soa_kernel
 from repro.geometry.rect import Rect
-from repro.resilience import Deadline, PartialResult, QueryTimeoutError
+from repro.resilience import PartialResult
 from tests import kd_reference as ref
+from tests.conftest import ExpiresAfter
 from tests.kd_reference import KDInternal, KDLeaf
 
 DIMS = 4
@@ -910,21 +911,6 @@ def test_hbtree_single_knn_pays_each_page_once(data):
     assert popped_twice  # the shared pages were reached
 
 
-class _ExpiresAfter(Deadline):
-    """A budget of ``limit`` deadline checks."""
-
-    __slots__ = ("limit",)
-
-    def __init__(self, limit: int):
-        super().__init__()
-        self.limit = limit
-
-    def check(self) -> None:
-        super().check()
-        if self.checks > self.limit:
-            raise QueryTimeoutError(f"expired after {self.limit} checks")
-
-
 def test_partial_knn_batch_of_one_holds_the_best_so_far(data):
     """A k-NN batch of one checks its deadline once per pop.  Cut after m
     pops, it returns the best k of the leaves scanned so far: what the
@@ -939,10 +925,8 @@ def test_partial_knn_batch_of_one_holds_the_best_so_far(data):
         assert full == [_brute_knn(oids, rows, q, L2)]
         pops = 0
         while True:
-            got = kernel_knn_many(tree, batch, False, _ExpiresAfter(pops), "partial")
-            rounds = soa_kernel.soa_knn_many(
-                tree, snap, batch, False, _ExpiresAfter(pops), "partial"
-            )
+            got = kernel_knn_many(tree, batch, False, ExpiresAfter(pops))
+            rounds = soa_kernel.soa_knn_many(tree, snap, batch, False, ExpiresAfter(pops))
             if not isinstance(got, PartialResult):
                 assert got == full and rounds == full
                 break

@@ -15,6 +15,7 @@ Covers the contracts the perf work must not bend:
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,7 +97,7 @@ def serial(saved_tree_path, workload):
 
 def _corrupt_copy(path: str, tmp_path, offset: int = 4096 + 100) -> str:
     corrupted = tmp_path / "corrupt.pages"
-    raw = bytearray(open(path, "rb").read())
+    raw = bytearray(Path(path).read_bytes())
     raw[offset] ^= 0xFF
     corrupted.write_bytes(bytes(raw))
     return str(corrupted)

@@ -27,6 +27,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.baselines.common import LoopQueryMixin
 from repro.core import HybridTree
 from repro.engine import ParallelQueryEngine, QuerySession
 from repro.geometry.rect import Rect
@@ -57,6 +58,7 @@ from repro.storage.faults import (
 from repro.storage.nodemanager import NodeManager
 from repro.storage.pagestore import InMemoryPageStore
 from repro.storage.serialization import HybridNodeCodec
+from tests.conftest import ExpiresAfter
 
 DIMS = 6
 COUNT = 1500
@@ -115,6 +117,21 @@ def run_kind(engine_or_tree, kind, workload, **kw):
             workload["centers"], workload["radii"], **kw
         )
     return engine_or_tree.knn_many(workload["centers"], 5, **kw)
+
+
+def run_loop_kind(tree, kind, workload, **kw):
+    """``run_kind`` through the measured per-query ``*_loop`` helpers."""
+    if kind == "range":
+        return LoopQueryMixin.range_search_loop(tree, workload["boxes"], **kw)
+    if kind == "distance":
+        return LoopQueryMixin.distance_range_loop(
+            tree, workload["centers"], workload["radii"], **kw
+        )
+    return LoopQueryMixin.knn_loop(tree, workload["centers"], 5, **kw)
+
+
+def charged(index) -> int:
+    return index.io.random_reads + index.io.sequential_reads
 
 
 def assert_no_child_procs():
@@ -236,6 +253,26 @@ class TestKernelDeadlines:
         # Whatever ran before the deadline stays billed, and the metrics
         # agree with the accountant.
         assert metrics.charged_reads == charged
+
+    @pytest.mark.parametrize("run", [run_kind, run_loop_kind], ids=["batch", "loop"])
+    def test_raise_bills_what_partial_bills(self, tree, workload, kind, engine, run):
+        """Stopped after its Nth deadline check, a batch (or the per-query
+        loop) bills the same pages whether the caller raises or keeps the
+        partial results, and the metrics agree with the accountant."""
+        full = Deadline(60.0)
+        run(tree, kind, workload, timeout=full)
+        for limit in sorted({1, full.checks // 2, full.checks - 1}):
+            reads0 = charged(tree)
+            with pytest.raises(QueryTimeoutError):
+                run(tree, kind, workload, timeout=ExpiresAfter(limit))
+            raised = charged(tree) - reads0
+            reads0 = charged(tree)
+            out, metrics = run(
+                tree, kind, workload, timeout=ExpiresAfter(limit),
+                on_timeout="partial", return_metrics=True,
+            )
+            assert isinstance(out, PartialResult)
+            assert raised == charged(tree) - reads0 == metrics.charged_reads, limit
 
     def test_ample_timeout_is_bit_identical(
         self, tree, workload, kind, engine, serial
@@ -452,6 +489,21 @@ class TestChaosMatrix:
         engine.inject_faults({0: WorkerFault("hang", seconds=30.0)})
         with pytest.raises(QueryTimeoutError):
             run_kind(engine, "knn", workload, timeout=0.3)
+
+    def test_raised_timeout_bills_the_finished_partition(self, engine, workload, mode):
+        """The healthy partition's pages reach ``engine.io`` whether the
+        caller raises or keeps the partial results."""
+        engine.inject_faults({0: WorkerFault("hang", seconds=30.0)})
+        reads0 = charged(engine)
+        with pytest.raises(QueryTimeoutError):
+            run_kind(engine, "knn", workload, timeout=0.3)
+        raised = charged(engine) - reads0
+        engine.inject_faults({0: WorkerFault("hang", seconds=30.0)})
+        reads0 = charged(engine)
+        out = run_kind(engine, "knn", workload, timeout=0.3, on_timeout="partial")
+        assert isinstance(out, PartialResult)
+        assert out.completed[QUERIES // 2:].all()
+        assert raised == charged(engine) - reads0 > 0
 
     def test_noncooperative_hang_reclaimed_by_wall_guard(
         self, engine, workload, serial, mode
