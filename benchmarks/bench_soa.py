@@ -9,6 +9,14 @@ hybrid tree is additionally measured through the persisted snapshot: saved
 with the section, reopened via the zero-copy mmap path, queried again —
 the configuration parallel workers share.
 
+On the structures whose exact k-NN batches run on the frontier (the
+``rect`` snapshots: hybrid, R, X and kd-B trees) the k-NN row also counts
+that path's uncharged work, per query: the probe's node visits
+(``knn_probe_visits``), the frontier's pairs reached at the probe radius
+over the pairs within the final kth distance, which are the pairs billed
+(``knn_r0_over_dk``), and the probe's visits outside the billed pairs
+(``knn_probe_unbilled``).
+
 Acceptance gate (ISSUE 6): on the hybrid tree the SOA kernel must beat
 the object walk by >= 3x on the ``bench_kernel.py`` workload suite —
 asserted on the suite's total wall time, with k-NN (the
@@ -35,11 +43,14 @@ import os
 import tempfile
 import time
 
+import numpy as np
 from conftest import RESULTS_DIR, host_metadata, scaled
 
 from repro.core import HybridTree
 from repro.datasets import clustered_dataset, range_workload
 from repro.distances import L2
+from repro.engine.query import QueryBatch
+from repro.engine.soa import kernel as soa_kernel
 from repro.eval.harness import build_index
 from repro.eval.report import render_table
 
@@ -71,6 +82,29 @@ def _specs(index, workload, centers):
     return specs
 
 
+def _knn_frontier_counters(snap, centers) -> dict:
+    """The k-NN frontier's uncharged work on ``snap``, per query (empty
+    where the batch runs best-first rounds instead)."""
+    batch = QueryBatch.knn(centers, K, L2, 0.0, snap.dims)
+    if not soa_kernel._frontier_fits(snap, batch):
+        return {}
+    job = soa_kernel._KnnFrontier(snap, soa_kernel._PairBounds(snap, L2), batch)
+    job.run(None)
+    n = len(batch)
+    reached = len(soa_kernel._reached(job.levels)[0])
+    billed_nodes, billed_queries = job.billed()
+    probe_nodes, probe_queries = (np.concatenate(part) for part in zip(*job.probed))
+    unbilled = ~np.isin(
+        probe_queries * snap.n_nodes + probe_nodes,
+        billed_queries * snap.n_nodes + billed_nodes,
+    )
+    return {
+        "knn_probe_visits": round(len(probe_nodes) / n, 2),
+        "knn_r0_over_dk": round(reached / len(billed_nodes), 3),
+        "knn_probe_unbilled": round(int(unbilled.sum()) / n, 2),
+    }
+
+
 def test_soa_speedups(run_once, report):
     def experiment():
         data = clustered_dataset(scaled(6000), DIMS, seed=0)
@@ -99,6 +133,7 @@ def test_soa_speedups(run_once, report):
             row["compile_s"] = round(time.perf_counter() - start, 4)
             row["kind"] = snap.kind
             row["nodes"] = snap.n_nodes
+            row.update(_knn_frontier_counters(snap, centers))
 
             soa_total = 0.0
             for label, thunk in specs:
@@ -154,6 +189,9 @@ def test_soa_speedups(run_once, report):
                     "primary_speedup": r.get(f"{r.get('primary')}_speedup", "-"),
                     "knn_speedup": r.get("knn_speedup", "-"),
                     "suite_speedup": r.get("suite_speedup", "-"),
+                    "knn_probe_visits": r.get("knn_probe_visits", "-"),
+                    "knn_r0_over_dk": r.get("knn_r0_over_dk", "-"),
+                    "knn_probe_unbilled": r.get("knn_probe_unbilled", "-"),
                 }
                 for r in rows
             ],

@@ -151,6 +151,14 @@ class Metric:
     dims: int | None = None
     """The dimensionality the metric is defined for; ``None`` for any."""
 
+    bound_below_distance: bool = False
+    """Whether :meth:`pair_mindist` of a box is, as computed and bit for
+    bit, never above :meth:`pair_distances` to a point inside it (not only
+    in real arithmetic).  The clamped-point bound of a formula monotone in
+    each ``|a_i - b_i|`` has it, since rounding is monotone; the batch
+    k-NN frontier (:mod:`repro.engine.soa.kernel`) needs it to bill
+    exactly what best-first search visits."""
+
     def distance(self, a: np.ndarray, b: np.ndarray) -> float:
         raise NotImplementedError
 
@@ -216,6 +224,8 @@ class LpMetric(_DifferenceMetric):
     and the metric is coordinatewise monotone.
     """
 
+    bound_below_distance = True
+
     def __init__(self, p: float):
         if not (p >= 1):
             raise ValueError(f"Lp requires p >= 1, got {p}")
@@ -280,6 +290,8 @@ class WeightedEuclidean(_DifferenceMetric):
         if self.weights.ndim != 1 or np.any(self.weights < 0):
             raise ValueError("weights must be a 1-d non-negative array")
         self.dims = len(self.weights)
+        # Finite weights keep ``w * g * g`` monotone in the gap ``g``.
+        self.bound_below_distance = bool(np.isfinite(self.weights).all())
         # Rounded down, so the float32 stage never weighs a gap more.
         self._weights32 = _f32_below(self.weights) if np.isfinite(self.weights).all() else None
 

@@ -1,11 +1,14 @@
 """Per-query best-first k-NN, run for a whole batch in lockstep rounds.
 
-Both batch kernels answer k-NN batches of two or more with this one
-driver.  Every query keeps its own Hjaltason–Samet frontier, exactly as
-the object kernel's heap search for a batch of one (the single-query
-``knn``) does: it pops its smallest ``(bound, push order)`` entry, stops
-once that bound exceeds ``kth / (1 + eps)``, and pushes a child only while
-its bound is within ``kth / (1 + eps)``.  A query's visits — and so its
+The object kernel answers k-NN batches of two or more with this driver,
+and so does the SOA kernel for every batch its exact frontier does not
+take (``approximation_factor > 0``, dedup and sphere snapshots; see
+:mod:`repro.engine.soa.kernel`).  Every query keeps its own
+Hjaltason–Samet frontier, exactly as the object kernel's heap search for
+a batch of one (the single-query ``knn``) does: it pops its smallest
+``(bound, push order)`` entry, stops once that bound exceeds ``kth / (1 +
+eps)``, and pushes a child only while its bound is within ``kth / (1 +
+eps)``.  A query's visits — and so its
 result, also for ``eps > 0`` — are therefore the single query's, whatever
 other queries share its batch or partition.
 

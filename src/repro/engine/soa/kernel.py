@@ -14,13 +14,21 @@ same results, same accounting:
   fail it), then the exact test on its survivors alone.  Leaf hits are
   then replayed in DFS pre-order (occurrence id order), which reproduces
   the object walk's output order exactly.
-- ``soa_knn_many`` runs the object kernel's per-query best-first rounds
-  (:mod:`repro.engine.bestfirst`) — k-NN pruning depends on the order
-  leaves are scanned in, so every query keeps the single-query heap
-  search's visit order — over the snapshot's CSR edges: each round's
-  child bounds are one :meth:`_PairBounds.mindist` call over ``(edge,
-  query)`` pairs.  ``dispatch`` sends a k-NN batch of one to the object
-  kernel's heap search instead.
+- ``soa_knn_many`` answers an exact batch of two or more on a ``rect``
+  snapshot with two array passes (:class:`_KnnFrontier`): an uncharged
+  beam probe gives each query an upper radius ``r0 >= D_k`` (its final
+  kth distance), then the same distance frontier runs at ``r0``, its
+  pairs carrying their path-maximum bound, and the reached leaves are
+  scanned into the best k.  Best-first search visits exactly the pairs
+  whose path maximum is within D_k, whatever its order, so billing and
+  counting only those gives best-first's pages and visits; the probe and
+  the pairs between D_k and ``r0`` are uncharged work (the bill stays the
+  best-first, paper, bill, and a snapshot reads no pages).  Every other
+  k-NN batch (``approximation_factor > 0``, dedup and sphere snapshots)
+  runs the object kernel's per-query best-first rounds
+  (:mod:`repro.engine.bestfirst`) over the snapshot's CSR edges.
+  ``dispatch`` sends a k-NN batch of one to the object kernel's heap
+  search.
 
 Bit-identity rules (asserted by ``tests/test_soa_conformance.py``):
 
@@ -60,10 +68,14 @@ Bit-identity rules (asserted by ``tests/test_soa_conformance.py``):
 
 The kernels run in the object kernel's envelope
 (:func:`repro.engine.kernel._run`): a batch the deadline stopped (checked
-per frontier or best-first round) returns a
+per frontier level, leaf-scan block or best-first round; the k-NN
+frontier also per probe level and probe block) returns a
 :class:`~repro.resilience.PartialResult`, and the pages visited are
 charged whatever stopped the batch, the bill the object kernel runs up
-by charging at each fetch.
+by charging at each fetch.  A stopped k-NN frontier bills the pairs it
+reached whose path maximum is within the query's kth so far (all of
+them while it holds fewer than k), and each partial answer is the best
+k of the points its probe and leaf scan scored.
 """
 
 from __future__ import annotations
@@ -209,14 +221,18 @@ class _PairBounds:
             and metric.pair_mindist_lower32(empty, empty, empty) is not None
         )
 
-    def _by_query(self, fn, n_edges: int, live: np.ndarray) -> np.ndarray:
-        """The ``(n_edges, n_live)`` mask ``fn(live)``, evaluated over
-        blocks of the query axis of at most ``_BLOCK_ELEMS`` box elements
-        (at least one query each)."""
+    def _by_query(self, fn, n_edges: int, live: np.ndarray):
+        """``fn(live)``'s ``(n_edges, n_live)`` ``(mask, bounds or None)``,
+        evaluated over blocks of the query axis of at most ``_BLOCK_ELEMS``
+        box elements (at least one query each)."""
         blocks = _row_blocks(len(live), n_edges * self.snap.dims)
         if len(blocks) == 1:
             return fn(live)
-        return np.concatenate([fn(live[b]) for b in blocks], axis=1)
+        masks, bounds = zip(*(fn(live[b]) for b in blocks))
+        return (
+            np.concatenate(masks, axis=1),
+            None if bounds[0] is None else np.concatenate(bounds, axis=1),
+        )
 
     def _edges(self, first_edge: int, n_edges: int) -> EdgeBlock:
         """The parent's children as the object kernel's bound block."""
@@ -237,13 +253,16 @@ class _PairBounds:
             rows = slice(first_edge, first_edge + n_edges)
             box_low, box_high = self.snap.box_low[rows], self.snap.box_high[rows]
             return self._by_query(
-                lambda q: _refine(
-                    np.all(lows[q][None] <= box_high[:, None], axis=-1),
-                    lambda ei, qi: np.all(box_low[ei] <= highs[q[qi]], axis=-1),
+                lambda q: (
+                    _refine(
+                        np.all(lows[q][None] <= box_high[:, None], axis=-1),
+                        lambda ei, qi: np.all(box_low[ei] <= highs[q[qi]], axis=-1),
+                    ),
+                    None,
                 ),
                 n_edges,
                 live,
-            )
+            )[0]
         return self._edges(first_edge, n_edges).box_mask(lows[live], highs[live]).T
 
     # -- metric lower bounds -------------------------------------------
@@ -259,71 +278,90 @@ class _PairBounds:
         qs: np.ndarray,
         radii: np.ndarray,
     ) -> np.ndarray:
-        metric = self.metric
         if not self._rectlike:
             return self._edges(first_edge, n_edges).distance_mask(
-                qs[live], radii[live], metric
+                qs[live], radii[live], self.metric
             ).T
+        return self._rect_distance(first_edge, n_edges, live, qs, radii, False)[0]
+
+    def distance_bounds(
+        self,
+        first_edge: int,
+        n_edges: int,
+        live: np.ndarray,
+        qs: np.ndarray,
+        radii: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """A rect snapshot's :meth:`distance_mask` with its bounds, as
+        ``(mask, b)``: ``b`` holds the exact float64 ``pair_mindist`` of
+        every pair the mask keeps (other entries are unspecified), the
+        bound the exact stage computed anyway."""
+        return self._rect_distance(first_edge, n_edges, live, qs, radii, True)
+
+    def _rect_distance(self, first_edge, n_edges, live, qs, radii, keep_bounds: bool):
+        """``(mask, b or None)`` of the two rect distance predicates."""
+        metric = self.metric
         rows = slice(first_edge, first_edge + n_edges)
         low, high = (a[rows] for a in self._block.dist_boxes())
         if not self._certified:
-            return self._by_query(
-                lambda q: metric.pair_mindist(qs[q][None], low[:, None], high[:, None])
-                <= radii[q],
-                n_edges,
-                live,
-            )
+
+            def exact_only(q):
+                b = metric.pair_mindist(qs[q][None], low[:, None], high[:, None])
+                return b <= radii[q], b if keep_bounds else None
+
+            return self._by_query(exact_only, n_edges, live)
         low32, high32 = (a[rows, None] for a in self.snap.dist_boxes32())
-        # QueryBatch centers are float32-canonical, so the cast is exact.
-        return self._by_query(
-            lambda q: _refine(
-                metric.pair_mindist_lower32(qs[q].astype(np.float32)[None], low32, high32)
-                <= radii[q],
-                lambda ei, qi: metric.pair_mindist(qs[q[qi]], low[ei], high[ei])
-                <= radii[q[qi]],
-            ),
-            n_edges,
-            live,
-        )
+
+        def two_stage(q):
+            # QueryBatch centers are float32-canonical, so the cast is exact.
+            cand = metric.pair_mindist_lower32(qs[q].astype(np.float32)[None], low32, high32)
+            cand = cand <= radii[q]
+            b = np.empty(cand.shape) if keep_bounds else None
+
+            def exact(ei, qi):
+                pair_b = metric.pair_mindist(qs[q[qi]], low[ei], high[ei])
+                if b is not None:
+                    b[ei, qi] = pair_b
+                return pair_b <= radii[q[qi]]
+
+            return _refine(cand, exact), b
+
+        return self._by_query(two_stage, n_edges, live)
 
 
 # ----------------------------------------------------------------------
-# Level-synchronous frontier (range / distance queries)
+# Level-synchronous frontier (range, distance and exact k-NN queries)
 # ----------------------------------------------------------------------
-def _run_frontier(snap, n: int, visits: np.ndarray, visited: np.ndarray, group_pred,
-                  deadline):
-    """Descend all queries at once; returns the reached leaf pairs.
+def _run_frontier(snap, n: int, group_pred, deadline, levels: list) -> None:
+    """Descend all queries at once, appending each level's pairs to ``levels``.
 
-    ``group_pred(first_edge, n_edges, live) -> (n_edges, n_live) bool
-    mask`` decides, for one parent, which of its children each of its live
-    queries (``live``, ascending) descends into; the parent's edges are the
-    CSR rows ``[first_edge, first_edge + n_edges)``.  The next level is the
-    mask's nonzero ``(edge, query)`` entries, edge-major, so each parent's
-    pairs come out in the order the object kernel visits them.  Leaf pairs
-    come back deduplicated (for dedup structures, the query's first
-    occurrence in DFS order — the occurrence the object kernel scans) and
-    sorted by ``(occurrence, query)``.  ``deadline`` is checked once per
-    frontier round — each round is one batched level of array work, the
-    natural cooperative-cancellation grain here.  Per-query visits add up
-    in ``visits`` and the occurrences reached are set in ``visited``, so
-    a batch stopped mid-frontier keeps its counts and its bill.
+    ``group_pred(first_edge, n_edges, live) -> (mask, bounds)`` decides,
+    for one parent, which of its children each of its live queries
+    (``live``, ascending) descends into; the parent's edges are the CSR
+    rows ``[first_edge, first_edge + n_edges)``.  ``mask`` is the ``(n_edges,
+    n_live)`` bool mask; the next level is its nonzero ``(edge, query)``
+    entries, edge-major, so each parent's pairs come out in the order the
+    object kernel visits them.  ``bounds`` is None, or holds the exact
+    bound of every pair the mask keeps: each pair's *path maximum* is the
+    largest bound on its root path (0 at the root, and 0 throughout
+    without bounds).
+
+    Each level is appended as ``(nodes, queries, path)`` when it is
+    reached, before ``deadline`` is checked for the next: each round is
+    one batched level of array work, the natural cooperative-cancellation
+    grain here, and a batch stopped mid-frontier keeps every level it
+    reached, for its counts and its bill.
     """
     nodes = np.zeros(n, dtype=np.int64)
     qs_idx = np.arange(n, dtype=np.int64)
-    leaf_occ_parts: list[np.ndarray] = []
-    leaf_q_parts: list[np.ndarray] = []
+    path = np.zeros(n)
     cs = snap.child_start
     while nodes.size:
         if deadline is not None:
             deadline.check()
-        visits += np.bincount(qs_idx, minlength=n)
-        visited[nodes] = True
-        is_leaf = snap.node_is_leaf[nodes]
-        if is_leaf.any():
-            leaf_occ_parts.append(nodes[is_leaf])
-            leaf_q_parts.append(qs_idx[is_leaf])
-        inner = ~is_leaf
-        nodes, qs_idx = nodes[inner], qs_idx[inner]
+        levels.append((nodes, qs_idx, path))
+        inner = ~snap.node_is_leaf[nodes]
+        nodes, qs_idx, path = nodes[inner], qs_idx[inner], path[inner]
         if not nodes.size:
             break
         # The pairs arrive lexsorted by (node, query) without sorting:
@@ -337,22 +375,39 @@ def _run_frontier(snap, n: int, visits: np.ndarray, visited: np.ndarray, group_p
         starts = np.concatenate(([0], cuts)).tolist()
         stops = np.concatenate((cuts, [len(nodes)])).tolist()
         edge_parts: list[np.ndarray] = []
-        query_parts: list[np.ndarray] = []
+        pos_parts: list[np.ndarray] = []
+        bound_parts: list[np.ndarray] = []
         for node, lo, hi in zip(nodes[starts].tolist(), starts, stops):
             e0 = int(cs[node])
-            live = qs_idx[lo:hi]
-            ei, qi = np.nonzero(group_pred(e0, int(cs[node + 1]) - e0, live))
+            mask, bounds = group_pred(e0, int(cs[node + 1]) - e0, qs_idx[lo:hi])
+            ei, qi = np.nonzero(mask)
+            if bounds is not None:
+                bound_parts.append(bounds[ei, qi])
             edge_parts.append(ei + e0)
-            query_parts.append(live[qi])
+            pos_parts.append(qi + lo)
+        pos = np.concatenate(pos_parts)
+        path = path[pos]
+        if bound_parts:
+            path = np.maximum(path, np.concatenate(bound_parts))
         nodes = snap.edge_child[np.concatenate(edge_parts)]
-        qs_idx = np.concatenate(query_parts)
+        qs_idx = qs_idx[pos]
 
-    if leaf_occ_parts:
-        occ = np.concatenate(leaf_occ_parts)
-        lq = np.concatenate(leaf_q_parts)
-    else:
-        occ = np.empty(0, dtype=np.int64)
-        lq = np.empty(0, dtype=np.int64)
+
+def _reached(levels: list):
+    """Every ``(node, query, path)`` pair of :func:`_run_frontier`'s levels."""
+    if not levels:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, np.empty(0)
+    return tuple(np.concatenate(part) for part in zip(*levels))
+
+
+def _leaf_pairs(snap, levels: list):
+    """The leaf pairs the frontier reached, sorted by ``(occurrence,
+    query)``; for dedup structures only each query's first occurrence of a
+    page in DFS order, the occurrence the object kernel scans."""
+    nodes, queries, _ = _reached(levels)
+    leaf = snap.node_is_leaf[nodes]
+    occ, lq = nodes[leaf], queries[leaf]
     if snap.dedup and occ.size:
         # Keep each (page, query)'s first occurrence in DFS pre-order.
         refs = snap.node_ref[occ]
@@ -363,6 +418,15 @@ def _run_frontier(snap, n: int, visits: np.ndarray, visited: np.ndarray, group_p
         occ, lq = occ[order[first]], lq[order[first]]
     order = np.lexsort((lq, occ))
     return occ[order], lq[order]
+
+
+def _bill(index, snap, n: int, nodes: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Charge the pages of the visited ``(node, query)`` pairs once per
+    batch (:func:`_charge_visited`) and return each query's visit count."""
+    visited = np.zeros(snap.n_nodes, dtype=bool)
+    visited[nodes] = True
+    _charge_visited(index, snap, visited)
+    return np.bincount(queries, minlength=n)
 
 
 def _pair_point_rows(snap, occ: np.ndarray, lq: np.ndarray):
@@ -422,17 +486,16 @@ def soa_range_search_many(
     """Vectorized form of :func:`repro.engine.kernel.kernel_range_search_many`."""
     lows, highs = batch.lows, batch.highs
     n = len(batch)
-    visits = np.zeros(n, dtype=np.int64)
-    visited = np.zeros(snap.n_nodes, dtype=bool)
+    levels: list = []
     pred = _PairBounds(snap)
     out: list[list[int]] = [[] for _ in range(n)]
 
     def walk() -> None:
-        occ, lq = _run_frontier(
-            snap, n, visits, visited,
-            lambda e0, n_e, live: pred.box_mask(e0, n_e, live, lows, highs),
-            deadline,
+        _run_frontier(
+            snap, n, lambda e0, n_e, live: (pred.box_mask(e0, n_e, live, lows, highs), None),
+            deadline, levels,
         )
+        occ, lq = _leaf_pairs(snap, levels)
         if deadline is not None:
             deadline.check()
         # Leaf scan in three exact stages (containment is pure comparison, so
@@ -476,8 +539,8 @@ def soa_range_search_many(
             out[int(qi)] = seg_o.tolist()
 
     def collect():
-        _charge_visited(index, snap, visited)
-        return out, visits
+        nodes, queries, _ = _reached(levels)
+        return out, _bill(index, snap, n, nodes, queries)
 
     return _run(index, batch, return_metrics, walk, collect)
 
@@ -495,8 +558,7 @@ def soa_distance_range_many(
     """Vectorized form of :func:`repro.engine.kernel.kernel_distance_range_many`."""
     qs, radii, metric = batch.centers, batch.radii, batch.metric
     n = len(batch)
-    visits = np.zeros(n, dtype=np.int64)
-    visited = np.zeros(snap.n_nodes, dtype=bool)
+    levels: list = []
     pred = _PairBounds(snap, metric)
     # Hits accumulate block by block, so a batch stopped mid-scan keeps
     # the blocks already evaluated.
@@ -505,11 +567,11 @@ def soa_distance_range_many(
     hit_d: list[np.ndarray] = []
 
     def walk() -> None:
-        occ, lq = _run_frontier(
-            snap, n, visits, visited,
-            lambda e0, n_e, live: pred.distance_mask(e0, n_e, live, qs, radii),
-            deadline,
+        _run_frontier(
+            snap, n, lambda e0, n_e, live: (pred.distance_mask(e0, n_e, live, qs, radii), None),
+            deadline, levels,
         )
+        occ, lq = _leaf_pairs(snap, levels)
         # A metric's rows do not depend on which other rows ride along, so
         # every (leaf, query, point) row is scored in flat blocks,
         # bit-identical to the object kernel's per-leaf calls.  The float32
@@ -525,7 +587,8 @@ def soa_distance_range_many(
                 hit_d.append(dists[hits])
 
     def collect():
-        _charge_visited(index, snap, visited)
+        nodes, queries, _ = _reached(levels)
+        visits = _bill(index, snap, n, nodes, queries)
         out: list[list[tuple[int, float]]] = [[] for _ in range(n)]
         if hit_q:
             for qi, (oid_seg, d_seg) in _group_hits_by_query(
@@ -565,21 +628,225 @@ class _SnapshotTree:
         return self._pred.mindist(e, q, self._qs)
 
 
-def soa_knn_many(
-    index,
-    snap,
-    batch: QueryBatch,
-    return_metrics: bool = False,
-    deadline: Deadline | None = None,
-):
-    """Vectorized form of :func:`repro.engine.kernel.kernel_knn_many`.
+#: The probe's beam: at each level, every query keeps its ``width`` nearest
+#: inner children and its ``width * _PROBE_LEAVES`` nearest leaf children
+#: (more on ties), ``width`` starting at 1.  The queries a dive leaves with
+#: fewer than k points dive again with ``width`` multiplied by
+#: ``_PROBE_WIDEN``.
+_PROBE_LEAVES = 4
+_PROBE_WIDEN = 4
 
-    The same per-query best-first rounds
-    (:func:`~repro.engine.bestfirst.best_first_knn`) over the snapshot's
-    CSR edges, with each round's child bounds from one
-    :meth:`_PairBounds.mindist` call — so visits, results and pages equal
-    the object kernel's.
+
+def _within_kth_per_group(group: np.ndarray, key: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the rows whose ``key`` is at most the kth smallest of their
+    group's (all of a group of k rows or fewer; ties at the kth all stay),
+    by one partition of a group-padded matrix; ``group`` is sorted."""
+    keep = np.ones(len(group), dtype=bool)
+    if not group.size:
+        return keep
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(group)) + 1))
+    counts = np.diff(np.append(starts, len(group)))
+    if counts.max() <= k:
+        return keep
+    row = np.repeat(np.arange(len(starts)), counts)
+    pad = np.full((len(starts), int(counts.max())), np.inf)
+    pad[row, np.arange(len(group)) - starts[row]] = key
+    return key <= np.partition(pad, k - 1, axis=1)[row, k - 1]
+
+
+class _KnnFrontier:
+    """An exact k-NN batch as two array passes over a ``rect`` snapshot.
+
+    Best-first search (``approximation_factor == 0``) visits exactly the
+    ``(node, query)`` pairs whose *path maximum* — the largest child bound
+    on the node's root path — is at most D_k, the query's final kth
+    distance.  Every such pair is popped before the search stops, since an
+    entry within D_k is always waiting; and none beyond it is popped
+    before the query holds its final k, since until then some entry above
+    an unscanned answer, whose bound is at most that answer's distance, is
+    waiting.  That is the distance frontier's visit set at radius D_k,
+    whatever the visit order.  D_k is not known up front, so:
+
+    1. **probe** (:meth:`_probe`): a level-synchronous beam dive, whose
+       leaves' kth distance is an upper radius ``r0 >= D_k`` per query
+       (``inf`` only when the snapshot holds fewer than k points);
+    2. **frontier** (:func:`_run_frontier`) at the radii ``r0``, float32
+       stage included, each pair carrying its path maximum (a pair the
+       float32 stage drops has an exact bound above ``r0 >= D_k``, so it
+       is never needed), then the leaf scan (:meth:`_scan`) into the best
+       k by ``(distance, oid)``.
+
+    Only the pairs whose path maximum is within each query's kth are
+    billed and counted (:meth:`billed`), so results, per-query visits and
+    charged pages are best-first's.  The probe and the pairs between D_k
+    and ``r0`` are uncharged work: the bill stays the best-first (paper)
+    bill, and a snapshot reads no pages.  The argument needs every box
+    bound to be at most the distance of each point in the box *as
+    computed*, bit for bit (``Metric.bound_below_distance``).
     """
+
+    def __init__(self, snap, pred: _PairBounds, batch: QueryBatch):
+        self.snap, self.pred = snap, pred
+        self.qs, self.metric, self.k = batch.centers, batch.metric, batch.k
+        self.n = len(batch)
+        self.topk = TopK(self.n, batch.k)  # over every point scored, probe and scan
+        self.scored = np.empty(0, dtype=np.int64)  # leaf pairs scored, query * n_nodes + leaf
+        self.levels: list = []  # the frontier's (nodes, queries, path) levels
+        self.probed: list = []  # the probe's (nodes, queries) levels, uncharged
+
+    def run(self, deadline) -> None:
+        """Probe, frontier, leaf scan; ``deadline`` is checked at every
+        probe level, every frontier level and every scored row block."""
+        self._probe(deadline)
+        pred, qs, r0 = self.pred, self.qs, self.topk.kth.copy()
+        _run_frontier(
+            self.snap, self.n,
+            lambda e0, n_e, live: pred.distance_bounds(e0, n_e, live, qs, r0),
+            deadline, self.levels,
+        )
+        self._scan(deadline)
+
+    def billed(self) -> tuple[np.ndarray, np.ndarray]:
+        """The reached ``(node, query)`` pairs whose path maximum is within
+        the query's kth so far (all of them while it holds fewer than k):
+        at the end, best-first's visits; for a stopped batch, the pairs
+        best-first would need if the points scored so far were all."""
+        nodes, queries, path = _reached(self.levels)
+        keep = path <= self.topk.kth[queries]
+        return nodes[keep], queries[keep]
+
+    def _probe(self, deadline) -> None:
+        """Score the leaves of a beam dive per query, so that its kth is an
+        upper radius ``r0 >= D_k``; the queries a dive leaves with fewer
+        than k points dive again, wider."""
+        if self.k > self.snap.n_points:
+            return  # r0 stays inf: every point is an answer
+        todo = np.arange(self.n)
+        width = 1
+        while todo.size:
+            self._dive(todo, width, deadline)
+            if width >= self.snap.n_nodes:
+                return  # the beam kept every child, so it reached every point
+            todo = todo[np.isinf(self.topk.kth[todo])]
+            width *= _PROBE_WIDEN
+
+    def _dive(self, todo: np.ndarray, width: int, deadline) -> None:
+        """One beam dive for the queries ``todo``, scoring the leaves it
+        reaches."""
+        snap, cs = self.snap, self.snap.child_start
+        nodes = np.zeros(len(todo), dtype=np.int64)
+        q = np.arange(len(todo), dtype=np.int64)  # rows of todo, ascending
+        leaf_occ: list[np.ndarray] = []
+        leaf_q: list[np.ndarray] = []
+        while nodes.size:
+            if deadline is not None:
+                deadline.check()
+            self.probed.append((nodes, todo[q]))
+            leaf = snap.node_is_leaf[nodes]
+            leaf_occ.append(nodes[leaf])
+            leaf_q.append(todo[q[leaf]])
+            nodes, q = nodes[~leaf], q[~leaf]
+            if not nodes.size:
+                break
+            counts = cs[nodes + 1] - cs[nodes]
+            e = np.repeat(cs[nodes], counts) + _concat_ranges(counts)
+            eq = np.repeat(q, counts)
+            b = self.pred.mindist(e, todo[eq], self.qs)
+            child = snap.edge_child[e]
+            keep = snap.node_is_leaf[child]
+            inner = ~keep
+            keep[keep] = _within_kth_per_group(eq[keep], b[keep], width * _PROBE_LEAVES)
+            keep[inner] = _within_kth_per_group(eq[inner], b[inner], width)
+            nodes, q = child[keep], eq[keep]
+        self._score(np.concatenate(leaf_occ), np.concatenate(leaf_q), deadline, cut=True)
+
+    def _scan(self, deadline) -> None:
+        """Score the reached leaves' points into ``topk``.
+
+        Each query's leaf pairs go in ascending path-maximum order, dealt
+        round-robin across the queries (every query's nearest leaf, then
+        every query's second, ...) about one block of rows at a time, so
+        each block carries a similar share of rows per query.  Before each
+        block the pairs whose path maximum already exceeds their query's
+        kth are dropped: all their points are farther than the k held.
+        The probe's kth is already within ``r0``, so ``TopK.merge`` drops
+        most rows before it sorts.
+        """
+        snap = self.snap
+        nodes, queries, path = _reached(self.levels)
+        leaf = snap.node_is_leaf[nodes]
+        occ, lq, pm = nodes[leaf], queries[leaf], path[leaf]
+        order = np.argsort(pm, kind="stable")
+        order = order[np.argsort(lq[order], kind="stable")]
+        per_query = np.bincount(lq, minlength=self.n)
+        rank = _concat_ranges(per_query)
+        order = order[np.argsort(rank, kind="stable")]
+        occ, lq, pm = occ[order], lq[order], pm[order]
+        rows = snap.leaf_end[occ] - snap.leaf_start[occ]
+        step = max(1, _BLOCK_ELEMS // max(1, snap.dims))
+        while occ.size:
+            take = max(1, int(np.searchsorted(np.cumsum(rows), step, side="right")))
+            self._score(occ[:take], lq[:take], deadline)
+            keep = pm[take:] <= self.topk.kth[lq[take:]]
+            occ, lq, pm, rows = (a[take:][keep] for a in (occ, lq, pm, rows))
+
+    def _score(self, occ: np.ndarray, lq: np.ndarray, deadline, cut: bool = False) -> None:
+        """Merge the points of the leaf pairs ``(occ, lq)`` not scored
+        before (a wider dive and the scan meet pairs scored already) into
+        ``topk``, one :func:`_row_blocks` block per deadline check.
+
+        With ``cut`` (the probe, whose beam bounds each query's rows) the
+        pairs go grouped by query, and only each block's rows within their
+        query's kth smallest of the block are merged: the others can never
+        enter, and ``TopK.merge`` would sort them all while the query
+        holds fewer than k.
+        """
+        snap = self.snap
+        key = lq * snap.n_nodes + occ
+        new = ~np.isin(key, self.scored)
+        self.scored = np.concatenate((self.scored, key[new]))
+        occ, lq = occ[new], lq[new]
+        if cut:
+            order = np.argsort(lq, kind="stable")
+            occ, lq = occ[order], lq[order]
+        for pidx, qrow in _pair_point_rows(snap, occ, lq):
+            if deadline is not None:
+                deadline.check()
+            dists = self.metric.pair_distances(snap.points[pidx], self.qs[qrow])
+            oids = snap.oids[pidx]
+            if cut:
+                keep = _within_kth_per_group(qrow, dists, self.k)
+                qrow, dists, oids = qrow[keep], dists[keep], oids[keep]
+            self.topk.merge(qrow, dists, oids)
+
+
+def _frontier_fits(snap, batch: QueryBatch) -> bool:
+    """Whether :class:`_KnnFrontier` answers ``batch`` on ``snap``: an exact
+    batch of two or more on an undeduplicated ``rect`` snapshot, under a
+    metric whose box bounds stay below its point distances as computed."""
+    return (
+        len(batch) > 1
+        and snap.kind == "rect"
+        and not snap.dedup
+        and batch.approximation_factor == 0
+        and batch.metric.bound_below_distance
+    )
+
+
+def _knn_frontier(index, snap, batch: QueryBatch, return_metrics=False, deadline=None):
+    """A k-NN batch as :class:`_KnnFrontier`'s probe and distance frontier."""
+    job = _KnnFrontier(snap, _PairBounds(snap, batch.metric), batch)
+    return _run(
+        index, batch, return_metrics, lambda: job.run(deadline),
+        lambda: (job.topk.results(), _bill(index, snap, len(batch), *job.billed())),
+    )
+
+
+def _knn_best_first(index, snap, batch: QueryBatch, return_metrics=False, deadline=None):
+    """A k-NN batch as per-query best-first rounds
+    (:func:`~repro.engine.bestfirst.best_first_knn`) over the snapshot's
+    CSR edges, each round's child bounds from one
+    :meth:`_PairBounds.mindist` call."""
     qs, metric = batch.centers, batch.metric
     n = len(batch)
     topk = TopK(n, batch.k)
@@ -598,3 +865,24 @@ def soa_knn_many(
         return topk.results(), visits
 
     return _run(index, batch, return_metrics, walk, collect)
+
+
+def soa_knn_many(
+    index,
+    snap,
+    batch: QueryBatch,
+    return_metrics: bool = False,
+    deadline: Deadline | None = None,
+):
+    """Vectorized form of :func:`repro.engine.kernel.kernel_knn_many`.
+
+    An exact batch of two or more on a ``rect`` snapshot (the hybrid, R, X
+    and kd-B trees) runs as one probe and one distance frontier
+    (:class:`_KnnFrontier`); every other batch — ``approximation_factor >
+    0``, dedup structures, sphere bounds, a metric without
+    ``bound_below_distance`` — runs best-first rounds
+    (:func:`_knn_best_first`).  Either way visits, results and pages
+    equal the object kernel's.
+    """
+    run = _knn_frontier if _frontier_fits(snap, batch) else _knn_best_first
+    return run(index, snap, batch, return_metrics, deadline)

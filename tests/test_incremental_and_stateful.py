@@ -13,6 +13,8 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from repro.core import HybridTree
 from repro.datasets import clustered_dataset
 from repro.distances import L1, L2
+from repro.engine.kernel import kernel_knn_many
+from repro.engine.query import QueryBatch
 from repro.geometry.rect import Rect
 from tests.conftest import brute_force_range, random_boxes
 
@@ -192,10 +194,16 @@ class HybridTreeMachine(RuleBasedStateMachine):
             inside = np.all((rows >= box.low) & (rows <= box.high), axis=1)
             assert sorted(got) == oids[inside].tolist()
         k = 4
-        for center, got in zip(self.CENTERS, self.tree.knn_many(self.CENTERS, k, L2)):
+        knn, metrics = self.tree.knn_many(self.CENTERS, k, L2, return_metrics=True)
+        for center, got in zip(self.CENTERS, knn):
             dists = L2.distance_batch(rows, center.astype(np.float64))
             order = np.lexsort((oids, dists))[:k]
             assert got == [(int(oids[i]), float(dists[i])) for i in order]
+        # The SOA batch bills each query what the object kernel visits.
+        _, walked = kernel_knn_many(
+            self.tree, QueryBatch.knn(self.CENTERS, k, L2, 0.0, self.tree.dims), True
+        )
+        assert metrics.pages.tolist() == walked.pages.tolist()
         assert self.tree.soa_snapshot is not None
 
     @invariant()
