@@ -9,9 +9,10 @@ hybrid tree is additionally measured through the persisted snapshot: saved
 with the section, reopened via the zero-copy mmap path, queried again —
 the configuration parallel workers share.
 
-On the structures whose exact k-NN batches run on the frontier (the
-``rect`` snapshots: hybrid, R, X and kd-B trees) the k-NN row also counts
-that path's uncharged work, per query: the probe's node visits
+The structures are the ones that compile a snapshot: the box-bounded
+hybrid, R, X and kd-B trees (the hB-, SS-, SR- and M-trees answer every
+batch on the object walk).  Their exact k-NN batches run on the frontier,
+and the k-NN row also counts that path's uncharged work, per query: the probe's node visits
 (``knn_probe_visits``), the frontier's pairs reached at the probe radius
 over the pairs within the final kth distance, which are the pairs billed
 (``knn_r0_over_dk``), and the probe's visits outside the billed pairs
@@ -56,38 +57,21 @@ from repro.eval.report import render_table
 
 K = 10
 DIMS = 8
-STRUCTURES = (
-    "hybrid",
-    "rtree",
-    "xtree",
-    "kdbtree",
-    "sstree",
-    "srtree",
-    "mtree",
-    "hbtree",
-)
+STRUCTURES = ("hybrid", "rtree", "xtree", "kdbtree")
 
 
 def _specs(index, workload, centers):
     """(label, thunk) pairs for the structure's batch workload."""
-    specs = []
-    if getattr(index, "trav_supports_box", True):
-        boxes = workload.boxes()
-        specs.append(("range", lambda: index.range_search_many(boxes)))
-    else:
-        specs.append(
-            ("distance", lambda: index.distance_range_many(centers, 0.35, L2))
-        )
-    specs.append(("knn", lambda: index.knn_many(centers, K, L2)))
-    return specs
+    boxes = workload.boxes()
+    return [
+        ("range", lambda: index.range_search_many(boxes)),
+        ("knn", lambda: index.knn_many(centers, K, L2)),
+    ]
 
 
 def _knn_frontier_counters(snap, centers) -> dict:
-    """The k-NN frontier's uncharged work on ``snap``, per query (empty
-    where the batch runs best-first rounds instead)."""
+    """The k-NN frontier's uncharged work on ``snap``, per query."""
     batch = QueryBatch.knn(centers, K, L2, 0.0, snap.dims)
-    if not soa_kernel._frontier_fits(snap, batch):
-        return {}
     job = soa_kernel._KnnFrontier(snap, soa_kernel._PairBounds(snap, L2), batch)
     job.run(None)
     n = len(batch)
@@ -131,7 +115,6 @@ def test_soa_speedups(run_once, report):
             start = time.perf_counter()
             snap = index.compile_snapshot()
             row["compile_s"] = round(time.perf_counter() - start, 4)
-            row["kind"] = snap.kind
             row["nodes"] = snap.n_nodes
             row.update(_knn_frontier_counters(snap, centers))
 
@@ -184,7 +167,6 @@ def test_soa_speedups(run_once, report):
             [
                 {
                     "structure": r["structure"],
-                    "kind": r.get("kind", "-"),
                     "compile_s": r.get("compile_s", "-"),
                     "primary_speedup": r.get(f"{r.get('primary')}_speedup", "-"),
                     "knn_speedup": r.get("knn_speedup", "-"),
@@ -207,10 +189,8 @@ def test_soa_speedups(run_once, report):
         if row["structure"] == "hybrid (mmap snapshot)":
             assert row["reattached"], "saved snapshot did not reattach via mmap"
         elif full_scale and row["structure"] == "hybrid":
-            # The acceptance gate (see module docstring).  Other structures
-            # record their ratios without a floor: the sphere-bounded kinds
-            # prune through the original bound objects (bit-identity over
-            # vectorization), so their win is structural bookkeeping only.
+            # The acceptance gate (see module docstring).  The baselines
+            # record their ratios without a floor.
             assert row["suite_speedup"] >= 3.0, (
                 f"hybrid: SOA suite too slow ({row['suite_speedup']}x)"
             )

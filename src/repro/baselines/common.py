@@ -17,6 +17,10 @@ per structure, with ``range_search_many`` / ``distance_range_many`` /
   (:mod:`repro.engine.kernel`), for every paged structure implementing the
   ``trav_*`` protocol.
 
+``SnapshotMixin`` adds the compiled SOA snapshot (:mod:`repro.engine.soa`)
+to the box-bounded structures, the R, X and kd-B trees: having
+``compile_snapshot`` is the capability test callers use.
+
 ``EntryLeaf`` is the numpy-backed data page reused by the R-tree family.
 """
 
@@ -206,16 +210,41 @@ class KernelQueryMixin(_QueryMixin):
     one.  The ``*_loop`` methods from :class:`LoopQueryMixin` remain
     available as the measured per-query baseline.
 
-    When a struct-of-arrays snapshot is attached (:meth:`compile_snapshot`)
-    batches run on the vectorized SOA kernel instead — results are
-    bit-identical either way.  Mutations must call
-    :meth:`invalidate_snapshot`; queries then fall back to the object walk
-    until the structure is re-compiled.
+    The box-bounded structures (R, X and kd-B trees) also take
+    :class:`SnapshotMixin`, which lets batches run on the vectorized SOA
+    kernel; the others answer every batch here, on the object walk.
     """
 
     execute = dispatch
 
-    # -- struct-of-arrays snapshot lifecycle ---------------------------
+    def range_search(self, query: Rect) -> list[int]:
+        return self.range_search_many([query])[0]
+
+    def distance_range(
+        self, query: np.ndarray, radius: float, metric: Metric = L2
+    ) -> list[tuple[int, float]]:
+        return self.distance_range_many([query], radius, metric)[0]
+
+    def knn(
+        self,
+        query: np.ndarray,
+        k: int,
+        metric: Metric = L2,
+        approximation_factor: float = 0.0,
+    ) -> list[tuple[int, float]]:
+        return self.knn_many([query], k, metric, approximation_factor)[0]
+
+
+class SnapshotMixin:
+    """A struct-of-arrays snapshot for a box-bounded structure (R, X and
+    kd-B trees; see :mod:`repro.engine.soa`).
+
+    While one is attached (:meth:`compile_snapshot`), batches run on the
+    vectorized SOA kernel — results are bit-identical either way.
+    Mutations call :meth:`invalidate_snapshot`; queries then fall back to
+    the object walk until the structure is re-compiled.
+    """
+
     @property
     def soa_snapshot(self):
         """The attached SOA snapshot, or None."""
@@ -237,23 +266,6 @@ class KernelQueryMixin(_QueryMixin):
     def invalidate_snapshot(self) -> None:
         """Drop the attached snapshot (call after any mutation)."""
         self._soa_snapshot = None
-
-    def range_search(self, query: Rect) -> list[int]:
-        return self.range_search_many([query])[0]
-
-    def distance_range(
-        self, query: np.ndarray, radius: float, metric: Metric = L2
-    ) -> list[tuple[int, float]]:
-        return self.distance_range_many([query], radius, metric)[0]
-
-    def knn(
-        self,
-        query: np.ndarray,
-        k: int,
-        metric: Metric = L2,
-        approximation_factor: float = 0.0,
-    ) -> list[tuple[int, float]]:
-        return self.knn_many([query], k, metric, approximation_factor)[0]
 
 
 def rect_children(entries, dims: int) -> Children:

@@ -195,7 +195,6 @@ class HBTree(KernelQueryMixin):
     # Insertion
     # ------------------------------------------------------------------
     def insert(self, vector: np.ndarray, oid: int) -> None:
-        self.invalidate_snapshot()
         v = check_vector(vector, self.dims)
         if not self.bounds.contains_point(v):
             self.bounds = self.bounds.merge_point(v)
@@ -293,7 +292,6 @@ class HBTree(KernelQueryMixin):
     # Deletion (simple removal; see module docstring)
     # ------------------------------------------------------------------
     def delete(self, vector: np.ndarray, oid: int) -> bool:
-        self.invalidate_snapshot()
         v = check_vector(vector, self.dims)
         target = np.asarray(v, dtype=np.float32)
         node_id, region = self._root_id, self.bounds

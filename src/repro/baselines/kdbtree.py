@@ -18,7 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.common import EntryLeaf, KernelQueryMixin, check_vector, rect_children
+from repro.baselines.common import (
+    EntryLeaf,
+    KernelQueryMixin,
+    SnapshotMixin,
+    check_vector,
+    rect_children,
+)
 from repro.geometry.rect import Rect
 from repro.storage.iostats import IOStats
 from repro.storage.nodemanager import NodeManager
@@ -40,7 +46,7 @@ class KDBIndexNode:
         return len(self.entries)
 
 
-class KDBTree(KernelQueryMixin):
+class KDBTree(SnapshotMixin, KernelQueryMixin):
     """Dynamic KDB-tree with honest cascading splits."""
 
     def __init__(

@@ -165,7 +165,6 @@ class MTree(KernelQueryMixin):
     # Insertion
     # ------------------------------------------------------------------
     def insert(self, vector: np.ndarray, oid: int) -> None:
-        self.invalidate_snapshot()
         v = check_vector(vector, self.dims)
         path: list[tuple[int, MIndexNode, int]] = []
         node_id = self._root_id

@@ -15,6 +15,7 @@ import numpy as np
 from repro.baselines.common import (
     EntryLeaf,
     KernelQueryMixin,
+    SnapshotMixin,
     check_vector,
     quadratic_partition,
     rect_children,
@@ -46,7 +47,7 @@ class RIndexNode:
         raise KeyError(child_id)
 
 
-class RTree(KernelQueryMixin):
+class RTree(SnapshotMixin, KernelQueryMixin):
     """Dynamic R-tree over a ``dims``-dimensional feature space."""
 
     def __init__(

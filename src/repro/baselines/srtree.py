@@ -167,7 +167,6 @@ class SRTree(KernelQueryMixin):
     # Insertion
     # ------------------------------------------------------------------
     def insert(self, vector: np.ndarray, oid: int) -> None:
-        self.invalidate_snapshot()
         v = check_vector(vector, self.dims)
         path: list[tuple[int, SRIndexNode, int]] = []
         node_id = self._root_id

@@ -131,7 +131,6 @@ class SSTree(KernelQueryMixin):
     # Insertion
     # ------------------------------------------------------------------
     def insert(self, vector: np.ndarray, oid: int) -> None:
-        self.invalidate_snapshot()
         v = check_vector(vector, self.dims)
         path: list[tuple[int, SSIndexNode, int]] = []
         node_id = self._root_id

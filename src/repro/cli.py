@@ -610,7 +610,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["object", "soa"],
         default="object",
         help="batch engine: walk live node objects, or compile the index "
-        "to a struct-of-arrays snapshot and run the vectorized kernel",
+        "to a struct-of-arrays snapshot and run the vectorized kernel "
+        "(hybrid, rtree, xtree and kdbtree only)",
     )
     p.add_argument("--pin-levels", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)

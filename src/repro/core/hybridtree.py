@@ -1207,7 +1207,7 @@ class HybridTree:
             # everything else skips pages past the node region.
             soa_loc = None
             snap = self.refresh_snapshot()
-            if snap is not None and snap.array_only:
+            if snap is not None:
                 from repro.engine.soa import (
                     SNAPSHOT_SECTION_VERSION,
                     serialize_snapshot,

@@ -29,11 +29,13 @@ order, matches the single-query method too.
 :func:`dispatch` is the one place that picks the engine for a checked
 :class:`~repro.engine.query.QueryBatch`: the vectorized SOA kernel when a
 snapshot is attached (:mod:`repro.engine.soa`; a hybrid tree's snapshot
-survives writes and is refreshed here, by the first batch after them),
-the object-walk kernel otherwise (and always for a k-NN batch of one) —
-results are identical either way.  It also validates ``on_timeout`` and
-the index's capabilities (box geometry, metric) once, answers an empty
-batch without touching the tree, and turns ``timeout=`` (seconds, or a
+survives writes and is refreshed here, by the first batch that runs on it
+after them), the object-walk kernel otherwise (and always for a k-NN
+batch of one, an approximate k-NN batch, or k-NN under a metric without
+``bound_below_distance``) — results are identical either way.  It also
+validates ``on_timeout`` and the index's capabilities (box geometry,
+metric) once, answers an empty batch without touching the tree, and
+turns ``timeout=`` (seconds, or a
 :class:`~repro.resilience.Deadline` carrying a :class:`CancelToken`)
 into the deadline the kernels check.  A kernel the deadline stops
 returns a :class:`~repro.resilience.PartialResult` envelope with the hits
@@ -76,11 +78,13 @@ def dispatch(
     on_timeout: str = "raise",
 ):
     """Run a checked batch on the SOA kernel if ``index`` keeps a snapshot
-    (refreshing it first if writes left it stale), else on the object-walk
-    kernel.  A batch of one (every single query) does not refresh: a range
-    or distance query runs on the snapshot only while that is current,
-    else on the object walk, and a k-NN query always runs on the object
-    kernel's heap search.
+    that answers it (refreshing it first if writes left it stale), else on
+    the object-walk kernel (:func:`_snapshot_for` decides).  A batch of
+    one (every single query) does not refresh: a range or distance query
+    runs on the snapshot only while that is current, else on the object
+    walk, and a k-NN query always runs on the object kernel's heap search,
+    as do approximate k-NN batches and k-NN under a metric without
+    ``bound_below_distance``.
 
     Returns one result list per query; with ``return_metrics=True`` also a
     :class:`~repro.engine.metrics.BatchMetrics` labelled ``batch.label``.
@@ -103,21 +107,8 @@ def dispatch(
         return [], BatchMetrics.from_batch_run(batch.label, np.zeros(0), 0, 0.0)
     deadline = Deadline.coerce(timeout)
     # The kernel tables are built per call, so a wrapper installed on a
-    # kernel module's function sees every batch.  A snapshot that writes
-    # left stale is refreshed here, by the first batch of two or more that
-    # needs it: after one insert into a 100,000-point 16-d tree the refresh
-    # takes about 8.5 ms, several single queries, so a batch of one leaves
-    # it to the next larger batch.
-    # A k-NN batch of one runs the object kernel's heap search even on a
-    # current snapshot: the lockstep rounds cost a single query 3.0-3.7x
-    # as much (FOURIER 16-d and COLHIST 64-d, mmap + snapshot, 2 cores).
-    refresh = getattr(index, "refresh_snapshot", None)
-    if len(batch) == 1 and batch.kind == KNN:
-        snap = None
-    elif refresh is not None and len(batch) > 1:
-        snap = refresh()
-    else:
-        snap = active_snapshot(index)
+    # kernel module's function sees every batch.
+    snap = _snapshot_for(index, batch)
     if snap is not None:
         run = {
             RANGE: soa_kernel.soa_range_search_many,
@@ -133,6 +124,32 @@ def dispatch(
         }[batch.kind]
         out = run(index, batch, return_metrics, deadline)
     return apply_on_timeout(out, on_timeout)
+
+
+def _snapshot_for(index, batch: QueryBatch):
+    """The snapshot ``batch`` runs on, or None for the object kernel.
+
+    A k-NN batch runs on a snapshot only when the SOA frontier answers it:
+    two or more exact queries (``approximation_factor == 0``) under a
+    metric with ``bound_below_distance``.  A k-NN batch of one runs the
+    object kernel's heap search even on a current snapshot: the frontier
+    costs a single query 1.2-1.6x as much (COLHIST 64-d and FOURIER 16-d,
+    k = 10, mmap + snapshot, 2-core host).  Any other batch of two or more
+    refreshes a snapshot that writes left stale, and only such a batch
+    does: after one insert into a 100,000-point 16-d tree the refresh
+    takes about 8.5 ms, several single queries, so a batch of one runs on
+    the snapshot only while it is current.
+    """
+    if batch.kind == KNN and (
+        len(batch) == 1
+        or batch.approximation_factor > 0
+        or not batch.metric.bound_below_distance
+    ):
+        return None
+    refresh = getattr(index, "refresh_snapshot", None)
+    if refresh is not None and len(batch) > 1:
+        return refresh()
+    return active_snapshot(index)
 
 
 # The per-kind names of :func:`dispatch`, kept so tracers that wrap them

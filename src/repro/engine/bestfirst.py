@@ -1,9 +1,10 @@
 """Per-query best-first k-NN, run for a whole batch in lockstep rounds.
 
-The object kernel answers k-NN batches of two or more with this driver,
-and so does the SOA kernel for every batch its exact frontier does not
-take (``approximation_factor > 0``, dedup and sphere snapshots; see
-:mod:`repro.engine.soa.kernel`).  Every query keeps its own
+The object kernel answers k-NN batches of two or more with this driver:
+every batch on the hB-, SS-, SR- and M-trees, and on the others every
+batch the SOA kernel's exact frontier does not take
+(``approximation_factor > 0``, a metric without ``bound_below_distance``,
+no snapshot; see :mod:`repro.engine.soa.kernel`).  Every query keeps its own
 Hjaltason–Samet frontier, exactly as the object kernel's heap search for
 a batch of one (the single-query ``knn``) does: it pops its smallest
 ``(bound, push order)`` entry, stops once that bound exceeds ``kth / (1 +
@@ -28,12 +29,12 @@ would pop (its push counter orders older expansions first).
 
 The tree is any object with the fields below, laid out like a
 :class:`~repro.engine.soa.snapshot.SOASnapshot` (one row per DFS
-*occurrence*, edges in ``trav_children`` order):
+*occurrence*, edges in ``trav_children`` order), such as the object
+kernel's reached tree:
 
 ``load(nodes)``
     Called with the nodes popped in a round before any of the fields
-    below is read for them (the object kernel fetches new pages here; the
-    SOA kernel marks them visited).
+    below is read for them (the object kernel fetches new pages here).
 ``is_leaf``, ``first_edge``, ``n_edges``, ``edge_child``, ``node_ref``
     Per-occurrence and per-edge arrays.
 ``leaf_start``, ``leaf_end``, ``points``, ``oids``

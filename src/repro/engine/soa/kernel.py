@@ -2,33 +2,30 @@
 
 Three entry points mirror :mod:`repro.engine.kernel` — same signatures
 (plus the snapshot), the same checked :class:`~repro.engine.query.QueryBatch`,
-same results, same accounting:
+same results, same accounting — and all three run one traversal, the
+*level-synchronous frontier*: the set of live ``(node, query)`` pairs of a
+level is grouped by parent, and each parent's children — contiguous CSR
+edge rows — are tested against its live queries with one broadcast
+predicate, whose edge-major ``(children, queries)`` mask's nonzero entries
+are the next level.  The predicate runs in two stages: a cheap broadcast
+that may only over-accept (most pairs fail it), then the exact test on its
+survivors alone.
 
-- ``soa_range_search_many`` / ``soa_distance_range_many`` run a
-  *level-synchronous frontier*: the set of live ``(node, query)`` pairs of
-  a level is grouped by parent, and each parent's children — contiguous
-  CSR edge rows — are tested against its live queries with one broadcast
-  predicate, whose edge-major ``(children, queries)`` mask's nonzero
-  entries are the next level.  On rect snapshots the predicate runs in
-  two stages: a cheap broadcast that may only over-accept (most pairs
-  fail it), then the exact test on its survivors alone.  Leaf hits are
-  then replayed in DFS pre-order (occurrence id order), which reproduces
-  the object walk's output order exactly.
-- ``soa_knn_many`` answers an exact batch of two or more on a ``rect``
-  snapshot with two array passes (:class:`_KnnFrontier`): an uncharged
-  beam probe gives each query an upper radius ``r0 >= D_k`` (its final
-  kth distance), then the same distance frontier runs at ``r0``, its
-  pairs carrying their path-maximum bound, and the reached leaves are
-  scanned into the best k.  Best-first search visits exactly the pairs
-  whose path maximum is within D_k, whatever its order, so billing and
-  counting only those gives best-first's pages and visits; the probe and
-  the pairs between D_k and ``r0`` are uncharged work (the bill stays the
-  best-first, paper, bill, and a snapshot reads no pages).  Every other
-  k-NN batch (``approximation_factor > 0``, dedup and sphere snapshots)
-  runs the object kernel's per-query best-first rounds
-  (:mod:`repro.engine.bestfirst`) over the snapshot's CSR edges.
-  ``dispatch`` sends a k-NN batch of one to the object kernel's heap
-  search.
+- ``soa_range_search_many`` / ``soa_distance_range_many`` replay the leaf
+  hits in DFS pre-order (node id order), which reproduces the object
+  walk's output order exactly.
+- ``soa_knn_many`` answers an exact k-NN batch with two array passes
+  (:class:`_KnnFrontier`): an uncharged beam probe gives each query an
+  upper radius ``r0 >= D_k`` (its final kth distance), then the distance
+  frontier runs at ``r0``, its pairs carrying their path-maximum bound,
+  and the reached leaves are scanned into the best k.  Best-first search
+  visits exactly the pairs whose path maximum is within D_k, whatever its
+  order, so billing and counting only those gives best-first's pages and
+  visits; the probe and the pairs between D_k and ``r0`` are uncharged
+  work (the bill stays the best-first, paper, bill, and a snapshot reads
+  no pages).  ``dispatch`` sends every other k-NN batch — a batch of one,
+  ``approximation_factor > 0``, a metric without
+  ``bound_below_distance`` — to the object kernel's best-first search.
 
 Bit-identity rules (asserted by ``tests/test_soa_conformance.py``):
 
@@ -48,9 +45,6 @@ Bit-identity rules (asserted by ``tests/test_soa_conformance.py``):
   The survivors are decided by the exact test on their gathered rows —
   for distance, the unchanged float64 formula, whose rows are the same
   bits gathered or broadcast — so each mask is the exact mask;
-- non-rect geometry (spheres, SR-tree rect-spheres, M-tree routers) is
-  evaluated with *per-edge* calls of the exact same ``ChildBound`` code
-  the object kernel runs, each with the parent's live queries;
 - leaf scans see the float32 leaf rows upcast exactly to float64, as the
   object kernel's per-leaf ``pts.astype(np.float64)`` does: the metric
   gets the float32 rows and the subtraction promotes them, the range
@@ -59,17 +53,14 @@ Bit-identity rules (asserted by ``tests/test_soa_conformance.py``):
   parent's ``children x queries x dims`` broadcast is split along the
   query axis, and the distance leaf scan into blocks of ``_BLOCK_ELEMS //
   dims`` rows.  A row's result never depends on its neighbours, so blocks
-  change peak memory and cache behaviour, never a result bit.  Per-edge
-  calls are never split;
+  change peak memory and cache behaviour, never a result bit;
 - each page is charged once per batch (supernodes charge their page
-  count), and dedup structures scan each ``(page, query)`` pair once, at
-  the query's first occurrence in its visit order (DFS for range and
-  distance, best-first for k-NN).
+  count).
 
 The kernels run in the object kernel's envelope
 (:func:`repro.engine.kernel._run`): a batch the deadline stopped (checked
-per frontier level, leaf-scan block or best-first round; the k-NN
-frontier also per probe level and probe block) returns a
+per frontier level and leaf-scan block; the k-NN frontier also per probe
+level and probe block) returns a
 :class:`~repro.resilience.PartialResult`, and the pages visited are
 charged whatever stopped the batch, the bill the object kernel runs up
 by charging at each fetch.  A stopped k-NN frontier bills the pairs it
@@ -83,9 +74,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.distances import Metric, round_out_f32
-from repro.engine.bestfirst import TopK, best_first_knn
+from repro.engine.bestfirst import TopK
 from repro.engine.bestfirst import concat_ranges as _concat_ranges
-from repro.engine.kernel import EdgeBlock, _run
+from repro.engine.kernel import _run
 from repro.engine.query import QueryBatch
 from repro.resilience import Deadline
 from repro.storage.iostats import AccessKind
@@ -121,19 +112,6 @@ def _row_blocks(n_rows: int, dims: int) -> list[slice]:
     """
     step = max(1, _BLOCK_ELEMS // max(1, dims))
     return [slice(lo, min(lo + step, n_rows)) for lo in range(0, max(n_rows, 1), step)]
-
-
-def _charge_visited(index, snap, visited: np.ndarray) -> None:
-    """One random read per distinct page visited this batch (supernodes
-    charge their page count) — the object kernel's once-per-batch fetch."""
-    occ = np.flatnonzero(visited)
-    if not occ.size:
-        return
-    refs = snap.node_ref[occ]
-    _, first = np.unique(refs, return_index=True)
-    pages = int(snap.node_pages[occ][first].sum())
-    if pages:
-        index.io.record(AccessKind.RANDOM_READ, pages)
 
 
 def _bisect_windows(
@@ -182,13 +160,13 @@ def _refine(cand: np.ndarray, exact) -> np.ndarray:
 
 
 class _PairBounds:
-    """Pruning predicates of the frontier and of best-first k-NN.
+    """Pruning predicates of the frontier and of the k-NN probe.
 
     The frontier's masks (:meth:`box_mask`, :meth:`distance_mask`) test one
     parent at a time: its ``n_edges`` children, which sit in the
     contiguous CSR edge rows ``[first_edge, first_edge + n_edges)``,
     against the queries still alive at it, and return the edge-major
-    ``(n_edges, n_live)`` mask.  Rect snapshots compute it in two stages,
+    ``(n_edges, n_live)`` mask.  Each mask is computed in two stages,
     split along the query axis by :func:`_row_blocks` so no temporary
     exceeds ``_BLOCK_ELEMS`` elements:
 
@@ -203,21 +181,16 @@ class _PairBounds:
     Most pairs fail stage 1, and a pair's exact row is the same bits
     gathered or broadcast, so the mask is the exact grouped mask.  A
     metric without a certificate runs the float64 bound as stage 1, with
-    no stage 2.  Other geometry calls each child's own bound object once
-    with the parent's live queries, exactly the rows the object kernel
-    passes it.  k-NN's :meth:`mindist` stays per ``(edge, query)`` pair,
-    since best-first rounds mix parents and queries freely.
+    no stage 2.  The probe's :meth:`mindist` stays per ``(edge, query)``
+    pair, since a beam level mixes parents and queries freely.
     """
 
     def __init__(self, snap, metric: Metric | None = None):
         self.snap = snap
         self.metric = metric
-        self._block = snap.bound_block()
-        self._rectlike = snap.kind in ("rect", "rect2")
         empty = np.empty((0, snap.dims), dtype=np.float32)
         self._certified = (
-            self._rectlike
-            and metric is not None
+            metric is not None
             and metric.pair_mindist_lower32(empty, empty, empty) is not None
         )
 
@@ -234,10 +207,6 @@ class _PairBounds:
             None if bounds[0] is None else np.concatenate(bounds, axis=1),
         )
 
-    def _edges(self, first_edge: int, n_edges: int) -> EdgeBlock:
-        """The parent's children as the object kernel's bound block."""
-        return EdgeBlock(self.snap.edge_bounds[first_edge : first_edge + n_edges])
-
     # -- box intersection ----------------------------------------------
     def box_mask(
         self,
@@ -247,28 +216,26 @@ class _PairBounds:
         lows: np.ndarray,
         highs: np.ndarray,
     ) -> np.ndarray:
-        if self._rectlike:
-            # Rect.intersects_boxes_mask, every child box against every
-            # live query: pure comparison, so exact in any layout.
-            rows = slice(first_edge, first_edge + n_edges)
-            box_low, box_high = self.snap.box_low[rows], self.snap.box_high[rows]
-            return self._by_query(
-                lambda q: (
-                    _refine(
-                        np.all(lows[q][None] <= box_high[:, None], axis=-1),
-                        lambda ei, qi: np.all(box_low[ei] <= highs[q[qi]], axis=-1),
-                    ),
-                    None,
+        # Rect.intersects_boxes_mask, every child box against every live
+        # query: pure comparison, so exact in any layout.
+        rows = slice(first_edge, first_edge + n_edges)
+        box_low, box_high = self.snap.box_low[rows], self.snap.box_high[rows]
+        return self._by_query(
+            lambda q: (
+                _refine(
+                    np.all(lows[q][None] <= box_high[:, None], axis=-1),
+                    lambda ei, qi: np.all(box_low[ei] <= highs[q[qi]], axis=-1),
                 ),
-                n_edges,
-                live,
-            )[0]
-        return self._edges(first_edge, n_edges).box_mask(lows[live], highs[live]).T
+                None,
+            ),
+            n_edges,
+            live,
+        )[0]
 
     # -- metric lower bounds -------------------------------------------
     def mindist(self, e: np.ndarray, q: np.ndarray, qs: np.ndarray) -> np.ndarray:
         """Per ``(edge, query)`` pair: the metric's lower bound."""
-        return self._block.pair_mindist(e, qs[q], self.metric)
+        return self.metric.pair_mindist(qs[q], self.snap.box_low[e], self.snap.box_high[e])
 
     def distance_mask(
         self,
@@ -278,11 +245,7 @@ class _PairBounds:
         qs: np.ndarray,
         radii: np.ndarray,
     ) -> np.ndarray:
-        if not self._rectlike:
-            return self._edges(first_edge, n_edges).distance_mask(
-                qs[live], radii[live], self.metric
-            ).T
-        return self._rect_distance(first_edge, n_edges, live, qs, radii, False)[0]
+        return self._distance(first_edge, n_edges, live, qs, radii, False)[0]
 
     def distance_bounds(
         self,
@@ -292,17 +255,17 @@ class _PairBounds:
         qs: np.ndarray,
         radii: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """A rect snapshot's :meth:`distance_mask` with its bounds, as
-        ``(mask, b)``: ``b`` holds the exact float64 ``pair_mindist`` of
-        every pair the mask keeps (other entries are unspecified), the
-        bound the exact stage computed anyway."""
-        return self._rect_distance(first_edge, n_edges, live, qs, radii, True)
+        """:meth:`distance_mask` with its bounds, as ``(mask, b)``: ``b``
+        holds the exact float64 ``pair_mindist`` of every pair the mask
+        keeps (other entries are unspecified), the bound the exact stage
+        computed anyway."""
+        return self._distance(first_edge, n_edges, live, qs, radii, True)
 
-    def _rect_distance(self, first_edge, n_edges, live, qs, radii, keep_bounds: bool):
-        """``(mask, b or None)`` of the two rect distance predicates."""
+    def _distance(self, first_edge, n_edges, live, qs, radii, keep_bounds: bool):
+        """``(mask, b or None)`` of the two distance predicates."""
         metric = self.metric
         rows = slice(first_edge, first_edge + n_edges)
-        low, high = (a[rows] for a in self._block.dist_boxes())
+        low, high = self.snap.box_low[rows], self.snap.box_high[rows]
         if not self._certified:
 
             def exact_only(q):
@@ -367,7 +330,7 @@ def _run_frontier(snap, n: int, group_pred, deadline, levels: list) -> None:
         # The pairs arrive lexsorted by (node, query) without sorting:
         # the root level is trivially sorted, and each expansion emits,
         # per parent in ascending order, its edges in CSR order — whose
-        # child occurrence ids ascend (DFS pre-order numbers subtrees
+        # child node ids ascend (DFS pre-order numbers subtrees
         # contiguously) and, across same-level parents, occupy disjoint
         # ascending id ranges — each with its queries ascending.  So each
         # parent's live queries are one ascending run, found by one diff.
@@ -402,39 +365,33 @@ def _reached(levels: list):
 
 
 def _leaf_pairs(snap, levels: list):
-    """The leaf pairs the frontier reached, sorted by ``(occurrence,
-    query)``; for dedup structures only each query's first occurrence of a
-    page in DFS order, the occurrence the object kernel scans."""
+    """The leaf pairs the frontier reached, sorted by ``(node, query)``."""
     nodes, queries, _ = _reached(levels)
     leaf = snap.node_is_leaf[nodes]
     occ, lq = nodes[leaf], queries[leaf]
-    if snap.dedup and occ.size:
-        # Keep each (page, query)'s first occurrence in DFS pre-order.
-        refs = snap.node_ref[occ]
-        order = np.lexsort((occ, lq, refs))
-        refs_s, lq_s = refs[order], lq[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = (refs_s[1:] != refs_s[:-1]) | (lq_s[1:] != lq_s[:-1])
-        occ, lq = occ[order[first]], lq[order[first]]
     order = np.lexsort((lq, occ))
     return occ[order], lq[order]
 
 
 def _bill(index, snap, n: int, nodes: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Charge the pages of the visited ``(node, query)`` pairs once per
-    batch (:func:`_charge_visited`) and return each query's visit count."""
+    """Charge one random read per page of the visited ``(node, query)``
+    pairs' nodes, each node once per batch (a supernode its page count) —
+    the object kernel's once-per-batch fetch — and return each query's
+    visit count."""
     visited = np.zeros(snap.n_nodes, dtype=bool)
     visited[nodes] = True
-    _charge_visited(index, snap, visited)
+    pages = int(snap.node_pages[visited].sum())
+    if pages:
+        index.io.record(AccessKind.RANDOM_READ, pages)
     return np.bincount(queries, minlength=n)
 
 
 def _pair_point_rows(snap, occ: np.ndarray, lq: np.ndarray):
-    """Expand sorted ``(occurrence, query)`` leaf pairs into flat
+    """Expand sorted ``(node, query)`` leaf pairs into flat
     ``(point row, query)`` index arrays, one :func:`_row_blocks` block at a
     time, so the caller's ``rows x dims`` temporaries stay cache-sized.
 
-    The flat order is ``(occurrence, query, point)`` — so for any single
+    The flat order is ``(leaf node, query, point)`` — so for any single
     query, hits emerge in DFS-then-point order, exactly the object
     kernel's append order.  Blocks cut that order into consecutive pieces
     (one leaf pair may span several), so concatenating per-block hits
@@ -507,7 +464,7 @@ def soa_range_search_many(
         #  2. a conservative float32 prefilter over the remaining dims;
         #  3. the exact float64 comparisons on the prefilter's survivors.
         # Hits are restored to the object walk's output order — per query, by
-        # leaf occurrence in DFS order, then point order — with one lexsort.
+        # leaf node in DFS order, then point order — with one lexsort.
         perm, scol = snap.leaf_sort0()
         lo32, hi32 = round_out_f32(lows, highs)
         s_arr, e_arr = snap.leaf_start[occ], snap.leaf_end[occ]
@@ -604,30 +561,6 @@ def soa_distance_range_many(
 # ----------------------------------------------------------------------
 # k-nearest-neighbour queries
 # ----------------------------------------------------------------------
-class _SnapshotTree:
-    """A snapshot seen through the tree interface of
-    :func:`~repro.engine.bestfirst.best_first_knn`; loading a node marks it
-    visited, for :func:`_charge_visited`."""
-
-    def __init__(self, snap, visited: np.ndarray, pred: _PairBounds, qs: np.ndarray):
-        self.visited = visited
-        self.dedup = snap.dedup
-        self.is_leaf = snap.node_is_leaf
-        self.first_edge = snap.child_start[:-1]
-        self.n_edges = np.diff(snap.child_start)
-        self.edge_child = snap.edge_child
-        self.node_ref = snap.node_ref
-        self.leaf_start, self.leaf_end = snap.leaf_start, snap.leaf_end
-        self.points, self.oids = snap.points, snap.oids
-        self._pred, self._qs = pred, qs
-
-    def load(self, nodes: np.ndarray) -> None:
-        self.visited[nodes] = True
-
-    def mindist(self, e: np.ndarray, q: np.ndarray) -> np.ndarray:
-        return self._pred.mindist(e, q, self._qs)
-
-
 #: The probe's beam: at each level, every query keeps its ``width`` nearest
 #: inner children and its ``width * _PROBE_LEAVES`` nearest leaf children
 #: (more on ties), ``width`` starting at 1.  The queries a dive leaves with
@@ -820,53 +753,6 @@ class _KnnFrontier:
             self.topk.merge(qrow, dists, oids)
 
 
-def _frontier_fits(snap, batch: QueryBatch) -> bool:
-    """Whether :class:`_KnnFrontier` answers ``batch`` on ``snap``: an exact
-    batch of two or more on an undeduplicated ``rect`` snapshot, under a
-    metric whose box bounds stay below its point distances as computed."""
-    return (
-        len(batch) > 1
-        and snap.kind == "rect"
-        and not snap.dedup
-        and batch.approximation_factor == 0
-        and batch.metric.bound_below_distance
-    )
-
-
-def _knn_frontier(index, snap, batch: QueryBatch, return_metrics=False, deadline=None):
-    """A k-NN batch as :class:`_KnnFrontier`'s probe and distance frontier."""
-    job = _KnnFrontier(snap, _PairBounds(snap, batch.metric), batch)
-    return _run(
-        index, batch, return_metrics, lambda: job.run(deadline),
-        lambda: (job.topk.results(), _bill(index, snap, len(batch), *job.billed())),
-    )
-
-
-def _knn_best_first(index, snap, batch: QueryBatch, return_metrics=False, deadline=None):
-    """A k-NN batch as per-query best-first rounds
-    (:func:`~repro.engine.bestfirst.best_first_knn`) over the snapshot's
-    CSR edges, each round's child bounds from one
-    :meth:`_PairBounds.mindist` call."""
-    qs, metric = batch.centers, batch.metric
-    n = len(batch)
-    topk = TopK(n, batch.k)
-    visits = np.zeros(n, dtype=np.int64)
-    visited = np.zeros(snap.n_nodes, dtype=bool)
-    tree = _SnapshotTree(snap, visited, _PairBounds(snap, metric), qs)
-
-    def walk() -> None:
-        best_first_knn(
-            tree, qs, metric, 1.0 / (1.0 + batch.approximation_factor),
-            topk, visits, deadline,
-        )
-
-    def collect():
-        _charge_visited(index, snap, visited)
-        return topk.results(), visits
-
-    return _run(index, batch, return_metrics, walk, collect)
-
-
 def soa_knn_many(
     index,
     snap,
@@ -874,15 +760,19 @@ def soa_knn_many(
     return_metrics: bool = False,
     deadline: Deadline | None = None,
 ):
-    """Vectorized form of :func:`repro.engine.kernel.kernel_knn_many`.
-
-    An exact batch of two or more on a ``rect`` snapshot (the hybrid, R, X
-    and kd-B trees) runs as one probe and one distance frontier
-    (:class:`_KnnFrontier`); every other batch — ``approximation_factor >
-    0``, dedup structures, sphere bounds, a metric without
-    ``bound_below_distance`` — runs best-first rounds
-    (:func:`_knn_best_first`).  Either way visits, results and pages
-    equal the object kernel's.
-    """
-    run = _knn_frontier if _frontier_fits(snap, batch) else _knn_best_first
-    return run(index, snap, batch, return_metrics, deadline)
+    """Vectorized form of :func:`repro.engine.kernel.kernel_knn_many` for an
+    exact batch (``approximation_factor == 0``) under a metric with
+    ``bound_below_distance``: one probe and one distance frontier
+    (:class:`_KnnFrontier`), whose visits, results and pages equal the
+    object kernel's best-first search.  ``dispatch`` sends every other
+    k-NN batch to the object kernel."""
+    if batch.approximation_factor or not batch.metric.bound_below_distance:
+        raise ValueError(
+            "the SOA k-NN frontier answers exact batches under metrics with "
+            "bound_below_distance only; run this batch on the object kernel"
+        )
+    job = _KnnFrontier(snap, _PairBounds(snap, batch.metric), batch)
+    return _run(
+        index, batch, return_metrics, lambda: job.run(deadline),
+        lambda: (job.topk.results(), _bill(index, snap, len(batch), *job.billed())),
+    )

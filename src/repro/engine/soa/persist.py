@@ -8,12 +8,14 @@ Framing (all integers little-endian)::
     ...        padding   zero bytes up to the first 64-byte boundary
     ...        arrays    each array's raw bytes, 64-byte aligned
 
-The header JSON records the snapshot scalars (``kind``, ``dims``,
-``dedup``, ``supports_box``) and one descriptor per array —
-``{name, dtype, shape, offset}`` with ``offset`` relative to the start of
-the section.  Alignment to 64 bytes keeps every array cacheline-aligned
-when the section itself starts on a page boundary, which it does in the
-single-file format (``HybridTree.save`` writes it as whole pages).
+The header JSON records the snapshot's ``dims``, three scalars fixed for
+every snapshot this version writes (``"kind": "rect"``, ``"dedup": false``,
+``"supports_box": true``; a section that says otherwise is rejected), and
+one descriptor per array — ``{name, dtype, shape, offset}`` with
+``offset`` relative to the start of the section.  Alignment to 64 bytes
+keeps every array cacheline-aligned when the section itself starts on a
+page boundary, which it does in the single-file format
+(``HybridTree.save`` writes it as whole pages).
 
 :func:`deserialize_snapshot` builds the arrays with ``np.frombuffer``
 directly over the supplied buffer — zero-copy when the buffer is an
@@ -21,11 +23,11 @@ directly over the supplied buffer — zero-copy when the buffer is an
 snapshot.  Integrity is the caller's job: the single-file format stores a
 CRC32 of the section in the superblock manifest and verifies it before
 deserializing (a mismatch degrades to the object-walk kernel rather than
-failing the open).
-
-Only ``array_only`` snapshots (rect-bounded kinds) can be persisted: the
-``edges`` kind evaluates pruning through live ``ChildBound`` objects,
-which have no array form (see :mod:`repro.engine.soa.snapshot`).
+failing the open).  Every structural fault a CRC cannot catch — a bad
+magic, a truncated section, an unparseable or incomplete header, a missing
+array or one whose shape contradicts the others — raises
+:class:`SnapshotFormatError`, which the open path and ``repro fsck`` treat
+the same way.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ SNAPSHOT_SECTION_VERSION = 1
 _MAGIC = b"SOA1"
 _ALIGN = 64
 
-#: Arrays persisted in this order; optional ones are skipped when None.
+#: Arrays persisted in this order; every one is required on load.
 _ARRAY_FIELDS = (
     "node_ref",
     "node_is_leaf",
@@ -55,8 +57,6 @@ _ARRAY_FIELDS = (
     "edge_child",
     "box_low",
     "box_high",
-    "dist_low",
-    "dist_high",
     "points",
     "oids",
 )
@@ -75,18 +75,10 @@ def serialize_snapshot(snap: SOASnapshot) -> bytearray:
 
     The section is allocated once at its final size and each array copied
     into place, so serializing holds one copy of the arrays, not three."""
-    if not snap.array_only:
-        raise ValueError(
-            f"snapshot kind {snap.kind!r} needs live bound objects and "
-            "cannot be persisted; only rect-bounded kinds serialize"
-        )
     descriptors = []
     arrays = []
     for name in _ARRAY_FIELDS:
-        arr = getattr(snap, name)
-        if arr is None:
-            continue
-        arr = np.ascontiguousarray(arr)
+        arr = np.ascontiguousarray(getattr(snap, name))
         descriptors.append(
             {
                 "name": name,
@@ -104,10 +96,10 @@ def serialize_snapshot(snap: SOASnapshot) -> bytearray:
     # re-encode always converges.
     header = {
         "version": SNAPSHOT_SECTION_VERSION,
-        "kind": snap.kind,
+        "kind": "rect",
         "dims": snap.dims,
-        "dedup": snap.dedup,
-        "supports_box": snap.supports_box,
+        "dedup": False,
+        "supports_box": True,
         "arrays": descriptors,
     }
     for _ in range(4):
@@ -125,7 +117,7 @@ def serialize_snapshot(snap: SOASnapshot) -> bytearray:
         raise AssertionError("snapshot header layout did not converge")
 
     head = len(_MAGIC) + 4 + len(encoded)
-    total = descriptors[-1]["offset"] + arrays[-1].nbytes if arrays else head
+    total = descriptors[-1]["offset"] + arrays[-1].nbytes
     out = bytearray(total)
     out[: len(_MAGIC)] = _MAGIC
     struct.pack_into("<I", out, len(_MAGIC), len(encoded))
@@ -141,7 +133,9 @@ def deserialize_snapshot(buf) -> SOASnapshot:
 
     The returned arrays alias ``buf``; keep the underlying mapping alive
     for the snapshot's lifetime.  Raises :class:`SnapshotFormatError` on
-    structural problems (bad magic, truncated section, unknown version).
+    every structural problem (bad magic, truncated section, unknown
+    version, a header field or array missing, malformed or of a shape the
+    others contradict).
     """
     view = memoryview(buf)
     if len(view) < 8 or bytes(view[:4]) != _MAGIC:
@@ -153,13 +147,49 @@ def deserialize_snapshot(buf) -> SOASnapshot:
         header = json.loads(bytes(view[8 : 8 + header_len]))
     except ValueError as exc:
         raise SnapshotFormatError(f"unparseable snapshot header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise SnapshotFormatError("snapshot header is not a JSON object")
     if header.get("version") != SNAPSHOT_SECTION_VERSION:
         raise SnapshotFormatError(
             f"unsupported snapshot version {header.get('version')!r}"
         )
+    for key, want in (("kind", "rect"), ("dedup", False), ("supports_box", True)):
+        if header.get(key) != want:
+            raise SnapshotFormatError(
+                f"snapshot header {key!r} is {header.get(key, 'missing')!r}, "
+                f"expected {want!r}"
+            )
+    try:
+        dims = int(header["dims"])
+        arrays = _arrays(view, header["arrays"])
+    except SnapshotFormatError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SnapshotFormatError(f"malformed snapshot header: {exc!r}") from exc
+    missing = [name for name in _ARRAY_FIELDS if name not in arrays]
+    if missing:
+        raise SnapshotFormatError(f"snapshot section missing arrays: {missing}")
+    # Every array's shape follows from the node, edge and point counts.
+    n, e, p = len(arrays["node_ref"]), len(arrays["edge_child"]), len(arrays["oids"])
+    shapes = dict.fromkeys(
+        ("node_ref", "node_is_leaf", "node_pages", "leaf_start", "leaf_end"), (n,)
+    )
+    shapes.update(
+        child_start=(n + 1,), edge_child=(e,), box_low=(e, dims), box_high=(e, dims),
+        points=(p, dims), oids=(p,),
+    )
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise SnapshotFormatError(
+                f"snapshot array {name!r} has shape {arrays[name].shape}, expected {shape}"
+            )
+    return SOASnapshot(dims=dims, **{name: arrays[name] for name in _ARRAY_FIELDS})
 
+
+def _arrays(view: memoryview, descriptors) -> dict[str, np.ndarray]:
+    """The arrays the header's descriptors place in ``view``, by name."""
     arrays: dict[str, np.ndarray] = {}
-    for desc in header["arrays"]:
+    for desc in descriptors:
         dtype = np.dtype(desc["dtype"])
         shape = tuple(desc["shape"])
         count = int(np.prod(shape)) if shape else 1
@@ -170,38 +200,4 @@ def deserialize_snapshot(buf) -> SOASnapshot:
             )
         arr = np.frombuffer(view, dtype=dtype, count=count, offset=desc["offset"])
         arrays[desc["name"]] = arr.reshape(shape)
-
-    required = (
-        "node_ref",
-        "node_is_leaf",
-        "node_pages",
-        "child_start",
-        "leaf_start",
-        "leaf_end",
-        "edge_child",
-        "points",
-        "oids",
-    )
-    missing = [name for name in required if name not in arrays]
-    if missing:
-        raise SnapshotFormatError(f"snapshot section missing arrays: {missing}")
-
-    return SOASnapshot(
-        kind=header["kind"],
-        dims=int(header["dims"]),
-        dedup=bool(header["dedup"]),
-        supports_box=bool(header["supports_box"]),
-        node_ref=arrays["node_ref"],
-        node_is_leaf=arrays["node_is_leaf"],
-        node_pages=arrays["node_pages"],
-        child_start=arrays["child_start"],
-        leaf_start=arrays["leaf_start"],
-        leaf_end=arrays["leaf_end"],
-        edge_child=arrays["edge_child"],
-        box_low=arrays.get("box_low"),
-        box_high=arrays.get("box_high"),
-        dist_low=arrays.get("dist_low"),
-        dist_high=arrays.get("dist_high"),
-        points=arrays["points"],
-        oids=arrays["oids"],
-    )
+    return arrays

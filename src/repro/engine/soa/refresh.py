@@ -67,8 +67,7 @@ class _Reuse:
         """No previous snapshot: every page is new."""
         i64, rows = np.empty(0, dtype=np.int64), np.empty((0, dims))
         snap = SOASnapshot(
-            kind="rect", dims=dims, dedup=False, supports_box=True,
-            node_ref=i64, node_is_leaf=np.empty(0, dtype=bool),
+            dims=dims, node_ref=i64, node_is_leaf=np.empty(0, dtype=bool),
             node_pages=np.empty(0, dtype=np.int32), child_start=np.zeros(1, dtype=np.int64),
             leaf_start=i64, leaf_end=i64, edge_child=i64, box_low=rows, box_high=rows,
             points=np.empty((0, dims), dtype=np.float32), oids=i64,
@@ -225,10 +224,7 @@ class _Pass:
         reg_rows = np.concatenate(reg_src)[eorder]
         old = prev.snap
         snap = SOASnapshot(
-            kind="rect",
             dims=tree.dims,
-            dedup=False,
-            supports_box=True,
             node_ref=page[order],
             node_is_leaf=node_is_leaf,
             node_pages=np.ones(m, dtype=np.int32),

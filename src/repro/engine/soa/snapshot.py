@@ -3,86 +3,60 @@
 :func:`compile_snapshot` performs one DFS pre-order walk over the traversal
 protocol (:mod:`repro.engine.kernel`) and emits a :class:`SOASnapshot`:
 
-- **node arrays**, one row per *occurrence* in the walk (for dedup
-  structures like the hB-tree a shared page yields one row per kd-path
-  posting, all carrying the same ``node_ref``);
-- **CSR child offsets**: the edges of occurrence ``i`` are rows
+- **node arrays**, one row per node in DFS pre-order;
+- **CSR child offsets**: the edges of node ``i`` are rows
   ``child_start[i] : child_start[i + 1]`` of the edge arrays, in the
   structure's canonical ``trav_children`` order;
-- **per-edge bound rows**: the concatenation of every node's
-  ``trav_children`` bound block (:mod:`repro.engine.kernel`) — box rows
-  for the hybrid/R/X/kd-B trees (kind ``rect``), path-rect plus region
-  rows for the hB-tree (``rect2``), and the ``ChildBound`` objects of the
-  sphere-bounded SS/SR/M-trees (``edges``);
+- **per-edge box rows**: the concatenation of every node's
+  ``trav_children`` :class:`~repro.engine.kernel.RectBlock` — one box per
+  child edge, the bound box queries and metric bounds both test;
 - **concatenated leaf data**: all live leaf vectors in one ``float32``
-  array and their oids beside it, each leaf occurrence holding a slice
-  ``leaf_start[i] : leaf_end[i]`` (occurrences of the same page share one
-  slice).
+  array and their oids beside it, each leaf holding the slice
+  ``leaf_start[i] : leaf_end[i]``.
 
-Occurrence ids are DFS pre-order ranks, so sorting leaf hits by occurrence
-id reproduces the object-walk kernel's output order exactly — that is what
+Node ids are DFS pre-order ranks, so sorting leaf hits by node id
+reproduces the object-walk kernel's output order exactly — that is what
 lets the vectorized kernel return bit-identical results without actually
 recursing.
 
-For the sphere-bounded structures the snapshot keeps the original
-:class:`~repro.engine.kernel.ChildBound` objects (``edge_bounds``): their
-scalar sphere tests reduce a 1-d vector through BLAS ``dot``
-(``np.linalg.norm``), whose summation order differs from an axis
-reduction, so the kernel evaluates those bounds through the original
-objects — grouped per edge — to stay bitwise identical to the object walk.
+Only box-bounded trees compile: the hybrid, R, X and kd-B trees, whose
+children are plain ``RectBlock`` rows.  The hB-tree (a second set of
+region rows, and pages shared between kd paths) and the sphere-bounded
+SS, SR and M-trees (``EdgeBlock`` bound objects) run every batch on the
+object kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.distances import round_out_f32
-from repro.engine.kernel import BlockRows, EdgeBlock, RectBlock
+from repro.engine.kernel import BlockRows, RectBlock
 
 __all__ = ["SOASnapshot", "active_snapshot", "compile_snapshot"]
-
-#: Geometry kinds a snapshot's edges can carry.
-BOUND_KINDS = ("rect", "rect2", "edges")
-
-#: Kinds whose pruning predicates are pure array math over the packed
-#: arrays — these snapshots can be persisted and reloaded without the
-#: original index objects.  ``edges`` needs ``edge_bounds``.
-ARRAY_ONLY_KINDS = ("rect", "rect2")
 
 
 @dataclass
 class SOASnapshot:
     """A compiled index: the directory and leaf data as contiguous arrays."""
 
-    kind: str
     dims: int
-    dedup: bool
-    supports_box: bool
-    # Node arrays (one row per DFS pre-order occurrence).
-    node_ref: np.ndarray  # int64 (N,)   original page id (charging, dedup)
+    # Node arrays (one row per DFS pre-order node).
+    node_ref: np.ndarray  # int64 (N,)   original page id
     node_is_leaf: np.ndarray  # bool (N,)
     node_pages: np.ndarray  # int32 (N,)  pages charged per visit (supernodes > 1)
     child_start: np.ndarray  # int64 (N+1,) CSR offsets into the edge arrays
     leaf_start: np.ndarray  # int64 (N,)  slice into points/oids (0:0 if internal)
     leaf_end: np.ndarray  # int64 (N,)
     # Edge arrays (one row per child edge).
-    edge_child: np.ndarray  # int64 (E,)  target occurrence id
-    box_low: np.ndarray | None = None  # float64 (E, d)  rect / path-rect lows
-    box_high: np.ndarray | None = None  # float64 (E, d)
-    dist_low: np.ndarray | None = None  # float64 (E, d)  rect2: region for mindist
-    dist_high: np.ndarray | None = None  # float64 (E, d)
+    edge_child: np.ndarray  # int64 (E,)  target node id
+    box_low: np.ndarray  # float64 (E, d)
+    box_high: np.ndarray  # float64 (E, d)
     # Concatenated leaf data.
-    points: np.ndarray = field(default_factory=lambda: np.empty((0, 0), np.float32))
-    oids: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    # Original ChildBound objects, required by the ``edges`` kind (see
-    # module docstring); never persisted.
-    edge_bounds: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in BOUND_KINDS:
-            raise ValueError(f"unknown bound kind {self.kind!r}")
+    points: np.ndarray  # float32 (P, d)
+    oids: np.ndarray  # int64 (P,)
 
     @property
     def n_nodes(self) -> int:
@@ -96,29 +70,14 @@ class SOASnapshot:
     def n_points(self) -> int:
         return len(self.oids)
 
-    @property
-    def array_only(self) -> bool:
-        """True when the kernel needs no ``edge_bounds`` objects — the
-        precondition for persisting the snapshot."""
-        return self.kind in ARRAY_ONLY_KINDS
-
-    def bound_block(self) -> RectBlock | EdgeBlock:
-        """Every edge's bound as one bound block of the object kernel
-        (:mod:`repro.engine.kernel`): the same rows, the same float
-        operations."""
-        if self.kind == "edges":
-            return EdgeBlock(self.edge_bounds)
-        return RectBlock(self.box_low, self.box_high, self.dist_low, self.dist_high)
-
     def dist_boxes32(self) -> tuple[np.ndarray, np.ndarray]:
-        """The boxes metric bounds are taken from (the region rows of a
-        ``rect2`` snapshot, the box rows otherwise) rounded outward to float32
+        """The edge boxes rounded outward to float32
         (:func:`~repro.distances.round_out_f32`), built lazily on the first
         distance batch and cached: the operands of the frontier's float32
         stage.  A refresh builds a new snapshot, which rebuilds them."""
         cached = getattr(self, "_dist_boxes32", None)
         if cached is None:
-            cached = self._dist_boxes32 = round_out_f32(*self.bound_block().dist_boxes())
+            cached = self._dist_boxes32 = round_out_f32(self.box_low, self.box_high)
         return cached
 
     def leaf_sort0(self) -> tuple[np.ndarray, np.ndarray]:
@@ -140,16 +99,11 @@ class SOASnapshot:
             if self.points.shape[1]
             else np.empty(0)
         )
-        ls = self.leaf_start[self.node_is_leaf]
-        le = self.leaf_end[self.node_is_leaf]
-        # Occurrences sharing a ref share the slice, so each distinct
-        # start is sorted once.
-        starts, first = np.unique(ls, return_index=True)
-        for s, e in zip(starts, le[first]):
-            seg = slice(int(s), int(e))
-            order = np.argsort(self.points[seg, 0], kind="stable")
-            perm[seg] = int(s) + order
-            scol[seg] = scol[seg][order]
+        leaf = self.node_is_leaf
+        for s, e in zip(self.leaf_start[leaf].tolist(), self.leaf_end[leaf].tolist()):
+            order = np.argsort(self.points[s:e, 0], kind="stable")
+            perm[s:e] = s + order
+            scol[s:e] = scol[s:e][order]
         self._leaf_sort0 = (perm, scol)
         return self._leaf_sort0
 
@@ -165,7 +119,9 @@ def compile_snapshot(index) -> SOASnapshot:
     The walk is iterative (no recursion limit), charges no I/O
     (``trav_node(ref, charge=False)``, like every maintenance traversal),
     and leaves the index untouched.  Raises ``TypeError`` for indexes that
-    do not implement the traversal protocol (VA-file, sequential scan).
+    do not implement the traversal protocol (VA-file, sequential scan) and
+    for those whose children are not bounded by plain boxes (hB, SS, SR
+    and M-trees).
     """
     if not hasattr(index, "trav_root"):
         raise TypeError(
@@ -173,8 +129,6 @@ def compile_snapshot(index) -> SOASnapshot:
             "only traversable indexes can be compiled"
         )
     dims = index.dims
-    dedup = bool(getattr(index, "trav_dedup", False))
-    supports_box = bool(getattr(index, "trav_supports_box", True))
     pages_of = getattr(index, "trav_node_pages", None)
 
     node_ref: list[int] = []
@@ -186,8 +140,6 @@ def compile_snapshot(index) -> SOASnapshot:
     edge_child: list[int] = []
     edges = BlockRows()
 
-    # Leaf slices are shared between occurrences of the same page.
-    leaf_slices: dict[int, tuple[int, int]] = {}
     vec_parts: list[np.ndarray] = []
     oid_parts: list[np.ndarray] = []
     n_pts = 0
@@ -205,24 +157,26 @@ def compile_snapshot(index) -> SOASnapshot:
         node_pages.append(int(pages_of(ref)) if pages_of is not None else 1)
         if index.trav_is_leaf(node):
             node_is_leaf.append(True)
-            slc = leaf_slices.get(ref)
-            if slc is None:
-                pts, oids = index.trav_leaf_points(node)
-                if len(pts):
-                    # Copy: leaf views may alias a node cache or an mmap.
-                    vec_parts.append(np.array(pts, dtype=np.float32, copy=True))
-                    oid_parts.append(np.array(oids, dtype=np.int64, copy=True))
-                slc = (n_pts, n_pts + len(pts))
-                n_pts += len(pts)
-                leaf_slices[ref] = slc
-            leaf_start.append(slc[0])
-            leaf_end.append(slc[1])
+            pts, oids = index.trav_leaf_points(node)
+            if len(pts):
+                # Copy: leaf views may alias a node cache or an mmap.
+                vec_parts.append(np.array(pts, dtype=np.float32, copy=True))
+                oid_parts.append(np.array(oids, dtype=np.int64, copy=True))
+            leaf_start.append(n_pts)
+            n_pts += len(pts)
+            leaf_end.append(n_pts)
             child_start.append(len(edge_child))
             continue
         node_is_leaf.append(False)
         leaf_start.append(0)
         leaf_end.append(0)
         kids = index.trav_children(node, ctx)
+        if type(kids.bounds) is not RectBlock or kids.bounds.dist is not None:
+            raise TypeError(
+                f"{type(index).__name__} bounds its children with "
+                f"{type(kids.bounds).__name__} rows that are not plain boxes; "
+                "only box-bounded trees (hybrid, R, X, kd-B) can be compiled"
+            )
         first_edge = len(edge_child)
         edges.extend(kids.bounds)
         edge_child.extend([-1] * len(kids.refs))
@@ -233,19 +187,11 @@ def compile_snapshot(index) -> SOASnapshot:
             stack.append((kids.refs[offset], kids.ctxs[offset], first_edge + offset))
 
     block = edges.block()
-    if block is None:  # a single-leaf tree has no edges; any kind fits
-        empty = np.empty((0, dims))
-        block = RectBlock(empty, empty)
-    # The table's buffers grow by doubling: keep copies sized to the rows.
-    block = type(block)(*(part.copy() for part in block.parts()))
-    box_low = box_high = dist_low = dist_high = edge_bounds = None
-    if isinstance(block, RectBlock):
-        box_low, box_high = block.low, block.high
-        kind = "rect" if block.dist is None else "rect2"
-        if block.dist is not None:
-            dist_low, dist_high = block.dist
+    if block is None:  # a single-leaf tree has no edges
+        box_low = box_high = np.empty((0, dims))
     else:
-        kind, edge_bounds = "edges", block.bounds
+        # The table's buffers grow by doubling: keep copies sized to the rows.
+        box_low, box_high = block.low.copy(), block.high.copy()
 
     if vec_parts:
         points = np.concatenate(vec_parts, axis=0)
@@ -255,10 +201,7 @@ def compile_snapshot(index) -> SOASnapshot:
         oids = np.empty(0, dtype=np.int64)
 
     return SOASnapshot(
-        kind=kind,
         dims=dims,
-        dedup=dedup,
-        supports_box=supports_box,
         node_ref=np.asarray(node_ref, dtype=np.int64),
         node_is_leaf=np.asarray(node_is_leaf, dtype=bool),
         node_pages=np.asarray(node_pages, dtype=np.int32),
@@ -268,9 +211,6 @@ def compile_snapshot(index) -> SOASnapshot:
         edge_child=np.asarray(edge_child, dtype=np.int64),
         box_low=box_low,
         box_high=box_high,
-        dist_low=dist_low,
-        dist_high=dist_high,
         points=points,
         oids=oids,
-        edge_bounds=edge_bounds,
     )

@@ -914,24 +914,25 @@ def test_hbtree_single_knn_pays_each_page_once(data):
 def test_partial_knn_batch_of_one_holds_the_best_so_far(data):
     """A k-NN batch of one checks its deadline once per pop.  Cut after m
     pops, it returns the best k of the leaves scanned so far: what the
-    lockstep rounds, one pop per round, hold after m rounds."""
+    lockstep rounds, one pop per query per round, hold after m rounds (the
+    object kernel's rounds, here for a batch of the query twice)."""
     tree = HybridTree.bulk_load(data, page_size=PAGE)
-    snap = tree.compile_snapshot()
     oids, rows = _model_arrays(dict(enumerate(data)))
     _, centers = _queries(np.random.default_rng(23), rows)
     for q in centers:
         batch = QueryBatch.knn([q], K, L2, 0.0, DIMS)
+        twice = QueryBatch.knn([q, q], K, L2, 0.0, DIMS)
         full = kernel_knn_many(tree, batch)
         assert full == [_brute_knn(oids, rows, q, L2)]
         pops = 0
         while True:
             got = kernel_knn_many(tree, batch, False, ExpiresAfter(pops))
-            rounds = soa_kernel.soa_knn_many(tree, snap, batch, False, ExpiresAfter(pops))
+            rounds = kernel_knn_many(tree, twice, False, ExpiresAfter(pops))
             if not isinstance(got, PartialResult):
-                assert got == full and rounds == full
+                assert got == full and rounds == full * 2
                 break
             assert isinstance(rounds, PartialResult) and not got.completed.any()
-            assert got.results == rounds.results
+            assert got.results * 2 == rounds.results
             assert got[0] == sorted(got[0], key=lambda t: (t[1], t[0]))
             pops += 1
         assert pops > 2

@@ -1,14 +1,15 @@
-"""The SOA kernel's exact k-NN frontier against best-first rounds.
+"""The SOA kernel's exact k-NN frontier against best-first search.
 
-An exact k-NN batch of two or more on a ``rect`` snapshot is answered by a
-beam probe for an upper radius and one distance frontier
+An exact k-NN batch of two or more on a snapshot is answered by a beam
+probe for an upper radius and one distance frontier
 (``repro.engine.soa.kernel._KnnFrontier``), billed at each query's exact
-kth distance.  These tests run it and the best-first rounds it replaces
-(``_knn_best_first``) on the same snapshot: results, per-query pages and
-charged reads must be equal, on tie-heavy data where queries sit on box
-faces and many points tie at the kth distance.  They also pin which
-batches take the frontier, and what a batch the deadline stopped returns
-and bills.
+kth distance.  These tests run it and the object kernel's best-first
+search (``kernel_knn_many``) on the same index: results, per-query pages
+and charged reads must be equal, and equal a brute force, on tie-heavy
+data where queries sit on box faces and many points tie at the kth
+distance.  They also pin which batches take the frontier (the others run
+the object kernel and leave a stale snapshot stale), and what a batch the
+deadline stopped returns and bills.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from repro.distances import (
     QuadraticFormMetric,
     WeightedEuclidean,
 )
+from repro.engine.kernel import kernel_knn_many
 from repro.engine.query import QueryBatch
 from repro.engine.soa import kernel as soa_kernel
 from repro.eval.harness import build_index
@@ -65,19 +67,18 @@ def data():
 def index(request, data):
     idx = build_index(request.param, data, page_size=PAGE)
     snap = idx.compile_snapshot()
-    assert snap.kind == "rect"
     assert int(snap.node_is_leaf.sum()) + 1 < snap.n_nodes  # two or more inner nodes
     return idx
 
 
 def _both(index, centers, k, metric):
-    """``(frontier, best_first)``, each ``(results, BatchMetrics)``, on the
-    index's snapshot."""
+    """``(frontier, best_first)``, each ``(results, BatchMetrics)``: the
+    frontier on the index's snapshot, and the object kernel's best-first
+    search on the index itself."""
     snap = index.compile_snapshot()
     batch = QueryBatch.knn(centers, k, metric, 0.0, index.dims)
-    assert soa_kernel._frontier_fits(snap, batch)
-    frontier = soa_kernel._knn_frontier(index, snap, batch, return_metrics=True)
-    best_first = soa_kernel._knn_best_first(index, snap, batch, return_metrics=True)
+    frontier = soa_kernel.soa_knn_many(index, snap, batch, return_metrics=True)
+    best_first = kernel_knn_many(index, batch, return_metrics=True)
     return frontier, best_first
 
 
@@ -143,38 +144,35 @@ def test_split_batch_equals_whole(index, data):
 
 def test_dispatch_takes_the_frontier(index, data, monkeypatch):
     calls = []
-    frontier = soa_kernel._knn_frontier
+    frontier = soa_kernel.soa_knn_many
 
     def spy(*args, **kwargs):
         calls.append(len(args[2]))
         return frontier(*args, **kwargs)
 
-    monkeypatch.setattr(soa_kernel, "_knn_frontier", spy)
+    monkeypatch.setattr(soa_kernel, "soa_knn_many", spy)
     index.knn_many(_centers(data), 5, L2)
     assert calls == [len(_centers(data))]
 
 
 # ----------------------------------------------------------------------
-# Routing: everything else stays on best-first rounds
+# Routing: everything else runs the object kernel
 # ----------------------------------------------------------------------
 def _no_frontier(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("batch took the k-NN frontier")
 
-    monkeypatch.setattr(soa_kernel, "_knn_frontier", refuse)
+    monkeypatch.setattr(soa_kernel, "soa_knn_many", refuse)
 
 
-@pytest.mark.parametrize("kind", ["hbtree", "sstree", "srtree", "mtree"])
-def test_dedup_and_sphere_snapshots_run_best_first(kind, data, monkeypatch):
-    idx = build_index(kind, data, page_size=PAGE)
-    snap = idx.compile_snapshot()
-    assert snap.n_nodes > 1 and (snap.dedup or snap.kind != "rect")
-    _no_frontier(monkeypatch)
-    centers = _centers(data)
-    got = idx.knn_many(centers, 8, L2)
-    assert [[d for _, d in r] for r in got] == [
-        [d for _, d in r] for r in _brute_force(data, centers, 8, L2)
-    ]
+def _quadratic():
+    # sqrt(lambda_min) * L2 is a lower bound in real arithmetic only: it
+    # may round above the quadratic form of a point on the box's face.
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(DIMS, DIMS))
+    quadratic = QuadraticFormMetric(a @ a.T + DIMS * np.eye(DIMS))
+    assert not quadratic.bound_below_distance
+    return quadratic
 
 
 def test_approximate_and_unsound_bound_batches_run_best_first(data, monkeypatch):
@@ -183,13 +181,13 @@ def test_approximate_and_unsound_bound_batches_run_best_first(data, monkeypatch)
     _no_frontier(monkeypatch)
     centers = _centers(data)
     idx.knn_many(centers, 8, L2, approximation_factor=0.5)
-    # sqrt(lambda_min) * L2 is a lower bound in real arithmetic only: it
-    # may round above the quadratic form of a point on the box's face.
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(DIMS, DIMS))
-    quadratic = QuadraticFormMetric(a @ a.T + DIMS * np.eye(DIMS))
-    assert not quadratic.bound_below_distance
-    idx.knn_many(centers, 8, quadratic)
+    idx.knn_many(centers, 8, _quadratic())
+    # Called directly, the frontier refuses the batches it cannot answer.
+    monkeypatch.undo()
+    for metric, eps in ((L2, 0.5), (_quadratic(), 0.0)):
+        batch = QueryBatch.knn(centers, 8, metric, eps, DIMS)
+        with pytest.raises(ValueError, match="object kernel"):
+            soa_kernel.soa_knn_many(idx, idx.soa_snapshot, batch)
 
 
 def test_stale_snapshot_runs_the_object_kernel(data, monkeypatch):
@@ -198,6 +196,37 @@ def test_stale_snapshot_runs_the_object_kernel(data, monkeypatch):
     idx.invalidate_snapshot()
     _no_frontier(monkeypatch)
     idx.knn_many(_centers(data), 8, L2)
+
+
+def test_object_kernel_batches_leave_a_stale_snapshot_stale(data, monkeypatch):
+    """An approximate batch and a batch under a metric without
+    ``bound_below_distance`` do not refresh a stale snapshot: they run the
+    object kernel, with the results and pages of a tree that never had a
+    snapshot."""
+    point = np.full(DIMS, 1.5, dtype=np.float32)
+    stale = build_index("hybrid", data, page_size=PAGE)
+    stale.compile_snapshot()
+    stale.insert(point, len(data))
+    plain = build_index("hybrid", data, page_size=PAGE)
+    plain.insert(point, len(data))
+    assert stale.soa_snapshot is None and stale._soa_refresher is not None
+    refresh = stale._soa_refresher.refresh
+
+    def refuse():
+        raise AssertionError("the batch refreshed the snapshot")
+
+    monkeypatch.setattr(stale._soa_refresher, "refresh", refuse)
+    _no_frontier(monkeypatch)
+    centers = _centers(data)
+    for metric, eps in ((L2, 0.5), (_quadratic(), 0.0)):
+        got = stale.knn_many(centers, 8, metric, eps, return_metrics=True)
+        want = plain.knn_many(centers, 8, metric, eps, return_metrics=True)
+        assert got[0] == want[0]
+        assert got[1].pages.tolist() == want[1].pages.tolist()
+        assert got[1].charged_reads == want[1].charged_reads
+        assert stale.soa_snapshot is None, "the snapshot was refreshed"
+    monkeypatch.setattr(stale._soa_refresher, "refresh", refresh)
+    assert stale.refresh_snapshot() is not None  # still kept, just stale
 
 
 # ----------------------------------------------------------------------

@@ -50,9 +50,9 @@ from repro.eval.harness import build_index
 from repro.geometry.rect import Rect
 from repro.resilience import Deadline, PartialResult, QueryTimeoutError
 
-# Every structure whose snapshot is array-only (rect / rect2 bounds), so
-# its masks and distance leaf scans take the blocked vectorized path.
-RECT_STRUCTURES = ("hybrid", "rtree", "xtree", "kdbtree", "hbtree")
+# Every structure that compiles a snapshot, so its masks and distance
+# leaf scans take the blocked vectorized path.
+RECT_STRUCTURES = ("hybrid", "rtree", "xtree", "kdbtree")
 DIMS = 4
 METRICS = (L1, L2, LINF, WeightedEuclidean(np.linspace(0.5, 2.0, DIMS)))
 # Small pages give every structure a third level, so the frontier has an
@@ -137,7 +137,7 @@ def test_blocks_match_object_kernel(kind, block_log):
 
 
 @pytest.mark.parametrize("block_log", [1], indirect=True)
-@pytest.mark.parametrize("kind", ["hybrid", "rtree", "hbtree"])
+@pytest.mark.parametrize("kind", ["hybrid", "rtree"])
 def test_blocks_match_object_kernel_after_deletes(kind, block_log):
     data = _quantized(seed=3)
     index = build_index(kind, data, page_size=PAGE_SIZE)
@@ -206,11 +206,9 @@ def _pair_reference(snap, group, batch):
             axis=1,
         )
     else:
-        low, high = (
-            (snap.dist_low, snap.dist_high) if snap.kind == "rect2"
-            else (snap.box_low, snap.box_high)
-        )
-        rows = batch.metric.pair_mindist(batch.centers[q], low[e], high[e]) <= batch.radii[q]
+        rows = batch.metric.pair_mindist(
+            batch.centers[q], snap.box_low[e], snap.box_high[e]
+        ) <= batch.radii[q]
     return rows.reshape(n_edges, n_live)
 
 
@@ -219,7 +217,7 @@ def _pair_reference(snap, group, batch):
 # end in a short block.
 @pytest.mark.parametrize("block_elems", [1, 256])
 @pytest.mark.parametrize("page_size", [PAGE_SIZE, 4096])
-@pytest.mark.parametrize("kind", ["hybrid", "rtree", "hbtree"])
+@pytest.mark.parametrize("kind", ["hybrid", "rtree", "kdbtree"])
 def test_parent_groups_split_along_query_axis(kind, page_size, block_elems, monkeypatch):
     # 4096-byte pages give one wide parent (the root); 512-byte pages
     # give ~10-26 parents of 2-38 children each, many of them tiny groups.
@@ -287,7 +285,7 @@ def _band_radii(snap, metric, centers, rng):
     (of any edge where the query is inside every root child), in thirds:
     the bound itself, one ulp below it and one ulp above it, so pairs fall
     inside the float32 stage's recheck band on both sides of the radius."""
-    low, high = snap.bound_block().dist_boxes()
+    low, high = snap.box_low, snap.box_high
     qs = centers.astype(np.float64)
     bounds = metric.pair_mindist(qs[None], low[:, None], high[:, None])
     root = slice(snap.child_start[0], snap.child_start[1])
@@ -303,7 +301,7 @@ def _band_radii(snap, metric, centers, rng):
 
 @pytest.mark.parametrize("block_elems", [1, 256])
 @pytest.mark.parametrize("page_size", [PAGE_SIZE, 4096])
-@pytest.mark.parametrize("kind", ["hybrid", "rtree", "hbtree"])
+@pytest.mark.parametrize("kind", ["hybrid", "rtree", "kdbtree"])
 def test_float32_stage_masks_equal_exact_masks(kind, page_size, block_elems, monkeypatch):
     # Small enough that one-element blocks (which also cut the leaf scan
     # to one row per block) stay cheap.
@@ -314,7 +312,7 @@ def test_float32_stage_masks_equal_exact_masks(kind, page_size, block_elems, mon
     monkeypatch.setattr(soa_kernel, "_BLOCK_ELEMS", block_elems)
     groups, _ = _record_groups(monkeypatch)
     stages = _record_refines(monkeypatch)
-    low, high = snap.bound_block().dist_boxes()
+    low, high = snap.box_low, snap.box_high
     for metric in ALL_METRICS:
         radii = _band_radii(snap, metric, centers, rng)
         batch = QueryBatch.distance(centers, radii, metric, DIMS)
@@ -404,7 +402,7 @@ class _FiresAtCheck(Deadline):
 
 
 @pytest.mark.parametrize("block_log", [13], indirect=True)
-@pytest.mark.parametrize("kind", ["hybrid", "hbtree"])
+@pytest.mark.parametrize("kind", ["hybrid", "rtree"])
 def test_mid_scan_timeout_salvages_real_hits(kind, block_log):
     index = build_index(kind, _quantized(), page_size=PAGE_SIZE)
     index.compile_snapshot()

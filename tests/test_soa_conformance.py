@@ -2,12 +2,14 @@
 
 The struct-of-arrays snapshot (:mod:`repro.engine.soa`) promises
 **bit-identical** answers to the object-walk kernel for every query kind
-on every compilable structure — same oids, same distances, same ordering,
-same charged page accounting.  These tests pin that promise on
-tie/duplicate-heavy quantized data (where ordering and dedup subtleties
-actually bite), after deletes, through the persisted mmap path, and
-across the snapshot lifecycle (invalidation on mutation, graceful
-degradation on a corrupt section, fsck/salvage handling).
+on every compilable structure (the box-bounded hybrid, R, X and kd-B
+trees) — same oids, same distances, same ordering, same charged page
+accounting.  These tests pin that promise on tie/duplicate-heavy
+quantized data (where ordering subtleties actually bite), after deletes,
+through the persisted mmap path, and across the snapshot lifecycle
+(invalidation on mutation, graceful degradation on a corrupt or
+malformed section, fsck/salvage handling).  The hB-, SS-, SR- and
+M-trees do not compile: they answer every batch on the object kernel.
 """
 
 from __future__ import annotations
@@ -36,19 +38,9 @@ from repro.eval.harness import build_index
 from repro.geometry.rect import Rect
 from repro.storage.recovery import salvage, verify
 
-STRUCTURES = (
-    "hybrid",
-    "rtree",
-    "xtree",
-    "kdbtree",
-    "sstree",
-    "srtree",
-    "mtree",
-    "hbtree",
-)
-# Bounding spheres are Euclidean: these structures accept only L2 for
-# distance/knn queries (trav_check_metric raises for anything else).
-L2_ONLY = {"sstree", "srtree", "mtree"}
+STRUCTURES = ("hybrid", "rtree", "xtree", "kdbtree")
+# Structures whose children are not plain boxes: no snapshot.
+UNCOMPILABLE = ("hbtree", "sstree", "srtree", "mtree")
 DIMS = 4
 K = 7
 
@@ -69,17 +61,14 @@ def _workload(seed=11, count=18, dims=DIMS):
     return centers, boxes
 
 
-def _metrics_for(kind):
-    if kind in L2_ONLY:
-        return [L2]
-    return [
-        L1,
-        L2,
-        LINF,
-        LpMetric(3.0),
-        WeightedEuclidean(np.linspace(0.5, 2.0, DIMS)),
-        QuadraticFormMetric(np.diag(np.linspace(1.0, 2.0, DIMS))),
-    ]
+METRICS = [
+    L1,
+    L2,
+    LINF,
+    LpMetric(3.0),
+    WeightedEuclidean(np.linspace(0.5, 2.0, DIMS)),
+    QuadraticFormMetric(np.diag(np.linspace(1.0, 2.0, DIMS))),
+]
 
 
 def _assert_same(soa, obj, what):
@@ -135,10 +124,10 @@ def test_bit_identity_on_tie_heavy_data(kind):
     data = _quantized()
     centers, boxes = _workload()
     index = build_index(kind, data)
-    _check_all_kinds(index, centers, boxes, _metrics_for(kind))
+    _check_all_kinds(index, centers, boxes, METRICS)
 
 
-@pytest.mark.parametrize("kind", ["hybrid", "rtree", "hbtree"])
+@pytest.mark.parametrize("kind", ["hybrid", "rtree"])
 def test_bit_identity_after_deletes(kind):
     data = _quantized(seed=3)
     centers, boxes = _workload(seed=5)
@@ -149,7 +138,7 @@ def test_bit_identity_after_deletes(kind):
     _check_all_kinds(index, centers, boxes, [L2, LINF])
 
 
-@pytest.mark.parametrize("kind", ["hybrid", "rtree", "mtree"])
+@pytest.mark.parametrize("kind", ["hybrid", "rtree", "kdbtree"])
 def test_mutations_invalidate_snapshot(kind):
     data = _quantized(n=120)
     index = build_index(kind, data)
@@ -180,9 +169,34 @@ def test_non_traversable_index_cannot_compile():
         compile_snapshot(scan)
 
 
+@pytest.mark.parametrize("kind", UNCOMPILABLE)
+def test_dedup_and_sphere_trees_do_not_compile(kind, monkeypatch):
+    from repro.engine.soa import compile_snapshot
+    from repro.engine.soa import kernel as soa_kernel
+
+    data = _quantized()
+    index = build_index(kind, data, page_size=512)
+    assert index.height > 1
+    with pytest.raises(TypeError, match="plain boxes"):
+        compile_snapshot(index)
+    # No snapshot methods: `hasattr(index, "compile_snapshot")` is the
+    # capability test `repro bench-batch --engine soa` relies on.
+    assert not hasattr(index, "compile_snapshot")
+    assert not hasattr(index, "invalidate_snapshot")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("batch ran on the SOA kernel")
+
+    for name in ("soa_range_search_many", "soa_distance_range_many", "soa_knn_many"):
+        monkeypatch.setattr(soa_kernel, name, refuse)
+    centers, _ = _workload()
+    for got, c in zip(index.knn_many(centers, K, L2), centers.astype(np.float64)):
+        dists = L2.pair_distances(data, np.repeat(c[None], len(data), 0))
+        assert [d for _, d in got] == np.sort(dists)[:K].tolist()
+
+
 def test_box_query_on_distance_index_raises():
     index = build_index("mtree", _quantized(n=100))
-    index.compile_snapshot()
     with pytest.raises(TypeError, match="distance-based"):
         index.range_search_many([Rect(np.zeros(DIMS), np.ones(DIMS))])
 
@@ -269,6 +283,96 @@ def test_fsck_reports_snapshot_section(tmp_path):
     assert any("CRC32" in err for err in report.snapshot_errors)
     # A bad snapshot is a degraded cache, not a damaged tree: fsck stays ok.
     assert report.ok, report.errors
+
+
+def _rewrite_snapshot_header(path, edit):
+    """Rewrite the saved snapshot section's header JSON with ``edit``,
+    keeping every array where it is, and record the section's new CRC32
+    in the manifest: a section whose checksum passes and whose header is
+    wrong."""
+    import json
+    import struct
+    import zlib
+
+    from repro.storage.page import PAGE_KIND_SUPERBLOCK, frame_page
+    from repro.storage.superblock import read_superblock
+
+    manifest, page_size = read_superblock(path)
+    loc = manifest["soa"]
+    start = loc["start"] * page_size
+    with open(path, "r+b") as f:
+        f.seek(start)
+        section = bytearray(f.read(loc["bytes"]))
+        (header_len,) = struct.unpack_from("<I", section, 4)
+        header = json.loads(bytes(section[8 : 8 + header_len]))
+        first = min(desc["offset"] for desc in header["arrays"])
+        edit(header)
+        encoded = json.dumps(header, separators=(",", ":")).encode()
+        assert 8 + len(encoded) <= first
+        section[4:first] = (
+            struct.pack("<I", len(encoded)) + encoded + bytes(first - 8 - len(encoded))
+        )
+        f.seek(start)
+        f.write(section)
+        loc["crc32"] = zlib.crc32(section) & 0xFFFFFFFF
+        f.seek(-page_size, os.SEEK_END)
+        f.write(
+            frame_page(
+                json.dumps(manifest, sort_keys=True).encode(), page_size, PAGE_KIND_SUPERBLOCK
+            )
+        )
+
+
+def _assert_degrades_to_object_walk(path, data, fault):
+    report = verify(path)
+    assert report.has_snapshot and report.ok, report.errors
+    assert any(fault in err for err in report.snapshot_errors), report.snapshot_errors
+    for mmap in (False, True):
+        reopened = HybridTree.open(path, mmap=mmap)
+        try:
+            assert reopened.soa_snapshot is None
+            assert fault in reopened._soa_load_error
+            boxes = [
+                Rect(np.zeros(DIMS), np.full(DIMS, 0.4)),
+                Rect(np.full(DIMS, 0.2), np.ones(DIMS)),
+            ]
+            want = [
+                np.flatnonzero(np.all((data >= b.low) & (data <= b.high), axis=1)).tolist()
+                for b in boxes
+            ]
+            assert [sorted(r) for r in reopened.range_search_many(boxes)] == want
+        finally:
+            reopened.close()
+
+
+@pytest.mark.parametrize("key", ["kind", "dims", "dedup", "supports_box"])
+def test_snapshot_header_without_a_field_degrades(tmp_path, key):
+    path, data = _saved_tree(tmp_path)
+    _rewrite_snapshot_header(path, lambda header: header.pop(key))
+    _assert_degrades_to_object_walk(path, data, repr(key))
+
+
+@pytest.mark.parametrize("field", ["box_low", "box_high"])
+def test_snapshot_section_with_short_boxes_degrades(tmp_path, field):
+    path, data = _saved_tree(tmp_path)
+
+    def shorten(header):
+        (desc,) = [d for d in header["arrays"] if d["name"] == field]
+        desc["shape"][0] -= 1
+
+    _rewrite_snapshot_header(path, shorten)
+    _assert_degrades_to_object_walk(path, data, field)
+
+
+@pytest.mark.parametrize("field", ["box_low", "box_high"])
+def test_snapshot_section_without_boxes_degrades(tmp_path, field):
+    path, data = _saved_tree(tmp_path)
+
+    def drop(header):
+        header["arrays"] = [d for d in header["arrays"] if d["name"] != field]
+
+    _rewrite_snapshot_header(path, drop)
+    _assert_degrades_to_object_walk(path, data, field)
 
 
 def test_salvage_drops_snapshot_section(tmp_path):
